@@ -1,23 +1,14 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-# Without Cython the package still installs; skolem.search then falls back
-# to the pure-Python kernel.
-ext_modules = []
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "skolem._fastsearch",
-                ["src/skolem/_fastsearch.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package still installs, and
+# skolem.search runs the pure-Python kernel.
+setup(
+    ext_modules=[
+        Extension(
+            "skolem._fastsearch",
+            ["src/skolem/_fastsearch.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

@@ -1,7 +1,9 @@
 """Exhaustive backtracking kernel for (strong) Skolem starters, pure Python.
 
-Same contract as the compiled kernel in _fastsearch; skolem.search picks
-whichever is available at import time.
+Same contract and the same tree as the compiled kernel in _fastsearch.
+skolem.search runs this one when the extension did not build and for
+n > 63, which the compiled kernel's 64-bit masks cannot hold; the tests
+use it as the reference for the compiled one.
 """
 
 

@@ -1,9 +1,10 @@
 """Exhaustive search for (strong) Skolem starters: configuration, backend
 selection, parallel partitioning and cross-validation of the construction.
 
-The backtracking kernel exists twice with one contract: a compiled Cython
-extension and a pure-Python fallback.  The compiled one is used when it
-built; set SKOLEM_BACKEND=pure or SKOLEM_BACKEND=compiled to force either.
+The backtracking kernel exists twice with one contract and one tree: a
+hand-written C extension, _fastsearch, whose 64-bit masks hold n <= 63,
+and the pure-Python _pysearch, which has no such limit.  A search runs
+the compiled kernel when it built and n fits its word, else the pure one.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above a ceiling (default 27) unless forced; SKOLEM_CEILING overrides
@@ -27,7 +28,6 @@ except ImportError:
 
 DEFAULT_CEILING = 27
 CEILING_ENV = "SKOLEM_CEILING"
-BACKEND_ENV = "SKOLEM_BACKEND"
 
 # Hard memory-safety bound on the kernel arrays; the time wall arrives far
 # earlier, the ceiling plus force covers every realistic run.
@@ -63,28 +63,19 @@ def effective_ceiling() -> int:
         raise ValueError(f"{CEILING_ENV} must be an integer, got {raw!r}") from None
 
 
-def _backend():
-    forced = os.environ.get(BACKEND_ENV)
-    if forced in (None, ""):
-        mod = _fastsearch if _fastsearch is not None else _pysearch
-    elif forced == "pure":
-        mod = _pysearch
-    elif forced == "compiled":
-        if _fastsearch is None:
-            raise RuntimeError(
-                f"{BACKEND_ENV}=compiled but the extension is not built"
-            )
-        mod = _fastsearch
-    else:
-        raise ValueError(
-            f"unknown {BACKEND_ENV} value {forced!r}; use 'pure' or 'compiled'"
-        )
-    return mod, ("compiled" if mod is _fastsearch else "pure")
+def _kernel(n: int):
+    """The kernel for a search of order n and its backend name."""
+    if _fastsearch is not None and n <= _fastsearch.MAX_N:
+        return _fastsearch, "compiled"
+    return _pysearch, "pure"
 
 
 def active_backend() -> str:
-    """Name of the kernel the next search would use: compiled or pure."""
-    return _backend()[1]
+    """Name of the kernel searches up to n = 63 use: compiled or pure.
+
+    Larger orders always run the pure kernel.
+    """
+    return _kernel(3)[1]
 
 
 @dataclass(frozen=True)
@@ -174,7 +165,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     ceiling = effective_ceiling()
     if config.n > ceiling and not config.force:
         raise CeilingExceededError(config.n, ceiling)
-    mod, backend_name = _backend()
+    mod, backend_name = _kernel(config.n)
     n = config.n
     strong = config.require_strong
     if config.mode is SearchMode.FIRST_WITNESS:

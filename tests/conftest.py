@@ -1,0 +1,39 @@
+"""Build the compiled search kernel in place before any test imports skolem.
+
+The suite imports skolem from src/, so the extension has to be built next
+to its source.  setup.py marks it optional, so a failed compile only warns;
+the fastsearch fixture turns that into a test failure that shows the
+compiler output, never a skip.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BUILD_LOG = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--inplace"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    config.stash[BUILD_LOG] = proc.stdout + proc.stderr
+
+
+@pytest.fixture(scope="session")
+def fastsearch(request):
+    """The compiled kernel; fails the test when it did not build."""
+    from skolem.search import _fastsearch
+
+    if _fastsearch is None:
+        pytest.fail(
+            "the compiled kernel did not build:\n" + request.config.stash[BUILD_LOG],
+            pytrace=False,
+        )
+    return _fastsearch

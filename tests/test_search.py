@@ -12,15 +12,11 @@ from skolem import (
     full_report,
     search_skolem_starters,
 )
+import skolem.search
 from skolem import _pysearch
-from skolem.search import _fastsearch
 
 from _fixtures import FIRST_STRONG_WITNESS, S_HALF, S_TWO, STARTER_COUNTS
 from _naive import element_driven_starters
-
-needs_extension = pytest.mark.skipif(
-    _fastsearch is None, reason="compiled extension not built"
-)
 
 
 def _witness_pairs(xs):
@@ -37,23 +33,26 @@ def test_kernel_counts_match_fixtures():
         assert witnesses == []
 
 
-@needs_extension
-def test_compiled_kernel_counts_match_fixtures():
+def test_compiled_kernel_counts_match_fixtures(fastsearch):
     for (n, strong), expected in STARTER_COUNTS.items():
-        if n > 19:
-            continue
-        assert _fastsearch.run_search(n, strong)[0] == expected, (n, strong)
+        assert fastsearch.run_search(n, strong)[0] == expected, (n, strong)
 
 
-@needs_extension
-def test_kernels_agree_exactly():
-    # count, node count and witness stream all identical, both orders
+def test_kernels_agree_exactly(fastsearch):
+    # count, node count and witness stream all identical, both orders, for
+    # the whole walk, every top-level partition, and early stops with and
+    # without a witness cap
     for n in (9, 11, 13, 15, 17):
         for strong in (False, True):
             for descending in (True, False):
-                py = _pysearch.run_search(n, strong, 0, -1, descending)
-                cy = _fastsearch.run_search(n, strong, 0, -1, descending)
-                assert py == cy, (n, strong, descending)
+                top_d = (n - 1) // 2 if descending else 1
+                calls = [(0, -1, 0)]
+                calls += [(0, -1, x) for x in range(1, n - top_d)]
+                calls += [(stop, cap, 0) for stop in (1, 3) for cap in (0, 2)]
+                for stop, cap, top in calls:
+                    args = (n, strong, stop, cap, descending, top)
+                    py = _pysearch.run_search(*args)
+                    assert py == fastsearch.run_search(*args), args
 
 
 def test_variable_order_does_not_change_the_count():
@@ -87,12 +86,13 @@ def test_kernel_validation():
         _pysearch.run_search(11, True, 0, 0, True, 6)
 
 
-@needs_extension
-def test_compiled_kernel_validation():
+def test_compiled_kernel_validation(fastsearch):
     with pytest.raises(ValueError, match="odd"):
-        _fastsearch.run_search(8, True)
+        fastsearch.run_search(8, True)
     with pytest.raises(ValueError, match="fixed_top"):
-        _fastsearch.run_search(11, True, 0, 0, True, 6)
+        fastsearch.run_search(11, True, 0, 0, True, 6)
+    with pytest.raises(ValueError, match="limit of 63"):
+        fastsearch.run_search(65, True)
 
 
 def test_fixed_top_partitions_the_space():
@@ -227,24 +227,27 @@ def test_ceiling_enforcement(monkeypatch):
         search_skolem_starters(SearchConfig(n=11))
 
 
-def test_backend_override(monkeypatch):
-    monkeypatch.setenv("SKOLEM_BACKEND", "pure")
+def test_backend_override(fastsearch, monkeypatch):
+    assert active_backend() == "compiled"
+    # without the extension every search falls back to the pure kernel
+    monkeypatch.setattr(skolem.search, "_fastsearch", None)
     assert active_backend() == "pure"
     result = search_skolem_starters(SearchConfig(n=11))
     assert result.backend == "pure"
     assert result.count == 2
 
-    monkeypatch.setenv("SKOLEM_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="SKOLEM_BACKEND"):
-        active_backend()
+
+def test_orders_past_the_machine_word_run_the_pure_kernel(fastsearch):
+    assert skolem.search._kernel(63) == (fastsearch, "compiled")
+    assert skolem.search._kernel(65) == (_pysearch, "pure")
 
 
-@needs_extension
-def test_backends_agree_through_the_front_door(monkeypatch):
+def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):
     runs = {}
-    for backend in ("pure", "compiled"):
-        monkeypatch.setenv("SKOLEM_BACKEND", backend)
+    for backend, kernel in (("compiled", fastsearch), ("pure", None)):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
         result = search_skolem_starters(SearchConfig(n=13, mode="enumerate", require_strong=False))
+        assert result.backend == backend
         runs[backend] = (
             result.count,
             result.nodes_explored,
