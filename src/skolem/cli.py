@@ -30,9 +30,9 @@ from .search import (
 from .starters import (
     PairSet,
     full_report,
-    iter_pair_sets_text,
     pair_set_from_obj,
     pair_set_to_obj,
+    parse_pair_set_text,
 )
 
 SCHEMA_VERSION = "1"
@@ -129,10 +129,7 @@ def _parse_any(text: str) -> PairSet:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return pair_set_from_obj(json.loads(stripped))
-    sets = list(iter_pair_sets_text(text))
-    if len(sets) != 1:
-        raise ValueError(f"expected exactly one pair set record, found {len(sets)}")
-    return sets[0]
+    return parse_pair_set_text(text)
 
 
 _REQUIREMENTS = ("starter", "strong", "skolem", "strong-skolem")

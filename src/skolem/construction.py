@@ -70,6 +70,15 @@ def _require_prime_q(q: int):
     return m
 
 
+def _require_skolem_q(q: int) -> None:
+    _require_prime_q(q)
+    if q % 8 != 3:
+        raise ConstructionError(
+            f"q % 8 == {q % 8}: Skolem starters from this construction "
+            f"require q % 8 == 3"
+        )
+
+
 @dataclass(frozen=True)
 class ConstructionParams:
     """Validated (q, alpha, beta) triple for the strong-starter construction.
@@ -147,12 +156,7 @@ def build_strong_skolem(q: int, choice=BetaChoice.TWO, alpha: int | None = None)
     choice picks beta: '2' or 'half' (beta = (q+1)/2, the inverse of 2).
     """
     c = _as_choice(choice)
-    _require_prime_q(q)
-    if q % 8 != 3:
-        raise ConstructionError(
-            f"q % 8 == {q % 8}: Skolem starters from this construction "
-            f"require q % 8 == 3"
-        )
+    _require_skolem_q(q)
     return build_strong_starter(q, c.beta(q), alpha)
 
 
@@ -202,12 +206,7 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     preconditions hold.
     """
     c = _as_choice(choice)
-    _require_prime_q(q)
-    if q % 8 != 3:
-        raise ConstructionError(
-            f"q % 8 == {q % 8}: Skolem starters from this construction "
-            f"require q % 8 == 3"
-        )
+    _require_skolem_q(q)
     table = build_qr_table(q)
     members = table.qr_set if c is BetaChoice.TWO else table.nqr_set
     t = (q - 1) // 2

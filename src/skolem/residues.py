@@ -47,6 +47,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_modulus(n) -> None:
+    """Reject anything but an odd int n with 3 <= n <= 2**31 - 1.
+
+    The shape check behind Modulus, without its primality test; PairSet
+    needs only this.
+    """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"modulus must be an int, got {n!r}")
+    if n < 3:
+        raise ValueError(f"modulus must be >= 3, got {n}")
+    if n % 2 == 0:
+        raise ValueError(f"modulus must be odd, got {n}")
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds the supported cap 2**31 - 1")
+
+
 class ResidueClass(Enum):
     """Quadratic residuosity of an element of Z_q."""
 
@@ -63,16 +79,8 @@ class Modulus:
     prime: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"modulus must be an int, got {n!r}")
-        if n < 3:
-            raise ValueError(f"modulus must be >= 3, got {n}")
-        if n % 2 == 0:
-            raise ValueError(f"modulus must be odd, got {n}")
-        if n > MAX_MODULUS:
-            raise ValueError(f"modulus {n} exceeds the supported cap 2**31 - 1")
-        object.__setattr__(self, "prime", is_prime(n))
+        _check_modulus(self.n)
+        object.__setattr__(self, "prime", is_prime(self.n))
 
     @property
     def half(self) -> int:

@@ -127,7 +127,9 @@ class SearchResult:
     complete is True; for an aborted FIRST_WITNESS run it is the number
     found before stopping (i.e. 1).  nodes_explored counts successful pair
     placements across the whole walk, witnesses holds collected starters in
-    deterministic depth-first order.
+    deterministic depth-first order.  Each witness becomes a PairSet
+    through PairSet._from_witness: one partition check of 1..n-1 per
+    witness, with n validated once by SearchConfig.
     """
 
     n: int
@@ -140,10 +142,6 @@ class SearchResult:
     wall_time: float
     backend: str
     workers: int
-
-
-def _witness_pair_set(n: int, xs) -> PairSet:
-    return PairSet(n, [(x, x + d) for d, x in enumerate(xs, start=1)])
 
 
 def _partition_task(args):
@@ -213,7 +211,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         require_strong=strong,
         count=count,
         nodes_explored=nodes,
-        witnesses=tuple(_witness_pair_set(n, xs) for xs in raw_witnesses),
+        witnesses=tuple(PairSet._from_witness(n, xs) for xs in raw_witnesses),
         complete=complete,
         wall_time=elapsed,
         backend=backend_name,

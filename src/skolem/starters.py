@@ -7,15 +7,18 @@ Skolem when the plain integer differences y - x (taking y > x) are exactly
 {1, ..., (n-1)/2}.
 
 PairSet is the shared container: immutable, canonically ordered, restricted
-to well-formed inputs (odd n, elements in 1..n-1, no element reused).  The
-verify_* functions and full_report decide the three properties and return
-human-readable witnesses for failures.
+to well-formed inputs (odd n, elements in 1..n-1, no element reused).
+Search witnesses enter through PairSet._from_witness, which checks each one
+in a single partition test instead of pair by pair.  The verify_* functions
+and full_report decide the three properties and return human-readable
+witnesses for failures.
 """
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
-from .residues import Modulus
+from .residues import _check_modulus
 
 
 def skolem_admissible(n: int) -> bool:
@@ -51,6 +54,10 @@ class PairSet:
     and hash equal no matter the construction order.  Well-formedness (odd
     n, elements in range, no reuse) is enforced here; whether the set is a
     starter is a separate question answered by verify_starter.
+
+    Search kernel witnesses take the other entry, _from_witness, which
+    skips the pair-by-pair checks: it asks only that the witness partition
+    {1, ..., n-1} exactly, and leaves n to the caller to validate once.
     """
 
     n: int
@@ -58,7 +65,7 @@ class PairSet:
 
     def __init__(self, n: int, pairs):
         object.__setattr__(self, "n", n)
-        Modulus(n)  # validates: odd, >= 3, below the cap
+        _check_modulus(n)
         seen = set()
         canon = []
         for raw in pairs:
@@ -79,6 +86,30 @@ class PairSet:
                 seen.add(el)
             canon.append((x, y) if x < y else (y, x))
         object.__setattr__(self, "pairs", tuple(sorted(canon)))
+
+    @classmethod
+    def _from_witness(cls, n: int, xs) -> "PairSet":
+        """The PairSet of a kernel witness xs, where xs[d - 1] = x is the
+        smaller element of the difference-d pair (x, x + d).
+
+        n must already be a valid modulus.  The one check here is that the
+        (n - 1) // 2 pairs use every element of 1..n-1 exactly once; a
+        witness that fails it raises ValueError.
+        """
+        ys = [*map(add, xs, range(1, len(xs) + 1))]
+        if not (
+            2 * len(xs) == n - 1
+            and len({*xs, *ys}) == n - 1
+            and min(xs) >= 1
+            and max(ys) <= n - 1
+        ):
+            raise ValueError(
+                f"kernel witness {tuple(xs)!r} does not partition 1..{n - 1}"
+            )
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "n", n)
+        object.__setattr__(ps, "pairs", tuple(sorted(zip(xs, ys))))
+        return ps
 
     @property
     def t(self) -> int:
@@ -157,6 +188,11 @@ def verify_strong(ps: PairSet) -> Verdict:
     Raises NotAStarterError when the input is not a starter at all.
     """
     _require_starter(ps, "the strong property")
+    return _strong_verdict(ps)
+
+
+def _strong_verdict(ps: PairSet) -> Verdict:
+    # verify_strong for a pair set already known to be a starter
     by_sum: dict[int, tuple[int, int]] = {}
     for pair, s in zip(ps.pairs, ps.sums()):
         if s in by_sum:
@@ -174,6 +210,11 @@ def verify_skolem(ps: PairSet) -> Verdict:
     Raises NotAStarterError when the input is not a starter at all.
     """
     _require_starter(ps, "the Skolem property")
+    return _skolem_verdict(ps)
+
+
+def _skolem_verdict(ps: PairSet) -> Verdict:
+    # verify_skolem for a pair set already known to be a starter
     diffs = sorted(ps.integer_differences())
     if diffs != list(range(1, ps.t + 1)):
         return Verdict(
@@ -240,8 +281,8 @@ def full_report(ps: PairSet) -> VerificationReport:
     """Evaluate all three properties without raising on non-starters."""
     starter = verify_starter(ps)
     if starter:
-        strong = verify_strong(ps)
-        skolem = verify_skolem(ps)
+        strong = _strong_verdict(ps)
+        skolem = _skolem_verdict(ps)
     else:
         reason = "not a starter"
         strong = Verdict(False, reason)

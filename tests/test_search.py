@@ -55,6 +55,40 @@ def test_kernels_agree_exactly(fastsearch):
                     assert py == fastsearch.run_search(*args), args
 
 
+def test_witness_constructor_matches_pair_set(fastsearch):
+    for n in range(3, 20, 2):
+        for strong in (False, True):
+            for descending in (True, False):
+                _, _, witnesses = fastsearch.run_search(n, strong, 0, -1, descending, 0)
+                for xs in witnesses:
+                    fast = PairSet._from_witness(n, xs)
+                    checked = PairSet(n, [(x, x + d) for d, x in enumerate(xs, start=1)])
+                    assert fast.pairs == checked.pairs
+                    assert fast == checked
+                    assert hash(fast) == hash(checked)
+
+
+@pytest.mark.parametrize(
+    "n, xs",
+    [
+        # corruptions of the n = 11 witness (9, 2, 5, 3, 1)
+        (11, (9, 2, 5, 2, 1)),  # 2 is the smaller element of two pairs
+        (11, (9, 2, 5, 3, 4)),  # (4, 9) reuses 4 and 9
+        (11, (0, 2, 5, 3, 1)),  # element 0
+        (11, (9, 2, 5, 3, 6)),  # element 11 = n
+        (11, (9, 2, 5, 3)),  # too short
+        (11, (9, 2, 5, 3, 1, 1)),  # too long, though its elements are 1..10
+        (11, ()),
+        # at n = 3 the two elements stay distinct; only the range check fails
+        (3, (0,)),
+        (3, (2,)),
+    ],
+)
+def test_witness_constructor_rejects_non_partitions(n, xs):
+    with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
+        PairSet._from_witness(n, xs)
+
+
 def test_variable_order_does_not_change_the_count():
     for n in (9, 11, 13, 15, 17):
         for strong in (False, True):

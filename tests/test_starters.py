@@ -14,6 +14,7 @@ from skolem import (
     verify_starter,
     verify_strong,
 )
+import skolem.starters
 
 from _fixtures import (
     NON_STARTER_PARTITION_11,
@@ -69,6 +70,23 @@ def test_pair_set_rejects_bad_input():
         PairSet(11, [(1, 2.0)])
     with pytest.raises(TypeError, match="not an int"):
         PairSet(11, [(1, True)])
+
+
+@pytest.mark.parametrize(
+    "n, exc, message",
+    [
+        (4, ValueError, "modulus must be odd, got 4"),
+        (1, ValueError, "modulus must be >= 3, got 1"),
+        (True, TypeError, "modulus must be an int, got True"),
+        (2**31 + 1, ValueError, "modulus 2147483649 exceeds the supported cap 2**31 - 1"),
+        ("11", TypeError, "modulus must be an int, got '11'"),
+    ],
+)
+def test_pair_set_rejects_bad_modulus(n, exc, message):
+    with pytest.raises(exc) as info:
+        PairSet(n, [])
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_translation_moves_out_of_range():
@@ -131,6 +149,20 @@ def test_full_report_verdict_matrix():
     assert broken.verdicts == (False, False, False)
     assert broken.strong_witness == "not a starter"
     assert broken.skolem_witness == "not a starter"
+
+
+def test_full_report_verifies_the_starter_once(monkeypatch):
+    calls = []
+
+    def counting(ps):
+        calls.append(ps)
+        return verify_starter(ps)
+
+    monkeypatch.setattr(skolem.starters, "verify_starter", counting)
+    for pairs in (S_HALF[11], STARTER_NOT_SKOLEM_11, NON_STARTER_PARTITION_11):
+        calls.clear()
+        full_report(PairSet(11, pairs))
+        assert len(calls) == 1, pairs
 
 
 def test_full_report_lines():
