@@ -32,7 +32,6 @@ from .residues import (
     MAX_MODULUS,
     Modulus,
     QrTable,
-    Residue,
     ResidueClass,
     build_qr_table,
     is_prime,
@@ -76,7 +75,6 @@ __all__ = [
     "MAX_MODULUS",
     "Modulus",
     "QrTable",
-    "Residue",
     "ResidueClass",
     "build_qr_table",
     "is_prime",

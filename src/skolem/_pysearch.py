@@ -2,8 +2,10 @@
 
 Same contract and the same tree as the compiled kernel in _fastsearch.
 skolem.search runs this one when the extension did not build and for
-n > 63, which the compiled kernel's 64-bit masks cannot hold; the tests
-use it as the reference for the compiled one.
+n > 63, which the compiled kernel's 64-bit masks cannot hold, calling it
+once per top-level partition (descending order, fixed_top = 1..t); the
+tests use it as the reference for the compiled one, and the ascending
+order as an independent route to the same counts.
 """
 
 
@@ -27,7 +29,8 @@ def run_search(
     k > 0 the first k in depth-first order; counting always continues past
     the cap.  descending picks the assignment order (d from t down to 1,
     or 1 up to t).  fixed_top != 0 restricts the first assigned difference
-    to x = fixed_top, which partitions the space for parallel runs.
+    to x = fixed_top, which partitions the space into the parts that
+    skolem.search walks.
 
     Returns (count, nodes, witnesses): nodes is the number of successful
     pair placements, witnesses a list of tuples xs with xs[d - 1] the

@@ -87,9 +87,6 @@ class Modulus:
         """(n - 1) // 2, the size of each residuosity class for prime n."""
         return (self.n - 1) // 2
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value, self)
-
     def __str__(self):
         return str(self.n)
 
@@ -107,97 +104,15 @@ def _require_prime(m: Modulus) -> Modulus:
     return m
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_n carrying its modulus.
-
-    Values are normalised into [0, n). Arithmetic between residues of
-    different moduli raises ValueError.
-    """
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.n)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Residue):
-            if other.modulus.n != self.modulus.n:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus.n} and {other.modulus.n}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus.n
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - v, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(v - self.value, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        return Residue(pow(self.value, e, self.modulus.n), self.modulus)
-
-    def inverse(self) -> "Residue":
-        return mod_inverse(self)
-
-    def __int__(self):
-        return self.value
-
-    __index__ = __int__
-
-    def __str__(self):
-        return f"{self.value} (mod {self.modulus.n})"
-
-
-def _resolve(x, modulus) -> tuple[int, Modulus]:
-    """Split an (element, modulus) argument pair into plain (int, Modulus)."""
-    if isinstance(x, Residue):
-        if modulus is not None and as_modulus(modulus).n != x.modulus.n:
-            raise ValueError("explicit modulus disagrees with the residue's")
-        return x.value, x.modulus
-    if modulus is None:
-        raise ValueError("a modulus is required when x is a plain int")
-    return x, as_modulus(modulus)
-
-
-def legendre_class(x, modulus=None) -> ResidueClass:
-    """Residuosity of x mod an odd prime, by Euler's criterion.
+def legendre_class(x: int, q) -> ResidueClass:
+    """Residuosity of x mod an odd prime q (int or Modulus), by Euler's
+    criterion.
 
     x**((q-1)/2) is 1 mod q exactly for quadratic residues and q-1 for
     non-residues; 0 maps to ZERO.
     """
-    v, m = _resolve(x, modulus)
-    _require_prime(m)
-    v %= m.n
+    m = _require_prime(as_modulus(q))
+    v = x % m.n
     if v == 0:
         return ResidueClass.ZERO
     e = pow(v, m.half, m.n)
@@ -208,19 +123,13 @@ def legendre_class(x, modulus=None) -> ResidueClass:
     raise ArithmeticError(f"Euler criterion failed for {v} mod {m.n}")
 
 
-def mod_inverse(x, modulus=None):
-    """Multiplicative inverse mod an odd prime; rejects x = 0.
-
-    Returns the same flavour it was given: Residue in, Residue out.
-    """
-    v, m = _resolve(x, modulus)
-    _require_prime(m)
-    if v % m.n == 0:
+def mod_inverse(x: int, q) -> int:
+    """Multiplicative inverse of x mod an odd prime q (int or Modulus);
+    rejects x == 0 (mod q)."""
+    m = _require_prime(as_modulus(q))
+    if x % m.n == 0:
         raise ValueError(f"0 has no inverse mod {m.n}")
-    inv = pow(v, -1, m.n)
-    if isinstance(x, Residue):
-        return Residue(inv, m)
-    return inv
+    return pow(x, -1, m.n)
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:

@@ -1,10 +1,13 @@
 """Exhaustive search for (strong) Skolem starters: configuration, backend
-selection, parallel partitioning and cross-validation of the construction.
+selection, the partitioned walk and cross-validation of the construction.
 
 The backtracking kernel exists twice with one contract and one tree: a
 hand-written C extension, _fastsearch, whose 64-bit masks hold n <= 63,
 and the pure-Python _pysearch, which has no such limit.  A search runs
 the compiled kernel when it built and n fits its word, else the pure one.
+Every search calls the kernel once per top-level partition (the position
+x of the pair with the largest difference t) and merges the parts in
+ascending x, in this process or across a process pool.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above a ceiling (default 27) unless forced; SKOLEM_CEILING overrides
@@ -14,8 +17,10 @@ the default.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from . import _pysearch
 from .construction import BetaChoice, build_strong_skolem
@@ -29,8 +34,9 @@ except ImportError:
 DEFAULT_CEILING = 27
 CEILING_ENV = "SKOLEM_CEILING"
 
-# Hard memory-safety bound on the kernel arrays; the time wall arrives far
-# earlier, the ceiling plus force covers every realistic run.
+# Memory-safety bound on the pure kernel's bytearray(n) arrays (the
+# compiled kernel stops at n = 63); the time wall arrives far earlier, and
+# the ceiling plus force covers every realistic run.
 MAX_SEARCH_N = 1_000_001
 
 
@@ -78,6 +84,11 @@ def active_backend() -> str:
     return _kernel(3)[1]
 
 
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one exhaustive search over Z_n.
@@ -85,10 +96,11 @@ class SearchConfig:
     mode: COUNT_ALL tallies every starter, FIRST_WITNESS stops at the first
     one found, ENUMERATE_ALL tallies everything while collecting witnesses
     (capped at limit when given; the count stays exact past the cap).
-    require_strong restricts the walk to strong starters.  workers > 1
-    splits the top branching level across processes for COUNT_ALL and
-    ENUMERATE_ALL; FIRST_WITNESS always runs sequentially so the witness
-    is the deterministic depth-first one.  force bypasses the ceiling.
+    require_strong restricts the walk to strong starters.  COUNT_ALL and
+    ENUMERATE_ALL spread the t top-level partitions over min(workers, t)
+    processes when workers > 1; FIRST_WITNESS runs on one worker, walking
+    the partitions in order until one holds a starter, so the witness is
+    the deterministic depth-first one.  force bypasses the ceiling.
     """
 
     n: int
@@ -97,20 +109,21 @@ class SearchConfig:
     limit: int | None = None
     workers: int = 1
     force: bool = False
-    descending: bool = True
 
     def __post_init__(self):
         if isinstance(self.mode, str):
             object.__setattr__(self, "mode", SearchMode(self.mode))
         n = self.n
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TypeError(f"n must be an int, got {n!r}")
+        _require_int("n", n)
         if n < 3 or n % 2 == 0:
             raise ValueError(f"n must be odd and >= 3, got {n}")
         if n > MAX_SEARCH_N:
             raise ValueError(f"exhaustive search beyond n = {MAX_SEARCH_N} is not supported")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be a positive int or None, got {self.limit}")
+        if self.limit is not None:
+            _require_int("limit", self.limit)
+            if self.limit < 1:
+                raise ValueError(f"limit must be a positive int or None, got {self.limit}")
+        _require_int("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -129,7 +142,9 @@ class SearchResult:
     placements across the whole walk, witnesses holds collected starters in
     deterministic depth-first order.  Each witness becomes a PairSet
     through PairSet._from_witness: one partition check of 1..n-1 per
-    witness, with n validated once by SearchConfig.
+    witness, with n validated once by SearchConfig.  wall_time times the
+    walk only (kernel calls, pool start-up and merge), not the building
+    of the PairSets.  workers is the number of processes the walk used.
     """
 
     n: int
@@ -144,27 +159,20 @@ class SearchResult:
     workers: int
 
 
-def _partition_task(args):
-    backend_name, n, strong, collect_limit, descending, top_x = args
-    mod = _pysearch if backend_name == "pure" else _fastsearch
-    return mod.run_search(
-        n, strong, 0, collect_limit, descending, top_x
-    )
-
-
 def search_skolem_starters(config: SearchConfig) -> SearchResult:
     """Run the exhaustive search described by config.
 
     Raises CeilingExceededError when config.n exceeds the ceiling and
-    force is not set.  Parallel runs return bit-identical results to
-    sequential ones: the top level is partitioned in ascending order and
-    the partial results are merged in that same order.
+    force is not set.  The walk is t kernel calls, one per top-level
+    partition x = 1..t of the first difference t, merged in ascending x:
+    the depth-first order of one whole-tree walk, so the result is the
+    same on any number of workers.
     """
     ceiling = effective_ceiling()
     if config.n > ceiling and not config.force:
         raise CeilingExceededError(config.n, ceiling)
     mod, backend_name = _kernel(config.n)
-    n = config.n
+    n, t = config.n, config.t
     strong = config.require_strong
     if config.mode is SearchMode.FIRST_WITNESS:
         stop_after, collect = 1, 1
@@ -172,39 +180,30 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         stop_after, collect = 0, 0
     else:
         stop_after, collect = 0, (-1 if config.limit is None else config.limit)
+    workers = 1 if stop_after else min(config.workers, t)
+    count = nodes = 0
+    raw_witnesses = []
+    # The builtin map draws a call's arguments only when the loop asks for
+    # that part, so on one worker each part collects just what the cap
+    # still needs; a pool draws them all up front and the cap is applied
+    # after the merge.
+    caps = (collect - len(raw_witnesses) if collect >= 0 else -1 for _ in range(t))
+    calls = (mod.run_search, repeat(n), repeat(strong), repeat(stop_after),
+             caps, repeat(True), range(1, t + 1))
 
     started = time.perf_counter()
-    parallel = (
-        config.workers > 1
-        and config.mode is not SearchMode.FIRST_WITNESS
-        and config.t >= 1
-    )
-    if parallel:
-        top_d = config.t if config.descending else 1
-        tops = range(1, n - top_d)
-        tasks = [
-            (backend_name, n, strong, collect, config.descending, x) for x in tops
-        ]
-        workers = min(config.workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_partition_task, tasks))
-        count = sum(p[0] for p in parts)
-        nodes = sum(p[1] for p in parts)
-        raw_witnesses = [w for p in parts for w in p[2]]
-        if collect >= 0:
-            raw_witnesses = raw_witnesses[:collect]
-        used_workers = workers
-    else:
-        count, nodes, raw_witnesses = mod.run_search(
-            n, strong, stop_after, collect, config.descending, 0
-        )
-        used_workers = 1
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        parts = map(*calls) if pool is None else pool.map(*calls)
+        for part_count, part_nodes, part_witnesses in parts:
+            count += part_count
+            nodes += part_nodes
+            raw_witnesses += part_witnesses
+            if 0 < stop_after <= count:
+                break
+    if collect >= 0:
+        del raw_witnesses[collect:]
     elapsed = time.perf_counter() - started
 
-    if config.mode is SearchMode.FIRST_WITNESS:
-        complete = count == 0
-    else:
-        complete = True
     return SearchResult(
         n=n,
         mode=config.mode,
@@ -212,10 +211,10 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         count=count,
         nodes_explored=nodes,
         witnesses=tuple(PairSet._from_witness(n, xs) for xs in raw_witnesses),
-        complete=complete,
+        complete=not stop_after or count == 0,
         wall_time=elapsed,
         backend=backend_name,
-        workers=used_workers,
+        workers=workers,
     )
 
 

@@ -4,7 +4,6 @@ import sympy
 from skolem import (
     MAX_MODULUS,
     Modulus,
-    Residue,
     ResidueClass,
     build_qr_table,
     is_prime,
@@ -56,34 +55,6 @@ def test_modulus_attributes():
     assert Modulus(MAX_MODULUS).prime  # 2**31 - 1 is a Mersenne prime
 
 
-def test_residue_arithmetic():
-    m = Modulus(11)
-    a = m.residue(7)
-    b = m.residue(15)
-    assert b.value == 4
-    assert (a + b).value == 0
-    assert (a - b).value == 3
-    assert (b - a).value == 8
-    assert (a * b).value == 6
-    assert (-a).value == 4
-    assert (a + 5).value == 1
-    assert (5 + a).value == 1
-    assert (5 - a).value == 9
-    assert (a**2).value == 5
-    assert int(a) == 7
-    assert a.inverse().value == 8  # 7 * 8 == 56 == 1 (mod 11)
-    assert (a.inverse() * a).value == 1
-
-
-def test_residue_rejects_mixed_moduli():
-    a = Modulus(11).residue(3)
-    b = Modulus(13).residue(3)
-    with pytest.raises(ValueError, match="mixed moduli"):
-        a + b
-    with pytest.raises(ValueError, match="mixed moduli"):
-        a * b
-
-
 def test_legendre_class_agrees_with_brute_squares():
     for q in PRIMES_TO_200:
         squares = {x * x % q for x in range(1, q)}
@@ -93,11 +64,12 @@ def test_legendre_class_agrees_with_brute_squares():
             assert legendre_class(x, q) is expected, (q, x)
 
 
-def test_legendre_class_accepts_residue_argument():
+def test_legendre_class_requires_a_modulus():
     m = Modulus(11)
-    assert legendre_class(m.residue(3)) is ResidueClass.QR
-    assert legendre_class(m.residue(2)) is ResidueClass.NQR
-    with pytest.raises(ValueError, match="modulus is required"):
+    assert legendre_class(3, m) is ResidueClass.QR
+    assert legendre_class(2, m) is ResidueClass.NQR
+    assert mod_inverse(2, m) == 6
+    with pytest.raises(TypeError):
         legendre_class(3)
 
 
@@ -186,14 +158,6 @@ def test_mod_inverse_all_elements():
     for q in (11, 19, 43):
         for x in range(1, q):
             assert mod_inverse(x, q) * x % q == 1
-
-
-def test_mod_inverse_residue_flavor():
-    m = Modulus(19)
-    inv = mod_inverse(m.residue(2))
-    assert isinstance(inv, Residue)
-    assert inv.value == 10
-    assert isinstance(mod_inverse(2, 19), int)
 
 
 def test_mod_inverse_rejections():

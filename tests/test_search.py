@@ -216,12 +216,45 @@ def test_first_witness_exhausts_when_none_exists():
     assert result.witnesses == ()
 
 
-def test_parallel_matches_sequential():
-    seq = search_skolem_starters(SearchConfig(n=17, mode="enumerate"))
-    par = search_skolem_starters(SearchConfig(n=17, mode="enumerate", workers=3))
-    assert par.workers > 1
-    assert (seq.count, seq.nodes_explored) == (par.count, par.nodes_explored)
-    assert [p.pairs for p in seq.witnesses] == [p.pairs for p in par.witnesses]
+def test_parallel_matches_sequential(fastsearch):
+    # the partitioned driver, on one worker or a pool of up to three,
+    # returns exactly the kernel's own whole-tree walk: counts, node counts
+    # (FIRST_WITNESS walks whole partitions before its witness), witness
+    # order and cap
+    cases = [(SearchMode.COUNT_ALL, None, 0, 0), (SearchMode.FIRST_WITNESS, None, 1, 1)]
+    cases += [(SearchMode.ENUMERATE_ALL, lim, 0, cap) for lim, cap in ((None, -1), (1, 1), (3, 3))]
+    for n in range(3, 18, 2):
+        for strong in (False, True):
+            for mode, limit, stop_after, collect in cases:
+                count, nodes, whole = fastsearch.run_search(n, strong, stop_after, collect, True, 0)
+                expected = (count, nodes, [tuple(sorted(_witness_pairs(xs))) for xs in whole])
+                for workers in (1, 3):
+                    config = SearchConfig(
+                        n=n, mode=mode, require_strong=strong, limit=limit, workers=workers
+                    )
+                    result = search_skolem_starters(config)
+                    got = (result.count, result.nodes_explored, [w.pairs for w in result.witnesses])
+                    assert got == expected, config
+                    assert result.workers == (1 if stop_after else min(workers, (n - 1) // 2))
+
+
+def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, monkeypatch):
+    # the partitions of n = 17 strong hold 6, 3, 7, 12, ... starters, so
+    # with limit 10 the parts are asked for 10, 4, 1 and then no witness
+    caps = []
+
+    class RecordingKernel:
+        MAX_N = fastsearch.MAX_N
+
+        @staticmethod
+        def run_search(*args):
+            caps.append(args[3])
+            return fastsearch.run_search(*args)
+
+    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    result = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10))
+    assert caps == [10, 4, 1, 0, 0, 0, 0, 0]
+    assert (result.count, len(result.witnesses)) == (56, 10)
 
 
 def test_parallel_zero_count_order():
@@ -269,6 +302,19 @@ def test_backend_override(fastsearch, monkeypatch):
     result = search_skolem_starters(SearchConfig(n=11))
     assert result.backend == "pure"
     assert result.count == 2
+
+
+def test_non_int_limit_or_workers_is_refused_on_both_kernels(fastsearch, monkeypatch):
+    # a float limit used to reach the kernels, which then disagreed: the
+    # compiled one raised TypeError, the pure one returned 2 witnesses
+    bad = [("limit", 1.5), ("limit", True), ("workers", 2.0), ("workers", False)]
+    for kernel in (fastsearch, None):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        for field, value in bad:
+            with pytest.raises(TypeError, match=f"{field} must be an int, got {value!r}"):
+                search_skolem_starters(SearchConfig(n=11, mode="enumerate", **{field: value}))
+        capped = search_skolem_starters(SearchConfig(n=11, mode="enumerate", limit=1))
+        assert (capped.count, len(capped.witnesses)) == (2, 1)
 
 
 def test_orders_past_the_machine_word_run_the_pure_kernel(fastsearch):
