@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .construction import (
     BetaChoice,
     ConstructionError,
-    ConstructionParams,
     HalfSetCertificate,
     build_strong_skolem,
     build_strong_starter,
@@ -99,7 +98,6 @@ __all__ = [
     "verify_strong",
     "BetaChoice",
     "ConstructionError",
-    "ConstructionParams",
     "HalfSetCertificate",
     "build_strong_skolem",
     "build_strong_starter",

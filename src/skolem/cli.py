@@ -20,7 +20,6 @@ from .construction import (
     build_strong_starter,
     construction_primes,
 )
-from .residues import smallest_qr_generator
 from .search import (
     CeilingExceededError,
     SearchConfig,
@@ -35,7 +34,7 @@ from .starters import (
     parse_pair_set_text,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -60,7 +59,7 @@ def _error(message: str) -> None:
 
 def _cmd_generate(args) -> int:
     try:
-        choice, ps = _resolve_beta_with_alpha(args.q, args.beta, args.alpha)
+        choice, beta, ps = _construct(args.q, args.beta)
     except ValueError as exc:
         _error(str(exc))
         return EXIT_USAGE
@@ -75,15 +74,12 @@ def _cmd_generate(args) -> int:
             f"not verify; this is a bug"
         )
         return EXIT_SELF_CHECK
-    beta = _beta_value(args.q, args.beta, choice)
-    alpha = args.alpha if args.alpha is not None else smallest_qr_generator(args.q)
     if args.json:
         print(
             _envelope(
                 "generate",
                 {
                     "q": args.q,
-                    "alpha": alpha,
                     "beta": beta,
                     "beta_choice": choice.value if choice else None,
                 },
@@ -92,29 +88,29 @@ def _cmd_generate(args) -> int:
         )
     else:
         sys.stdout.write(ps.to_text())
-        print(f"# q={args.q} alpha={alpha} beta={beta}")
+        print(f"# q={args.q} beta={beta}")
         for line in report.lines():
             print(f"# {line}")
     return EXIT_OK
 
 
-def _resolve_beta_with_alpha(q: int, raw: str, alpha):
+def _construct(q: int, raw: str):
+    """(choice, beta, starter) for --beta: a BetaChoice name or an integer.
+
+    choice is None for an integer beta, which builds a plain strong starter.
+    """
     if raw in ("2", "half"):
         choice = BetaChoice(raw)
-        return choice, build_strong_skolem(q, choice, alpha)
+        ps = build_strong_skolem(q, choice)
+        return choice, choice.beta(q), ps
     try:
         beta = int(raw)
     except ValueError:
         raise ConstructionError(
             f"--beta must be '2', 'half' or an integer, got {raw!r}"
         ) from None
-    return None, build_strong_starter(q, beta, alpha)
-
-
-def _beta_value(q: int, raw: str, choice) -> int:
-    if choice is not None:
-        return choice.beta(q)
-    return int(raw) % q
+    ps = build_strong_starter(q, beta)
+    return None, beta % q, ps
 
 
 def _read_input(path: str) -> str:
@@ -253,7 +249,7 @@ def _cmd_tabulate(args) -> int:
                         f"this is a bug"
                     )
                     return EXIT_SELF_CHECK
-                entries.append((q, smallest_qr_generator(q), choice, ps))
+                entries.append((q, choice, ps))
     except ValueError as exc:
         _error(str(exc))
         return EXIT_USAGE
@@ -266,12 +262,11 @@ def _cmd_tabulate(args) -> int:
                     "entries": [
                         {
                             "q": q,
-                            "alpha": alpha,
                             "beta": choice.beta(q),
                             "beta_choice": choice.value,
                             "pair_set": pair_set_to_obj(ps),
                         }
-                        for q, alpha, choice, ps in entries
+                        for q, choice, ps in entries
                     ]
                 },
             )
@@ -281,9 +276,9 @@ def _cmd_tabulate(args) -> int:
             f"# strong skolem starters from the quadratic-residue "
             f"construction, q <= {args.q_max}"
         )
-        for q, alpha, choice, ps in entries:
+        for q, choice, ps in entries:
             print()
-            print(f"# q={q} alpha={alpha} beta={choice.beta(q)}")
+            print(f"# q={q} beta={choice.beta(q)}")
             sys.stdout.write(ps.to_text())
     return EXIT_OK
 
@@ -311,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="2",
         help="'2' or 'half' for the Skolem construction, or any "
         "non-residue integer for a plain strong starter (default: 2)",
-    )
-    gen.add_argument(
-        "--alpha",
-        type=int,
-        default=None,
-        help="generator of the residue group; changes nothing observable, "
-        "the pair set is generator-independent (default: smallest)",
     )
     gen.add_argument("--json", action="store_true", help="emit a JSON envelope")
     gen.set_defaults(func=_cmd_generate)

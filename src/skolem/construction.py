@@ -1,15 +1,16 @@
 """Quadratic-residue construction of strong and Skolem starters.
 
-For an odd prime q == 3 (mod 4), fix a generator alpha of the group of
-quadratic residues mod q and a non-residue beta other than q - 1.  The set
+For an odd prime q == 3 (mod 4) and a non-residue beta other than q - 1,
 
-    S_beta = {{alpha**i, beta * alpha**i} : i = 1, ..., (q-1)/2}
+    S_beta = {{x, beta * x mod q} : x a quadratic residue mod q}
 
 is a strong starter for Z_q: its elements are the residues and the
 non-residues, its difference classes are (beta - 1) times the residues and
-non-residues, and its sums (beta + 1) * alpha**i repeat only when
-beta == q - 1.  As a set S_beta does not depend on alpha at all; it equals
-{{x, beta * x} : x a residue}, so alpha only changes enumeration order.
+non-residues, and its sums (beta + 1) * x repeat only when beta == q - 1.
+The paper writes the same set through a generator alpha of the residue
+group, S_beta = {{alpha**i, beta * alpha**i} : i = 1, ..., (q-1)/2}; the
+powers of alpha run through the residues, so the set is the same for
+every generator and the package builds it from the residues directly.
 
 When additionally q == 3 (mod 8), both beta = 2 and beta = (q+1)/2 (the
 inverse of 2) are non-residues, and S_beta becomes a Skolem starter: the
@@ -23,15 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .residues import (
-    ResidueClass,
-    as_modulus,
-    build_qr_table,
-    is_prime,
-    is_qr_generator,
-    legendre_class,
-    smallest_qr_generator,
-)
+from .residues import ResidueClass, as_modulus, build_qr_table, is_prime
 from .starters import PairSet
 
 
@@ -60,14 +53,13 @@ def _as_choice(choice) -> BetaChoice:
         ) from None
 
 
-def _require_prime_q(q: int):
+def _require_prime_q(q: int) -> None:
     try:
         m = as_modulus(q)
     except (TypeError, ValueError) as exc:
         raise ConstructionError(str(exc)) from None
     if not m.prime:
         raise ConstructionError(f"q = {m.n} is not prime")
-    return m
 
 
 def _require_skolem_q(q: int) -> None:
@@ -79,85 +71,49 @@ def _require_skolem_q(q: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Validated (q, alpha, beta) triple for the strong-starter construction.
+def _starter(q: int, beta: int) -> PairSet:
+    """S_beta for a prime q == 3 (mod 4) that the caller has checked.
 
-    Requirements: q an odd prime with q % 4 == 3, alpha a generator of the
-    quadratic residues mod q, beta a non-residue.  beta = q - 1 is rejected
-    for q > 3 because then every pair sums to zero and the starter cannot
-    be strong; for q = 3 the single pair makes the sums trivially distinct.
+    beta must be a non-residue mod q.  beta = q - 1 is rejected for q > 3
+    because then every pair sums to zero and the starter cannot be strong;
+    for q = 3 the single pair makes the sums trivially distinct.
     """
-
-    q: int
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        q = self.q
-        _require_prime_q(q)
-        if q % 4 != 3:
-            raise ConstructionError(
-                f"q % 4 == {q % 4}: the construction requires q % 4 == 3"
-            )
-        if not 1 <= self.alpha <= q - 1 or not is_qr_generator(self.alpha, q):
-            raise ConstructionError(
-                f"alpha = {self.alpha} does not generate the quadratic "
-                f"residues mod {q}"
-            )
-        beta = self.beta
-        if not 1 <= beta <= q - 1:
-            raise ConstructionError(f"beta = {beta} outside 1..{q - 1}")
-        if legendre_class(beta, q) is not ResidueClass.NQR:
-            raise ConstructionError(
-                f"beta = {beta} is a quadratic residue mod {q}; "
-                f"a non-residue is required"
-            )
-        if beta == q - 1 and q > 3:
-            raise ConstructionError(
-                "beta = q - 1 makes every pair sum to zero; "
-                "the starter cannot be strong"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.q
-
-    @property
-    def t(self) -> int:
-        return (self.q - 1) // 2
-
-    def pair_set(self) -> PairSet:
-        """Build S_beta = {{alpha**i, beta * alpha**i}} as a PairSet."""
-        q, alpha, beta = self.q, self.alpha, self.beta
-        pairs = []
-        x = 1
-        for _ in range(self.t):
-            x = x * alpha % q
-            pairs.append((x, beta * x % q))
-        return PairSet(q, pairs)
+    beta %= q
+    residues = {x * x % q for x in range(1, (q + 1) // 2)}
+    if beta == 0:
+        raise ConstructionError(f"beta = {beta} outside 1..{q - 1}")
+    if beta in residues:
+        raise ConstructionError(
+            f"beta = {beta} is a quadratic residue mod {q}; "
+            f"a non-residue is required"
+        )
+    if beta == q - 1 and q > 3:
+        raise ConstructionError(
+            "beta = q - 1 makes every pair sum to zero; "
+            "the starter cannot be strong"
+        )
+    return PairSet(q, [(x, beta * x % q) for x in residues])
 
 
-def build_strong_starter(q: int, beta: int, alpha: int | None = None) -> PairSet:
-    """Strong starter S_beta for Z_q; q prime, q % 4 == 3, beta a non-residue.
-
-    alpha defaults to the smallest generator of the residue group; the
-    resulting set is the same for every generator.
-    """
+def build_strong_starter(q: int, beta: int) -> PairSet:
+    """Strong starter S_beta for Z_q; q prime, q % 4 == 3, beta a
+    non-residue other than q - 1 (taken mod q)."""
     _require_prime_q(q)
-    if alpha is None:
-        alpha = smallest_qr_generator(q)
-    return ConstructionParams(q=q, alpha=alpha, beta=beta % q).pair_set()
+    if q % 4 != 3:
+        raise ConstructionError(
+            f"q % 4 == {q % 4}: the construction requires q % 4 == 3"
+        )
+    return _starter(q, beta)
 
 
-def build_strong_skolem(q: int, choice=BetaChoice.TWO, alpha: int | None = None) -> PairSet:
+def build_strong_skolem(q: int, choice=BetaChoice.TWO) -> PairSet:
     """Strong Skolem starter for Z_q; q prime, q % 8 == 3.
 
     choice picks beta: '2' or 'half' (beta = (q+1)/2, the inverse of 2).
     """
     c = _as_choice(choice)
     _require_skolem_q(q)
-    return build_strong_starter(q, c.beta(q), alpha)
+    return _starter(q, c.beta(q))
 
 
 @dataclass(frozen=True)
@@ -234,14 +190,9 @@ def construction_primes(q_max: int) -> list[int]:
 def enumerate_strong_skolem(
     q_max: int,
     choices: tuple = (BetaChoice.TWO, BetaChoice.HALF),
-    alpha: int | None = None,
 ) -> Iterator[tuple[int, BetaChoice, PairSet]]:
-    """Yield (q, choice, starter) for every applicable prime q <= q_max.
-
-    With the default alpha=None each starter uses the smallest generator;
-    the sets do not depend on that choice.
-    """
+    """Yield (q, choice, starter) for every applicable prime q <= q_max."""
     normalized = tuple(_as_choice(c) for c in choices)
     for q in construction_primes(q_max):
         for c in normalized:
-            yield q, c, build_strong_skolem(q, c, alpha)
+            yield q, c, build_strong_skolem(q, c)

@@ -2,8 +2,10 @@
 generators of the residue group, modular inverses.
 
 Everything is plain integer arithmetic; no floating point anywhere. Moduli are
-capped at 2**31 - 1 so products of two residues always fit in a 64-bit word
-(the compiled search kernel and any future native code rely on this).
+capped at 2**31 - 1, so the product of two residues always fits in a 64-bit
+word.  The compiled search kernel does not depend on this cap: it never
+sees such a modulus, and its own 64-bit masks cap the order it searches
+at 63.
 """
 
 from dataclasses import dataclass, field

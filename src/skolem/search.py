@@ -245,18 +245,14 @@ class CrossValidation:
         )
 
 
-def cross_validate_construction(
-    q: int, alpha: int | None = None, workers: int = 1
-) -> CrossValidation:
+def cross_validate_construction(q: int, workers: int = 1) -> CrossValidation:
     """Confront build_strong_skolem(q) with the independent search.
 
     Enumerates every strong Skolem starter of Z_q and checks that both
     constructed starters (beta = 2 and beta = (q+1)/2) verify and appear
     in the enumeration.  Subject to the search ceiling like any search.
     """
-    built = {
-        c: build_strong_skolem(q, c, alpha) for c in (BetaChoice.TWO, BetaChoice.HALF)
-    }
+    built = {c: build_strong_skolem(q, c) for c in (BetaChoice.TWO, BetaChoice.HALF)}
     verified = {c: all(full_report(ps).verdicts) for c, ps in built.items()}
     result = search_skolem_starters(
         SearchConfig(

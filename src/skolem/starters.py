@@ -370,4 +370,9 @@ def pair_set_from_obj(obj) -> PairSet:
         raise ValueError(f"'n' must be an int, got {n!r}")
     if not isinstance(pairs, list):
         raise ValueError("'pairs' must be a list of two-element lists")
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+            isinstance(el, int) and not isinstance(el, bool) for el in pair
+        )):
+            raise ValueError(f"pair {pair!r} is not a two-element list of ints")
     return PairSet(n, pairs)

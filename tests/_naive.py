@@ -4,7 +4,9 @@ Nothing here imports the package under test.  naive_verdicts re-decides the
 three starter properties with quadratic scans over plain tuples, and
 element_driven_starters enumerates (strong) Skolem starters by always
 extending the smallest uncovered element, a different strategy from the
-difference-driven package kernels.
+difference-driven package kernels.  generator_starter builds the
+construction's starter in the paper's generator form, while the package
+builds it from the set of quadratic residues.
 """
 
 
@@ -45,6 +47,20 @@ def naive_verdicts(n, pairs):
     is_skolem = is_starter and diffs == list(range(1, t + 1))
 
     return is_starter, is_strong, is_skolem, 0 in sums
+
+
+def generator_starter(q, alpha, beta):
+    """The paper's S_beta = {{alpha**i, beta * alpha**i} : i = 1..(q-1)/2}.
+
+    Returned as sorted (small, large) pairs, the form of PairSet.pairs.
+    No check is made that alpha generates the residues mod q.
+    """
+    pairs = []
+    for i in range(1, (q - 1) // 2 + 1):
+        x = pow(alpha, i, q)
+        y = beta * x % q
+        pairs.append((min(x, y), max(x, y)))
+    return tuple(sorted(pairs))
 
 
 def element_driven_starters(n, strong):

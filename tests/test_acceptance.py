@@ -39,7 +39,12 @@ from _fixtures import (
     S_TWO,
     STARTER_COUNTS,
 )
-from _naive import naive_verdicts, perturb_partition, random_pair_partition
+from _naive import (
+    generator_starter,
+    naive_verdicts,
+    perturb_partition,
+    random_pair_partition,
+)
 
 
 def _criterion(name, body, budget=None):
@@ -67,11 +72,11 @@ def _best_of(runs, fn):
 
 def test_criterion_1_fixed_starter_z11():
     def body():
-        build_strong_skolem(11, BetaChoice.HALF, alpha=4)  # warm caches
+        build_strong_skolem(11, BetaChoice.HALF)  # warm caches
         best = _best_of(
-            5, lambda: build_strong_skolem(11, BetaChoice.HALF, alpha=4)
+            5, lambda: build_strong_skolem(11, BetaChoice.HALF)
         )
-        ps = build_strong_skolem(11, BetaChoice.HALF, alpha=4)
+        ps = build_strong_skolem(11, BetaChoice.HALF)
         assert ps.pairs == ((1, 6), (2, 4), (3, 7), (5, 8), (9, 10))
         assert best < 0.001, f"build took {best * 1000:.3f} ms, budget 1 ms"
 
@@ -114,11 +119,11 @@ def test_criterion_4_every_generator():
             gens = qr_generators(q)
             assert gens, q
             for choice in BetaChoice:
-                reference = build_strong_skolem(q, choice, gens[0])
+                reference = build_strong_skolem(q, choice)
                 assert all(full_report(reference).verdicts), (q, choice)
-                for alpha in gens[1:]:
+                for alpha in gens:
                     assert (
-                        build_strong_skolem(q, choice, alpha) == reference
+                        generator_starter(q, alpha, choice.beta(q)) == reference.pairs
                     ), (q, choice, alpha)
 
     _criterion("criterion 4: generator independence, q <= 500", body, budget=60.0)

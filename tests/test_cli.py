@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,21 @@ from _fixtures import (
 )
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python_m_skolem(*argv, **kwargs):
+    """Run `python -m skolem` in a child process on the package under test."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "skolem", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -24,10 +41,10 @@ def _run(capsys, *argv):
 
 
 def test_generate_text(capsys):
-    code, out, err = _run(capsys, "generate", "11", "--beta", "half", "--alpha", "4")
+    code, out, err = _run(capsys, "generate", "11", "--beta", "half")
     assert code == 0 and err == ""
     assert out.startswith("n=11\n1 6\n2 4\n3 7\n5 8\n9 10\n")
-    assert "# q=11 alpha=4 beta=6" in out
+    assert "# q=11 beta=6\n" in out
     assert "# skolem: yes" in out
     # the annotated output parses straight back
     (ps,) = list(iter_pair_sets_text(out))
@@ -38,11 +55,10 @@ def test_generate_json(capsys):
     code, out, err = _run(capsys, "generate", "19", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["command"] == "generate"
     assert doc["parameters"] == {
         "q": 19,
-        "alpha": 4,
         "beta": 2,
         "beta_choice": "2",
     }
@@ -65,7 +81,6 @@ def test_generate_errors(capsys):
         (["generate", "13"], "q % 8 == 5"),
         (["generate", "12"], "odd"),
         (["generate", "15"], "not prime"),
-        (["generate", "11", "--alpha", "2"], "does not generate"),
         (["generate", "11", "--beta", "4"], "quadratic residue"),
         (["generate", "11", "--beta", "x"], "beta"),
         (["generate", "11", "--beta", "10"], "sum to zero"),
@@ -74,6 +89,11 @@ def test_generate_errors(capsys):
         assert code == 2, argv
         assert fragment in err, (argv, err)
         assert out == ""
+    # the pair set never depended on a generator, so there is no --alpha
+    with pytest.raises(SystemExit) as exc_info:
+        main(["generate", "11", "--alpha", "4"])
+    assert exc_info.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_verify_file(tmp_path, capsys):
@@ -135,6 +155,16 @@ def test_verify_parse_errors(tmp_path, capsys):
     malformed.write_text("{\"n\": 11")
     code, _, err = _run(capsys, "verify", str(malformed))
     assert code == 2
+
+    for pairs, shown in (
+        ("[[1.0, 2]]", "[1.0, 2]"),
+        ("[1, 2]", "1"),
+        ("[null]", "None"),
+    ):
+        malformed.write_text(f"{{\"n\": 11, \"pairs\": {pairs}}}")
+        code, out, err = _run(capsys, "verify", str(malformed))
+        assert code == 2 and out == "", pairs
+        assert err == f"error: pair {shown} is not a two-element list of ints\n"
 
 
 def test_search_count_json(capsys):
@@ -220,13 +250,15 @@ def test_tabulate_text(capsys):
     assert {ps.pairs for ps in sets} >= {S_TWO[11], S_HALF[11], S_TWO[19], S_HALF[19]}
     for ps in sets:
         assert full_report(ps).verdicts == (True, True, True)
-    assert "# q=43 alpha=9 beta=22" in out
+    assert "# q=43 beta=22\n" in out
+    assert "alpha" not in out
 
 
 def test_tabulate_single_choice_json(capsys):
     code, out, _ = _run(capsys, "tabulate", "--q-max", "50", "--beta", "half", "--json")
     assert code == 0
     doc = json.loads(out)
+    assert doc["schema_version"] == "2"
     entries = doc["results"]["entries"]
     assert [e["q"] for e in entries] == [3, 11, 19, 43]
     assert all(e["beta_choice"] == "half" for e in entries)
@@ -249,27 +281,14 @@ def test_no_command_is_usage_error(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "skolem", "generate", "11", "--beta", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python_m_skolem("generate", "11", "--beta", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("n=11\n1 2\n")
 
 
 def test_console_script_round_trip():
-    gen = subprocess.run(
-        [sys.executable, "-m", "skolem", "generate", "43", "--beta", "half"],
-        capture_output=True,
-        text=True,
-    )
+    gen = _python_m_skolem("generate", "43", "--beta", "half")
     assert gen.returncode == 0
-    ver = subprocess.run(
-        [sys.executable, "-m", "skolem", "verify", "-"],
-        input=gen.stdout,
-        capture_output=True,
-        text=True,
-    )
+    ver = _python_m_skolem("verify", "-", input=gen.stdout)
     assert ver.returncode == 0
     assert "# required holds: yes" in ver.stdout

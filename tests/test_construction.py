@@ -1,9 +1,10 @@
+import re
+
 import pytest
 
 from skolem import (
     BetaChoice,
     ConstructionError,
-    ConstructionParams,
     PairSet,
     ResidueClass,
     build_qr_table,
@@ -13,14 +14,17 @@ from skolem import (
     enumerate_strong_skolem,
     full_report,
     half_set_certificate,
+    is_prime,
     mod_inverse,
     qr_generators,
+    smallest_qr_generator,
     verify_skolem,
     verify_starter,
     verify_strong,
 )
 
 from _fixtures import HALF_BETA, S_HALF, S_TWO, SMALLEST_QR_GENERATOR
+from _naive import generator_starter
 
 
 def test_beta_choice_values():
@@ -43,21 +47,36 @@ def test_fixture_starters_half():
 
 
 def test_generator_independence():
-    # The pair set is {x, beta*x} over the residues, so alpha cannot matter.
+    # The paper's form {alpha**i, beta*alpha**i} gives the package's
+    # {x, beta*x} over the residues for every generator alpha.
     for q in (11, 19, 43):
         gens = qr_generators(q)
         assert SMALLEST_QR_GENERATOR[q] == gens[0]
         for choice in BetaChoice:
-            reference = build_strong_skolem(q, choice)
+            reference = build_strong_skolem(q, choice).pairs
             for alpha in gens:
-                assert build_strong_skolem(q, choice, alpha) == reference
+                assert generator_starter(q, alpha, choice.beta(q)) == reference
 
 
 def test_alpha_from_reference_tables():
     # The classical worked examples use alpha = 4, 4 and 9; same sets.
-    assert build_strong_skolem(11, "half", alpha=4).pairs == S_HALF[11]
-    assert build_strong_skolem(19, "2", alpha=4).pairs == S_TWO[19]
-    assert build_strong_skolem(43, "half", alpha=9).pairs == S_HALF[43]
+    assert generator_starter(11, 4, 6) == S_HALF[11]
+    assert generator_starter(19, 4, 2) == S_TWO[19]
+    assert generator_starter(43, 9, 22) == S_HALF[43]
+
+
+def test_strong_starter_matches_generator_form():
+    for q in range(3, 101, 4):
+        if not is_prime(q):
+            continue
+        alpha = smallest_qr_generator(q)
+        nqr = set(range(1, q)) - {x * x % q for x in range(1, q)}
+        for beta in sorted(nqr):
+            if beta == q - 1 and q > 3:
+                continue
+            assert build_strong_starter(q, beta).pairs == generator_starter(
+                q, alpha, beta
+            ), (q, beta)
 
 
 def test_construction_outputs_verify():
@@ -94,21 +113,18 @@ def test_q3_edge_case():
     assert build_strong_starter(3, 2).pairs == ((1, 2),)
 
 
-def test_construction_params_validation():
-    with pytest.raises(ConstructionError, match="not prime"):
-        ConstructionParams(q=15, alpha=2, beta=2)
-    with pytest.raises(ConstructionError, match="q % 4 == 1"):
-        ConstructionParams(q=13, alpha=3, beta=2)
-    with pytest.raises(ConstructionError, match="does not generate"):
-        ConstructionParams(q=11, alpha=2, beta=2)
-    with pytest.raises(ConstructionError, match="does not generate"):
-        ConstructionParams(q=11, alpha=1, beta=2)
-    with pytest.raises(ConstructionError, match="quadratic residue"):
-        ConstructionParams(q=11, alpha=3, beta=4)
-    with pytest.raises(ConstructionError, match="outside"):
-        ConstructionParams(q=11, alpha=3, beta=0)
-    with pytest.raises(ConstructionError, match="sum to zero"):
-        ConstructionParams(q=11, alpha=3, beta=10)
+def test_strong_starter_validation():
+    for q, beta, message in (
+        (15, 2, "q = 15 is not prime"),
+        (13, 2, "q % 4 == 1: the construction requires q % 4 == 3"),
+        (11, 4, "beta = 4 is a quadratic residue mod 11; a non-residue is required"),
+        (11, 0, "beta = 0 outside 1..10"),
+        (11, 22, "beta = 0 outside 1..10"),
+        (11, 10, "beta = q - 1 makes every pair sum to zero; "
+                 "the starter cannot be strong"),
+    ):
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            build_strong_starter(q, beta)
 
 
 def test_build_rejections():
@@ -130,10 +146,9 @@ def test_build_rejections():
         build_strong_starter(19, 4)
 
 
-def test_construction_params_properties():
-    p = ConstructionParams(q=11, alpha=3, beta=6)
-    assert p.n == 11 and p.t == 5
-    assert p.pair_set().pairs == S_HALF[11]
+def test_strong_starter_fixture():
+    assert build_strong_starter(11, 6).pairs == S_HALF[11]
+    assert build_strong_starter(11, -5).pairs == S_HALF[11]
 
 
 def test_construction_primes():
@@ -178,7 +193,7 @@ def test_half_set_certificate_structure():
 
 def test_half_set_certificate_rebuilds_starter():
     # The certificate alone reassembles the construction output; this route
-    # never touches alpha or the generic builder.
+    # never touches the generic builder.
     for q in (11, 19, 43, 59, 67, 83):
         for choice in BetaChoice:
             assert half_set_certificate(q, choice).pair_set() == build_strong_skolem(

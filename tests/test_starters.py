@@ -249,6 +249,9 @@ def test_obj_validation():
         pair_set_from_obj({"n": "11", "pairs": []})
     with pytest.raises(ValueError, match="'pairs' must be a list"):
         pair_set_from_obj({"n": 11, "pairs": "nope"})
+    for pair in ([1.0, 2], [True, 2], [1, 2, 3], [1], 1, None, "12"):
+        with pytest.raises(ValueError, match="is not a two-element list of ints"):
+            pair_set_from_obj({"n": 11, "pairs": [[3, 4], pair]})
 
 
 def _all_partitions(elements):
