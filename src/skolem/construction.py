@@ -78,6 +78,8 @@ def _starter(q: int, beta: int) -> PairSet:
     because then every pair sums to zero and the starter cannot be strong;
     for q = 3 the single pair makes the sums trivially distinct.
     """
+    if not isinstance(beta, int) or isinstance(beta, bool):
+        raise TypeError(f"beta must be an int, got {beta!r}")
     beta %= q
     residues = {x * x % q for x in range(1, (q + 1) // 2)}
     if beta == 0:

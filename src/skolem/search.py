@@ -7,7 +7,10 @@ and the pure-Python _pysearch, which has no such limit.  A search runs
 the compiled kernel when it built and n fits its word, else the pure one.
 Every search calls the kernel once per top-level partition (the position
 x of the pair with the largest difference t) and merges the parts in
-ascending x, in this process or across a process pool.
+ascending x, in this process or across a process pool.  The reflection
+x -> n - x - d maps starters to starters and partition x to t + 1 - x, so
+a count walks only x = 1..ceil(t/2) and adds each mirror pair twice; its
+node count is still that of the whole tree.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above a ceiling (default 27) unless forced; SKOLEM_CEILING overrides
@@ -96,11 +99,12 @@ class SearchConfig:
     mode: COUNT_ALL tallies every starter, FIRST_WITNESS stops at the first
     one found, ENUMERATE_ALL tallies everything while collecting witnesses
     (capped at limit when given; the count stays exact past the cap).
-    require_strong restricts the walk to strong starters.  COUNT_ALL and
-    ENUMERATE_ALL spread the t top-level partitions over min(workers, t)
-    processes when workers > 1; FIRST_WITNESS runs on one worker, walking
-    the partitions in order until one holds a starter, so the witness is
-    the deterministic depth-first one.  force bypasses the ceiling.
+    require_strong restricts the walk to strong starters.  COUNT_ALL walks
+    the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
+    all t of them, spread over min(workers, partitions) processes when
+    workers > 1; FIRST_WITNESS runs on one worker, walking the partitions
+    in order until one holds a starter, so the witness is the
+    deterministic depth-first one.  force bypasses the ceiling.
     """
 
     n: int
@@ -139,7 +143,9 @@ class SearchResult:
     count is the exact number of starters of the requested kind when
     complete is True; for an aborted FIRST_WITNESS run it is the number
     found before stopping (i.e. 1).  nodes_explored counts successful pair
-    placements across the whole walk, witnesses holds collected starters in
+    placements across the whole walk; for COUNT_ALL that is the whole
+    tree, the walked partitions with each mirror pair doubled, which the
+    reflection makes exact.  witnesses holds collected starters in
     deterministic depth-first order.  Each witness becomes a PairSet
     through PairSet._from_witness: one partition check of 1..n-1 per
     witness, with n validated once by SearchConfig.  wall_time times the
@@ -163,10 +169,10 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     """Run the exhaustive search described by config.
 
     Raises CeilingExceededError when config.n exceeds the ceiling and
-    force is not set.  The walk is t kernel calls, one per top-level
-    partition x = 1..t of the first difference t, merged in ascending x:
-    the depth-first order of one whole-tree walk, so the result is the
-    same on any number of workers.
+    force is not set.  The walk is one kernel call per top-level
+    partition x of the first difference t, merged in ascending x: the
+    depth-first order of one whole-tree walk, so the result is the same on
+    any number of workers.  A count stops at x = ceil(t/2), the mirror.
     """
     ceiling = effective_ceiling()
     if config.n > ceiling and not config.force:
@@ -180,28 +186,32 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         stop_after, collect = 0, 0
     else:
         stop_after, collect = 0, (-1 if config.limit is None else config.limit)
-    workers = 1 if stop_after else min(config.workers, t)
+    # A count walks up to the mirror (see the module docstring) and weighs
+    # every part twice but the middle one of odd t, its own mirror.
+    mirrored = config.mode is SearchMode.COUNT_ALL
+    tops = range(1, (t + 1) // 2 + 1 if mirrored else t + 1)
+    workers = 1 if stop_after else min(config.workers, len(tops))
     count = nodes = 0
     raw_witnesses = []
     # The builtin map draws a call's arguments only when the loop asks for
     # that part, so on one worker each part collects just what the cap
-    # still needs; a pool draws them all up front and the cap is applied
-    # after the merge.
-    caps = (collect - len(raw_witnesses) if collect >= 0 else -1 for _ in range(t))
+    # still needs; a pool draws them all up front, so the merge truncates.
+    caps = (collect - len(raw_witnesses) if collect >= 0 else -1 for _ in tops)
     calls = (mod.run_search, repeat(n), repeat(strong), repeat(stop_after),
-             caps, repeat(True), range(1, t + 1))
+             caps, repeat(True), tops)
 
     started = time.perf_counter()
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         parts = map(*calls) if pool is None else pool.map(*calls)
-        for part_count, part_nodes, part_witnesses in parts:
-            count += part_count
-            nodes += part_nodes
+        for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
+            weight = 2 if mirrored and 2 * x != t + 1 else 1
+            count += weight * part_count
+            nodes += weight * part_nodes
             raw_witnesses += part_witnesses
+            if collect >= 0:
+                del raw_witnesses[collect:]
             if 0 < stop_after <= count:
                 break
-    if collect >= 0:
-        del raw_witnesses[collect:]
     elapsed = time.perf_counter() - started
 
     return SearchResult(

@@ -125,6 +125,10 @@ def test_strong_starter_validation():
     ):
         with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
             build_strong_starter(q, beta)
+    for beta in (6.0, "6", True):
+        message = f"beta must be an int, got {beta!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build_strong_starter(11, beta)
 
 
 def test_build_rejections():

@@ -235,7 +235,60 @@ def test_parallel_matches_sequential(fastsearch):
                     result = search_skolem_starters(config)
                     got = (result.count, result.nodes_explored, [w.pairs for w in result.witnesses])
                     assert got == expected, config
-                    assert result.workers == (1 if stop_after else min(workers, (n - 1) // 2))
+                    # a count walks only the partitions x <= ceil(t/2)
+                    t = (n - 1) // 2
+                    parts = (t + 1) // 2 if mode is SearchMode.COUNT_ALL else t
+                    assert result.workers == (1 if stop_after else min(workers, parts))
+
+
+def test_mirror_partitions_have_equal_counts_and_nodes(fastsearch):
+    # x -> n - x - d maps the starters and the placements of top-level
+    # partition x onto those of t + 1 - x, one to one
+    for kernel, n_max in ((fastsearch, 21), (_pysearch, 15)):
+        for n in range(3, n_max + 1, 2):
+            t = (n - 1) // 2
+            for strong in (False, True):
+                parts = [kernel.run_search(n, strong, 0, 0, True, x)[:2] for x in range(1, t + 1)]
+                assert parts == parts[::-1], (kernel, n, strong)
+
+
+def test_mirrored_count_matches_the_whole_walk(fastsearch):
+    for n in (19, 21, 23):
+        for strong in (False, True):
+            expected = fastsearch.run_search(n, strong, 0, 0, True, 0)[:2]
+            for workers in (1, 2):
+                config = SearchConfig(n=n, require_strong=strong, workers=workers)
+                result = search_skolem_starters(config)
+                assert (result.count, result.nodes_explored) == expected, config
+                assert result.complete
+
+
+def test_mirrored_count_at_27_strong(fastsearch, monkeypatch):
+    # t = 13 is odd, so the self-mirrored middle partition x = 7 counts once
+    monkeypatch.delenv("SKOLEM_CEILING", raising=False)
+    result = search_skolem_starters(SearchConfig(n=27))
+    assert result.backend == "compiled"
+    assert (result.count, result.nodes_explored) == (47116, 17_855_357)
+
+
+def test_count_walks_half_the_partitions_and_enumeration_all(fastsearch, monkeypatch):
+    tops = []
+
+    class RecordingKernel:
+        MAX_N = fastsearch.MAX_N
+
+        @staticmethod
+        def run_search(*args):
+            tops.append(args[5])
+            return fastsearch.run_search(*args)
+
+    monkeypatch.delenv("SKOLEM_CEILING", raising=False)
+    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    for n, half in ((25, 6), (27, 7)):
+        for mode, seen in (("count", half), ("enumerate", (n - 1) // 2)):
+            tops.clear()
+            search_skolem_starters(SearchConfig(n=n, mode=mode, limit=None if mode == "count" else 1))
+            assert tops == list(range(1, seen + 1)), (n, mode)
 
 
 def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, monkeypatch):
