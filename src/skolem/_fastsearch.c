@@ -3,12 +3,20 @@
  * Contract and semantics mirror skolem._pysearch.run_search exactly: the
  * same tree, walked in the same order, so both kernels return identical
  * (count, nodes, witnesses) triples.  The walk is iterative and bitwise
- * (Knuth, TAOCP 4A, 7.1.3): the free elements of 1..n-1 are one 64-bit
- * mask F, the candidates x for difference d are the set bits of
- * F & (F >> d), visited in ascending order, and with strong the pair sum
- * 2x + d mod n must not be a bit of the mask of sums already used.  One
- * word per mask limits n to 63; skolem.search sends larger orders to the
- * pure-Python kernel.
+ * (Knuth, TAOCP 4A, 7.1.3 and 4B, 7.2.2): the free elements of 1..n-1 are
+ * one 64-bit mask F, and the candidates x for difference d are the set
+ * bits of F & (F >> d), visited in ascending order by ctz.
+ *
+ * With strong, the pair sums 2x + d mod n must differ.  As 2 is invertible
+ * mod n, so must the half-sums h = x + half[d] mod n, half[d] = d * 2^-1 =
+ * d * (n + 1) / 2 mod n.  H is the mask of half-sums in use, and x is free
+ * of them exactly when bit x of H rotated right by half[d] within n bits
+ * is clear, so the candidates become F & (F >> d) & ~rotr_n(H, half[d]):
+ * every candidate popped is placed.  h < 2n, so one conditional subtract
+ * reduces it.  Without strong, H stays empty and is never read.
+ *
+ * One word per mask limits n to 63; skolem.search sends larger orders to
+ * the pure-Python kernel.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -17,6 +25,23 @@
 #define MAX_N 63
 #define MAX_T ((MAX_N - 1) / 2)
 #define BIT(i) ((uint64_t)1 << (i))
+
+/* x + k mod n for x, k in 0..n-1. */
+static inline int
+half_sum(int x, int k, int n)
+{
+    int h = x + k;
+    return h >= n ? h - n : h;
+}
+
+/* The n-bit mask m rotated right by k, 0 < k < n.  Bits at n and above
+ * are left in: the callers AND the result's complement with F, which has
+ * none there. */
+static inline uint64_t
+rotr(uint64_t m, int k, int n)
+{
+    return (m >> k) | (m << (n - k));
+}
 
 static PyObject *
 run_search(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -45,11 +70,15 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
                             "fixed_top %d out of range for difference %d",
                             fixed_top, order[0]);
 
+    int half[MAX_T + 1];
+    for (int d = 1; d <= t; d++)
+        half[d] = d * ((n + 1) / 2) % n;
+
     PyObject *witnesses = PyList_New(0);
     if (witnesses == NULL)
         return NULL;
     long long count = 0, nodes = 0;
-    uint64_t free_ = (BIT(n) - 1) & ~BIT(0), sums = 0;
+    uint64_t free_ = (BIT(n) - 1) & ~BIT(0), hsums = 0;
     int level = 0;
     cand[0] = free_ & (free_ >> order[0]);
     if (fixed_top)
@@ -61,24 +90,24 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
                 break;
             int d = order[level], x = xs[d];
             free_ |= BIT(x) | BIT(x + d);
-            sums &= ~BIT((2 * x + d) % n);
+            if (strong)
+                hsums &= ~BIT(half_sum(x, half[d], n));
             continue;
         }
         int d = order[level], x = __builtin_ctzll(cand[level]);
         cand[level] &= cand[level] - 1;
-        if (strong) {
-            int s = (2 * x + d) % n;
-            if (sums & BIT(s))
-                continue;
-            sums |= BIT(s);
-        }
         free_ &= ~(BIT(x) | BIT(x + d));
+        if (strong)
+            hsums |= BIT(half_sum(x, half[d], n));
         xs[d] = x;
         nodes++;
         if ((nodes & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
             goto fail;
         if (++level < t) {
-            cand[level] = free_ & (free_ >> order[level]);
+            int e = order[level];
+            cand[level] = free_ & (free_ >> e);
+            if (strong)
+                cand[level] &= ~rotr(hsums, half[e], n);
             continue;
         }
         /* A starter.  Level t has no candidates, so the next pass backs up. */

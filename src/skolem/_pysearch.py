@@ -1,11 +1,23 @@
 """Exhaustive backtracking kernel for (strong) Skolem starters, pure Python.
 
-Same contract and the same tree as the compiled kernel in _fastsearch.
-skolem.search runs this one when the extension did not build and for
-n > 63, which the compiled kernel's 64-bit masks cannot hold, calling it
-once per top-level partition (descending order, fixed_top = 1..t); the
-tests use it as the reference for the compiled one, and the ascending
-order as an independent route to the same counts.
+Same contract, the same tree and the same iterative bitset walk as the
+compiled kernel in _fastsearch, over Python ints, so n has no word limit.
+The free elements of 1..n-1 are one mask F, and the candidates x for
+difference d are the set bits of F & (F >> d), popped in ascending order
+(the lowest bit is c & -c; bit_length turns bits back into elements).
+With strong, the pair sums 2x + d mod n must differ, so the half-sums
+h = x + half[d] mod n must too, where half[d] = d * 2^-1 =
+d * (n + 1) / 2 mod n.  H is the mask of half-sums in use, and
+F & (F >> d) & ~rotr_n(H, half[d]) holds exactly the candidates whose
+half-sum is free, so every candidate popped is placed.  The walk keeps
+one candidate mask per level instead of recursing, so its stack depth
+does not grow with n.
+
+skolem.search runs this kernel when the extension did not build and for
+n > 63, calling it once per top-level partition (descending order,
+fixed_top = 1..t); the tests use it as a second implementation of the
+compiled one, and the ascending order as an independent route to the
+same counts.
 """
 
 
@@ -44,44 +56,63 @@ def run_search(
         raise ValueError(
             f"fixed_top {fixed_top} out of range for difference {order[0]}"
         )
-    used = bytearray(n)
-    sum_seen = bytearray(n)
-    xs = [0] * (t + 1)
+    half = [d * ((n + 1) // 2) % n for d in range(t + 1)]
+    full = (1 << n) - 1
+    free = full ^ 1
+    hsums = 0
+    # cand[level]: the untried candidates for difference order[level];
+    # xbit[level], hbit[level]: the element and half-sum bits of the pair
+    # placed at that level.
+    cand = [0] * (t + 1)
+    xbit = [0] * t
+    hbit = [0] * t
+    # the levels of the differences 1..t, in that order
+    by_difference = sorted(range(t), key=order.__getitem__)
+    cand[0] = free & (free >> order[0])
+    if fixed_top:
+        cand[0] &= 1 << fixed_top
     count = 0
     nodes = 0
     witnesses: list[tuple[int, ...]] = []
-
-    def walk(level: int) -> bool:
-        # Returns True to abort the whole walk (stop_after reached).
-        nonlocal count, nodes
-        if level == t:
-            count += 1
-            if collect_limit < 0 or len(witnesses) < collect_limit:
-                witnesses.append(tuple(xs[1:]))
-            return 0 < stop_after <= count
+    level = 0
+    while True:
+        c = cand[level]
+        if not c:
+            # Exhausted: back up and take back the parent's placement.
+            level -= 1
+            if level < 0:
+                break
+            low = xbit[level]
+            free |= low | (low << order[level])
+            hsums ^= hbit[level]
+            continue
+        low = c & -c
+        cand[level] = c ^ low
         d = order[level]
-        if level == 0 and fixed_top:
-            lo, hi = fixed_top, fixed_top
-        else:
-            lo, hi = 1, n - 1 - d
-        for x in range(lo, hi + 1):
-            y = x + d
-            if used[x] or used[y]:
-                continue
+        free ^= low | (low << d)
+        if strong:
+            # bit x + half[d] mod n: x + half[d] < 2n, so one shift reduces it
+            h = low << half[d]
+            if h > full:
+                h >>= n
+            hsums |= h
+            hbit[level] = h
+        xbit[level] = low
+        nodes += 1
+        level += 1
+        if level < t:
+            e = order[level]
+            c = free & (free >> e)
             if strong:
-                s = (x + y) % n
-                if sum_seen[s]:
-                    continue
-                sum_seen[s] = 1
-            used[x] = used[y] = 1
-            xs[d] = x
-            nodes += 1
-            if walk(level + 1):
-                return True
-            used[x] = used[y] = 0
-            if strong:
-                sum_seen[(x + y) % n] = 0
-        return False
-
-    walk(0)
+                # rotr_n(H, k); its bits at n and above miss F anyway
+                k = half[e]
+                c &= ~((hsums >> k) | (hsums << (n - k)))
+            cand[level] = c
+            continue
+        # A starter.  Level t has no candidates, so the next pass backs up.
+        count += 1
+        if collect_limit < 0 or len(witnesses) < collect_limit:
+            witnesses.append(tuple(xbit[i].bit_length() - 1 for i in by_difference))
+        if 0 < stop_after <= count:
+            break
     return count, nodes, witnesses

@@ -1,13 +1,14 @@
 """Exhaustive search for (strong) Skolem starters: configuration, backend
 selection, the partitioned walk and cross-validation of the construction.
 
-The backtracking kernel exists twice with one contract and one tree: a
-hand-written C extension, _fastsearch, whose 64-bit masks hold n <= 63,
-and the pure-Python _pysearch, which has no such limit.  A search runs
-the compiled kernel when it built and n fits its word, else the pure one.
-Every search calls the kernel once per top-level partition (the position
-x of the pair with the largest difference t) and merges the parts in
-ascending x, in this process or across a process pool.  The reflection
+The backtracking kernel is one iterative bitset walk, written twice with
+one contract and one tree: a hand-written C extension, _fastsearch, whose
+64-bit masks hold n <= 63, and the pure-Python _pysearch, which has no
+such limit.  A search runs the compiled kernel when it built and n fits
+its word, else the pure one.  Every search calls the kernel once per
+top-level partition (the position x of the pair with the largest
+difference t) and merges the parts in ascending x, in this process or
+across a process pool.  The reflection
 x -> n - x - d maps starters to starters and partition x to t + 1 - x, so
 a count walks only x = 1..ceil(t/2) and adds each mirror pair twice; its
 node count is still that of the whole tree.
@@ -37,9 +38,10 @@ except ImportError:
 DEFAULT_CEILING = 27
 CEILING_ENV = "SKOLEM_CEILING"
 
-# Memory-safety bound on the pure kernel's bytearray(n) arrays (the
-# compiled kernel stops at n = 63); the time wall arrives far earlier, and
-# the ceiling plus force covers every realistic run.
+# Bound on the memory of the pure kernel, the only one past n = 63: its
+# masks are n-bit ints (125 kB each at the bound) and its per-level lists
+# hold t + 1 entries.  The time wall arrives far earlier, and the ceiling
+# plus force covers every realistic run.
 MAX_SEARCH_N = 1_000_001
 
 

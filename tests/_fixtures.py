@@ -75,6 +75,39 @@ STARTER_COUNTS = {
     (27, True): 47116,
 }
 
+# The whole descending walk: (n, require_strong) -> (count, nodes), nodes
+# being the successful pair placements.  Recorded from the compiled kernel
+# that tested the strong constraint on each candidate's sum mod n, before
+# both kernels moved to the half-sum mask, so they freeze the tree itself.
+NODE_COUNTS = {
+    (3, True): (1, 1),
+    (3, False): (1, 1),
+    (5, True): (0, 2),
+    (5, False): (0, 2),
+    (7, True): (0, 7),
+    (7, False): (0, 7),
+    (9, True): (0, 20),
+    (9, False): (6, 34),
+    (11, True): (2, 61),
+    (11, False): (10, 113),
+    (13, True): (0, 202),
+    (13, False): (0, 388),
+    (15, True): (0, 897),
+    (15, False): (0, 1883),
+    (17, True): (56, 3860),
+    (17, False): (504, 10428),
+    (19, True): (194, 18049),
+    (19, False): (2656, 61315),
+    (21, True): (0, 92276),
+    (21, False): (0, 370368),
+    (23, True): (0, 485847),
+    (23, False): (0, 2558157),
+    (25, True): (9622, 2856928),
+    (25, False): (455936, 19815180),
+    (27, True): (47116, 17855357),
+    (27, False): (3040560, 158750947),
+}
+
 # First strong Skolem starter in canonical depth-first order (differences
 # assigned t down to 1, smaller elements ascending): xs[d-1] is the smaller
 # element of the difference-d pair.

@@ -6,7 +6,9 @@ element_driven_starters enumerates (strong) Skolem starters by always
 extending the smallest uncovered element, a different strategy from the
 difference-driven package kernels.  generator_starter builds the
 construction's starter in the paper's generator form, while the package
-builds it from the set of quadratic residues.
+builds it from the set of quadratic residues.  sum_array_walk walks
+the package kernels' tree recursively, testing each candidate's own sum
+where the kernels mask candidates by half-sums.
 """
 
 
@@ -130,3 +132,66 @@ def perturb_partition(pairs, rng, swaps):
         (a, b), (c, d) = rng.sample(positions, 2)
         flat[a][b], flat[c][d] = flat[c][d], flat[a][b]
     return [tuple(sorted(p)) for p in flat]
+
+
+def sum_array_walk(
+    n, strong, stop_after=0, collect_limit=0, descending=True, fixed_top=0
+):
+    """The package kernels' tree, walked recursively over bytearrays.
+
+    One bytearray marks the used elements and one the used sums mod n, and
+    the strong constraint is tested on each candidate's own sum.  The
+    package kernels instead mask out the candidates whose half-sum is in
+    use before they pop them, so agreeing with this walk on the whole
+    (count, nodes, witnesses) triple checks that mask against the sums
+    themselves.  Arguments and result as skolem._pysearch.run_search.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
+    t = (n - 1) // 2
+    order = list(range(t, 0, -1)) if descending else list(range(1, t + 1))
+    if fixed_top and not 1 <= fixed_top <= n - 1 - order[0]:
+        raise ValueError(
+            f"fixed_top {fixed_top} out of range for difference {order[0]}"
+        )
+    used = bytearray(n)
+    sum_seen = bytearray(n)
+    xs = [0] * (t + 1)
+    count = 0
+    nodes = 0
+    witnesses: list[tuple[int, ...]] = []
+
+    def walk(level: int) -> bool:
+        # Returns True to abort the whole walk (stop_after reached).
+        nonlocal count, nodes
+        if level == t:
+            count += 1
+            if collect_limit < 0 or len(witnesses) < collect_limit:
+                witnesses.append(tuple(xs[1:]))
+            return 0 < stop_after <= count
+        d = order[level]
+        if level == 0 and fixed_top:
+            lo, hi = fixed_top, fixed_top
+        else:
+            lo, hi = 1, n - 1 - d
+        for x in range(lo, hi + 1):
+            y = x + d
+            if used[x] or used[y]:
+                continue
+            if strong:
+                s = (x + y) % n
+                if sum_seen[s]:
+                    continue
+                sum_seen[s] = 1
+            used[x] = used[y] = 1
+            xs[d] = x
+            nodes += 1
+            if walk(level + 1):
+                return True
+            used[x] = used[y] = 0
+            if strong:
+                sum_seen[(x + y) % n] = 0
+        return False
+
+    walk(0)
+    return count, nodes, witnesses

@@ -1,13 +1,17 @@
 """Differential fuzzing: the compiled and pure kernels on random calls.
 
 Each drawn call fixes every run_search argument, including a top-level
-partition and an early stop with a witness cap, and both kernels must
-return the identical (count, nodes, witnesses) triple.
+partition and an early stop with a witness cap, and each kernel must
+return the (count, nodes, witnesses) triple of the recursive walk in
+_naive.py, which tests every candidate's sum instead of masking by
+half-sums.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from skolem import _pysearch
+
+from _naive import sum_array_walk
 
 
 @st.composite
@@ -29,4 +33,6 @@ def _kernel_calls(draw):
 @given(args=_kernel_calls())
 def test_kernels_agree_on_random_calls(fastsearch, args):
     # args: (n, strong, stop_after, collect_limit, descending, fixed_top)
-    assert fastsearch.run_search(*args) == _pysearch.run_search(*args)
+    expected = sum_array_walk(*args)
+    assert fastsearch.run_search(*args) == expected
+    assert _pysearch.run_search(*args) == expected

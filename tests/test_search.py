@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from skolem import (
@@ -15,8 +18,8 @@ from skolem import (
 import skolem.search
 from skolem import _pysearch
 
-from _fixtures import FIRST_STRONG_WITNESS, S_HALF, S_TWO, STARTER_COUNTS
-from _naive import element_driven_starters
+from _fixtures import FIRST_STRONG_WITNESS, NODE_COUNTS, S_HALF, S_TWO, STARTER_COUNTS
+from _naive import element_driven_starters, sum_array_walk
 
 
 def _witness_pairs(xs):
@@ -24,22 +27,24 @@ def _witness_pairs(xs):
 
 
 def test_kernel_counts_match_fixtures():
-    for (n, strong), expected in STARTER_COUNTS.items():
+    # the whole walk's count and node count, frozen for every odd n; the
+    # counts are the independently derived ones
+    for key, expected in STARTER_COUNTS.items():
+        assert NODE_COUNTS[key][0] == expected, key
+    for (n, strong), (count, nodes) in NODE_COUNTS.items():
         if n > 19:
             continue  # larger orders are exercised by the compiled kernel below
-        count, nodes, witnesses = _pysearch.run_search(n, strong)
-        assert count == expected, (n, strong)
-        assert nodes >= count
-        assert witnesses == []
+        assert _pysearch.run_search(n, strong) == (count, nodes, []), (n, strong)
 
 
 def test_compiled_kernel_counts_match_fixtures(fastsearch):
-    for (n, strong), expected in STARTER_COUNTS.items():
-        assert fastsearch.run_search(n, strong)[0] == expected, (n, strong)
+    for (n, strong), (count, nodes) in NODE_COUNTS.items():
+        assert fastsearch.run_search(n, strong) == (count, nodes, []), (n, strong)
 
 
 def test_kernels_agree_exactly(fastsearch):
-    # count, node count and witness stream all identical, both orders, for
+    # count, node count and witness stream of each kernel all identical to
+    # the recursive walk that tests each candidate's sum, both orders, for
     # the whole walk, every top-level partition, and early stops with and
     # without a witness cap
     for n in (9, 11, 13, 15, 17):
@@ -51,8 +56,29 @@ def test_kernels_agree_exactly(fastsearch):
                 calls += [(stop, cap, 0) for stop in (1, 3) for cap in (0, 2)]
                 for stop, cap, top in calls:
                     args = (n, strong, stop, cap, descending, top)
-                    py = _pysearch.run_search(*args)
-                    assert py == fastsearch.run_search(*args), args
+                    expected = sum_array_walk(*args)
+                    assert _pysearch.run_search(*args) == expected, args
+                    assert fastsearch.run_search(*args) == expected, args
+
+
+def test_pure_kernel_does_not_recurse():
+    # t = 10 levels deep, under a limit 5 frames above this one; the lowest
+    # limit the interpreter accepts is one above the current depth, which
+    # counts more than the Python frames on some versions
+    limit = sys.getrecursionlimit()
+    lowest = len(inspect.stack(0))
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(lowest)
+                break
+            except RecursionError:
+                lowest += 1
+        sys.setrecursionlimit(lowest + 5)
+        result = _pysearch.run_search(21, True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result[:2] == NODE_COUNTS[(21, True)]
 
 
 def test_witness_constructor_matches_pair_set(fastsearch):
@@ -97,7 +123,7 @@ def test_variable_order_does_not_change_the_count():
             assert down == up, (n, strong)
 
 
-def test_kernel_witnesses_match_element_driven_oracle():
+def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
     # Same starter sets from a structurally different enumeration strategy.
     for n in (9, 11, 17):
         for strong in (False, True):
@@ -105,10 +131,11 @@ def test_kernel_witnesses_match_element_driven_oracle():
                 frozenset(tuple(sorted(p)) for p in ps)
                 for ps in element_driven_starters(n, strong)
             }
-            count, _, witnesses = _pysearch.run_search(n, strong, 0, -1)
-            kernel = {_witness_pairs(xs) for xs in witnesses}
-            assert count == len(oracle) == len(kernel), (n, strong)
-            assert kernel == oracle, (n, strong)
+            for kernel in (_pysearch, fastsearch):
+                count, _, witnesses = kernel.run_search(n, strong, 0, -1)
+                found = {_witness_pairs(xs) for xs in witnesses}
+                assert count == len(oracle) == len(found), (kernel, n, strong)
+                assert found == oracle, (kernel, n, strong)
 
 
 def test_kernel_validation():
