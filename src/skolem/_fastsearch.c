@@ -15,6 +15,13 @@
  * every candidate popped is placed.  h < 2n, so one conditional subtract
  * reduces it.  Without strong, H stays empty and is never read.
  *
+ * The walk runs with the GIL released, so skolem.search can run several
+ * top-level partitions at once on threads.  Kept witnesses wait in a C
+ * buffer, and the walk takes the GIL back only to turn a full buffer into
+ * tuples and to poll for Ctrl-C every 2^20 nodes: taking it per witness
+ * made two threads enumerating n = 25 slower than one.  Every error path
+ * and the result are built with the GIL held.
+ *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
  */
@@ -25,6 +32,7 @@
 #define MAX_N 63
 #define MAX_T ((MAX_N - 1) / 2)
 #define BIT(i) ((uint64_t)1 << (i))
+#define BATCH 256
 
 /* x + k mod n for x, k in 0..n-1. */
 static inline int
@@ -41,6 +49,31 @@ static inline uint64_t
 rotr(uint64_t m, int k, int n)
 {
     return (m >> k) | (m << (n - k));
+}
+
+/* Append rows[0..count), t entries each, to list as tuples of ints.
+ * Needs the GIL. */
+static int
+append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
+{
+    for (int r = 0; r < count; r++) {
+        PyObject *w = PyTuple_New(t);
+        if (w == NULL)
+            return -1;
+        for (int i = 0; i < t; i++) {
+            PyObject *v = PyLong_FromLong(rows[r][i]);
+            if (v == NULL) {
+                Py_DECREF(w);
+                return -1;
+            }
+            PyTuple_SET_ITEM(w, i, v);
+        }
+        int err = PyList_Append(list, w);
+        Py_DECREF(w);
+        if (err < 0)
+            return -1;
+    }
+    return 0;
 }
 
 static PyObject *
@@ -78,11 +111,15 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (witnesses == NULL)
         return NULL;
     long long count = 0, nodes = 0;
+    unsigned char batch[BATCH][MAX_T];
+    int batched = 0;
     uint64_t free_ = (BIT(n) - 1) & ~BIT(0), hsums = 0;
     int level = 0;
     cand[0] = free_ & (free_ >> order[0]);
     if (fixed_top)
         cand[0] &= BIT(fixed_top);
+    /* From here on no Python object is touched without the GIL. */
+    PyThreadState *tstate = PyEval_SaveThread();
     for (;;) {
         if (cand[level] == 0) {
             /* Exhausted: back up and take back the parent's placement. */
@@ -101,8 +138,12 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
             hsums |= BIT(half_sum(x, half[d], n));
         xs[d] = x;
         nodes++;
-        if ((nodes & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
-            goto fail;
+        if ((nodes & 0xFFFFF) == 0) {
+            PyEval_RestoreThread(tstate);
+            if (PyErr_CheckSignals() < 0)
+                goto fail;
+            tstate = PyEval_SaveThread();
+        }
         if (++level < t) {
             int e = order[level];
             cand[level] = free_ & (free_ >> e);
@@ -113,29 +154,26 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
         /* A starter.  Level t has no candidates, so the next pass backs up. */
         cand[level] = 0;
         count++;
-        if (collect_limit < 0 || PyList_GET_SIZE(witnesses) < collect_limit) {
-            PyObject *w = PyTuple_New(t);
-            if (w == NULL)
-                goto fail;
-            for (int i = 0; i < t; i++) {
-                PyObject *v = PyLong_FromLong(xs[i + 1]);
-                if (v == NULL) {
-                    Py_DECREF(w);
+        if (collect_limit < 0 || count <= collect_limit) {
+            for (int i = 0; i < t; i++)
+                batch[batched][i] = (unsigned char)xs[i + 1];
+            if (++batched == BATCH) {
+                PyEval_RestoreThread(tstate);
+                if (append_witnesses(witnesses, batch, batched, t) < 0)
                     goto fail;
-                }
-                PyTuple_SET_ITEM(w, i, v);
+                batched = 0;
+                tstate = PyEval_SaveThread();
             }
-            int err = PyList_Append(witnesses, w);
-            Py_DECREF(w);
-            if (err < 0)
-                goto fail;
         }
         if (stop_after > 0 && count >= stop_after)
             break;
     }
+    PyEval_RestoreThread(tstate);
+    if (append_witnesses(witnesses, batch, batched, t) < 0)
+        goto fail;
     return Py_BuildValue("LLN", count, nodes, witnesses);
 
-fail:
+fail: /* reached with the GIL held */
     Py_DECREF(witnesses);
     return NULL;
 }

@@ -346,7 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="search plain Skolem starters instead of strong ones",
     )
-    sea.add_argument("--workers", type=int, default=1, help="parallel processes")
+    sea.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel workers: threads, or processes on the pure kernel",
+    )
     sea.add_argument(
         "--force",
         action="store_true",

@@ -7,11 +7,12 @@ one contract and one tree: a hand-written C extension, _fastsearch, whose
 such limit.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
-difference t) and merges the parts in ascending x, in this process or
-across a process pool.  The reflection
-x -> n - x - d maps starters to starters and partition x to t + 1 - x, so
-a count walks only x = 1..ceil(t/2) and adds each mirror pair twice; its
-node count is still that of the whole tree.
+difference t) and merges the parts in ascending x.  With workers > 1 the
+parts of the compiled kernel, which walks with the GIL released, run on
+threads; the pure kernel holds the GIL, so its parts run on a process
+pool.  The reflection x -> n - x - d maps starters to starters and
+partition x to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds
+each mirror pair twice; its node count is still that of the whole tree.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above a ceiling (default 27) unless forced; SKOLEM_CEILING overrides
@@ -20,7 +21,7 @@ the default.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
@@ -103,10 +104,11 @@ class SearchConfig:
     (capped at limit when given; the count stays exact past the cap).
     require_strong restricts the walk to strong starters.  COUNT_ALL walks
     the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
-    all t of them, spread over min(workers, partitions) processes when
-    workers > 1; FIRST_WITNESS runs on one worker, walking the partitions
-    in order until one holds a starter, so the witness is the
-    deterministic depth-first one.  force bypasses the ceiling.
+    all t of them, spread over min(workers, partitions) threads (processes
+    on the pure kernel) when workers > 1; FIRST_WITNESS runs on one
+    worker, walking the partitions in order until one holds a starter, so
+    the witness is the deterministic depth-first one.  force bypasses the
+    ceiling.
     """
 
     n: int
@@ -151,8 +153,9 @@ class SearchResult:
     deterministic depth-first order.  Each witness becomes a PairSet
     through PairSet._from_witness: one partition check of 1..n-1 per
     witness, with n validated once by SearchConfig.  wall_time times the
-    walk only (kernel calls, pool start-up and merge), not the building
-    of the PairSets.  workers is the number of processes the walk used.
+    walk only (kernel calls, worker start-up and merge), not the building
+    of the PairSets.  workers is the number of threads, or processes on
+    the pure kernel, the walk used.
     """
 
     n: int
@@ -203,8 +206,16 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
              caps, repeat(True), tops)
 
     started = time.perf_counter()
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = map(*calls) if pool is None else pool.map(*calls)
+    if workers == 1:
+        pool = nullcontext()
+    elif mod is _pysearch:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
+    else:
+        pool = ThreadPoolExecutor(workers)
+    with pool as executor:
+        parts = map(*calls) if executor is None else executor.map(*calls)
         for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
             weight = 2 if mirrored and 2 * x != t + 1 else 1
             count += weight * part_count

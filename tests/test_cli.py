@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +235,33 @@ def test_search_workers_json(capsys):
     doc = json.loads(out)
     assert doc["results"]["count"] == 0
     assert doc["parameters"]["workers"] == 2
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_stops_on_ctrl_c(workers):
+    # one worker stops at the kernel's next signal poll; on two the running
+    # partitions finish and the queued ones are cancelled.  Uninterrupted,
+    # the two-worker walk takes several seconds.
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skolem", "search", "31", "--force", "--workers", workers],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        start_new_session=True,
+    )
+    time.sleep(1)
+    proc.send_signal(signal.SIGINT)
+    try:
+        out, err = proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode != 0
+    assert "KeyboardInterrupt" in err
+    assert "# count=" not in out
 
 
 def test_search_rejects_even_n(capsys):

@@ -1,5 +1,10 @@
 import inspect
+import os
+import subprocess
 import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,8 @@ from skolem import _pysearch
 
 from _fixtures import FIRST_STRONG_WITNESS, NODE_COUNTS, S_HALF, S_TWO, STARTER_COUNTS
 from _naive import element_driven_starters, sum_array_walk
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _witness_pairs(xs):
@@ -45,8 +52,10 @@ def test_compiled_kernel_counts_match_fixtures(fastsearch):
 def test_kernels_agree_exactly(fastsearch):
     # count, node count and witness stream of each kernel all identical to
     # the recursive walk that tests each candidate's sum, both orders, for
-    # the whole walk, every top-level partition, and early stops with and
-    # without a witness cap
+    # the whole walk, every top-level partition, early stops with and
+    # without a witness cap, and caps either side of the 256 witnesses the
+    # compiled kernel buffers before it builds their tuples (n = 17 plain
+    # has 504)
     for n in (9, 11, 13, 15, 17):
         for strong in (False, True):
             for descending in (True, False):
@@ -54,6 +63,7 @@ def test_kernels_agree_exactly(fastsearch):
                 calls = [(0, -1, 0)]
                 calls += [(0, -1, x) for x in range(1, n - top_d)]
                 calls += [(stop, cap, 0) for stop in (1, 3) for cap in (0, 2)]
+                calls += [(0, cap, 0) for cap in (255, 256, 257)]
                 for stop, cap, top in calls:
                     args = (n, strong, stop, cap, descending, top)
                     expected = sum_array_walk(*args)
@@ -243,17 +253,16 @@ def test_first_witness_exhausts_when_none_exists():
     assert result.witnesses == ()
 
 
-def test_parallel_matches_sequential(fastsearch):
-    # the partitioned driver, on one worker or a pool of up to three,
-    # returns exactly the kernel's own whole-tree walk: counts, node counts
-    # (FIRST_WITNESS walks whole partitions before its witness), witness
-    # order and cap
+def _check_partitioned_search(whole_walk, n_max):
+    """search_skolem_starters on one worker or a pool of up to three returns
+    exactly whole_walk's triple: counts, node counts (FIRST_WITNESS walks
+    whole partitions before its witness), witness order and cap."""
     cases = [(SearchMode.COUNT_ALL, None, 0, 0), (SearchMode.FIRST_WITNESS, None, 1, 1)]
     cases += [(SearchMode.ENUMERATE_ALL, lim, 0, cap) for lim, cap in ((None, -1), (1, 1), (3, 3))]
-    for n in range(3, 18, 2):
+    for n in range(3, n_max + 1, 2):
         for strong in (False, True):
             for mode, limit, stop_after, collect in cases:
-                count, nodes, whole = fastsearch.run_search(n, strong, stop_after, collect, True, 0)
+                count, nodes, whole = whole_walk(n, strong, stop_after, collect, True, 0)
                 expected = (count, nodes, [tuple(sorted(_witness_pairs(xs))) for xs in whole])
                 for workers in (1, 3):
                     config = SearchConfig(
@@ -266,6 +275,51 @@ def test_parallel_matches_sequential(fastsearch):
                     t = (n - 1) // 2
                     parts = (t + 1) // 2 if mode is SearchMode.COUNT_ALL else t
                     assert result.workers == (1 if stop_after else min(workers, parts))
+
+
+def test_parallel_matches_sequential(fastsearch):
+    # the compiled kernel's partitions run on threads
+    _check_partitioned_search(fastsearch.run_search, 17)
+
+
+def test_pure_kernel_parallel_matches_the_naive_walk(fastsearch, monkeypatch):
+    # the pure kernel holds the GIL, so its partitions run on a process pool
+    monkeypatch.setattr(skolem.search, "_fastsearch", None)
+    assert active_backend() == "pure"
+    _check_partitioned_search(sum_array_walk, 13)
+
+
+def test_compiled_kernel_releases_the_gil(fastsearch):
+    # a Python loop in this thread keeps running while the kernel walks in
+    # another; a kernel holding the GIL would stall it for the whole call
+    span = []
+
+    def walk():
+        start = time.perf_counter()
+        result = fastsearch.run_search(25, True, 0, 0, True, 0)
+        span.extend((result, start, time.perf_counter()))
+
+    walker = threading.Thread(target=walk)
+    ticks = []
+    walker.start()
+    while walker.is_alive():
+        ticks.append(time.perf_counter())
+    walker.join(timeout=60)
+    assert not walker.is_alive()
+    (count, nodes, _), start, end = span
+    assert (count, nodes) == (9622, 2_856_928)
+    quarter = (end - start) / 4
+    assert any(start + quarter < tick < end - quarter for tick in ticks)
+
+
+def test_import_loads_no_process_pool():
+    # threads run the compiled kernel's partitions, so only a pure-kernel
+    # search with workers > 1 imports multiprocessing
+    pools = ["concurrent.futures.process", "multiprocessing"]
+    probe = f"import sys, skolem; print([m for m in {pools!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_mirror_partitions_have_equal_counts_and_nodes(fastsearch):
