@@ -29,7 +29,6 @@ from .construction import (
 )
 from .residues import (
     MAX_MODULUS,
-    Modulus,
     QrTable,
     ResidueClass,
     build_qr_table,
@@ -49,7 +48,6 @@ from .search import (
     SearchResult,
     active_backend,
     cross_validate_construction,
-    effective_ceiling,
     search_skolem_starters,
 )
 from .starters import (
@@ -72,7 +70,6 @@ from .starters import (
 __all__ = [
     "__version__",
     "MAX_MODULUS",
-    "Modulus",
     "QrTable",
     "ResidueClass",
     "build_qr_table",
@@ -112,6 +109,5 @@ __all__ = [
     "SearchResult",
     "active_backend",
     "cross_validate_construction",
-    "effective_ceiling",
     "search_skolem_starters",
 ]

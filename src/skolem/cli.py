@@ -5,7 +5,8 @@ and the pair blocks parse back with the same reader the verify command
 uses.  --json switches any subcommand to a single JSON envelope on stdout.
 
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
-precondition, 3 verified property does not hold, 4 search ceiling refusal.
+precondition, 3 verified property does not hold, 4 search ceiling refusal,
+130 search interrupted (Ctrl-C).
 """
 
 import argparse
@@ -18,9 +19,10 @@ from .construction import (
     ConstructionError,
     build_strong_skolem,
     build_strong_starter,
-    construction_primes,
+    enumerate_strong_skolem,
 )
 from .search import (
+    DEFAULT_CEILING,
     CeilingExceededError,
     SearchConfig,
     SearchMode,
@@ -31,6 +33,7 @@ from .starters import (
     full_report,
     pair_set_from_obj,
     pair_set_to_obj,
+    pair_set_to_text,
     parse_pair_set_text,
 )
 
@@ -41,6 +44,7 @@ EXIT_SELF_CHECK = 1
 EXIT_USAGE = 2
 EXIT_PROPERTY = 3
 EXIT_CEILING = 4
+EXIT_INTERRUPTED = 130
 
 
 def _envelope(command: str, parameters: dict, results: dict) -> str:
@@ -87,7 +91,7 @@ def _cmd_generate(args) -> int:
             )
         )
     else:
-        sys.stdout.write(ps.to_text())
+        sys.stdout.write(pair_set_to_text(ps))
         print(f"# q={args.q} beta={beta}")
         for line in report.lines():
             print(f"# {line}")
@@ -192,6 +196,9 @@ def _cmd_search(args) -> int:
     except CeilingExceededError as exc:
         _error(str(exc))
         return EXIT_CEILING
+    except KeyboardInterrupt:
+        _error("search interrupted")
+        return EXIT_INTERRUPTED
     except (ValueError, RuntimeError) as exc:
         _error(str(exc))
         return EXIT_USAGE
@@ -224,7 +231,7 @@ def _cmd_search(args) -> int:
         )
         for ps in result.witnesses:
             print()
-            sys.stdout.write(ps.to_text())
+            sys.stdout.write(pair_set_to_text(ps))
         print(f"# count={result.count}")
         print(f"# nodes={result.nodes_explored}")
         print(f"# complete={'yes' if result.complete else 'no'}")
@@ -239,17 +246,14 @@ def _cmd_tabulate(args) -> int:
         choices = (BetaChoice(args.beta),)
     entries = []
     try:
-        for q in construction_primes(args.q_max):
-            for choice in choices:
-                ps = build_strong_skolem(q, choice)
-                report = full_report(ps)
-                if not all(report.verdicts):
-                    _error(
-                        f"self-check failed for q={q} beta={choice.value}; "
-                        f"this is a bug"
-                    )
-                    return EXIT_SELF_CHECK
-                entries.append((q, choice, ps))
+        for q, choice, ps in enumerate_strong_skolem(args.q_max, choices):
+            if not all(full_report(ps).verdicts):
+                _error(
+                    f"self-check failed for q={q} beta={choice.value}; "
+                    f"this is a bug"
+                )
+                return EXIT_SELF_CHECK
+            entries.append((q, choice, ps))
     except ValueError as exc:
         _error(str(exc))
         return EXIT_USAGE
@@ -279,7 +283,7 @@ def _cmd_tabulate(args) -> int:
         for q, choice, ps in entries:
             print()
             print(f"# q={q} beta={choice.beta(q)}")
-            sys.stdout.write(ps.to_text())
+            sys.stdout.write(pair_set_to_text(ps))
     return EXIT_OK
 
 
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument(
         "--force",
         action="store_true",
-        help="bypass the search ceiling (default 27, env SKOLEM_CEILING)",
+        help=f"bypass the search ceiling ({DEFAULT_CEILING})",
     )
     sea.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sea.set_defaults(func=_cmd_search)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .residues import ResidueClass, as_modulus, build_qr_table, is_prime
+from .residues import ResidueClass, _check_modulus, is_prime
 from .starters import PairSet
 
 
@@ -55,11 +55,11 @@ def _as_choice(choice) -> BetaChoice:
 
 def _require_prime_q(q: int) -> None:
     try:
-        m = as_modulus(q)
+        _check_modulus(q)
     except (TypeError, ValueError) as exc:
         raise ConstructionError(str(exc)) from None
-    if not m.prime:
-        raise ConstructionError(f"q = {m.n} is not prime")
+    if not is_prime(q):
+        raise ConstructionError(f"q = {q} is not prime")
 
 
 def _require_skolem_q(q: int) -> None:
@@ -69,6 +69,11 @@ def _require_skolem_q(q: int) -> None:
             f"q % 8 == {q % 8}: Skolem starters from this construction "
             f"require q % 8 == 3"
         )
+
+
+def _squares(q: int) -> set[int]:
+    """QR(q): the squares of 1..(q-1)/2 already give every residue."""
+    return {x * x % q for x in range(1, (q + 1) // 2)}
 
 
 def _starter(q: int, beta: int) -> PairSet:
@@ -81,7 +86,7 @@ def _starter(q: int, beta: int) -> PairSet:
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise TypeError(f"beta must be an int, got {beta!r}")
     beta %= q
-    residues = {x * x % q for x in range(1, (q + 1) // 2)}
+    residues = _squares(q)
     if beta == 0:
         raise ConstructionError(f"beta = {beta} outside 1..{q - 1}")
     if beta in residues:
@@ -165,16 +170,18 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     """
     c = _as_choice(choice)
     _require_skolem_q(q)
-    table = build_qr_table(q)
-    members = table.qr_set if c is BetaChoice.TWO else table.nqr_set
+    squares = _squares(q)
+    qr = c is BetaChoice.TWO
+    doubled = ResidueClass.QR if qr else ResidueClass.NQR
+    # a nonzero d lies in the doubled class iff it is a square exactly
+    # when that class is QR
     t = (q - 1) // 2
-    direct = tuple(d for d in range(1, t + 1) if d in members)
-    reflected = tuple(d for d in range(1, t + 1) if q - d in members)
+    direct = tuple(d for d in range(1, t + 1) if (d in squares) is qr)
+    reflected = tuple(d for d in range(1, t + 1) if (q - d in squares) is qr)
     if sorted(direct + reflected) != list(range(1, t + 1)):
         raise ArithmeticError(
-            f"folding of class {members} does not partition 1..{t}"
+            f"folding of the {doubled.value} class does not partition 1..{t}"
         )
-    doubled = ResidueClass.QR if c is BetaChoice.TWO else ResidueClass.NQR
     return HalfSetCertificate(
         q=q,
         beta=c.beta(q),

@@ -1,14 +1,15 @@
 """Exact arithmetic in Z_q for odd prime q: primality, quadratic residuosity,
 generators of the residue group, modular inverses.
 
-Everything is plain integer arithmetic; no floating point anywhere. Moduli are
-capped at 2**31 - 1, so the product of two residues always fits in a 64-bit
-word.  The compiled search kernel does not depend on this cap: it never
+Everything is plain integer arithmetic; no floating point anywhere.  A
+modulus is a plain int q, checked once per public call and capped at
+2**31 - 1, so the product of two residues always fits in a 64-bit word.
+The compiled search kernel does not depend on this cap: it never
 sees such a modulus, and its own 64-bit masks cap the order it searches
 at 63.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 MAX_MODULUS = 2**31 - 1
@@ -52,8 +53,7 @@ def is_prime(n: int) -> bool:
 def _check_modulus(n) -> None:
     """Reject anything but an odd int n with 3 <= n <= 2**31 - 1.
 
-    The shape check behind Modulus, without its primality test; PairSet
-    needs only this.
+    The shape check without the primality test; PairSet needs only this.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"modulus must be an int, got {n!r}")
@@ -65,6 +65,13 @@ def _check_modulus(n) -> None:
         raise ValueError(f"modulus {n} exceeds the supported cap 2**31 - 1")
 
 
+def _require_prime(q) -> None:
+    """The check each public function below runs once on its modulus q."""
+    _check_modulus(q)
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
+
+
 class ResidueClass(Enum):
     """Quadratic residuosity of an element of Z_q."""
 
@@ -73,65 +80,35 @@ class ResidueClass(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """An odd modulus n >= 3, tagged with its primality."""
-
-    n: int
-    prime: bool = field(init=False, compare=False)
-
-    def __post_init__(self):
-        _check_modulus(self.n)
-        object.__setattr__(self, "prime", is_prime(self.n))
-
-    @property
-    def half(self) -> int:
-        """(n - 1) // 2, the size of each residuosity class for prime n."""
-        return (self.n - 1) // 2
-
-    def __str__(self):
-        return str(self.n)
+def _euler(x: int, q: int) -> ResidueClass:
+    # Euler's criterion for a checked prime q.
+    v = x % q
+    if v == 0:
+        return ResidueClass.ZERO
+    e = pow(v, (q - 1) // 2, q)
+    if e == 1:
+        return ResidueClass.QR
+    if e == q - 1:
+        return ResidueClass.NQR
+    raise ArithmeticError(f"Euler criterion failed for {v} mod {q}")
 
 
-def as_modulus(q) -> Modulus:
-    """Coerce an int (or pass through a Modulus) to a Modulus."""
-    if isinstance(q, Modulus):
-        return q
-    return Modulus(q)
-
-
-def _require_prime(m: Modulus) -> Modulus:
-    if not m.prime:
-        raise ValueError(f"modulus {m.n} is not prime")
-    return m
-
-
-def legendre_class(x: int, q) -> ResidueClass:
-    """Residuosity of x mod an odd prime q (int or Modulus), by Euler's
-    criterion.
+def legendre_class(x: int, q: int) -> ResidueClass:
+    """Residuosity of x mod an odd prime q, by Euler's criterion.
 
     x**((q-1)/2) is 1 mod q exactly for quadratic residues and q-1 for
     non-residues; 0 maps to ZERO.
     """
-    m = _require_prime(as_modulus(q))
-    v = x % m.n
-    if v == 0:
-        return ResidueClass.ZERO
-    e = pow(v, m.half, m.n)
-    if e == 1:
-        return ResidueClass.QR
-    if e == m.n - 1:
-        return ResidueClass.NQR
-    raise ArithmeticError(f"Euler criterion failed for {v} mod {m.n}")
+    _require_prime(q)
+    return _euler(x, q)
 
 
-def mod_inverse(x: int, q) -> int:
-    """Multiplicative inverse of x mod an odd prime q (int or Modulus);
-    rejects x == 0 (mod q)."""
-    m = _require_prime(as_modulus(q))
-    if x % m.n == 0:
-        raise ValueError(f"0 has no inverse mod {m.n}")
-    return pow(x, -1, m.n)
+def mod_inverse(x: int, q: int) -> int:
+    """Multiplicative inverse of x mod an odd prime q; rejects x == 0 (mod q)."""
+    _require_prime(q)
+    if x % q == 0:
+        raise ValueError(f"0 has no inverse mod {q}")
+    return pow(x, -1, q)
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -149,27 +126,38 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_qr_generator(x: int, q) -> bool:
-    """Whether x generates the group of quadratic residues mod prime q.
+def _generator_test(q: int):
+    """The predicate "x generates QR(q)" for a checked prime q.
 
     A residue generates iff its order is exactly (q-1)/2, checked at the
-    prime divisors of that order.
+    prime divisors of that order, which are factored once per q.
     """
-    m = _require_prime(as_modulus(q))
-    x %= m.n
-    if legendre_class(x, m) is not ResidueClass.QR:
-        return False
-    h = m.half
-    return all(pow(x, h // p, m.n) != 1 for p in _prime_factors(h))
+    h = (q - 1) // 2
+    exponents = [h // p for p in _prime_factors(h)]
+
+    def generates(x: int) -> bool:
+        x %= q
+        if _euler(x, q) is not ResidueClass.QR:
+            return False
+        return all(pow(x, e, q) != 1 for e in exponents)
+
+    return generates
 
 
-def smallest_qr_generator(q) -> int:
+def is_qr_generator(x: int, q: int) -> bool:
+    """Whether x generates the group of quadratic residues mod prime q."""
+    _require_prime(q)
+    return _generator_test(q)(x)
+
+
+def smallest_qr_generator(q: int) -> int:
     """Least generator of the quadratic-residue group mod prime q."""
-    m = _require_prime(as_modulus(q))
-    for x in range(1, m.n):
-        if is_qr_generator(x, m):
+    _require_prime(q)
+    generates = _generator_test(q)
+    for x in range(1, q):
+        if generates(x):
             return x
-    raise ArithmeticError(f"no generator found for QR({m.n})")
+    raise ArithmeticError(f"no generator found for QR({q})")
 
 
 @dataclass(frozen=True)
@@ -181,13 +169,13 @@ class QrTable:
     through all of qr_set. Immutable, safe to share between threads.
     """
 
-    modulus: Modulus
+    q: int
     qr_set: frozenset[int]
     nqr_set: frozenset[int]
     smallest_qr_generator: int
 
     def class_of(self, x: int) -> ResidueClass:
-        v = x % self.modulus.n
+        v = x % self.q
         if v == 0:
             return ResidueClass.ZERO
         return ResidueClass.QR if v in self.qr_set else ResidueClass.NQR
@@ -205,28 +193,27 @@ def _cycle_length(x: int, n: int) -> int:
     return k
 
 
-def build_qr_table(q) -> QrTable:
+def build_qr_table(q: int) -> QrTable:
     """Classify Z_q* by brute-force squaring and locate the least generator.
 
     Deliberately avoids Euler's criterion and order factorisation, so the
     table and legendre_class/is_qr_generator are independent routes to the
     same answers.
     """
-    m = _require_prime(as_modulus(q))
-    n = m.n
-    qr = frozenset(x * x % n for x in range(1, n))
-    nqr = frozenset(range(1, n)) - qr
+    _require_prime(q)
+    qr = frozenset(x * x % q for x in range(1, q))
+    nqr = frozenset(range(1, q)) - qr
     gen = None
     for x in sorted(qr):
-        if _cycle_length(x, n) == m.half:
+        if _cycle_length(x, q) == (q - 1) // 2:
             gen = x
             break
     if gen is None:
-        raise ArithmeticError(f"no generator found for QR({n})")
-    return QrTable(modulus=m, qr_set=qr, nqr_set=nqr, smallest_qr_generator=gen)
+        raise ArithmeticError(f"no generator found for QR({q})")
+    return QrTable(q=q, qr_set=qr, nqr_set=nqr, smallest_qr_generator=gen)
 
 
-def qr_generators(q) -> list[int]:
+def qr_generators(q: int) -> list[int]:
     """All generators of the quadratic-residue group mod q, ascending."""
-    m = _require_prime(as_modulus(q))
-    return [x for x in range(1, m.n) if is_qr_generator(x, m)]
+    _require_prime(q)
+    return list(filter(_generator_test(q), range(1, q)))

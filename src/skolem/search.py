@@ -15,11 +15,9 @@ partition x to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds
 each mirror pair twice; its node count is still that of the whole tree.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
-n above a ceiling (default 27) unless forced; SKOLEM_CEILING overrides
-the default.
+n above DEFAULT_CEILING (27) unless forced.
 """
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -37,7 +35,6 @@ except ImportError:
     _fastsearch = None
 
 DEFAULT_CEILING = 27
-CEILING_ENV = "SKOLEM_CEILING"
 
 # Bound on the memory of the pure kernel, the only one past n = 63: its
 # masks are n-bit ints (125 kB each at the bound) and its per-level lists
@@ -59,20 +56,9 @@ class CeilingExceededError(RuntimeError):
         self.n = n
         self.ceiling = ceiling
         super().__init__(
-            f"n = {n} exceeds the search ceiling {ceiling}; raise "
-            f"{CEILING_ENV} or pass force=True (command line: --force)"
+            f"n = {n} exceeds the search ceiling {ceiling}; "
+            f"pass force=True (command line: --force)"
         )
-
-
-def effective_ceiling() -> int:
-    """The active search ceiling: SKOLEM_CEILING if set, else the default."""
-    raw = os.environ.get(CEILING_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{CEILING_ENV} must be an integer, got {raw!r}") from None
 
 
 def _kernel(n: int):
@@ -173,15 +159,14 @@ class SearchResult:
 def search_skolem_starters(config: SearchConfig) -> SearchResult:
     """Run the exhaustive search described by config.
 
-    Raises CeilingExceededError when config.n exceeds the ceiling and
+    Raises CeilingExceededError when config.n exceeds DEFAULT_CEILING and
     force is not set.  The walk is one kernel call per top-level
     partition x of the first difference t, merged in ascending x: the
     depth-first order of one whole-tree walk, so the result is the same on
     any number of workers.  A count stops at x = ceil(t/2), the mirror.
     """
-    ceiling = effective_ceiling()
-    if config.n > ceiling and not config.force:
-        raise CeilingExceededError(config.n, ceiling)
+    if config.n > DEFAULT_CEILING and not config.force:
+        raise CeilingExceededError(config.n, DEFAULT_CEILING)
     mod, backend_name = _kernel(config.n)
     n, t = config.n, config.t
     strong = config.require_strong

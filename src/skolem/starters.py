@@ -142,11 +142,6 @@ class PairSet:
         x, y = pair
         return ((x, y) if x < y else (y, x)) in self.pairs
 
-    def to_text(self) -> str:
-        return pair_set_to_text(self)
-
-    def to_obj(self) -> dict:
-        return pair_set_to_obj(self)
 
 
 def _preview(values, limit: int = 8) -> str:

@@ -1,0 +1,60 @@
+import skolem
+
+PUBLIC_NAMES = [
+    "__version__",
+    "MAX_MODULUS",
+    "QrTable",
+    "ResidueClass",
+    "build_qr_table",
+    "is_prime",
+    "is_qr_generator",
+    "legendre_class",
+    "mod_inverse",
+    "qr_generators",
+    "smallest_qr_generator",
+    "NotAStarterError",
+    "PairSet",
+    "Verdict",
+    "VerificationReport",
+    "full_report",
+    "iter_pair_sets_text",
+    "pair_set_from_obj",
+    "pair_set_to_obj",
+    "pair_set_to_text",
+    "parse_pair_set_text",
+    "skolem_admissible",
+    "verify_skolem",
+    "verify_starter",
+    "verify_strong",
+    "BetaChoice",
+    "ConstructionError",
+    "HalfSetCertificate",
+    "build_strong_skolem",
+    "build_strong_starter",
+    "construction_primes",
+    "enumerate_strong_skolem",
+    "half_set_certificate",
+    "DEFAULT_CEILING",
+    "CeilingExceededError",
+    "CrossValidation",
+    "SearchConfig",
+    "SearchMode",
+    "SearchResult",
+    "active_backend",
+    "cross_validate_construction",
+    "search_skolem_starters",
+]
+
+
+def test_public_api():
+    # one name per job: the Modulus argument form, the environment ceiling
+    # override and the PairSet format aliases are gone
+    assert skolem.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(skolem, name) is not None, name
+    for gone in ("Modulus", "effective_ceiling"):
+        assert not hasattr(skolem, gone)
+    assert not hasattr(skolem.residues, "as_modulus")
+    assert not hasattr(skolem.search, "CEILING_ENV")
+    assert not hasattr(skolem.PairSet, "to_text")
+    assert not hasattr(skolem.PairSet, "to_obj")

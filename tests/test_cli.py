@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import skolem.search
 from skolem import __version__, full_report, iter_pair_sets_text, pair_set_from_obj
 from skolem.cli import main
 
@@ -211,22 +212,17 @@ def test_search_limit_requires_enumerate(capsys):
 
 
 def test_search_ceiling(capsys, monkeypatch):
-    monkeypatch.delenv("SKOLEM_CEILING", raising=False)
     code, _, err = _run(capsys, "search", "29")
     assert code == 4
     assert "ceiling" in err
+    assert "--force" in err
 
-    monkeypatch.setenv("SKOLEM_CEILING", "9")
+    monkeypatch.setattr(skolem.search, "DEFAULT_CEILING", 9)
     code, _, err = _run(capsys, "search", "11")
     assert code == 4
     code, out, _ = _run(capsys, "search", "11", "--force", "--json")
     assert code == 0
     assert json.loads(out)["results"]["count"] == 2
-
-    monkeypatch.setenv("SKOLEM_CEILING", "eleven")
-    code, _, err = _run(capsys, "search", "11")
-    assert code == 2
-    assert "SKOLEM_CEILING" in err
 
 
 def test_search_workers_json(capsys):
@@ -259,8 +255,9 @@ def test_search_stops_on_ctrl_c(workers):
         proc.kill()
         proc.communicate()
         raise
-    assert proc.returncode != 0
-    assert "KeyboardInterrupt" in err
+    assert proc.returncode == 130
+    assert "error: search interrupted" in err
+    assert "Traceback" not in err
     assert "# count=" not in out
 
 

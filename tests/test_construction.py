@@ -180,6 +180,11 @@ def test_half_set_certificate_structure():
         for choice in BetaChoice:
             cert = half_set_certificate(q, choice)
             t = (q - 1) // 2
+            # the squaring table is the independent route to the class
+            table = build_qr_table(q)
+            members = table.qr_set if choice is BetaChoice.TWO else table.nqr_set
+            assert cert.direct == tuple(d for d in range(1, t + 1) if d in members)
+            assert cert.reflected == tuple(d for d in range(1, t + 1) if q - d in members)
             assert cert.t == t
             assert cert.beta == choice.beta(q)
             expected_class = (

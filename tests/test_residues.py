@@ -1,9 +1,9 @@
 import pytest
 import sympy
 
+import skolem.residues
 from skolem import (
     MAX_MODULUS,
-    Modulus,
     ResidueClass,
     build_qr_table,
     is_prime,
@@ -34,25 +34,48 @@ def test_is_prime_large_values():
 
 
 def test_modulus_validation():
-    with pytest.raises(ValueError, match="odd"):
-        Modulus(10)
+    with pytest.raises(ValueError, match="modulus must be odd, got 10"):
+        legendre_class(1, 10)
     with pytest.raises(ValueError, match=">= 3"):
-        Modulus(1)
+        legendre_class(1, 1)
     with pytest.raises(ValueError, match=">= 3"):
-        Modulus(-7)
+        legendre_class(1, -7)
     with pytest.raises(ValueError, match="cap"):
-        Modulus(2**31 + 1)
+        legendre_class(1, 2**31 + 1)
     with pytest.raises(TypeError):
-        Modulus(True)
+        legendre_class(1, True)
     with pytest.raises(TypeError):
-        Modulus(11.0)
+        legendre_class(1, 11.0)
 
 
 def test_modulus_attributes():
-    m = Modulus(11)
-    assert m.prime and m.n == 11 and m.half == 5
-    assert not Modulus(9).prime
-    assert Modulus(MAX_MODULUS).prime  # 2**31 - 1 is a Mersenne prime
+    table = build_qr_table(11)
+    assert table.q == 11 and len(table.qr_set) == len(table.nqr_set) == 5
+    with pytest.raises(ValueError, match="modulus 9 is not prime"):
+        legendre_class(1, 9)
+    # 2**31 - 1 is a Mersenne prime
+    assert legendre_class(1, MAX_MODULUS) is ResidueClass.QR
+
+
+def test_each_call_runs_miller_rabin_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(skolem.residues, "is_prime", counting_is_prime)
+    for fn, args in (
+        (legendre_class, (3, 43)),
+        (mod_inverse, (3, 43)),
+        (is_qr_generator, (3, 43)),
+        (smallest_qr_generator, (43,)),
+        (qr_generators, (43,)),
+        (build_qr_table, (43,)),
+    ):
+        calls.clear()
+        fn(*args)
+        assert calls == [43], fn.__name__
 
 
 def test_legendre_class_agrees_with_brute_squares():
@@ -65,10 +88,9 @@ def test_legendre_class_agrees_with_brute_squares():
 
 
 def test_legendre_class_requires_a_modulus():
-    m = Modulus(11)
-    assert legendre_class(3, m) is ResidueClass.QR
-    assert legendre_class(2, m) is ResidueClass.NQR
-    assert mod_inverse(2, m) == 6
+    assert legendre_class(3, 11) is ResidueClass.QR
+    assert legendre_class(2, 11) is ResidueClass.NQR
+    assert mod_inverse(2, 11) == 6
     with pytest.raises(TypeError):
         legendre_class(3)
 

@@ -16,7 +16,6 @@ from skolem import (
     SearchMode,
     active_backend,
     cross_validate_construction,
-    effective_ceiling,
     full_report,
     search_skolem_starters,
 )
@@ -236,7 +235,7 @@ def test_enumerate_mode_limit_keeps_exact_count():
 
 def test_first_witness_mode():
     for n, xs in FIRST_STRONG_WITNESS.items():
-        if n > effective_ceiling():
+        if n > DEFAULT_CEILING:
             continue
         result = search_skolem_starters(SearchConfig(n=n, mode="first"))
         assert result.count == 1
@@ -344,9 +343,8 @@ def test_mirrored_count_matches_the_whole_walk(fastsearch):
                 assert result.complete
 
 
-def test_mirrored_count_at_27_strong(fastsearch, monkeypatch):
+def test_mirrored_count_at_27_strong(fastsearch):
     # t = 13 is odd, so the self-mirrored middle partition x = 7 counts once
-    monkeypatch.delenv("SKOLEM_CEILING", raising=False)
     result = search_skolem_starters(SearchConfig(n=27))
     assert result.backend == "compiled"
     assert (result.count, result.nodes_explored) == (47116, 17_855_357)
@@ -363,7 +361,6 @@ def test_count_walks_half_the_partitions_and_enumeration_all(fastsearch, monkeyp
             tops.append(args[5])
             return fastsearch.run_search(*args)
 
-    monkeypatch.delenv("SKOLEM_CEILING", raising=False)
     monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
     for n, half in ((25, 6), (27, 7)):
         for mode, seen in (("count", half), ("enumerate", (n - 1) // 2)):
@@ -409,23 +406,19 @@ def test_first_witness_ignores_workers():
 
 
 def test_ceiling_enforcement(monkeypatch):
-    monkeypatch.delenv("SKOLEM_CEILING", raising=False)
-    assert effective_ceiling() == DEFAULT_CEILING
+    assert DEFAULT_CEILING == 27
     with pytest.raises(CeilingExceededError) as exc_info:
         search_skolem_starters(SearchConfig(n=29))
     assert exc_info.value.n == 29
     assert exc_info.value.ceiling == DEFAULT_CEILING
+    assert "force" in str(exc_info.value)
 
-    monkeypatch.setenv("SKOLEM_CEILING", "9")
-    assert effective_ceiling() == 9
-    with pytest.raises(CeilingExceededError):
+    monkeypatch.setattr(skolem.search, "DEFAULT_CEILING", 9)
+    with pytest.raises(CeilingExceededError) as exc_info:
         search_skolem_starters(SearchConfig(n=11))
+    assert exc_info.value.ceiling == 9
     forced = search_skolem_starters(SearchConfig(n=11, force=True))
     assert forced.count == 2
-
-    monkeypatch.setenv("SKOLEM_CEILING", "eleven")
-    with pytest.raises(ValueError, match="SKOLEM_CEILING"):
-        search_skolem_starters(SearchConfig(n=11))
 
 
 def test_backend_override(fastsearch, monkeypatch):
@@ -480,6 +473,6 @@ def test_cross_validation():
 
 
 def test_cross_validation_respects_ceiling(monkeypatch):
-    monkeypatch.setenv("SKOLEM_CEILING", "9")
+    monkeypatch.setattr(skolem.search, "DEFAULT_CEILING", 9)
     with pytest.raises(CeilingExceededError):
         cross_validate_construction(11)
