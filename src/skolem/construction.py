@@ -20,6 +20,7 @@ exactly once.  half_set_certificate exposes that folding as a checkable
 object.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -170,14 +171,18 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     """
     c = _as_choice(choice)
     _require_skolem_q(q)
-    squares = _squares(q)
     qr = c is BetaChoice.TWO
     doubled = ResidueClass.QR if qr else ResidueClass.NQR
-    # a nonzero d lies in the doubled class iff it is a square exactly
-    # when that class is QR
     t = (q - 1) // 2
-    direct = tuple(d for d in range(1, t + 1) if (d in squares) is qr)
-    reflected = tuple(d for d in range(1, t + 1) if (q - d in squares) is qr)
+    # one sorted pass over the squares: low holds the squares d <= t, high
+    # the d <= t with q - d a square.  The check below shows that exactly
+    # one of d and q - d is a square, so the QR class folds into
+    # (low, high) and the NQR class into (high, low).
+    squares = sorted(_squares(q))
+    k = bisect_right(squares, t)
+    low = tuple(squares[:k])
+    high = tuple([q - s for s in reversed(squares[k:])])
+    direct, reflected = (low, high) if qr else (high, low)
     if sorted(direct + reflected) != list(range(1, t + 1)):
         raise ArithmeticError(
             f"folding of the {doubled.value} class does not partition 1..{t}"

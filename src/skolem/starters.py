@@ -12,6 +12,10 @@ Search witnesses enter through PairSet._from_witness, which checks each one
 in a single partition test instead of pair by pair.  The verify_* functions
 and full_report decide the three properties and return human-readable
 witnesses for failures.
+
+Every check here is decided in bulk, by a few set, min, max or sorted
+comparisons over whole tuples.  The pair-by-pair walk runs only when the
+answer is no, to name the first fault in input or canonical order.
 """
 
 from dataclasses import dataclass
@@ -55,6 +59,12 @@ class PairSet:
     n, elements in range, no reuse) is enforced here; whether the set is a
     starter is a separate question answered by verify_starter.
 
+    The constructor decides well-formedness in bulk: every pair has two
+    elements, every element is exactly an int, none repeats, and the
+    smallest and largest lie in 1..n-1.  Only when that fails does the
+    per-pair walk _reject run, which raises for the first faulty pair in
+    input order, or accepts an int subclass the exact-type test turned away.
+
     Search kernel witnesses take the other entry, _from_witness, which
     skips the pair-by-pair checks: it asks only that the witness partition
     {1, ..., n-1} exactly, and leaves n to the caller to validate once.
@@ -66,25 +76,34 @@ class PairSet:
     def __init__(self, n: int, pairs):
         object.__setattr__(self, "n", n)
         _check_modulus(n)
-        seen = set()
-        canon = []
-        for raw in pairs:
-            pair = tuple(raw)
-            if len(pair) != 2:
-                raise ValueError(f"pair {raw!r} does not have exactly two elements")
-            x, y = pair
-            for el in (x, y):
-                if not isinstance(el, int) or isinstance(el, bool):
-                    raise TypeError(f"pair element {el!r} is not an int")
-                if not 1 <= el <= n - 1:
-                    raise ValueError(f"element {el} outside 1..{n - 1}")
-            if x == y:
-                raise ValueError(f"pair ({x}, {y}) repeats an element")
-            for el in (x, y):
-                if el in seen:
-                    raise ValueError(f"element {el} appears in more than one pair")
-                seen.add(el)
-            canon.append((x, y) if x < y else (y, x))
+        raws = []
+        try:
+            raws.extend(pairs)
+        except Exception:
+            # a faulty pair read before the source failed is reported first
+            _reject(n, raws, ())
+            raise
+        # extend keeps the pairs converted before a failing one, so that
+        # _reject does not read them a second time
+        tuples = []
+        try:
+            tuples.extend(map(tuple, raws))
+            canon = [(x, y) if x < y else (y, x) for x, y in tuples]
+        except Exception:
+            canon = None
+        if canon:
+            # every canonical pair has x < y, so min(xs) and max(ys) bound
+            # all the elements
+            xs, ys = zip(*canon)
+            if not (
+                {*map(type, xs), *map(type, ys)} <= {int}
+                and len({*xs, *ys}) == 2 * len(canon)
+                and min(xs) >= 1
+                and max(ys) <= n - 1
+            ):
+                canon = None
+        if canon is None:
+            canon = _reject(n, raws, tuples)
         object.__setattr__(self, "pairs", tuple(sorted(canon)))
 
     @classmethod
@@ -122,15 +141,19 @@ class PairSet:
 
     def sums(self) -> tuple[int, ...]:
         """Pair sums mod n, in canonical pair order."""
-        return tuple((x + y) % self.n for x, y in self.pairs)
+        n = self.n
+        return tuple([(x + y) % n for x, y in self.pairs])
 
     def difference_classes(self) -> tuple[int, ...]:
         """Smaller representative of {y - x, x - y} mod n per pair."""
-        return tuple(min((y - x) % self.n, (x - y) % self.n) for x, y in self.pairs)
+        # canonical pairs have 1 <= y - x < n, so the classes are y - x
+        # and n - (y - x)
+        n = self.n
+        return tuple([y - x if 2 * (y - x) < n else n - y + x for x, y in self.pairs])
 
     def integer_differences(self) -> tuple[int, ...]:
         """Plain differences large - small, in canonical pair order."""
-        return tuple(y - x for x, y in self.pairs)
+        return tuple([y - x for x, y in self.pairs])
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -142,6 +165,36 @@ class PairSet:
         x, y = pair
         return ((x, y) if x < y else (y, x)) in self.pairs
 
+
+def _reject(n: int, raws: list, tuples) -> list:
+    """The per-pair walk behind PairSet: the canonical pairs of raws, or
+    the exception for the first fault in input order.
+
+    tuples[i] is tuple(raws[i]) for a prefix of raws already converted, so
+    no pair is read twice.  PairSet.__init__ runs this only when its bulk
+    check fails; then it names the fault, or accepts an int subclass such
+    as an IntEnum member that the exact-type test turned away.
+    """
+    seen = set()
+    canon = []
+    for i, raw in enumerate(raws):
+        pair = tuples[i] if i < len(tuples) else tuple(raw)
+        if len(pair) != 2:
+            raise ValueError(f"pair {raw!r} does not have exactly two elements")
+        x, y = pair
+        for el in (x, y):
+            if not isinstance(el, int) or isinstance(el, bool):
+                raise TypeError(f"pair element {el!r} is not an int")
+            if not 1 <= el <= n - 1:
+                raise ValueError(f"element {el} outside 1..{n - 1}")
+        if x == y:
+            raise ValueError(f"pair ({x}, {y}) repeats an element")
+        for el in (x, y):
+            if el in seen:
+                raise ValueError(f"element {el} appears in more than one pair")
+            seen.add(el)
+        canon.append((x, y) if x < y else (y, x))
+    return canon
 
 
 def _preview(values, limit: int = 8) -> str:
@@ -155,11 +208,16 @@ def _preview(values, limit: int = 8) -> str:
 def verify_starter(ps: PairSet) -> Verdict:
     """Starter check: pairs cover {1..n-1} and so do the +- differences."""
     n = ps.n
-    missing = set(range(1, n)) - ps.elements
-    if missing:
+    # the elements are distinct and in 1..n-1, so they cover it iff there
+    # are n - 1 of them
+    if 2 * len(ps.pairs) != n - 1:
+        missing = set(range(1, n)) - ps.elements
         return Verdict(False, f"uncovered elements: {_preview(missing)}")
+    classes = ps.difference_classes()
+    if len({*classes}) == len(classes):
+        return Verdict(True)
     by_class: dict[int, tuple[int, int]] = {}
-    for pair, rep in zip(ps.pairs, ps.difference_classes()):
+    for pair, rep in zip(ps.pairs, classes):
         if rep in by_class:
             other = by_class[rep]
             return Verdict(
@@ -183,13 +241,15 @@ def verify_strong(ps: PairSet) -> Verdict:
     Raises NotAStarterError when the input is not a starter at all.
     """
     _require_starter(ps, "the strong property")
-    return _strong_verdict(ps)
+    return _strong_verdict(ps, ps.sums())
 
 
-def _strong_verdict(ps: PairSet) -> Verdict:
+def _strong_verdict(ps: PairSet, sums: tuple[int, ...]) -> Verdict:
     # verify_strong for a pair set already known to be a starter
+    if len({*sums}) == len(sums):
+        return Verdict(True)
     by_sum: dict[int, tuple[int, int]] = {}
-    for pair, s in zip(ps.pairs, ps.sums()):
+    for pair, s in zip(ps.pairs, sums):
         if s in by_sum:
             return Verdict(
                 False,
@@ -205,19 +265,19 @@ def verify_skolem(ps: PairSet) -> Verdict:
     Raises NotAStarterError when the input is not a starter at all.
     """
     _require_starter(ps, "the Skolem property")
-    return _skolem_verdict(ps)
+    return _skolem_verdict(ps, ps.integer_differences())
 
 
-def _skolem_verdict(ps: PairSet) -> Verdict:
+def _skolem_verdict(ps: PairSet, differences: tuple[int, ...]) -> Verdict:
     # verify_skolem for a pair set already known to be a starter
-    diffs = sorted(ps.integer_differences())
-    if diffs != list(range(1, ps.t + 1)):
-        return Verdict(
-            False,
-            f"integer differences {{{_preview(diffs)}}} differ from "
-            f"{{1, ..., {ps.t}}}",
-        )
-    return Verdict(True)
+    diffs = sorted(differences)
+    if diffs == [*range(1, ps.t + 1)]:
+        return Verdict(True)
+    return Verdict(
+        False,
+        f"integer differences {{{_preview(diffs)}}} differ from "
+        f"{{1, ..., {ps.t}}}",
+    )
 
 
 @dataclass(frozen=True)
@@ -275,14 +335,15 @@ class VerificationReport:
 def full_report(ps: PairSet) -> VerificationReport:
     """Evaluate all three properties without raising on non-starters."""
     starter = verify_starter(ps)
+    sums = ps.sums()
+    differences = ps.integer_differences()
     if starter:
-        strong = _strong_verdict(ps)
-        skolem = _skolem_verdict(ps)
+        strong = _strong_verdict(ps, sums)
+        skolem = _skolem_verdict(ps, differences)
     else:
         reason = "not a starter"
         strong = Verdict(False, reason)
         skolem = Verdict(False, reason)
-    sums = ps.sums()
     return VerificationReport(
         n=ps.n,
         pairs=ps.pairs,
@@ -294,7 +355,7 @@ def full_report(ps: PairSet) -> VerificationReport:
         skolem_witness=skolem.witness,
         has_zero_sum=0 in sums,
         sums=sums,
-        integer_differences=ps.integer_differences(),
+        integer_differences=differences,
     )
 
 

@@ -1,6 +1,8 @@
 """Independent reference implementations used only by the tests.
 
-Nothing here imports the package under test.  naive_verdicts re-decides the
+Nothing here imports the package under test.  naive_pair_set validates
+and canonicalises a pair list one pair at a time, the walk the package's
+bulk check must agree with.  naive_verdicts re-decides the
 three starter properties with quadratic scans over plain tuples, and
 element_driven_starters enumerates (strong) Skolem starters by always
 extending the smallest uncovered element, a different strategy from the
@@ -10,6 +12,34 @@ builds it from the set of quadratic residues.  sum_array_walk walks
 the package kernels' tree recursively, testing each candidate's own sum
 where the kernels mask candidates by half-sums.
 """
+
+
+def naive_pair_set(n, pairs):
+    """The canonical sorted (small, large) pairs of a pair list over Z_n, or
+    the exception for its first fault, checked pair by pair in input order.
+
+    n must already be a valid modulus.  Expected messages follow PairSet.
+    """
+    seen = set()
+    canon = []
+    for raw in pairs:
+        pair = tuple(raw)
+        if len(pair) != 2:
+            raise ValueError(f"pair {raw!r} does not have exactly two elements")
+        x, y = pair
+        for el in (x, y):
+            if not isinstance(el, int) or isinstance(el, bool):
+                raise TypeError(f"pair element {el!r} is not an int")
+            if not 1 <= el <= n - 1:
+                raise ValueError(f"element {el} outside 1..{n - 1}")
+        if x == y:
+            raise ValueError(f"pair ({x}, {y}) repeats an element")
+        for el in (x, y):
+            if el in seen:
+                raise ValueError(f"element {el} appears in more than one pair")
+            seen.add(el)
+        canon.append((x, y) if x < y else (y, x))
+    return tuple(sorted(canon))
 
 
 def naive_verdicts(n, pairs):

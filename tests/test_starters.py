@@ -1,8 +1,15 @@
+import random
+from enum import IntEnum
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skolem import (
+    ConstructionError,
     NotAStarterError,
     PairSet,
+    Verdict,
+    build_strong_starter,
     full_report,
     iter_pair_sets_text,
     pair_set_from_obj,
@@ -22,7 +29,13 @@ from _fixtures import (
     S_TWO,
     STARTER_NOT_SKOLEM_11,
 )
-from _naive import naive_verdicts
+from _naive import (
+    element_driven_starters,
+    naive_pair_set,
+    naive_verdicts,
+    perturb_partition,
+    random_pair_partition,
+)
 
 
 def test_skolem_admissible_rule():
@@ -70,6 +83,112 @@ def test_pair_set_rejects_bad_input():
         PairSet(11, [(1, 2.0)])
     with pytest.raises(TypeError, match="not an int"):
         PairSet(11, [(1, True)])
+
+
+# An int subclass: PairSet accepts its members like plain ints.
+_Element = IntEnum("_Element", [(f"E{k}", k) for k in range(1, 42)])
+
+
+def _raising_source(*pairs):
+    yield from pairs
+    raise RuntimeError("pair source failed")
+
+
+@pytest.mark.parametrize(
+    "pairs, exc, message",
+    [
+        # the first faulty pair in input order is the one reported
+        ([(1, 1), 5], ValueError, "pair (1, 1) repeats an element"),
+        ([5, (1, 1)], TypeError, "'int' object is not iterable"),
+        ([(1, 2, 3), (0, 4)], ValueError, "pair (1, 2, 3) does not have exactly two elements"),
+        ([(0, 4), [1, 2, 3]], ValueError, "element 0 outside 1..10"),
+        ([(1, 2), (3, 1), (4, 4)], ValueError, "element 1 appears in more than one pair"),
+        ([(2, 3), (4, 4), (3, 5)], ValueError, "pair (4, 4) repeats an element"),
+        ([(2, 3), (True, 4)], TypeError, "pair element True is not an int"),
+        ([(1, 2), "ab"], TypeError, "pair element 'a' is not an int"),
+        ([(1, 2), None], TypeError, "'NoneType' object is not iterable"),
+        (7, TypeError, "'int' object is not iterable"),
+        # a source that fails after a faulty pair still names the pair
+        (_raising_source((1, 2), (0, 3)), ValueError, "element 0 outside 1..10"),
+        (_raising_source((1, 2)), RuntimeError, "pair source failed"),
+    ],
+)
+def test_pair_set_names_the_first_fault(pairs, exc, message):
+    with pytest.raises(exc) as info:
+        PairSet(11, pairs)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_pair_set_accepts_int_subclasses():
+    ps = PairSet(11, [(_Element(7), _Element(3)), [2, _Element(9)]])
+    assert ps.pairs == ((2, 9), (3, 7))
+    assert [type(el) for pair in ps.pairs for el in pair] == [
+        int, _Element, _Element, _Element,
+    ]
+    assert ps == PairSet(11, [(3, 7), (2, 9)])
+    assert hash(ps) == hash(PairSet(11, [(3, 7), (2, 9)]))
+
+
+_FAULTS = (
+    "zero", "n", "self", "cross", "short", "long", "float", "bool",
+    "enum", "list", "str", "none", "int",
+)
+
+
+def _with_fault(kind, n, pair, other):
+    # pair (x, y) replaced by a variant; "enum" and "list" stay well-formed
+    x, y = pair
+    return {
+        "zero": (0, y),
+        "n": (x, n),
+        "self": (x, x),
+        "cross": (x, other),
+        "short": (x,),
+        "long": (x, y, other),
+        "float": (float(x), y),
+        "bool": (True, y),
+        "enum": (_Element(x), _Element(y)),
+        "list": [y, x],
+        "str": "ab",
+        "none": None,
+        "int": x,
+    }[kind]
+
+
+@st.composite
+def _pair_lists(draw):
+    # a whole or partial partition of 1..n-1 with up to two variants put in
+    n = draw(st.sampled_from(range(3, 42, 2)))
+    elements = draw(st.permutations(range(1, n)))
+    base = [(elements[i], elements[i + 1]) for i in range(0, n - 1, 2)]
+    if draw(st.booleans()):
+        base = base[: draw(st.integers(1, len(base)))]
+    pairs = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(base) - 1))
+        other = base[(i + 1) % len(base)][0]
+        pairs[i] = _with_fault(draw(st.sampled_from(_FAULTS)), n, base[i], other)
+    return n, pairs
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_pair_lists())
+def test_pair_set_matches_the_naive_walk(case):
+    n, pairs = case
+    try:
+        expected = naive_pair_set(n, pairs)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            PairSet(n, pairs)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+    else:
+        got = PairSet(n, pairs).pairs
+        assert got == expected
+        assert [type(el) for p in got for el in p] == [
+            type(el) for p in expected for el in p
+        ]
 
 
 @pytest.mark.parametrize(
@@ -132,6 +251,48 @@ def test_verify_skolem():
     assert "integer differences" in v.witness
     with pytest.raises(NotAStarterError, match="Skolem property"):
         verify_skolem(PairSet(11, NON_STARTER_PARTITION_11))
+
+
+# Inputs with two or more collisions; the walk in canonical pair order
+# names the first pair whose class or sum repeats an earlier one.
+_NON_STARTER_13 = ((1, 12), (2, 5), (3, 6), (4, 10), (7, 9), (8, 11))
+_NON_STARTER_19 = (
+    (1, 2), (3, 12), (4, 13), (5, 14), (6, 9), (7, 15), (8, 18), (10, 17),
+    (11, 16),
+)
+_STARTER_19 = (
+    (1, 2), (3, 6), (4, 18), (5, 12), (7, 17), (8, 16), (9, 15), (10, 14),
+    (11, 13),
+)
+
+
+@pytest.mark.parametrize(
+    "n, pairs, check, witness",
+    [
+        (13, _NON_STARTER_13, verify_starter,
+         "pairs (2, 5) and (3, 6) share the difference class +-3 (mod 13)"),
+        (19, _NON_STARTER_19, verify_starter,
+         "pairs (3, 12) and (4, 13) share the difference class +-9 (mod 19)"),
+        (27, ((1, 2), (3, 5), (4, 26)), verify_starter,
+         "uncovered elements: 6, 7, 8, 9, 10, 11, 12, 13, ... (20 total)"),
+        (19, _STARTER_19, verify_strong,
+         "pairs (1, 2) and (4, 18) share the sum 3 (mod 19)"),
+        (19, _STARTER_19, verify_skolem,
+         "integer differences {1, 2, 3, 4, 6, 7, 8, 10, ... (9 total)} "
+         "differ from {1, ..., 9}"),
+    ],
+)
+def test_witnesses_name_the_first_collision(n, pairs, check, witness):
+    # the pairs go in reversed, so only the canonical order can pick them
+    ps = PairSet(n, [(y, x) for x, y in reversed(pairs)])
+    assert check(ps) == Verdict(False, witness)
+    report = full_report(ps)
+    field = {
+        verify_starter: "starter_witness",
+        verify_strong: "strong_witness",
+        verify_skolem: "skolem_witness",
+    }[check]
+    assert getattr(report, field) == witness
 
 
 def test_full_report_verdict_matrix():
@@ -264,20 +425,59 @@ def _all_partitions(elements):
             yield [(first, partner)] + tail
 
 
+def _naive_check(n, pairs):
+    report = full_report(PairSet(n, pairs))
+    got = (
+        report.is_starter,
+        report.is_strong,
+        report.is_skolem,
+        report.has_zero_sum,
+    )
+    expected = naive_verdicts(n, pairs)
+    assert got == expected, (n, pairs)
+    return got
+
+
 def test_report_matches_naive_on_every_partition():
-    # Exhaustive equivalence against the independent reference: all 105
-    # pair partitions of 1..8 and all 15 of 1..6.
-    for n in (7, 9):
+    # Exhaustive equivalence against the independent reference: all 945
+    # pair partitions of 1..10, all 105 of 1..8 and all 15 of 1..6.
+    for n, total in ((7, 15), (9, 105), (11, 945)):
         seen = 0
         for pairs in _all_partitions(list(range(1, n))):
-            report = full_report(PairSet(n, pairs))
-            expected = naive_verdicts(n, pairs)
-            got = (
-                report.is_starter,
-                report.is_strong,
-                report.is_skolem,
-                report.has_zero_sum,
-            )
-            assert got == expected, (n, pairs)
+            _naive_check(n, pairs)
             seen += 1
-        assert seen == (15 if n == 7 else 105)
+        assert seen == total
+
+
+def test_report_matches_naive_on_perturbed_and_partial_sets():
+    # Random, perturbed and partial pair sets for every odd n <= 41, around
+    # the construction's strong starters and around unit multiples of the
+    # plain Skolem starters of Z_17, where the verdicts actually vary.
+    rng = random.Random(10)
+    cases = []
+    for n in range(3, 42, 2):
+        for _ in range(5):
+            cases.append((n, random_pair_partition(n, rng)))
+    for q in (7, 11, 19, 23, 31):
+        for beta in range(2, q - 1):
+            try:
+                cases.append((q, build_strong_starter(q, beta).pairs))
+            except ConstructionError:
+                pass
+    plain = [sorted(s) for s in element_driven_starters(17, strong=False)]
+    for pairs in rng.sample(plain, 40):
+        m = rng.randrange(1, 17)
+        cases.append((17, [(m * x % 17, m * y % 17) for x, y in pairs]))
+    outcomes = set()
+    for n, pairs in cases:
+        outcomes.add(_naive_check(n, pairs)[:3])
+        for swaps in (1, 2):
+            _naive_check(n, perturb_partition(pairs, rng, swaps))
+        _naive_check(n, pairs[: rng.randrange(len(pairs))])
+    assert outcomes >= {
+        (False, False, False),
+        (True, False, False),
+        (True, False, True),
+        (True, True, False),
+        (True, True, True),
+    }
