@@ -33,10 +33,6 @@ from .residues import (
     ResidueClass,
     build_qr_table,
     is_prime,
-    is_qr_generator,
-    legendre_class,
-    mod_inverse,
-    qr_generators,
     smallest_qr_generator,
 )
 from .search import (
@@ -74,10 +70,6 @@ __all__ = [
     "ResidueClass",
     "build_qr_table",
     "is_prime",
-    "is_qr_generator",
-    "legendre_class",
-    "mod_inverse",
-    "qr_generators",
     "smallest_qr_generator",
     "NotAStarterError",
     "PairSet",

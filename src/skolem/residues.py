@@ -1,5 +1,5 @@
-"""Exact arithmetic in Z_q for odd prime q: primality, quadratic residuosity,
-generators of the residue group, modular inverses.
+"""Exact arithmetic in Z_q for odd prime q: primality and the quadratic
+residues.
 
 Everything is plain integer arithmetic; no floating point anywhere.  A
 modulus is a plain int q, checked once per public call and capped at
@@ -14,16 +14,16 @@ from enum import Enum
 
 MAX_MODULUS = 2**31 - 1
 
-# Sorted bases making Miller-Rabin deterministic for every n < 3.3e24,
-# which covers the full 64-bit range the package accepts.
+# Sorted bases making Miller-Rabin deterministic for every n < 2**64, far
+# above the 2**31 - 1 cap on moduli.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin, fixed base set).
 
-    Exact for all inputs below 2**64; values at or above that are outside
-    the supported range of the package.
+    Exact for every n < 2**64, which covers every modulus the package
+    accepts (at most 2**31 - 1).
     """
     if n < 2:
         return False
@@ -77,38 +77,6 @@ class ResidueClass(Enum):
 
     QR = "qr"
     NQR = "nqr"
-    ZERO = "zero"
-
-
-def _euler(x: int, q: int) -> ResidueClass:
-    # Euler's criterion for a checked prime q.
-    v = x % q
-    if v == 0:
-        return ResidueClass.ZERO
-    e = pow(v, (q - 1) // 2, q)
-    if e == 1:
-        return ResidueClass.QR
-    if e == q - 1:
-        return ResidueClass.NQR
-    raise ArithmeticError(f"Euler criterion failed for {v} mod {q}")
-
-
-def legendre_class(x: int, q: int) -> ResidueClass:
-    """Residuosity of x mod an odd prime q, by Euler's criterion.
-
-    x**((q-1)/2) is 1 mod q exactly for quadratic residues and q-1 for
-    non-residues; 0 maps to ZERO.
-    """
-    _require_prime(q)
-    return _euler(x, q)
-
-
-def mod_inverse(x: int, q: int) -> int:
-    """Multiplicative inverse of x mod an odd prime q; rejects x == 0 (mod q)."""
-    _require_prime(q)
-    if x % q == 0:
-        raise ValueError(f"0 has no inverse mod {q}")
-    return pow(x, -1, q)
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -126,36 +94,18 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _generator_test(q: int):
-    """The predicate "x generates QR(q)" for a checked prime q.
+def smallest_qr_generator(q: int) -> int:
+    """Least generator of the quadratic-residue group mod prime q.
 
-    A residue generates iff its order is exactly (q-1)/2, checked at the
-    prime divisors of that order, which are factored once per q.
+    x is a residue iff x**h == 1 for h = (q-1)/2 (Euler's criterion), and
+    a residue generates iff its order is exactly h, checked at the prime
+    divisors of h, which are factored once per q.
     """
+    _require_prime(q)
     h = (q - 1) // 2
     exponents = [h // p for p in _prime_factors(h)]
-
-    def generates(x: int) -> bool:
-        x %= q
-        if _euler(x, q) is not ResidueClass.QR:
-            return False
-        return all(pow(x, e, q) != 1 for e in exponents)
-
-    return generates
-
-
-def is_qr_generator(x: int, q: int) -> bool:
-    """Whether x generates the group of quadratic residues mod prime q."""
-    _require_prime(q)
-    return _generator_test(q)(x)
-
-
-def smallest_qr_generator(q: int) -> int:
-    """Least generator of the quadratic-residue group mod prime q."""
-    _require_prime(q)
-    generates = _generator_test(q)
     for x in range(1, q):
-        if generates(x):
+        if pow(x, h, q) == 1 and all(pow(x, e, q) != 1 for e in exponents):
             return x
     raise ArithmeticError(f"no generator found for QR({q})")
 
@@ -174,17 +124,11 @@ class QrTable:
     nqr_set: frozenset[int]
     smallest_qr_generator: int
 
-    def class_of(self, x: int) -> ResidueClass:
-        v = x % self.q
-        if v == 0:
-            return ResidueClass.ZERO
-        return ResidueClass.QR if v in self.qr_set else ResidueClass.NQR
-
 
 def _cycle_length(x: int, n: int) -> int:
     # Multiplicative order by plain repeated multiplication; used by the
     # table builder so it stays independent of the factorisation route in
-    # is_qr_generator.
+    # smallest_qr_generator.
     y = x
     k = 1
     while y != 1:
@@ -196,9 +140,8 @@ def _cycle_length(x: int, n: int) -> int:
 def build_qr_table(q: int) -> QrTable:
     """Classify Z_q* by brute-force squaring and locate the least generator.
 
-    Deliberately avoids Euler's criterion and order factorisation, so the
-    table and legendre_class/is_qr_generator are independent routes to the
-    same answers.
+    Deliberately avoids order factorisation, so the table and
+    smallest_qr_generator are independent routes to the same generator.
     """
     _require_prime(q)
     qr = frozenset(x * x % q for x in range(1, q))
@@ -211,9 +154,3 @@ def build_qr_table(q: int) -> QrTable:
     if gen is None:
         raise ArithmeticError(f"no generator found for QR({q})")
     return QrTable(q=q, qr_set=qr, nqr_set=nqr, smallest_qr_generator=gen)
-
-
-def qr_generators(q: int) -> list[int]:
-    """All generators of the quadratic-residue group mod q, ascending."""
-    _require_prime(q)
-    return list(filter(_generator_test(q), range(1, q)))

@@ -105,8 +105,7 @@ class SearchConfig:
     force: bool = False
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
-            object.__setattr__(self, "mode", SearchMode(self.mode))
+        object.__setattr__(self, "mode", SearchMode(self.mode))
         n = self.n
         _require_int("n", n)
         if n < 3 or n % 2 == 0:

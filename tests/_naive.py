@@ -8,7 +8,9 @@ element_driven_starters enumerates (strong) Skolem starters by always
 extending the smallest uncovered element, a different strategy from the
 difference-driven package kernels.  generator_starter builds the
 construction's starter in the paper's generator form, while the package
-builds it from the set of quadratic residues.  sum_array_walk walks
+builds it from the set of quadratic residues, and cycle_qr_generators
+lists every generator alpha of the residues by walking each residue's
+cycle of powers, with no order factorisation.  sum_array_walk walks
 the package kernels' tree recursively, testing each candidate's own sum
 where the kernels mask candidates by half-sums.
 """
@@ -93,6 +95,24 @@ def generator_starter(q, alpha, beta):
         y = beta * x % q
         pairs.append((min(x, y), max(x, y)))
     return tuple(sorted(pairs))
+
+
+def cycle_qr_generators(q):
+    """Every generator of the quadratic residues mod prime q, ascending.
+
+    A residue generates when its powers first return to 1 after exactly
+    (q-1)/2 steps, counted by plain repeated multiplication.
+    """
+    h = (q - 1) // 2
+    gens = []
+    for x in sorted({y * y % q for y in range(1, q)}):
+        z, k = x, 1
+        while z != 1:
+            z = z * x % q
+            k += 1
+        if k == h:
+            gens.append(x)
+    return gens
 
 
 def element_driven_starters(n, strong):

@@ -21,14 +21,11 @@ from skolem import (
     enumerate_strong_skolem,
     full_report,
     is_prime,
-    legendre_class,
-    mod_inverse,
-    qr_generators,
+    smallest_qr_generator,
     search_skolem_starters,
     verify_starter,
     verify_strong,
     PairSet,
-    ResidueClass,
 )
 
 from _fixtures import (
@@ -40,6 +37,7 @@ from _fixtures import (
     STARTER_COUNTS,
 )
 from _naive import (
+    cycle_qr_generators,
     generator_starter,
     naive_verdicts,
     perturb_partition,
@@ -116,8 +114,8 @@ def test_criterion_3_sweep_to_1500():
 def test_criterion_4_every_generator():
     def body():
         for q in construction_primes(500):
-            gens = qr_generators(q)
-            assert gens, q
+            gens = cycle_qr_generators(q)
+            assert smallest_qr_generator(q) == gens[0], q
             for choice in BetaChoice:
                 reference = build_strong_skolem(q, choice)
                 assert all(full_report(reference).verdicts), (q, choice)
@@ -159,17 +157,13 @@ def test_criterion_6_number_theory_suite():
             table = build_qr_table(q)
             h = (q - 1) // 2
             assert len(table.qr_set) == len(table.nqr_set) == h, q
-            expected_minus_one = (
-                ResidueClass.QR if q % 4 == 1 else ResidueClass.NQR
-            )
-            assert legendre_class(q - 1, q) is expected_minus_one, q
-            expected_two = (
-                ResidueClass.QR if q % 8 in (1, 7) else ResidueClass.NQR
-            )
-            assert legendre_class(2, q) is expected_two, q
+            assert table.qr_set | table.nqr_set == set(range(1, q)), q
+            # the supplementary laws for -1 and 2
+            assert (q - 1 in table.qr_set) == (q % 4 == 1), q
+            assert (2 in table.qr_set) == (q % 8 in (1, 7)), q
             for x in range(1, q, max(1, q // 11)):
-                assert table.class_of(x) is legendre_class(x, q), (q, x)
-                assert mod_inverse(x, q) * x % q == 1, (q, x)
+                expected = sympy.legendre_symbol(x, q) == 1
+                assert (x in table.qr_set) == expected, (q, x)
             g = table.smallest_qr_generator
             assert {pow(g, i, q) for i in range(1, h + 1)} == table.qr_set, q
 

@@ -7,10 +7,6 @@ PUBLIC_NAMES = [
     "ResidueClass",
     "build_qr_table",
     "is_prime",
-    "is_qr_generator",
-    "legendre_class",
-    "mod_inverse",
-    "qr_generators",
     "smallest_qr_generator",
     "NotAStarterError",
     "PairSet",
@@ -48,13 +44,23 @@ PUBLIC_NAMES = [
 
 def test_public_api():
     # one name per job: the Modulus argument form, the environment ceiling
-    # override and the PairSet format aliases are gone
+    # override and the PairSet format aliases are gone, and so is the
+    # number theory the construction never calls
     assert skolem.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(skolem, name) is not None, name
-    for gone in ("Modulus", "effective_ceiling"):
-        assert not hasattr(skolem, gone)
+    for gone in (
+        "Modulus",
+        "effective_ceiling",
+        "legendre_class",
+        "mod_inverse",
+        "is_qr_generator",
+        "qr_generators",
+    ):
+        assert not hasattr(skolem, gone), gone
+        assert not hasattr(skolem.residues, gone), gone
     assert not hasattr(skolem.residues, "as_modulus")
+    assert not hasattr(skolem.QrTable, "class_of")
     assert not hasattr(skolem.search, "CEILING_ENV")
     assert not hasattr(skolem.PairSet, "to_text")
     assert not hasattr(skolem.PairSet, "to_obj")

@@ -187,6 +187,12 @@ def test_search_config_validation():
         SearchConfig(n=11, workers=0)
     with pytest.raises(ValueError):
         SearchConfig(n=11, mode="everything")
+    with pytest.raises(ValueError):
+        SearchConfig(n=11, mode=None)
+    with pytest.raises(ValueError):
+        SearchConfig(n=11, mode=3)
+    with pytest.raises(ValueError, match="not supported"):
+        SearchConfig(n=1_000_003)
     assert SearchConfig(n=11, mode="count").mode is SearchMode.COUNT_ALL
     assert SearchConfig(n=11).t == 5
 
