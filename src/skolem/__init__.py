@@ -38,18 +38,14 @@ from .residues import (
 from .search import (
     DEFAULT_CEILING,
     CeilingExceededError,
-    CrossValidation,
     SearchConfig,
     SearchMode,
     SearchResult,
     active_backend,
-    cross_validate_construction,
     search_skolem_starters,
 )
 from .starters import (
-    NotAStarterError,
     PairSet,
-    Verdict,
     VerificationReport,
     full_report,
     iter_pair_sets_text,
@@ -58,9 +54,6 @@ from .starters import (
     pair_set_to_text,
     parse_pair_set_text,
     skolem_admissible,
-    verify_skolem,
-    verify_starter,
-    verify_strong,
 )
 
 __all__ = [
@@ -71,9 +64,7 @@ __all__ = [
     "build_qr_table",
     "is_prime",
     "smallest_qr_generator",
-    "NotAStarterError",
     "PairSet",
-    "Verdict",
     "VerificationReport",
     "full_report",
     "iter_pair_sets_text",
@@ -82,9 +73,6 @@ __all__ = [
     "pair_set_to_text",
     "parse_pair_set_text",
     "skolem_admissible",
-    "verify_skolem",
-    "verify_starter",
-    "verify_strong",
     "BetaChoice",
     "ConstructionError",
     "HalfSetCertificate",
@@ -95,11 +83,9 @@ __all__ = [
     "half_set_certificate",
     "DEFAULT_CEILING",
     "CeilingExceededError",
-    "CrossValidation",
     "SearchConfig",
     "SearchMode",
     "SearchResult",
     "active_backend",
-    "cross_validate_construction",
     "search_skolem_starters",
 ]

@@ -180,9 +180,6 @@ def _cmd_search(args) -> int:
         mode = SearchMode.ENUMERATE_ALL
     else:
         mode = SearchMode.COUNT_ALL
-    if args.limit is not None and mode is not SearchMode.ENUMERATE_ALL:
-        _error("--limit only applies to --enumerate")
-        return EXIT_USAGE
     try:
         config = SearchConfig(
             n=args.n,

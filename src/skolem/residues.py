@@ -23,8 +23,14 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin, fixed base set).
 
     Exact for every n < 2**64, which covers every modulus the package
-    accepts (at most 2**31 - 1).
+    accepts (at most 2**31 - 1).  Raises TypeError for anything but an
+    int (bool included) and ValueError from 2**64 up, where the fixed
+    bases are no longer proven exact.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"is_prime needs an int, got {n!r}")
+    if n >= 2**64:
+        raise ValueError(f"is_prime is exact only below 2**64, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -1,5 +1,5 @@
 """Exhaustive search for (strong) Skolem starters: configuration, backend
-selection, the partitioned walk and cross-validation of the construction.
+selection and the partitioned walk.
 
 The backtracking kernel is one iterative bitset walk, written twice with
 one contract and one tree: a hand-written C extension, _fastsearch, whose
@@ -26,8 +26,7 @@ from enum import Enum
 from itertools import repeat
 
 from . import _pysearch
-from .construction import BetaChoice, build_strong_skolem
-from .starters import PairSet, full_report
+from .starters import PairSet
 
 try:
     from . import _fastsearch
@@ -87,7 +86,8 @@ class SearchConfig:
 
     mode: COUNT_ALL tallies every starter, FIRST_WITNESS stops at the first
     one found, ENUMERATE_ALL tallies everything while collecting witnesses
-    (capped at limit when given; the count stays exact past the cap).
+    (capped at limit when given, which no other mode accepts; the count
+    stays exact past the cap).
     require_strong restricts the walk to strong starters.  COUNT_ALL walks
     the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
     all t of them, spread over min(workers, partitions) threads (processes
@@ -116,6 +116,11 @@ class SearchConfig:
             _require_int("limit", self.limit)
             if self.limit < 1:
                 raise ValueError(f"limit must be a positive int or None, got {self.limit}")
+            if self.mode is not SearchMode.ENUMERATE_ALL:
+                raise ValueError(
+                    "limit applies only to ENUMERATE_ALL "
+                    "(command line: --limit needs --enumerate)"
+                )
         _require_int("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -222,61 +227,4 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         wall_time=elapsed,
         backend=backend_name,
         workers=workers,
-    )
-
-
-@dataclass(frozen=True)
-class CrossValidation:
-    """Result of checking the construction against exhaustive enumeration.
-
-    ok means: both constructed starters verify as strong Skolem starters
-    and both literally occur among the exhaustively enumerated ones.
-    """
-
-    q: int
-    strong_count: int
-    nodes_explored: int
-    verified_two: bool
-    verified_half: bool
-    found_two: bool
-    found_half: bool
-    wall_time: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.verified_two
-            and self.verified_half
-            and self.found_two
-            and self.found_half
-        )
-
-
-def cross_validate_construction(q: int, workers: int = 1) -> CrossValidation:
-    """Confront build_strong_skolem(q) with the independent search.
-
-    Enumerates every strong Skolem starter of Z_q and checks that both
-    constructed starters (beta = 2 and beta = (q+1)/2) verify and appear
-    in the enumeration.  Subject to the search ceiling like any search.
-    """
-    built = {c: build_strong_skolem(q, c) for c in (BetaChoice.TWO, BetaChoice.HALF)}
-    verified = {c: all(full_report(ps).verdicts) for c, ps in built.items()}
-    result = search_skolem_starters(
-        SearchConfig(
-            n=q,
-            mode=SearchMode.ENUMERATE_ALL,
-            require_strong=True,
-            workers=workers,
-        )
-    )
-    enumerated = {ps.pairs for ps in result.witnesses}
-    return CrossValidation(
-        q=q,
-        strong_count=result.count,
-        nodes_explored=result.nodes_explored,
-        verified_two=verified[BetaChoice.TWO],
-        verified_half=verified[BetaChoice.HALF],
-        found_two=built[BetaChoice.TWO].pairs in enumerated,
-        found_half=built[BetaChoice.HALF].pairs in enumerated,
-        wall_time=result.wall_time,
     )

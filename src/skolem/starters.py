@@ -9,9 +9,9 @@ Skolem when the plain integer differences y - x (taking y > x) are exactly
 PairSet is the shared container: immutable, canonically ordered, restricted
 to well-formed inputs (odd n, elements in 1..n-1, no element reused).
 Search witnesses enter through PairSet._from_witness, which checks each one
-in a single partition test instead of pair by pair.  The verify_* functions
-and full_report decide the three properties and return human-readable
-witnesses for failures.
+in a single partition test instead of pair by pair.  full_report is the one
+verifier: it decides the three properties and returns a human-readable
+witness for each failure.
 
 Every check here is decided in bulk, by a few set, min, max or sorted
 comparisons over whole tuples.  The pair-by-pair walk runs only when the
@@ -35,21 +35,6 @@ def skolem_admissible(n: int) -> bool:
     return n >= 3 and n % 2 == 1 and n % 8 in (1, 3)
 
 
-class NotAStarterError(ValueError):
-    """Raised when a strong or Skolem check is asked about a non-starter."""
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a single property check; witness explains a failure."""
-
-    ok: bool
-    witness: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 @dataclass(frozen=True)
 class PairSet:
     """An immutable set of disjoint unordered pairs over {1, ..., n-1}.
@@ -57,7 +42,7 @@ class PairSet:
     Pairs are normalised to (small, large) and sorted, so equal sets compare
     and hash equal no matter the construction order.  Well-formedness (odd
     n, elements in range, no reuse) is enforced here; whether the set is a
-    starter is a separate question answered by verify_starter.
+    starter is a separate question answered by full_report.
 
     The constructor decides well-formedness in bulk: every pair has two
     elements, every element is exactly an int, none repeats, and the
@@ -205,102 +190,85 @@ def _preview(values, limit: int = 8) -> str:
     return f"{shown}, ... ({len(vals)} total)"
 
 
-def verify_starter(ps: PairSet) -> Verdict:
-    """Starter check: pairs cover {1..n-1} and so do the +- differences."""
+def _first_repeat(pairs, keys):
+    """(earlier, pair, key) for the first pair, in order, whose key an
+    earlier pair already has; None when every key is distinct."""
+    seen: dict = {}
+    for pair, key in zip(pairs, keys):
+        if key in seen:
+            return seen[key], pair, key
+        seen[key] = pair
+    return None
+
+
+def _starter_witness(ps: PairSet) -> str | None:
+    """Why ps is not a starter, or None when its pairs cover {1..n-1} and
+    so do their +- differences."""
     n = ps.n
     # the elements are distinct and in 1..n-1, so they cover it iff there
     # are n - 1 of them
     if 2 * len(ps.pairs) != n - 1:
         missing = set(range(1, n)) - ps.elements
-        return Verdict(False, f"uncovered elements: {_preview(missing)}")
+        return f"uncovered elements: {_preview(missing)}"
     classes = ps.difference_classes()
     if len({*classes}) == len(classes):
-        return Verdict(True)
-    by_class: dict[int, tuple[int, int]] = {}
-    for pair, rep in zip(ps.pairs, classes):
-        if rep in by_class:
-            other = by_class[rep]
-            return Verdict(
-                False,
-                f"pairs {other} and {pair} share the difference class "
-                f"+-{rep} (mod {n})",
-            )
-        by_class[rep] = pair
-    return Verdict(True)
+        return None
+    other, pair, rep = _first_repeat(ps.pairs, classes)
+    return f"pairs {other} and {pair} share the difference class +-{rep} (mod {n})"
 
 
-def _require_starter(ps: PairSet, check: str) -> None:
-    v = verify_starter(ps)
-    if not v:
-        raise NotAStarterError(f"{check} is defined only for starters; {v.witness}")
-
-
-def verify_strong(ps: PairSet) -> Verdict:
-    """Strong check: pair sums mod n pairwise distinct.
-
-    Raises NotAStarterError when the input is not a starter at all.
-    """
-    _require_starter(ps, "the strong property")
-    return _strong_verdict(ps, ps.sums())
-
-
-def _strong_verdict(ps: PairSet, sums: tuple[int, ...]) -> Verdict:
-    # verify_strong for a pair set already known to be a starter
+def _strong_witness(ps: PairSet, sums: tuple[int, ...]) -> str | None:
+    """Why the starter ps is not strong, or None when its pair sums mod n
+    are pairwise distinct."""
     if len({*sums}) == len(sums):
-        return Verdict(True)
-    by_sum: dict[int, tuple[int, int]] = {}
-    for pair, s in zip(ps.pairs, sums):
-        if s in by_sum:
-            return Verdict(
-                False,
-                f"pairs {by_sum[s]} and {pair} share the sum {s} (mod {ps.n})",
-            )
-        by_sum[s] = pair
-    return Verdict(True)
+        return None
+    other, pair, s = _first_repeat(ps.pairs, sums)
+    return f"pairs {other} and {pair} share the sum {s} (mod {ps.n})"
 
 
-def verify_skolem(ps: PairSet) -> Verdict:
-    """Skolem check: integer differences are exactly {1, ..., (n-1)/2}.
-
-    Raises NotAStarterError when the input is not a starter at all.
-    """
-    _require_starter(ps, "the Skolem property")
-    return _skolem_verdict(ps, ps.integer_differences())
-
-
-def _skolem_verdict(ps: PairSet, differences: tuple[int, ...]) -> Verdict:
-    # verify_skolem for a pair set already known to be a starter
-    diffs = sorted(differences)
+def _skolem_witness(ps: PairSet) -> str | None:
+    """Why the starter ps is not Skolem, or None when its integer
+    differences are exactly {1, ..., (n-1)/2}."""
+    diffs = sorted(ps.integer_differences())
     if diffs == [*range(1, ps.t + 1)]:
-        return Verdict(True)
-    return Verdict(
-        False,
+        return None
+    return (
         f"integer differences {{{_preview(diffs)}}} differ from "
-        f"{{1, ..., {ps.t}}}",
+        f"{{1, ..., {ps.t}}}"
     )
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All three property verdicts for one pair set, plus raw check data.
+    """The three property verdicts for one pair set, with their witnesses.
 
-    is_strong and is_skolem are False whenever is_starter is, since both
-    properties are defined only for starters.  has_zero_sum is informational
-    and independent of the verdicts: a strong starter without a zero sum is
+    A witness is None when its property holds and otherwise says why it
+    fails; is_starter, is_strong and is_skolem read it, so a verdict cannot
+    disagree with its witness.  The strong and Skolem witnesses are "not a
+    starter" whenever the starter one is set, since both properties are
+    defined only for starters.  has_zero_sum is informational and
+    independent of the verdicts: a strong starter without a zero sum is
     also skew, which matters for some downstream designs.
     """
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    is_starter: bool
-    is_strong: bool
-    is_skolem: bool
     starter_witness: str | None
     strong_witness: str | None
     skolem_witness: str | None
     has_zero_sum: bool
-    sums: tuple[int, ...]
-    integer_differences: tuple[int, ...]
+
+    @property
+    def is_starter(self) -> bool:
+        return self.starter_witness is None
+
+    @property
+    def is_strong(self) -> bool:
+        return self.strong_witness is None
+
+    @property
+    def is_skolem(self) -> bool:
+        return self.skolem_witness is None
 
     @property
     def verdicts(self) -> tuple[bool, bool, bool]:
@@ -309,12 +277,12 @@ class VerificationReport:
     def lines(self) -> list[str]:
         """Human-readable one-liners, one per verdict plus the zero-sum flag."""
         out = []
-        for name, ok, witness in (
-            ("starter", self.is_starter, self.starter_witness),
-            ("strong", self.is_strong, self.strong_witness),
-            ("skolem", self.is_skolem, self.skolem_witness),
+        for name, witness in (
+            ("starter", self.starter_witness),
+            ("strong", self.strong_witness),
+            ("skolem", self.skolem_witness),
         ):
-            out.append(f"{name}: {'yes' if ok else f'no ({witness})'}")
+            out.append(f"{name}: {'yes' if witness is None else f'no ({witness})'}")
         out.append(f"zero sum present: {'yes' if self.has_zero_sum else 'no'}")
         return out
 
@@ -333,29 +301,25 @@ class VerificationReport:
 
 
 def full_report(ps: PairSet) -> VerificationReport:
-    """Evaluate all three properties without raising on non-starters."""
-    starter = verify_starter(ps)
+    """Decide all three properties of ps, with a witness for each failure.
+
+    This is the one verifier: it never raises, and a non-starter is
+    reported as neither strong nor Skolem.
+    """
+    starter = _starter_witness(ps)
     sums = ps.sums()
-    differences = ps.integer_differences()
-    if starter:
-        strong = _strong_verdict(ps, sums)
-        skolem = _skolem_verdict(ps, differences)
+    if starter is None:
+        strong = _strong_witness(ps, sums)
+        skolem = _skolem_witness(ps)
     else:
-        reason = "not a starter"
-        strong = Verdict(False, reason)
-        skolem = Verdict(False, reason)
+        strong = skolem = "not a starter"
     return VerificationReport(
         n=ps.n,
         pairs=ps.pairs,
-        is_starter=starter.ok,
-        is_strong=strong.ok,
-        is_skolem=skolem.ok,
-        starter_witness=starter.witness,
-        strong_witness=strong.witness,
-        skolem_witness=skolem.witness,
+        starter_witness=starter,
+        strong_witness=strong,
+        skolem_witness=skolem,
         has_zero_sum=0 in sums,
-        sums=sums,
-        integer_differences=differences,
     )
 
 

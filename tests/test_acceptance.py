@@ -17,14 +17,11 @@ from skolem import (
     build_strong_skolem,
     build_strong_starter,
     construction_primes,
-    cross_validate_construction,
     enumerate_strong_skolem,
     full_report,
     is_prime,
     smallest_qr_generator,
     search_skolem_starters,
-    verify_starter,
-    verify_strong,
     PairSet,
 )
 
@@ -137,8 +134,8 @@ def test_criterion_5_every_valid_beta():
                 if beta == q - 1:
                     continue
                 ps = build_strong_starter(q, beta)
-                assert verify_starter(ps).ok, (q, beta)
-                assert verify_strong(ps).ok, (q, beta)
+                report = full_report(ps)
+                assert report.is_starter and report.is_strong, (q, beta)
 
     _criterion(
         "criterion 5: strong starter for every non-residue beta, q <= 500",
@@ -173,9 +170,13 @@ def test_criterion_6_number_theory_suite():
 def test_criterion_7_cross_validation():
     def body():
         for q in (11, 19):
-            cv = cross_validate_construction(q)
-            assert cv.ok, q
-            assert cv.strong_count == STARTER_COUNTS[(q, True)], q
+            built = [build_strong_skolem(q, choice) for choice in BetaChoice]
+            for ps in built:
+                assert full_report(ps).verdicts == (True, True, True), q
+            result = search_skolem_starters(SearchConfig(n=q, mode="enumerate"))
+            enumerated = {ps.pairs for ps in result.witnesses}
+            assert all(ps.pairs in enumerated for ps in built), q
+            assert result.count == STARTER_COUNTS[(q, True)], q
         seq = search_skolem_starters(SearchConfig(n=19, mode="enumerate"))
         par = search_skolem_starters(SearchConfig(n=19, mode="enumerate", workers=2))
         assert seq.count == par.count == STARTER_COUNTS[(19, True)]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import skolem
 
 PUBLIC_NAMES = [
@@ -8,9 +10,7 @@ PUBLIC_NAMES = [
     "build_qr_table",
     "is_prime",
     "smallest_qr_generator",
-    "NotAStarterError",
     "PairSet",
-    "Verdict",
     "VerificationReport",
     "full_report",
     "iter_pair_sets_text",
@@ -19,9 +19,6 @@ PUBLIC_NAMES = [
     "pair_set_to_text",
     "parse_pair_set_text",
     "skolem_admissible",
-    "verify_skolem",
-    "verify_starter",
-    "verify_strong",
     "BetaChoice",
     "ConstructionError",
     "HalfSetCertificate",
@@ -32,20 +29,19 @@ PUBLIC_NAMES = [
     "half_set_certificate",
     "DEFAULT_CEILING",
     "CeilingExceededError",
-    "CrossValidation",
     "SearchConfig",
     "SearchMode",
     "SearchResult",
     "active_backend",
-    "cross_validate_construction",
     "search_skolem_starters",
 ]
 
 
 def test_public_api():
     # one name per job: the Modulus argument form, the environment ceiling
-    # override and the PairSet format aliases are gone, and so is the
-    # number theory the construction never calls
+    # override and the PairSet format aliases are gone, and so are the
+    # number theory the construction never calls and every verifier but
+    # full_report
     assert skolem.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(skolem, name) is not None, name
@@ -59,6 +55,27 @@ def test_public_api():
     ):
         assert not hasattr(skolem, gone), gone
         assert not hasattr(skolem.residues, gone), gone
+    for gone in (
+        "verify_starter",
+        "verify_strong",
+        "verify_skolem",
+        "Verdict",
+        "NotAStarterError",
+        "cross_validate_construction",
+        "CrossValidation",
+    ):
+        assert not hasattr(skolem, gone), gone
+        assert not hasattr(skolem.starters, gone), gone
+        assert not hasattr(skolem.search, gone), gone
+    fields = [f.name for f in dataclasses.fields(skolem.VerificationReport)]
+    assert fields == [
+        "n",
+        "pairs",
+        "starter_witness",
+        "strong_witness",
+        "skolem_witness",
+        "has_zero_sum",
+    ]
     assert not hasattr(skolem.residues, "as_modulus")
     assert not hasattr(skolem.QrTable, "class_of")
     assert not hasattr(skolem.search, "CEILING_ENV")

@@ -16,9 +16,6 @@ from skolem import (
     half_set_certificate,
     is_prime,
     smallest_qr_generator,
-    verify_skolem,
-    verify_starter,
-    verify_strong,
 )
 
 from _fixtures import HALF_BETA, S_HALF, S_TWO, SMALLEST_QR_GENERATOR
@@ -79,9 +76,7 @@ def test_strong_starter_matches_generator_form():
 
 def test_construction_outputs_verify():
     for q, choice, ps in enumerate_strong_skolem(200):
-        assert verify_starter(ps).ok, (q, choice)
-        assert verify_strong(ps).ok, (q, choice)
-        assert verify_skolem(ps).ok, (q, choice)
+        assert full_report(ps).verdicts == (True, True, True), (q, choice)
         assert len(ps) == (q - 1) // 2
 
 
@@ -92,15 +87,14 @@ def test_strong_starter_for_every_valid_beta():
             if beta == q - 1:
                 continue
             ps = build_strong_starter(q, beta)
-            assert verify_starter(ps).ok, (q, beta)
-            assert verify_strong(ps).ok, (q, beta)
+            report = full_report(ps)
+            assert report.is_starter and report.is_strong, (q, beta)
 
 
 def test_strong_starter_not_always_skolem():
     # beta = 7 is a non-residue mod 11 but not 2 or (11+1)/2
     ps = build_strong_starter(11, 7)
-    assert verify_strong(ps).ok
-    assert not verify_skolem(ps).ok
+    assert full_report(ps).verdicts == (True, True, False)
 
 
 def test_q3_edge_case():

@@ -22,6 +22,28 @@ def test_is_prime_large_values():
     # strong pseudoprime to several small bases, composite
     assert not is_prime(3215031751)
     assert not is_prime(2**32 + 1)
+    # the largest prime below 2**64, the end of the proven range
+    assert is_prime(2**64 - 59)
+    assert not is_prime(2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "n, exc, message",
+    [
+        (11.0, TypeError, "is_prime needs an int, got 11.0"),
+        (True, TypeError, "is_prime needs an int, got True"),
+        ("11", TypeError, "is_prime needs an int, got '11'"),
+        (None, TypeError, "is_prime needs an int, got None"),
+        (2.0**70 + 1, TypeError, "is_prime needs an int, got 1.1805916207174113e+21"),
+        (2**64, ValueError, "is_prime is exact only below 2**64, got 18446744073709551616"),
+        (2**70 + 1, ValueError, "is_prime is exact only below 2**64, got 1180591620717411303425"),
+    ],
+)
+def test_is_prime_rejects_what_it_cannot_decide(n, exc, message):
+    with pytest.raises(exc) as info:
+        is_prime(n)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_modulus_validation():

@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 
 from skolem import (
+    BetaChoice,
     CeilingExceededError,
     DEFAULT_CEILING,
     PairSet,
     SearchConfig,
     SearchMode,
     active_backend,
-    cross_validate_construction,
+    build_strong_skolem,
     full_report,
     search_skolem_starters,
 )
@@ -183,6 +184,10 @@ def test_search_config_validation():
         SearchConfig(n="11")
     with pytest.raises(ValueError, match="limit"):
         SearchConfig(n=11, limit=0)
+    # a limit caps only collected witnesses, so no other mode takes one
+    for mode in ("count", "first"):
+        with pytest.raises(ValueError, match="--limit needs --enumerate"):
+            SearchConfig(n=11, mode=mode, limit=1)
     with pytest.raises(ValueError, match="workers"):
         SearchConfig(n=11, workers=0)
     with pytest.raises(ValueError):
@@ -470,15 +475,10 @@ def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):
 
 
 def test_cross_validation():
-    cv = cross_validate_construction(11)
-    assert cv.ok
-    assert cv.strong_count == STARTER_COUNTS[(11, True)]
-    assert cv.verified_two and cv.verified_half
-    assert cv.found_two and cv.found_half
-    assert cv.q == 11
-
-
-def test_cross_validation_respects_ceiling(monkeypatch):
-    monkeypatch.setattr(skolem.search, "DEFAULT_CEILING", 9)
-    with pytest.raises(CeilingExceededError):
-        cross_validate_construction(11)
+    # both constructed starters of Z_11 verify and occur in the enumeration
+    built = [build_strong_skolem(11, choice) for choice in BetaChoice]
+    for ps in built:
+        assert full_report(ps).verdicts == (True, True, True)
+    result = search_skolem_starters(SearchConfig(n=11, mode="enumerate"))
+    assert result.count == STARTER_COUNTS[(11, True)]
+    assert {ps.pairs for ps in result.witnesses} == {ps.pairs for ps in built}

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skolem import (
     ConstructionError,
-    NotAStarterError,
     PairSet,
-    Verdict,
     build_strong_starter,
     full_report,
     iter_pair_sets_text,
@@ -17,9 +15,6 @@ from skolem import (
     pair_set_to_text,
     parse_pair_set_text,
     skolem_admissible,
-    verify_skolem,
-    verify_starter,
-    verify_strong,
 )
 import skolem.starters
 
@@ -221,36 +216,32 @@ def test_translation_moves_out_of_range():
 def test_verify_starter_fixtures():
     for table in (S_TWO, S_HALF):
         for n, pairs in table.items():
-            assert verify_starter(PairSet(n, pairs)).ok, (n, pairs)
-    v = verify_starter(PairSet(11, NON_STARTER_PARTITION_11))
-    assert not v
-    assert "difference class" in v.witness
-    assert "(1, 7)" in v.witness and "(3, 8)" in v.witness
+            assert full_report(PairSet(n, pairs)).is_starter, (n, pairs)
+    report = full_report(PairSet(11, NON_STARTER_PARTITION_11))
+    assert not report.is_starter
+    assert "difference class" in report.starter_witness
+    assert "(1, 7)" in report.starter_witness and "(3, 8)" in report.starter_witness
 
 
 def test_verify_starter_uncovered():
-    v = verify_starter(PairSet(11, [(1, 6), (2, 4)]))
-    assert not v.ok
-    assert "uncovered elements" in v.witness
-    assert "3" in v.witness
+    report = full_report(PairSet(11, [(1, 6), (2, 4)]))
+    assert not report.is_starter
+    assert "uncovered elements" in report.starter_witness
+    assert "3" in report.starter_witness
 
 
 def test_verify_strong():
-    assert verify_strong(PairSet(11, S_TWO[11])).ok
-    v = verify_strong(PairSet(11, STARTER_NOT_SKOLEM_11))
-    assert not v
-    assert "share the sum 0" in v.witness
-    with pytest.raises(NotAStarterError, match="strong property"):
-        verify_strong(PairSet(11, NON_STARTER_PARTITION_11))
+    assert full_report(PairSet(11, S_TWO[11])).is_strong
+    report = full_report(PairSet(11, STARTER_NOT_SKOLEM_11))
+    assert not report.is_strong
+    assert "share the sum 0" in report.strong_witness
 
 
 def test_verify_skolem():
-    assert verify_skolem(PairSet(11, S_HALF[11])).ok
-    v = verify_skolem(PairSet(11, STARTER_NOT_SKOLEM_11))
-    assert not v
-    assert "integer differences" in v.witness
-    with pytest.raises(NotAStarterError, match="Skolem property"):
-        verify_skolem(PairSet(11, NON_STARTER_PARTITION_11))
+    assert full_report(PairSet(11, S_HALF[11])).is_skolem
+    report = full_report(PairSet(11, STARTER_NOT_SKOLEM_11))
+    assert not report.is_skolem
+    assert "integer differences" in report.skolem_witness
 
 
 # Inputs with two or more collisions; the walk in canonical pair order
@@ -267,32 +258,25 @@ _STARTER_19 = (
 
 
 @pytest.mark.parametrize(
-    "n, pairs, check, witness",
+    "n, pairs, field, witness",
     [
-        (13, _NON_STARTER_13, verify_starter,
+        (13, _NON_STARTER_13, "starter_witness",
          "pairs (2, 5) and (3, 6) share the difference class +-3 (mod 13)"),
-        (19, _NON_STARTER_19, verify_starter,
+        (19, _NON_STARTER_19, "starter_witness",
          "pairs (3, 12) and (4, 13) share the difference class +-9 (mod 19)"),
-        (27, ((1, 2), (3, 5), (4, 26)), verify_starter,
+        (27, ((1, 2), (3, 5), (4, 26)), "starter_witness",
          "uncovered elements: 6, 7, 8, 9, 10, 11, 12, 13, ... (20 total)"),
-        (19, _STARTER_19, verify_strong,
+        (19, _STARTER_19, "strong_witness",
          "pairs (1, 2) and (4, 18) share the sum 3 (mod 19)"),
-        (19, _STARTER_19, verify_skolem,
+        (19, _STARTER_19, "skolem_witness",
          "integer differences {1, 2, 3, 4, 6, 7, 8, 10, ... (9 total)} "
          "differ from {1, ..., 9}"),
     ],
 )
-def test_witnesses_name_the_first_collision(n, pairs, check, witness):
+def test_witnesses_name_the_first_collision(n, pairs, field, witness):
     # the pairs go in reversed, so only the canonical order can pick them
     ps = PairSet(n, [(y, x) for x, y in reversed(pairs)])
-    assert check(ps) == Verdict(False, witness)
-    report = full_report(ps)
-    field = {
-        verify_starter: "starter_witness",
-        verify_strong: "strong_witness",
-        verify_skolem: "skolem_witness",
-    }[check]
-    assert getattr(report, field) == witness
+    assert getattr(full_report(ps), field) == witness
 
 
 def test_full_report_verdict_matrix():
@@ -304,7 +288,7 @@ def test_full_report_verdict_matrix():
     patterned = full_report(PairSet(11, STARTER_NOT_SKOLEM_11))
     assert patterned.verdicts == (True, False, False)
     assert patterned.has_zero_sum
-    assert patterned.sums == (0, 0, 0, 0, 0)
+    assert PairSet(11, STARTER_NOT_SKOLEM_11).sums() == (0, 0, 0, 0, 0)
 
     broken = full_report(PairSet(11, NON_STARTER_PARTITION_11))
     assert broken.verdicts == (False, False, False)
@@ -315,11 +299,13 @@ def test_full_report_verdict_matrix():
 def test_full_report_verifies_the_starter_once(monkeypatch):
     calls = []
 
+    check = skolem.starters._starter_witness
+
     def counting(ps):
         calls.append(ps)
-        return verify_starter(ps)
+        return check(ps)
 
-    monkeypatch.setattr(skolem.starters, "verify_starter", counting)
+    monkeypatch.setattr(skolem.starters, "_starter_witness", counting)
     for pairs in (S_HALF[11], STARTER_NOT_SKOLEM_11, NON_STARTER_PARTITION_11):
         calls.clear()
         full_report(PairSet(11, pairs))
