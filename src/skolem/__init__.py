@@ -30,7 +30,6 @@ from .construction import (
 from .residues import (
     MAX_MODULUS,
     QrTable,
-    ResidueClass,
     build_qr_table,
     is_prime,
     smallest_qr_generator,
@@ -60,7 +59,6 @@ __all__ = [
     "__version__",
     "MAX_MODULUS",
     "QrTable",
-    "ResidueClass",
     "build_qr_table",
     "is_prime",
     "smallest_qr_generator",

@@ -16,8 +16,8 @@ When additionally q == 3 (mod 8), both beta = 2 and beta = (q+1)/2 (the
 inverse of 2) are non-residues, and S_beta becomes a Skolem starter: the
 pairs are {y, 2y mod q} with y ranging over one residuosity class, and
 folding that class into {1, ..., (q-1)/2} hits each integer difference
-exactly once.  half_set_certificate exposes that folding as a checkable
-object.
+exactly once.  half_set_certificate exposes that folding, with beta naming
+the class, as an object whose pair_set() checks it.
 """
 
 from bisect import bisect_right
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .residues import ResidueClass, _check_modulus, is_prime
+from .residues import _check_modulus, is_prime
 from .starters import PairSet
 
 
@@ -142,7 +142,6 @@ class HalfSetCertificate:
 
     q: int
     beta: int
-    doubled_class: ResidueClass
     direct: tuple[int, ...]
     reflected: tuple[int, ...]
 
@@ -152,14 +151,17 @@ class HalfSetCertificate:
 
     def difference_pairs(self) -> dict[int, tuple[int, int]]:
         """Map each integer difference d in 1..t to the pair realising it."""
-        out = {d: (d, 2 * d) for d in self.direct}
-        for d in self.reflected:
-            out[d] = (self.q - 2 * d, self.q - d)
-        return out
+        return {y - x: (x, y) for x, y in self.pair_set()}
 
     def pair_set(self) -> PairSet:
-        """The full starter reassembled from the certificate alone."""
-        return PairSet(self.q, self.difference_pairs().values())
+        """The full starter reassembled from the certificate alone; raises
+        ValueError unless it realises each difference 1..t exactly once."""
+        xs = [0] * self.t
+        for d in self.direct:
+            xs[d - 1] = d
+        for d in self.reflected:
+            xs[d - 1] = self.q - 2 * d
+        return PairSet._from_witness(self.q, xs)
 
 
 def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
@@ -171,8 +173,6 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     """
     c = _as_choice(choice)
     _require_skolem_q(q)
-    qr = c is BetaChoice.TWO
-    doubled = ResidueClass.QR if qr else ResidueClass.NQR
     t = (q - 1) // 2
     # one sorted pass over the squares: low holds the squares d <= t, high
     # the d <= t with q - d a square.  The check below shows that exactly
@@ -182,15 +182,14 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     k = bisect_right(squares, t)
     low = tuple(squares[:k])
     high = tuple([q - s for s in reversed(squares[k:])])
-    direct, reflected = (low, high) if qr else (high, low)
+    direct, reflected = (low, high) if c is BetaChoice.TWO else (high, low)
     if sorted(direct + reflected) != list(range(1, t + 1)):
         raise ArithmeticError(
-            f"folding of the {doubled.value} class does not partition 1..{t}"
+            f"folding for beta = {c.beta(q)} does not partition 1..{t}"
         )
     return HalfSetCertificate(
         q=q,
         beta=c.beta(q),
-        doubled_class=doubled,
         direct=direct,
         reflected=reflected,
     )
@@ -205,8 +204,9 @@ def enumerate_strong_skolem(
     q_max: int,
     choices: tuple = (BetaChoice.TWO, BetaChoice.HALF),
 ) -> Iterator[tuple[int, BetaChoice, PairSet]]:
-    """Yield (q, choice, starter) for every applicable prime q <= q_max."""
+    """Yield (q, choice, starter) for every q in construction_primes(q_max)."""
     normalized = tuple(_as_choice(c) for c in choices)
     for q in construction_primes(q_max):
+        _check_modulus(q)
         for c in normalized:
-            yield q, c, build_strong_skolem(q, c)
+            yield q, c, _starter(q, c.beta(q))

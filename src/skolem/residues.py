@@ -10,7 +10,6 @@ at 63.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 MAX_MODULUS = 2**31 - 1
 
@@ -76,13 +75,6 @@ def _require_prime(q) -> None:
     _check_modulus(q)
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-
-
-class ResidueClass(Enum):
-    """Quadratic residuosity of an element of Z_q."""
-
-    QR = "qr"
-    NQR = "nqr"
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:

@@ -124,6 +124,9 @@ class SearchConfig:
         _require_int("workers", self.workers)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("require_strong", "force"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
     @property
     def t(self) -> int:

@@ -8,8 +8,8 @@ Skolem when the plain integer differences y - x (taking y > x) are exactly
 
 PairSet is the shared container: immutable, canonically ordered, restricted
 to well-formed inputs (odd n, elements in 1..n-1, no element reused).
-Search witnesses enter through PairSet._from_witness, which checks each one
-in a single partition test instead of pair by pair.  full_report is the one
+Search witnesses and certificates enter through PairSet._from_witness, one
+partition test in place of a pair-by-pair walk.  full_report is the one
 verifier: it decides the three properties and returns a human-readable
 witness for each failure.
 
@@ -50,9 +50,9 @@ class PairSet:
     per-pair walk _reject run, which raises for the first faulty pair in
     input order, or accepts an int subclass the exact-type test turned away.
 
-    Search kernel witnesses take the other entry, _from_witness, which
-    skips the pair-by-pair checks: it asks only that the witness partition
-    {1, ..., n-1} exactly, and leaves n to the caller to validate once.
+    Search witnesses and certificates take the other entry, _from_witness,
+    which asks only that the witness partition {1, ..., n-1} exactly and
+    leaves n to the caller to validate once: no pair-by-pair checks.
     """
 
     n: int
@@ -93,7 +93,7 @@ class PairSet:
 
     @classmethod
     def _from_witness(cls, n: int, xs) -> "PairSet":
-        """The PairSet of a kernel witness xs, where xs[d - 1] = x is the
+        """The PairSet of a witness xs, where xs[d - 1] = x is the
         smaller element of the difference-d pair (x, x + d).
 
         n must already be a valid modulus.  The one check here is that the
@@ -108,7 +108,7 @@ class PairSet:
             and max(ys) <= n - 1
         ):
             raise ValueError(
-                f"kernel witness {tuple(xs)!r} does not partition 1..{n - 1}"
+                f"witness {tuple(xs)!r} does not partition 1..{n - 1}"
             )
         ps = object.__new__(cls)
         object.__setattr__(ps, "n", n)

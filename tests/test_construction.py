@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -6,7 +7,6 @@ from skolem import (
     BetaChoice,
     ConstructionError,
     PairSet,
-    ResidueClass,
     build_qr_table,
     build_strong_skolem,
     build_strong_starter,
@@ -179,10 +179,6 @@ def test_half_set_certificate_structure():
             assert cert.reflected == tuple(d for d in range(1, t + 1) if q - d in members)
             assert cert.t == t
             assert cert.beta == choice.beta(q)
-            expected_class = (
-                ResidueClass.QR if choice is BetaChoice.TWO else ResidueClass.NQR
-            )
-            assert cert.doubled_class is expected_class
             combined = sorted(cert.direct + cert.reflected)
             assert combined == list(range(1, t + 1))
             assert not set(cert.direct) & set(cert.reflected)
@@ -200,6 +196,19 @@ def test_half_set_certificate_rebuilds_starter():
             assert half_set_certificate(q, choice).pair_set() == build_strong_skolem(
                 q, choice
             )
+
+
+def test_incomplete_certificate_raises():
+    # every view of a certificate goes through the partition check, so a
+    # certificate that misses a difference or holds one twice is refused
+    cert = half_set_certificate(11)
+    dropped = dataclasses.replace(cert, direct=cert.direct[:-1])
+    doubled = dataclasses.replace(cert, reflected=cert.reflected + cert.direct[:1])
+    for bad in (dropped, doubled):
+        with pytest.raises(ValueError, match="does not partition 1..10"):
+            bad.pair_set()
+        with pytest.raises(ValueError, match="does not partition 1..10"):
+            bad.difference_pairs()
 
 
 def test_half_set_certificate_rejections():

@@ -1,8 +1,15 @@
 import pytest
 import sympy
 
+import skolem.construction
 import skolem.residues
-from skolem import MAX_MODULUS, build_qr_table, is_prime, smallest_qr_generator
+from skolem import (
+    MAX_MODULUS,
+    build_qr_table,
+    enumerate_strong_skolem,
+    is_prime,
+    smallest_qr_generator,
+)
 
 from _fixtures import NQR_SETS, QR_SETS, SMALLEST_QR_GENERATOR
 from _naive import cycle_qr_generators
@@ -92,6 +99,18 @@ def test_each_call_runs_miller_rabin_once(monkeypatch):
         calls.clear()
         fn(43)
         assert calls == [43], fn.__name__
+
+
+def test_enumeration_runs_miller_rabin_once_per_candidate(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(skolem.construction, "is_prime", counting_is_prime)
+    list(enumerate_strong_skolem(100))
+    assert calls == list(range(3, 101, 8))
 
 
 def test_minus_one_rule():

@@ -190,6 +190,11 @@ def test_search_config_validation():
             SearchConfig(n=11, mode=mode, limit=1)
     with pytest.raises(ValueError, match="workers"):
         SearchConfig(n=11, workers=0)
+    # a truthy non-bool such as "no" would otherwise switch the flag on
+    for field in ("require_strong", "force"):
+        for value in ("no", 1, None):
+            with pytest.raises(TypeError, match=f"{field} must be a bool, got {value!r}"):
+                SearchConfig(n=11, **{field: value})
     with pytest.raises(ValueError):
         SearchConfig(n=11, mode="everything")
     with pytest.raises(ValueError):
