@@ -156,7 +156,15 @@ class HalfSetCertificate:
     def pair_set(self) -> PairSet:
         """The full starter reassembled from the certificate alone; raises
         ValueError unless it realises each difference 1..t exactly once."""
-        xs = [0] * self.t
+        t = self.t
+        entries = (*self.direct, *self.reflected)
+        # in bulk first; the walk runs only to name a bad entry
+        if not ({*map(type, entries)} <= {int}
+                and min(entries, default=1) >= 1 and max(entries, default=t) <= t):
+            for d in entries:
+                if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
+                    raise ValueError(f"certificate entry {d!r} is not an int in 1..{t}")
+        xs = [0] * t
         for d in self.direct:
             xs[d - 1] = d
         for d in self.reflected:

@@ -9,23 +9,24 @@ its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
 difference t) and merges the parts in ascending x.  With workers > 1 the
 parts of the compiled kernel, which walks with the GIL released, run on
-threads; the pure kernel holds the GIL, so its parts run on a process
-pool.  The reflection x -> n - x - d maps starters to starters and
-partition x to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds
-each mirror pair twice; its node count is still that of the whole tree.
+plain threads; the pure kernel holds the GIL, so its parts run on a
+process pool.  `import skolem` loads neither an executor nor the pure
+kernel: concurrent.futures is imported only for that pool, and _pysearch
+only when a search picks it.  The reflection x -> n - x - d maps
+starters to starters and partition x to t + 1 - x, so a count walks only
+x = 1..ceil(t/2) and adds each mirror pair twice; its node count is
+still that of the whole tree.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above DEFAULT_CEILING (27) unless forced.
 """
 
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from . import _pysearch
 from .starters import PairSet
 
 try:
@@ -64,6 +65,8 @@ def _kernel(n: int):
     """The kernel for a search of order n and its backend name."""
     if _fastsearch is not None and n <= _fastsearch.MAX_N:
         return _fastsearch, "compiled"
+    from . import _pysearch
+
     return _pysearch, "pure"
 
 
@@ -90,11 +93,11 @@ class SearchConfig:
     stays exact past the cap).
     require_strong restricts the walk to strong starters.  COUNT_ALL walks
     the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
-    all t of them, spread over min(workers, partitions) threads (processes
-    on the pure kernel) when workers > 1; FIRST_WITNESS runs on one
-    worker, walking the partitions in order until one holds a starter, so
-    the witness is the deterministic depth-first one.  force bypasses the
-    ceiling.
+    all t of them, spread over min(workers, partitions) plain threads
+    (pool processes on the pure kernel) when workers > 1; FIRST_WITNESS
+    runs on one worker, walking the partitions in order until one holds a
+    starter, so the witness is the deterministic depth-first one.  force
+    bypasses the ceiling.
     """
 
     n: int
@@ -147,8 +150,8 @@ class SearchResult:
     through PairSet._from_witness: one partition check of 1..n-1 per
     witness, with n validated once by SearchConfig.  wall_time times the
     walk only (kernel calls, worker start-up and merge), not the building
-    of the PairSets.  workers is the number of threads, or processes on
-    the pure kernel, the walk used.
+    of the PairSets.  workers is the number of plain threads, or pool
+    processes on the pure kernel, the walk used.
     """
 
     n: int
@@ -161,6 +164,59 @@ class SearchResult:
     wall_time: float
     backend: str
     workers: int
+
+
+def _thread_map(workers: int, fn, *iterables) -> list:
+    """[fn(*args) for args in zip(*iterables)], run on `workers` threads.
+
+    Like Executor.map, it draws every call's arguments up front and keeps
+    the results in call order; the first call, in that order, that raised
+    re-raises here, and no call not yet begun starts after a failure.  If
+    the wait is interrupted (Ctrl-C), no call not yet begun starts, the
+    running ones finish, and every thread is joined before the exception
+    propagates.  Plain threads spare `import skolem` the import of
+    concurrent.futures, about a third of its cost.
+    """
+    calls = list(zip(*iterables))
+    results = [None] * len(calls)
+    errors = {}
+    queue = list(enumerate(calls))[::-1]  # popped from the end, in order
+    # The wait is on this semaphore, not on Thread.join: an interrupted
+    # join can mark a thread that is still running as stopped (CPython
+    # 3.11), after which joining it again returns at once.
+    exited = threading.Semaphore(0)
+
+    def work():
+        # list.pop and list.clear are atomic, so each call runs once
+        while True:
+            try:
+                i, args = queue.pop()
+            except IndexError:
+                break
+            try:
+                results[i] = fn(*args)
+            except BaseException as exc:
+                errors[i] = exc
+                queue.clear()
+        exited.release()
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(calls))):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        for _ in threads:
+            exited.acquire()
+    except BaseException:
+        queue.clear()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def search_skolem_starters(config: SearchConfig) -> SearchResult:
@@ -199,24 +255,23 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
 
     started = time.perf_counter()
     if workers == 1:
-        pool = nullcontext()
-    elif mod is _pysearch:
+        parts = map(*calls)
+    elif backend_name == "pure":
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers)
+        with ProcessPoolExecutor(workers) as pool:
+            parts = list(pool.map(*calls))
     else:
-        pool = ThreadPoolExecutor(workers)
-    with pool as executor:
-        parts = map(*calls) if executor is None else executor.map(*calls)
-        for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
-            weight = 2 if mirrored and 2 * x != t + 1 else 1
-            count += weight * part_count
-            nodes += weight * part_nodes
-            raw_witnesses += part_witnesses
-            if collect >= 0:
-                del raw_witnesses[collect:]
-            if 0 < stop_after <= count:
-                break
+        parts = _thread_map(workers, *calls)
+    for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
+        weight = 2 if mirrored and 2 * x != t + 1 else 1
+        count += weight * part_count
+        nodes += weight * part_nodes
+        raw_witnesses += part_witnesses
+        if collect >= 0:
+            del raw_witnesses[collect:]
+        if 0 < stop_after <= count:
+            break
     elapsed = time.perf_counter() - started
 
     return SearchResult(

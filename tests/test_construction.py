@@ -209,6 +209,16 @@ def test_incomplete_certificate_raises():
             bad.pair_set()
         with pytest.raises(ValueError, match="does not partition 1..10"):
             bad.difference_pairs()
+    # an entry outside 1..t, or not an int, is named before any indexing:
+    # 6 used to raise IndexError, 5.0 TypeError, and -1 wrapped round to
+    # the slot of difference t
+    for entry in (6, 5.0, -1):
+        bad = dataclasses.replace(cert, direct=(1, 3, 4, entry))
+        message = re.escape(f"certificate entry {entry!r} is not an int in 1..5")
+        with pytest.raises(ValueError, match=message):
+            bad.pair_set()
+        with pytest.raises(ValueError, match=message):
+            bad.difference_pairs()
 
 
 def test_half_set_certificate_rejections():

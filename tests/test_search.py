@@ -1,5 +1,6 @@
 import inspect
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -327,14 +328,80 @@ def test_compiled_kernel_releases_the_gil(fastsearch):
     assert any(start + quarter < tick < end - quarter for tick in ticks)
 
 
-def test_import_loads_no_process_pool():
-    # threads run the compiled kernel's partitions, so only a pure-kernel
-    # search with workers > 1 imports multiprocessing
-    pools = ["concurrent.futures.process", "multiprocessing"]
-    probe = f"import sys, skolem; print([m for m in {pools!r} if m in sys.modules])"
+def test_import_loads_no_executor_and_no_pure_kernel(fastsearch):
+    # compiled partitions run on plain threads, so only a pure-kernel
+    # search with workers > 1 imports concurrent.futures (and with it
+    # logging and multiprocessing); the pure kernel itself loads only when
+    # a search picks it, so with the C kernel built only that one loads
+    lazy = ["concurrent.futures", "logging", "multiprocessing", "skolem._pysearch"]
+    probe = (f"import sys, skolem; print([m for m in {lazy!r} if m in sys.modules], "
+             f"'skolem._fastsearch' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] True"
+
+
+@pytest.mark.parametrize("failing", [{2}, {1, 2}], ids=["part-2", "parts-1-and-2"])
+def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch, failing):
+    # a part that raises re-raises in the caller once every thread is
+    # joined; parts start in ascending order and stop at the failure.  When
+    # two parts fail, the first in partition order wins, not the first in
+    # time: part 1 raises only after part 2 has.
+    tops = []
+    second_failed = threading.Event()
+
+    class RecordingKernel:
+        MAX_N = fastsearch.MAX_N
+
+        @staticmethod
+        def run_search(*args):
+            top = args[5]
+            tops.append(top)
+            if top not in failing:
+                return fastsearch.run_search(*args)
+            if top == 2:
+                second_failed.set()
+            else:
+                assert second_failed.wait(10)
+            raise RuntimeError(f"partition {top} failed")
+
+    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"partition {min(failing)} failed"):
+        search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
+    assert threading.active_count() == before
+    assert sorted(tops) == list(range(1, len(tops) + 1))
+
+
+def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch, monkeypatch):
+    # Ctrl-C while the caller waits on two running parts: both finish, no
+    # queued part starts, and every thread is joined before the
+    # KeyboardInterrupt propagates
+    started, finished = [], []
+    both_running = threading.Event()
+
+    class RecordingKernel:
+        MAX_N = fastsearch.MAX_N
+
+        @staticmethod
+        def run_search(*args):
+            started.append(args[5])
+            if args[5] == 2:
+                both_running.set()
+            if args[5] == 1:
+                assert both_running.wait(10)
+                time.sleep(0.05)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.2)
+            finished.append(args[5])
+            return fastsearch.run_search(*args)
+
+    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
+    assert threading.active_count() == before
+    assert sorted(started) == sorted(finished) == [1, 2]
 
 
 def test_mirror_partitions_have_equal_counts_and_nodes(fastsearch):
