@@ -125,7 +125,9 @@ def _read_input(path: str) -> str:
 
 
 def _parse_any(text: str) -> PairSet:
-    """Accept either the text format or a JSON pair-set object."""
+    """Accept either the text format or a JSON pair-set object, after one
+    leading UTF-8 byte-order mark, if any."""
+    text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return pair_set_from_obj(json.loads(stripped))

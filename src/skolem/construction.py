@@ -100,7 +100,15 @@ def _starter(q: int, beta: int) -> PairSet:
             "beta = q - 1 makes every pair sum to zero; "
             "the starter cannot be strong"
         )
-    return PairSet(q, [(x, beta * x % q) for x in residues])
+    # the pairs {x, beta * x mod q}, smaller element first
+    xs, ys = [], []
+    for x in residues:
+        y = beta * x % q
+        if x > y:
+            x, y = y, x
+        xs.append(x)
+        ys.append(y)
+    return PairSet._from_pairs(q, xs, ys)
 
 
 def build_strong_starter(q: int, beta: int) -> PairSet:
@@ -164,12 +172,10 @@ class HalfSetCertificate:
             for d in entries:
                 if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
                     raise ValueError(f"certificate entry {d!r} is not an int in 1..{t}")
-        xs = [0] * t
-        for d in self.direct:
-            xs[d - 1] = d
-        for d in self.reflected:
-            xs[d - 1] = self.q - 2 * d
-        return PairSet._from_witness(self.q, xs)
+        q = self.q
+        xs = [*self.direct, *[q - 2 * d for d in self.reflected]]
+        ys = [*[2 * d for d in self.direct], *[q - d for d in self.reflected]]
+        return PairSet._from_pairs(q, xs, ys)
 
 
 def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:

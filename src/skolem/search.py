@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from operator import add
 
 from .starters import PairSet
 
@@ -147,7 +148,7 @@ class SearchResult:
     tree, the walked partitions with each mirror pair doubled, which the
     reflection makes exact.  witnesses holds collected starters in
     deterministic depth-first order.  Each witness becomes a PairSet
-    through PairSet._from_witness: one partition check of 1..n-1 per
+    through PairSet._from_pairs: one partition check of 1..n-1 per
     witness, with n validated once by SearchConfig.  wall_time times the
     walk only (kernel calls, worker start-up and merge), not the building
     of the PairSets.  workers is the number of plain threads, or pool
@@ -273,6 +274,8 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started
+    # a kernel witness holds xs[d - 1] = x for its difference-d pair (x, x + d)
+    ds = range(1, t + 1)
 
     return SearchResult(
         n=n,
@@ -280,7 +283,9 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         require_strong=strong,
         count=count,
         nodes_explored=nodes,
-        witnesses=tuple(PairSet._from_witness(n, xs) for xs in raw_witnesses),
+        witnesses=tuple(
+            PairSet._from_pairs(n, xs, [*map(add, xs, ds)]) for xs in raw_witnesses
+        ),
         complete=not stop_after or count == 0,
         wall_time=elapsed,
         backend=backend_name,

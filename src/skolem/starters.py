@@ -7,19 +7,17 @@ Skolem when the plain integer differences y - x (taking y > x) are exactly
 {1, ..., (n-1)/2}.
 
 PairSet is the shared container: immutable, canonically ordered, restricted
-to well-formed inputs (odd n, elements in 1..n-1, no element reused).
-Search witnesses and certificates enter through PairSet._from_witness, one
-partition test in place of a pair-by-pair walk.  full_report is the one
-verifier: it decides the three properties and returns a human-readable
-witness for each failure.
-
-Every check here is decided in bulk, by a few set, min, max or sorted
-comparisons over whole tuples.  The pair-by-pair walk runs only when the
-answer is no, to name the first fault in input or canonical order.
+to well-formed inputs (odd n, elements in 1..n-1, no element reused).  It
+has two ways in: PairSet(n, pairs) checks outside input pair by pair, and
+the pair sets the package builds itself (search witnesses, certificates
+and the construction) enter through PairSet._from_pairs, one partition
+test of 1..n-1.  full_report is the one verifier: it decides the three
+properties in bulk, by a few set, size or sorted comparisons over whole
+tuples, and walks pair by pair only on a no, to name the first fault in
+canonical order.
 """
 
 from dataclasses import dataclass
-from operator import add
 from typing import Iterator
 
 from .residues import _check_modulus
@@ -44,15 +42,15 @@ class PairSet:
     n, elements in range, no reuse) is enforced here; whether the set is a
     starter is a separate question answered by full_report.
 
-    The constructor decides well-formedness in bulk: every pair has two
-    elements, every element is exactly an int, none repeats, and the
-    smallest and largest lie in 1..n-1.  Only when that fails does the
-    per-pair walk _reject run, which raises for the first faulty pair in
-    input order, or accepts an int subclass the exact-type test turned away.
+    The constructor checks outside input in one pass, pair by pair, and
+    raises for the first faulty pair in input order: a pair without
+    exactly two elements, an element that is not an int (int subclasses
+    such as IntEnum members pass, bool does not), outside 1..n-1 or
+    already used.
 
-    Search witnesses and certificates take the other entry, _from_witness,
-    which asks only that the witness partition {1, ..., n-1} exactly and
-    leaves n to the caller to validate once: no pair-by-pair checks.
+    The pair sets the package builds itself take the other entry,
+    _from_pairs, which asks only that the pairs partition {1, ..., n-1}
+    exactly and leaves n to the caller to validate once.
     """
 
     n: int
@@ -61,46 +59,35 @@ class PairSet:
     def __init__(self, n: int, pairs):
         object.__setattr__(self, "n", n)
         _check_modulus(n)
-        raws = []
-        try:
-            raws.extend(pairs)
-        except Exception:
-            # a faulty pair read before the source failed is reported first
-            _reject(n, raws, ())
-            raise
-        # extend keeps the pairs converted before a failing one, so that
-        # _reject does not read them a second time
-        tuples = []
-        try:
-            tuples.extend(map(tuple, raws))
-            canon = [(x, y) if x < y else (y, x) for x, y in tuples]
-        except Exception:
-            canon = None
-        if canon:
-            # every canonical pair has x < y, so min(xs) and max(ys) bound
-            # all the elements
-            xs, ys = zip(*canon)
-            if not (
-                {*map(type, xs), *map(type, ys)} <= {int}
-                and len({*xs, *ys}) == 2 * len(canon)
-                and min(xs) >= 1
-                and max(ys) <= n - 1
-            ):
-                canon = None
-        if canon is None:
-            canon = _reject(n, raws, tuples)
+        seen = set()
+        canon = []
+        for raw in pairs:
+            pair = tuple(raw)
+            if len(pair) != 2:
+                raise ValueError(f"pair {raw!r} does not have exactly two elements")
+            x, y = pair
+            for el in pair:
+                if not isinstance(el, int) or isinstance(el, bool):
+                    raise TypeError(f"pair element {el!r} is not an int")
+                if not 1 <= el <= n - 1:
+                    raise ValueError(f"element {el} outside 1..{n - 1}")
+            if x == y:
+                raise ValueError(f"pair ({x}, {y}) repeats an element")
+            for el in pair:
+                if el in seen:
+                    raise ValueError(f"element {el} appears in more than one pair")
+                seen.add(el)
+            canon.append((x, y) if x < y else (y, x))
         object.__setattr__(self, "pairs", tuple(sorted(canon)))
 
     @classmethod
-    def _from_witness(cls, n: int, xs) -> "PairSet":
-        """The PairSet of a witness xs, where xs[d - 1] = x is the
-        smaller element of the difference-d pair (x, x + d).
+    def _from_pairs(cls, n: int, xs, ys) -> "PairSet":
+        """The PairSet of the pairs (xs[i], ys[i]), built by the package
+        itself, which guarantees xs[i] < ys[i] and a valid modulus n.
 
-        n must already be a valid modulus.  The one check here is that the
-        (n - 1) // 2 pairs use every element of 1..n-1 exactly once; a
-        witness that fails it raises ValueError.
+        The one check here is that the pairs use every element of 1..n-1
+        exactly once; a pair set that fails it raises ValueError.
         """
-        ys = [*map(add, xs, range(1, len(xs) + 1))]
         if not (
             2 * len(xs) == n - 1
             and len({*xs, *ys}) == n - 1
@@ -108,7 +95,7 @@ class PairSet:
             and max(ys) <= n - 1
         ):
             raise ValueError(
-                f"witness {tuple(xs)!r} does not partition 1..{n - 1}"
+                f"pair set {tuple(zip(xs, ys))!r} does not partition 1..{n - 1}"
             )
         ps = object.__new__(cls)
         object.__setattr__(ps, "n", n)
@@ -149,37 +136,6 @@ class PairSet:
     def __contains__(self, pair) -> bool:
         x, y = pair
         return ((x, y) if x < y else (y, x)) in self.pairs
-
-
-def _reject(n: int, raws: list, tuples) -> list:
-    """The per-pair walk behind PairSet: the canonical pairs of raws, or
-    the exception for the first fault in input order.
-
-    tuples[i] is tuple(raws[i]) for a prefix of raws already converted, so
-    no pair is read twice.  PairSet.__init__ runs this only when its bulk
-    check fails; then it names the fault, or accepts an int subclass such
-    as an IntEnum member that the exact-type test turned away.
-    """
-    seen = set()
-    canon = []
-    for i, raw in enumerate(raws):
-        pair = tuples[i] if i < len(tuples) else tuple(raw)
-        if len(pair) != 2:
-            raise ValueError(f"pair {raw!r} does not have exactly two elements")
-        x, y = pair
-        for el in (x, y):
-            if not isinstance(el, int) or isinstance(el, bool):
-                raise TypeError(f"pair element {el!r} is not an int")
-            if not 1 <= el <= n - 1:
-                raise ValueError(f"element {el} outside 1..{n - 1}")
-        if x == y:
-            raise ValueError(f"pair ({x}, {y}) repeats an element")
-        for el in (x, y):
-            if el in seen:
-                raise ValueError(f"element {el} appears in more than one pair")
-            seen.add(el)
-        canon.append((x, y) if x < y else (y, x))
-    return canon
 
 
 def _preview(values, limit: int = 8) -> str:

@@ -1,18 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here imports the package under test.  naive_pair_set validates
-and canonicalises a pair list one pair at a time, the walk the package's
-bulk check must agree with.  naive_verdicts re-decides the
-three starter properties with quadratic scans over plain tuples, and
-element_driven_starters enumerates (strong) Skolem starters by always
-extending the smallest uncovered element, a different strategy from the
-difference-driven package kernels.  generator_starter builds the
-construction's starter in the paper's generator form, while the package
-builds it from the set of quadratic residues, and cycle_qr_generators
-lists every generator alpha of the residues by walking each residue's
-cycle of powers, with no order factorisation.  sum_array_walk walks
-the package kernels' tree recursively, testing each candidate's own sum
-where the kernels mask candidates by half-sums.
+and canonicalises a pair list one pair at a time; PairSet(n, pairs) must
+give the same pairs, element types and messages.  naive_verdicts
+re-decides the three starter properties with quadratic scans over plain
+tuples, and element_driven_starters enumerates (strong) Skolem starters
+by always extending the smallest uncovered element, a different strategy
+from the difference-driven package kernels.  generator_starter builds
+the construction's starter in the paper's generator form, while the
+package builds it from the set of quadratic residues, and
+cycle_qr_generators lists every generator alpha of the residues by
+walking each residue's cycle of powers, with no order factorisation.
+sum_array_walk walks the package kernels' tree recursively, testing each
+candidate's own sum where the kernels mask candidates by half-sums.
 """
 
 

@@ -99,28 +99,42 @@ def test_generate_errors(capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+# Each verify input is also read after a UTF-8 byte-order mark, which
+# some editors write at the start of a file.
+_PREFIXES = ("", "\ufeff")
+
+
 def test_verify_file(tmp_path, capsys):
     path = tmp_path / "starter.txt"
-    path.write_text("n=11\n1 6\n2 4\n3 7\n5 8\n9 10\n")
-    code, out, _ = _run(capsys, "verify", str(path))
-    assert code == 0
-    assert "# required holds: yes" in out
+    for prefix in _PREFIXES:
+        path.write_text(prefix + "n=11\n1 6\n2 4\n3 7\n5 8\n9 10\n", encoding="utf-8")
+        code, out, _ = _run(capsys, "verify", str(path))
+        assert code == 0, repr(prefix)
+        assert "# required holds: yes" in out
 
 
 def test_verify_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("n=11\n1 6\n2 4\n3 7\n5 8\n9 10\n"))
-    code, out, _ = _run(capsys, "verify")
-    assert code == 0
+    for prefix in _PREFIXES:
+        text = prefix + "n=11\n1 6\n2 4\n3 7\n5 8\n9 10\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = _run(capsys, "verify")
+        assert code == 0, repr(prefix)
+        assert "# required holds: yes" in out
 
 
 def test_verify_json_input(tmp_path, capsys):
     path = tmp_path / "starter.json"
-    path.write_text(json.dumps({"n": 11, "pairs": [list(p) for p in S_TWO[11]]}))
-    code, out, _ = _run(capsys, "verify", str(path), "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["command"] == "verify"
-    assert doc["results"]["required_holds"] is True
+    obj = {"n": 11, "pairs": [list(p) for p in S_TWO[11]]}
+    for prefix in _PREFIXES:
+        path.write_text(prefix + json.dumps(obj), encoding="utf-8")
+        code, out, _ = _run(capsys, "verify", str(path), "--json")
+        assert code == 0, repr(prefix)
+        doc = json.loads(out)
+        assert doc["command"] == "verify"
+        assert doc["results"]["required_holds"] is True
+        code, out, _ = _run(capsys, "verify", str(path))
+        assert code == 0, repr(prefix)
+        assert "# required holds: yes" in out
 
 
 def test_verify_property_failure_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import skolem.construction
 from skolem import (
     BetaChoice,
     ConstructionError,
@@ -74,10 +75,23 @@ def test_strong_starter_matches_generator_form():
             ), (q, beta)
 
 
+def _matches_the_walk(ps):
+    """Whether a pair set the package built itself equals the one the
+    checked walk PairSet(n, pairs) makes of its pairs, hash and plain int
+    elements included; _from_pairs trusts its callers to order each pair."""
+    walked = PairSet(ps.n, ps.pairs)
+    return (
+        ps == walked
+        and hash(ps) == hash(walked)
+        and all(type(el) is int for pair in ps.pairs for el in pair)
+    )
+
+
 def test_construction_outputs_verify():
     for q, choice, ps in enumerate_strong_skolem(200):
         assert full_report(ps).verdicts == (True, True, True), (q, choice)
         assert len(ps) == (q - 1) // 2
+        assert _matches_the_walk(ps), (q, choice)
 
 
 def test_strong_starter_for_every_valid_beta():
@@ -89,6 +103,7 @@ def test_strong_starter_for_every_valid_beta():
             ps = build_strong_starter(q, beta)
             report = full_report(ps)
             assert report.is_starter and report.is_strong, (q, beta)
+            assert _matches_the_walk(ps), (q, beta)
 
 
 def test_strong_starter_not_always_skolem():
@@ -219,6 +234,21 @@ def test_incomplete_certificate_raises():
             bad.pair_set()
         with pytest.raises(ValueError, match=message):
             bad.difference_pairs()
+
+
+def test_construction_output_is_a_checked_partition(monkeypatch):
+    # with a residue missing, S_beta misses two elements of 1..q-1; the
+    # construction refuses it instead of returning the shorter set
+    squares = skolem.construction._squares
+    monkeypatch.setattr(
+        skolem.construction, "_squares", lambda q: squares(q) - {max(squares(q))}
+    )
+    with pytest.raises(ValueError, match=r"does not partition 1\.\.10"):
+        build_strong_skolem(11)
+    with pytest.raises(ValueError, match=r"does not partition 1\.\.10"):
+        build_strong_starter(11, 2)
+    with pytest.raises(ValueError, match=r"does not partition 1\.\.2"):
+        next(enumerate_strong_skolem(20))
 
 
 def test_half_set_certificate_rejections():

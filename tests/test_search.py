@@ -92,14 +92,19 @@ def test_pure_kernel_does_not_recurse():
     assert result[:2] == NODE_COUNTS[(21, True)]
 
 
+def _partners(xs):
+    """The larger elements x + d of a witness's pairs, xs[d - 1] = x."""
+    return [x + d for d, x in enumerate(xs, start=1)]
+
+
 def test_witness_constructor_matches_pair_set(fastsearch):
     for n in range(3, 20, 2):
         for strong in (False, True):
             for descending in (True, False):
                 _, _, witnesses = fastsearch.run_search(n, strong, 0, -1, descending, 0)
                 for xs in witnesses:
-                    fast = PairSet._from_witness(n, xs)
-                    checked = PairSet(n, [(x, x + d) for d, x in enumerate(xs, start=1)])
+                    fast = PairSet._from_pairs(n, xs, _partners(xs))
+                    checked = PairSet(n, zip(xs, _partners(xs)))
                     assert fast.pairs == checked.pairs
                     assert fast == checked
                     assert hash(fast) == hash(checked)
@@ -123,7 +128,7 @@ def test_witness_constructor_matches_pair_set(fastsearch):
 )
 def test_witness_constructor_rejects_non_partitions(n, xs):
     with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
-        PairSet._from_witness(n, xs)
+        PairSet._from_pairs(n, xs, _partners(xs))
 
 
 def test_variable_order_does_not_change_the_count():
