@@ -130,7 +130,10 @@ def _parse_any(text: str) -> PairSet:
     text = text.removeprefix("\ufeff")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return pair_set_from_obj(json.loads(stripped))
+        try:
+            return pair_set_from_obj(json.loads(stripped))
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
     return parse_pair_set_text(text)
 
 
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers: threads, or processes on the pure kernel",
+        help="parallel threads on the compiled kernel (the pure kernel runs on one)",
     )
     sea.add_argument(
         "--force",

@@ -9,10 +9,9 @@ its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
 difference t) and merges the parts in ascending x.  With workers > 1 the
 parts of the compiled kernel, which walks with the GIL released, run on
-plain threads; the pure kernel holds the GIL, so its parts run on a
-process pool.  `import skolem` loads neither an executor nor the pure
-kernel: concurrent.futures is imported only for that pool, and _pysearch
-only when a search picks it.  The reflection x -> n - x - d maps
+plain threads; the pure kernel holds the GIL, so it runs on one worker,
+which also sees Ctrl-C at once.  `import skolem` loads no executor, and
+_pysearch only when a search picks it.  The reflection x -> n - x - d maps
 starters to starters and partition x to t + 1 - x, so a count walks only
 x = 1..ceil(t/2) and adds each mirror pair twice; its node count is
 still that of the whole tree.
@@ -95,10 +94,10 @@ class SearchConfig:
     require_strong restricts the walk to strong starters.  COUNT_ALL walks
     the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
     all t of them, spread over min(workers, partitions) plain threads
-    (pool processes on the pure kernel) when workers > 1; FIRST_WITNESS
-    runs on one worker, walking the partitions in order until one holds a
-    starter, so the witness is the deterministic depth-first one.  force
-    bypasses the ceiling.
+    when workers > 1 on the compiled kernel; the pure kernel, which holds
+    the GIL, and FIRST_WITNESS run on one worker, the latter walking the
+    partitions in order until one holds a starter, so the witness is the
+    deterministic depth-first one.  force bypasses the ceiling.
     """
 
     n: int
@@ -151,8 +150,8 @@ class SearchResult:
     through PairSet._from_pairs: one partition check of 1..n-1 per
     witness, with n validated once by SearchConfig.  wall_time times the
     walk only (kernel calls, worker start-up and merge), not the building
-    of the PairSets.  workers is the number of plain threads, or pool
-    processes on the pure kernel, the walk used.
+    of the PairSets.  workers is the number of plain threads the walk
+    used: always 1 for FIRST_WITNESS and on the pure kernel.
     """
 
     n: int
@@ -175,8 +174,8 @@ def _thread_map(workers: int, fn, *iterables) -> list:
     re-raises here, and no call not yet begun starts after a failure.  If
     the wait is interrupted (Ctrl-C), no call not yet begun starts, the
     running ones finish, and every thread is joined before the exception
-    propagates.  Plain threads spare `import skolem` the import of
-    concurrent.futures, about a third of its cost.
+    propagates.  Plain threads spare `import skolem` the import of the
+    standard executors, about a third of its cost.
     """
     calls = list(zip(*iterables))
     results = [None] * len(calls)
@@ -244,26 +243,18 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     # every part twice but the middle one of odd t, its own mirror.
     mirrored = config.mode is SearchMode.COUNT_ALL
     tops = range(1, (t + 1) // 2 + 1 if mirrored else t + 1)
-    workers = 1 if stop_after else min(config.workers, len(tops))
+    workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(tops))
     count = nodes = 0
     raw_witnesses = []
     # The builtin map draws a call's arguments only when the loop asks for
     # that part, so on one worker each part collects just what the cap
-    # still needs; a pool draws them all up front, so the merge truncates.
+    # still needs; threads draw them all up front, so the merge truncates.
     caps = (collect - len(raw_witnesses) if collect >= 0 else -1 for _ in tops)
     calls = (mod.run_search, repeat(n), repeat(strong), repeat(stop_after),
              caps, repeat(True), tops)
 
     started = time.perf_counter()
-    if workers == 1:
-        parts = map(*calls)
-    elif backend_name == "pure":
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers) as pool:
-            parts = list(pool.map(*calls))
-    else:
-        parts = _thread_map(workers, *calls)
+    parts = map(*calls) if workers == 1 else _thread_map(workers, *calls)
     for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
         weight = 2 if mirrored and 2 * x != t + 1 else 1
         count += weight * part_count

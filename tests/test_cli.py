@@ -183,6 +183,12 @@ def test_verify_parse_errors(tmp_path, capsys):
         assert code == 2 and out == "", pairs
         assert err == f"error: pair {shown} is not a two-element list of ints\n"
 
+    # nesting past the JSON decoder's recursion limit is a usage error too
+    malformed.write_text("{\"n\": 11, \"pairs\": " + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = _run(capsys, "verify", str(malformed))
+    assert (code, out) == (2, "")
+    assert err == "error: JSON input is nested too deeply\n"
+
 
 def test_search_count_json(capsys):
     code, out, _ = _run(capsys, "search", "9", "--no-strong", "--json")
@@ -247,14 +253,30 @@ def test_search_workers_json(capsys):
     assert doc["parameters"]["workers"] == 2
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_search_stops_on_ctrl_c(workers):
+_PURE_SEARCH_31 = (
+    "import skolem.search as s; s._fastsearch = None; from skolem.cli import main; "
+    "raise SystemExit(main(['search', '31', '--force', '--workers', '2']))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "skolem", "search", "31", "--force", "--workers", "1"],
+        ["-m", "skolem", "search", "31", "--force", "--workers", "2"],
+        ["-c", _PURE_SEARCH_31],
+    ],
+    ids=["1", "2", "pure-2"],
+)
+def test_search_stops_on_ctrl_c(argv):
     # one worker stops at the kernel's next signal poll; on two the running
     # partitions finish and the queued ones are cancelled.  Uninterrupted,
-    # the two-worker walk takes several seconds.
+    # the two-worker walk takes several seconds.  The pure kernel runs on
+    # one worker whatever --workers asks, so the main thread sees the
+    # signal at once.
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "skolem", "search", "31", "--force", "--workers", workers],
+        [sys.executable, *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,

@@ -275,9 +275,11 @@ def test_first_witness_exhausts_when_none_exists():
 
 
 def _check_partitioned_search(whole_walk, n_max):
-    """search_skolem_starters on one worker or a pool of up to three returns
+    """search_skolem_starters on one worker or up to three threads returns
     exactly whole_walk's triple: counts, node counts (FIRST_WITNESS walks
-    whole partitions before its witness), witness order and cap."""
+    whole partitions before its witness), witness order and cap.  Only the
+    compiled kernel's parts run on threads; the pure kernel's run on one."""
+    threads = active_backend() == "compiled"
     cases = [(SearchMode.COUNT_ALL, None, 0, 0), (SearchMode.FIRST_WITNESS, None, 1, 1)]
     cases += [(SearchMode.ENUMERATE_ALL, lim, 0, cap) for lim, cap in ((None, -1), (1, 1), (3, 3))]
     for n in range(3, n_max + 1, 2):
@@ -295,7 +297,8 @@ def _check_partitioned_search(whole_walk, n_max):
                     # a count walks only the partitions x <= ceil(t/2)
                     t = (n - 1) // 2
                     parts = (t + 1) // 2 if mode is SearchMode.COUNT_ALL else t
-                    assert result.workers == (1 if stop_after else min(workers, parts))
+                    parallel = threads and not stop_after
+                    assert result.workers == (min(workers, parts) if parallel else 1)
 
 
 def test_parallel_matches_sequential(fastsearch):
@@ -304,7 +307,8 @@ def test_parallel_matches_sequential(fastsearch):
 
 
 def test_pure_kernel_parallel_matches_the_naive_walk(fastsearch, monkeypatch):
-    # the pure kernel holds the GIL, so its partitions run on a process pool
+    # the pure kernel holds the GIL, so threads would not speed it up: a
+    # search asked for three threads runs its partitions on one worker
     monkeypatch.setattr(skolem.search, "_fastsearch", None)
     assert active_backend() == "pure"
     _check_partitioned_search(sum_array_walk, 13)
@@ -334,16 +338,20 @@ def test_compiled_kernel_releases_the_gil(fastsearch):
 
 
 def test_import_loads_no_executor_and_no_pure_kernel(fastsearch):
-    # compiled partitions run on plain threads, so only a pure-kernel
-    # search with workers > 1 imports concurrent.futures (and with it
-    # logging and multiprocessing); the pure kernel itself loads only when
-    # a search picks it, so with the C kernel built only that one loads
-    lazy = ["concurrent.futures", "logging", "multiprocessing", "skolem._pysearch"]
+    # compiled partitions run on plain threads and pure ones on one worker,
+    # so no search imports concurrent.futures (nor with it logging and
+    # multiprocessing); the pure kernel itself loads only when a search
+    # picks it, so with the C kernel built only that one loads
+    executors = ["concurrent.futures", "logging", "multiprocessing"]
+    lazy = executors + ["skolem._pysearch"]
     probe = (f"import sys, skolem; print([m for m in {lazy!r} if m in sys.modules], "
-             f"'skolem._fastsearch' in sys.modules)")
+             f"'skolem._fastsearch' in sys.modules); "
+             f"skolem.search._fastsearch = None; "
+             f"r = skolem.search_skolem_starters(skolem.SearchConfig(n=15, workers=2)); "
+             f"print([m for m in {executors!r} if m in sys.modules], r.backend, r.workers)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    assert proc.stdout.strip() == "[] True"
+    assert proc.stdout.splitlines() == ["[] True", "[] pure 1"]
 
 
 @pytest.mark.parametrize("failing", [{2}, {1, 2}], ids=["part-2", "parts-1-and-2"])
