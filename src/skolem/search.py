@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import add
 
 from .starters import PairSet
 
@@ -146,12 +145,14 @@ class SearchResult:
     placements across the whole walk; for COUNT_ALL that is the whole
     tree, the walked partitions with each mirror pair doubled, which the
     reflection makes exact.  witnesses holds collected starters in
-    deterministic depth-first order.  Each witness becomes a PairSet
-    through PairSet._from_pairs: one partition check of 1..n-1 per
-    witness, with n validated once by SearchConfig.  wall_time times the
-    walk only (kernel calls, worker start-up and merge), not the building
-    of the PairSets.  workers is the number of plain threads the walk
-    used: always 1 for FIRST_WITNESS and on the pure kernel.
+    deterministic depth-first order.  They become PairSets in one batch
+    through PairSet._from_witnesses: one range check per difference and
+    one bitmask partition test of 1..n-1 per witness, with n validated
+    once by SearchConfig, and every distinct pair one tuple shared by all
+    the witnesses that hold it.  wall_time times the walk only (kernel
+    calls, worker start-up and merge), not the building of the PairSets.
+    workers is the number of plain threads the walk used: always 1 for
+    FIRST_WITNESS and on the pure kernel.
     """
 
     n: int
@@ -265,8 +266,6 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started
-    # a kernel witness holds xs[d - 1] = x for its difference-d pair (x, x + d)
-    ds = range(1, t + 1)
 
     return SearchResult(
         n=n,
@@ -274,9 +273,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         require_strong=strong,
         count=count,
         nodes_explored=nodes,
-        witnesses=tuple(
-            PairSet._from_pairs(n, xs, [*map(add, xs, ds)]) for xs in raw_witnesses
-        ),
+        witnesses=PairSet._from_witnesses(n, raw_witnesses),
         complete=not stop_after or count == 0,
         wall_time=elapsed,
         backend=backend_name,

@@ -7,17 +7,21 @@ Skolem when the plain integer differences y - x (taking y > x) are exactly
 {1, ..., (n-1)/2}.
 
 PairSet is the shared container: immutable, canonically ordered, restricted
-to well-formed inputs (odd n, elements in 1..n-1, no element reused).  It
-has two ways in: PairSet(n, pairs) checks outside input pair by pair, and
-the pair sets the package builds itself (search witnesses, certificates
-and the construction) enter through PairSet._from_pairs, one partition
-test of 1..n-1.  full_report is the one verifier: it decides the three
-properties in bulk, by a few set, size or sorted comparisons over whole
-tuples, and walks pair by pair only on a no, to name the first fault in
-canonical order.
+to well-formed inputs (odd n, elements in 1..n-1, no element reused).
+Outside input enters through PairSet(n, pairs), checked pair by pair.  The
+pair sets the package builds itself pass a partition test of 1..n-1: one
+pair set at a time through PairSet._from_pairs (certificates and the
+construction), or a whole search's witnesses at once through
+PairSet._from_witnesses, whose pair tuples are shared.  full_report is
+the one verifier: it decides the three properties in bulk, by a few set,
+size or sorted comparisons over whole tuples, and walks pair by pair only
+on a no, to name the first fault in canonical order.  Error messages quote
+outside input cut to its first 80 characters.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, or_
 from typing import Iterator
 
 from .residues import _check_modulus
@@ -48,9 +52,10 @@ class PairSet:
     such as IntEnum members pass, bool does not), outside 1..n-1 or
     already used.
 
-    The pair sets the package builds itself take the other entry,
-    _from_pairs, which asks only that the pairs partition {1, ..., n-1}
-    exactly and leaves n to the caller to validate once.
+    The pair sets the package builds itself take one of two other
+    entries, _from_pairs for one pair set and _from_witnesses for a
+    search's witnesses.  Both ask only that the pairs partition
+    {1, ..., n-1} exactly and leave n to the caller to validate once.
     """
 
     n: int
@@ -64,11 +69,11 @@ class PairSet:
         for raw in pairs:
             pair = tuple(raw)
             if len(pair) != 2:
-                raise ValueError(f"pair {raw!r} does not have exactly two elements")
+                raise ValueError(f"pair {_quote(raw)} does not have exactly two elements")
             x, y = pair
             for el in pair:
                 if not isinstance(el, int) or isinstance(el, bool):
-                    raise TypeError(f"pair element {el!r} is not an int")
+                    raise TypeError(f"pair element {_quote(el)} is not an int")
                 if not 1 <= el <= n - 1:
                     raise ValueError(f"element {el} outside 1..{n - 1}")
             if x == y:
@@ -101,6 +106,39 @@ class PairSet:
         object.__setattr__(ps, "n", n)
         object.__setattr__(ps, "pairs", tuple(sorted(zip(xs, ys))))
         return ps
+
+    @classmethod
+    def _from_witnesses(cls, n: int, witnesses) -> tuple["PairSet", ...]:
+        """The PairSets of a list of search witnesses, for a valid n; xs
+        holds xs[d - 1] = x for its pair (x, x + d), and must have t entries
+        whose pairs partition 1..n-1, else ValueError.
+
+        Each difference column is range-checked once, which keeps every
+        mask within n bits, and tabled: x maps to the pair (x, x + d), one
+        tuple shared by every witness, and to its bitmask.  t pairs
+        partition 1..n-1 iff their masks OR to bits 1..n-1.
+        """
+        t = (n - 1) // 2
+        pairs, masks = [], []
+        for d, column in zip(range(1, t + 1), zip(*witnesses)):
+            values = {*column}
+            if min(values) < 1 or max(values) + d > n - 1:
+                raise ValueError(f"pairs of difference {d} do not partition 1..{n - 1}")
+            pairs.append({x: (x, x + d) for x in values})
+            masks.append({x: 1 << x | 1 << x + d for x in values})
+        if witnesses and len(masks) < t:  # zip stopped at the shortest witness
+            xs = min(witnesses, key=len)
+            raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
+        full = (1 << n) - 2
+        out = []
+        for xs in witnesses:
+            if len(xs) != t or reduce(or_, map(getitem, masks, xs), 0) != full:
+                raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
+            ps = object.__new__(cls)
+            object.__setattr__(ps, "n", n)
+            object.__setattr__(ps, "pairs", tuple(sorted(map(getitem, pairs, xs))))
+            out.append(ps)
+        return tuple(out)
 
     @property
     def t(self) -> int:
@@ -136,6 +174,12 @@ class PairSet:
     def __contains__(self, pair) -> bool:
         x, y = pair
         return ((x, y) if x < y else (y, x)) in self.pairs
+
+
+def _quote(value, limit: int = 80) -> str:
+    """repr(value), cut to limit characters and an ellipsis if longer."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}…"
 
 
 def _preview(values, limit: int = 8) -> str:
@@ -304,18 +348,18 @@ def iter_pair_sets_text(text: str) -> Iterator[PairSet]:
             try:
                 n = int(line[2:])
             except ValueError:
-                raise ValueError(f"line {lineno}: bad header {line!r}") from None
+                raise ValueError(f"line {lineno}: bad header {_quote(line)}") from None
             pairs = []
             continue
         if n is None:
             raise ValueError(f"line {lineno}: pair data before any n= header")
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'x y', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'x y', got {_quote(line)}")
         try:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer pair {line!r}") from None
+            raise ValueError(f"line {lineno}: non-integer pair {_quote(line)}") from None
     if n is not None:
         yield PairSet(n, pairs)
 
@@ -343,12 +387,12 @@ def pair_set_from_obj(obj) -> PairSet:
     except KeyError as exc:
         raise ValueError(f"pair set object is missing the {exc.args[0]!r} key") from None
     if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"'n' must be an int, got {n!r}")
+        raise ValueError(f"'n' must be an int, got {_quote(n)}")
     if not isinstance(pairs, list):
         raise ValueError("'pairs' must be a list of two-element lists")
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
             isinstance(el, int) and not isinstance(el, bool) for el in pair
         )):
-            raise ValueError(f"pair {pair!r} is not a two-element list of ints")
+            raise ValueError(f"pair {_quote(pair)} is not a two-element list of ints")
     return PairSet(n, pairs)

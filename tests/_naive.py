@@ -20,18 +20,24 @@ def naive_pair_set(n, pairs):
     """The canonical sorted (small, large) pairs of a pair list over Z_n, or
     the exception for its first fault, checked pair by pair in input order.
 
-    n must already be a valid modulus.  Expected messages follow PairSet.
+    n must already be a valid modulus.  Expected messages follow PairSet,
+    which quotes a faulty pair or element by its first 80 characters.
     """
+
+    def cut(value):
+        text = repr(value)
+        return text if len(text) <= 80 else f"{text[:80]}…"
+
     seen = set()
     canon = []
     for raw in pairs:
         pair = tuple(raw)
         if len(pair) != 2:
-            raise ValueError(f"pair {raw!r} does not have exactly two elements")
+            raise ValueError(f"pair {cut(raw)} does not have exactly two elements")
         x, y = pair
         for el in (x, y):
             if not isinstance(el, int) or isinstance(el, bool):
-                raise TypeError(f"pair element {el!r} is not an int")
+                raise TypeError(f"pair element {cut(el)} is not an int")
             if not 1 <= el <= n - 1:
                 raise ValueError(f"element {el} outside 1..{n - 1}")
         if x == y:

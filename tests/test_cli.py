@@ -173,10 +173,13 @@ def test_verify_parse_errors(tmp_path, capsys):
     code, _, err = _run(capsys, "verify", str(malformed))
     assert code == 2
 
+    big = [*range(200_000)]
     for pairs, shown in (
         ("[[1.0, 2]]", "[1.0, 2]"),
         ("[1, 2]", "1"),
         ("[null]", "None"),
+        # a long pair is quoted by its first 80 characters
+        (f"[{big}]", f"{str(big)[:80]}…"),
     ):
         malformed.write_text(f"{{\"n\": 11, \"pairs\": {pairs}}}")
         code, out, err = _run(capsys, "verify", str(malformed))

@@ -98,16 +98,34 @@ def _partners(xs):
 
 
 def test_witness_constructor_matches_pair_set(fastsearch):
-    for n in range(3, 20, 2):
-        for strong in (False, True):
-            for descending in (True, False):
-                _, _, witnesses = fastsearch.run_search(n, strong, 0, -1, descending, 0)
-                for xs in witnesses:
-                    fast = PairSet._from_pairs(n, xs, _partners(xs))
-                    checked = PairSet(n, zip(xs, _partners(xs)))
-                    assert fast.pairs == checked.pairs
-                    assert fast == checked
-                    assert hash(fast) == hash(checked)
+    for kernel in (fastsearch, _pysearch):
+        for n in range(3, 20, 2):
+            for strong in (False, True):
+                for descending in (True, False):
+                    _, _, witnesses = kernel.run_search(n, strong, 0, -1, descending, 0)
+                    batch = PairSet._from_witnesses(n, witnesses)
+                    assert len(batch) == len(witnesses)
+                    for xs, from_batch in zip(witnesses, batch):
+                        fast = PairSet._from_pairs(n, xs, _partners(xs))
+                        checked = PairSet(n, zip(xs, _partners(xs)))
+                        for built in (fast, from_batch):
+                            assert built.pairs == checked.pairs
+                            assert built == checked
+                            assert hash(built) == hash(checked)
+
+
+def test_witness_batch_of_none_is_empty():
+    assert PairSet._from_witnesses(11, []) == ()
+
+
+def test_witness_batch_range_checks_each_difference_column():
+    # a witness element outside 1..n-1 is refused before it becomes a mask
+    with pytest.raises(ValueError, match=r"^pairs of difference 1 do not partition 1\.\.10$"):
+        PairSet._from_witnesses(11, [(9, 2, 5, 3, 1), (-(10**9), 2, 5, 3, 1)])
+
+
+# a valid witness for each order the corruption cases below use
+_VALID_WITNESS = {3: (1,), 11: (9, 2, 5, 3, 1)}
 
 
 @pytest.mark.parametrize(
@@ -129,6 +147,25 @@ def test_witness_constructor_matches_pair_set(fastsearch):
 def test_witness_constructor_rejects_non_partitions(n, xs):
     with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
         PairSet._from_pairs(n, xs, _partners(xs))
+    valid = _VALID_WITNESS[n]
+    assert PairSet._from_witnesses(n, [valid])[0].pairs == tuple(sorted(_witness_pairs(valid)))
+    for batch in ([xs], [valid, xs, valid]):
+        with pytest.raises(ValueError, match=f"not partition 1..{n - 1}") as info:
+            PairSet._from_witnesses(n, batch)
+        assert repr(valid) not in str(info.value)  # the fault is not blamed on it
+
+
+def test_witnesses_share_their_pair_tuples(fastsearch):
+    # one tuple per distinct pair (x, x + d), 1 <= x < x + d <= n - 1, not
+    # one per witness and difference
+    n = 19
+    t = (n - 1) // 2
+    distinct_pairs = sum(n - 1 - d for d in range(1, t + 1))
+    for workers in (1, 2):
+        config = SearchConfig(n=n, mode="enumerate", require_strong=False, workers=workers)
+        r = search_skolem_starters(config)
+        assert len(r.witnesses) == STARTER_COUNTS[(n, False)] > distinct_pairs
+        assert len({id(p) for ps in r.witnesses for p in ps.pairs}) <= distinct_pairs
 
 
 def test_variable_order_does_not_change_the_count():

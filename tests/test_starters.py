@@ -106,6 +106,13 @@ def _raising_source(*pairs):
         # a source that fails after a faulty pair still names the pair
         (_raising_source((1, 2), (0, 3)), ValueError, "element 0 outside 1..10"),
         (_raising_source((1, 2)), RuntimeError, "pair source failed"),
+        # outside input is quoted cut to its first 80 characters
+        (
+            [tuple(range(100_000))],
+            ValueError,
+            f"pair {repr(tuple(range(100_000)))[:80]}… does not have exactly two elements",
+        ),
+        ([("x" * 1000, 1)], TypeError, f"pair element '{'x' * 79}… is not an int"),
     ],
 )
 def test_pair_set_names_the_first_fault(pairs, exc, message):
@@ -397,6 +404,47 @@ def test_obj_validation():
     for pair in ([1.0, 2], [True, 2], [1, 2, 3], [1], 1, None, "12"):
         with pytest.raises(ValueError, match="is not a two-element list of ints"):
             pair_set_from_obj({"n": 11, "pairs": [[3, 4], pair]})
+
+
+_LONG = "7" * 1000
+
+
+def _cut(value):
+    return f"{repr(value)[:80]}…"
+
+
+@pytest.mark.parametrize(
+    "parse, data, message",
+    [
+        (parse_pair_set_text, f"n={_LONG}x", f"line 1: bad header {_cut(f'n={_LONG}x')}"),
+        (
+            parse_pair_set_text,
+            f"n=11\n1 6 {_LONG}",
+            f"line 2: expected 'x y', got {_cut(f'1 6 {_LONG}')}",
+        ),
+        (
+            parse_pair_set_text,
+            f"n=11\n1 {_LONG}x",
+            f"line 2: non-integer pair {_cut(f'1 {_LONG}x')}",
+        ),
+        (
+            pair_set_from_obj,
+            {"n": [1] * 1000, "pairs": []},
+            f"'n' must be an int, got {_cut([1] * 1000)}",
+        ),
+        (
+            pair_set_from_obj,
+            {"n": 11, "pairs": [[*range(200_000)]]},
+            f"pair {_cut([*range(200_000)])} is not a two-element list of ints",
+        ),
+    ],
+    ids=["header", "three-fields", "non-integer", "n", "pair"],
+)
+def test_errors_quote_a_bounded_prefix_of_outside_input(parse, data, message):
+    with pytest.raises(ValueError) as info:
+        parse(data)
+    assert str(info.value) == message
+    assert len(message) < 140
 
 
 def _all_partitions(elements):
