@@ -21,6 +21,7 @@ from .construction import (
     build_strong_starter,
     enumerate_strong_skolem,
 )
+from .residues import _quote
 from .search import (
     DEFAULT_CEILING,
     CeilingExceededError,
@@ -69,10 +70,7 @@ def _cmd_generate(args) -> int:
         return EXIT_USAGE
     report = full_report(ps)
     # Self-check: the construction must deliver what it promises.
-    expected_skolem = choice is not None
-    if not report.is_starter or not report.is_strong or (
-        expected_skolem and not report.is_skolem
-    ):
+    if not _requirement_holds(report, "strong" if choice is None else "strong-skolem"):
         _error(
             f"self-check failed for q={args.q}: construction output does "
             f"not verify; this is a bug"
@@ -111,7 +109,7 @@ def _construct(q: int, raw: str):
         beta = int(raw)
     except ValueError:
         raise ConstructionError(
-            f"--beta must be '2', 'half' or an integer, got {raw!r}"
+            f"--beta must be '2', 'half' or an integer, got {_quote(raw)}"
         ) from None
     ps = build_strong_starter(q, beta)
     return None, beta % q, ps
@@ -179,16 +177,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.first:
-        mode = SearchMode.FIRST_WITNESS
-    elif args.enumerate:
-        mode = SearchMode.ENUMERATE_ALL
-    else:
-        mode = SearchMode.COUNT_ALL
     try:
         config = SearchConfig(
             n=args.n,
-            mode=mode,
+            mode=args.mode,
             require_strong=not args.no_strong,
             limit=args.limit,
             workers=args.workers,
@@ -210,7 +202,7 @@ def _cmd_search(args) -> int:
                 "search",
                 {
                     "n": args.n,
-                    "mode": mode.value,
+                    "mode": args.mode.value,
                     "require_strong": not args.no_strong,
                     "limit": args.limit,
                     "workers": result.workers,
@@ -228,7 +220,7 @@ def _cmd_search(args) -> int:
     else:
         kind = "strong skolem" if result.require_strong else "skolem"
         print(
-            f"# search n={result.n} kind={kind} mode={mode.value} "
+            f"# search n={result.n} kind={kind} mode={args.mode.value} "
             f"backend={result.backend} workers={result.workers}"
         )
         for ps in result.witnesses:
@@ -242,14 +234,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    if args.beta == "both":
-        choices = (BetaChoice.TWO, BetaChoice.HALF)
-    else:
-        choices = (BetaChoice(args.beta),)
+    choices = ("2", "half") if args.beta == "both" else (args.beta,)
     entries = []
     try:
         for q, choice, ps in enumerate_strong_skolem(args.q_max, choices):
-            if not all(full_report(ps).verdicts):
+            if not _requirement_holds(full_report(ps), "strong-skolem"):
                 _error(
                     f"self-check failed for q={q} beta={choice.value}; "
                     f"this is a bug"
@@ -335,15 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     sea = sub.add_parser("search", help="exhaustive backtracking search")
     sea.add_argument("n", type=int, help="odd order of Z_n")
     mode = sea.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--count", action="store_true", help="count all starters (default)"
-    )
-    mode.add_argument(
-        "--first", action="store_true", help="stop at the first starter found"
-    )
-    mode.add_argument(
-        "--enumerate", action="store_true", help="count and list the starters"
-    )
+    for flag, const, text in (
+        ("--count", SearchMode.COUNT_ALL, "count all starters (default)"),
+        ("--first", SearchMode.FIRST_WITNESS, "stop at the first starter found"),
+        ("--enumerate", SearchMode.ENUMERATE_ALL, "count and list the starters"),
+    ):
+        mode.add_argument(
+            flag, dest="mode", action="store_const", const=const, help=text
+        )
     sea.add_argument(
         "--limit", type=int, default=None, help="cap listed witnesses (--enumerate)"
     )
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"bypass the search ceiling ({DEFAULT_CEILING})",
     )
     sea.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    sea.set_defaults(func=_cmd_search)
+    sea.set_defaults(func=_cmd_search, mode=SearchMode.COUNT_ALL)
 
     tab = sub.add_parser(
         "tabulate",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .residues import _check_modulus, is_prime
+from .residues import MAX_MODULUS, _check_modulus, _quote, _require_int, is_prime
 from .starters import PairSet
 
 
@@ -50,7 +50,7 @@ def _as_choice(choice) -> BetaChoice:
         return BetaChoice(str(choice))
     except ValueError:
         raise ConstructionError(
-            f"beta choice must be '2' or 'half', got {choice!r}"
+            f"beta choice must be '2' or 'half', got {_quote(choice)}"
         ) from None
 
 
@@ -84,8 +84,7 @@ def _starter(q: int, beta: int) -> PairSet:
     because then every pair sums to zero and the starter cannot be strong;
     for q = 3 the single pair makes the sums trivially distinct.
     """
-    if not isinstance(beta, int) or isinstance(beta, bool):
-        raise TypeError(f"beta must be an int, got {beta!r}")
+    _require_int("beta", beta)
     beta %= q
     residues = _squares(q)
     if beta == 0:
@@ -171,7 +170,7 @@ class HalfSetCertificate:
                 and min(entries, default=1) >= 1 and max(entries, default=t) <= t):
             for d in entries:
                 if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
-                    raise ValueError(f"certificate entry {d!r} is not an int in 1..{t}")
+                    raise ValueError(f"certificate entry {_quote(d)} is not an int in 1..{t}")
         q = self.q
         xs = [*self.direct, *[q - 2 * d for d in self.reflected]]
         ys = [*[2 * d for d in self.direct], *[q - d for d in self.reflected]]
@@ -210,7 +209,10 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
 
 
 def construction_primes(q_max: int) -> list[int]:
-    """All primes q <= q_max with q % 8 == 3, ascending."""
+    """All primes q <= q_max with q % 8 == 3, ascending (q_max <= 2**31 - 1)."""
+    _require_int("q_max", q_max)
+    if q_max > MAX_MODULUS:
+        raise ConstructionError(f"q_max {q_max} exceeds the supported cap 2**31 - 1")
     return [q for q in range(3, q_max + 1, 8) if is_prime(q)]
 
 
@@ -221,6 +223,5 @@ def enumerate_strong_skolem(
     """Yield (q, choice, starter) for every q in construction_primes(q_max)."""
     normalized = tuple(_as_choice(c) for c in choices)
     for q in construction_primes(q_max):
-        _check_modulus(q)
         for c in normalized:
             yield q, c, _starter(q, c.beta(q))

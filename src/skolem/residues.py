@@ -7,6 +7,9 @@ modulus is a plain int q, checked once per public call and capped at
 The compiled search kernel does not depend on this cap: it never
 sees such a modulus, and its own 64-bit masks cap the order it searches
 at 63.
+
+It also holds the package's argument checks, as the other modules import
+it: _require_int, and _quote, which cuts a bad value's repr to 80 characters.
 """
 
 from dataclasses import dataclass
@@ -18,6 +21,17 @@ MAX_MODULUS = 2**31 - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _quote(value, limit: int = 80) -> str:
+    """repr(value), cut to limit characters and an ellipsis if longer."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}…"
+
+
+def _require_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {_quote(value)}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin, fixed base set).
 
@@ -27,7 +41,7 @@ def is_prime(n: int) -> bool:
     bases are no longer proven exact.
     """
     if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"is_prime needs an int, got {n!r}")
+        raise TypeError(f"is_prime needs an int, got {_quote(n)}")
     if n >= 2**64:
         raise ValueError(f"is_prime is exact only below 2**64, got {n}")
     if n < 2:
@@ -56,12 +70,9 @@ def is_prime(n: int) -> bool:
 
 
 def _check_modulus(n) -> None:
-    """Reject anything but an odd int n with 3 <= n <= 2**31 - 1.
-
-    The shape check without the primality test; PairSet needs only this.
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"modulus must be an int, got {n!r}")
+    """Reject anything but an odd int n with 3 <= n <= 2**31 - 1: the shape
+    check without the primality test, all PairSet needs."""
+    _require_int("modulus", n)
     if n < 3:
         raise ValueError(f"modulus must be >= 3, got {n}")
     if n % 2 == 0:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
+from .residues import _quote, _require_int
 from .starters import PairSet
 
 try:
@@ -77,11 +78,6 @@ def active_backend() -> str:
     return _kernel(3)[1]
 
 
-def _require_int(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one exhaustive search over Z_n.
@@ -107,7 +103,10 @@ class SearchConfig:
     force: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", SearchMode(self.mode))
+        try:
+            object.__setattr__(self, "mode", SearchMode(self.mode))
+        except ValueError:
+            raise ValueError(f"{_quote(self.mode)} is not a valid SearchMode") from None
         n = self.n
         _require_int("n", n)
         if n < 3 or n % 2 == 0:
@@ -128,7 +127,7 @@ class SearchConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         for name in ("require_strong", "force"):
             if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+                raise TypeError(f"{name} must be a bool, got {_quote(getattr(self, name))}")
 
     @property
     def t(self) -> int:
@@ -145,14 +144,12 @@ class SearchResult:
     placements across the whole walk; for COUNT_ALL that is the whole
     tree, the walked partitions with each mirror pair doubled, which the
     reflection makes exact.  witnesses holds collected starters in
-    deterministic depth-first order.  They become PairSets in one batch
-    through PairSet._from_witnesses: one range check per difference and
-    one bitmask partition test of 1..n-1 per witness, with n validated
-    once by SearchConfig, and every distinct pair one tuple shared by all
-    the witnesses that hold it.  wall_time times the walk only (kernel
-    calls, worker start-up and merge), not the building of the PairSets.
-    workers is the number of plain threads the walk used: always 1 for
-    FIRST_WITNESS and on the pure kernel.
+    deterministic depth-first order, made PairSets in one batch through
+    PairSet._from_witnesses with n validated once by SearchConfig.
+    wall_time times the walk only (kernel calls, worker start-up and
+    merge), not the building of the PairSets.  workers is the number of
+    plain threads the walk used: always 1 for FIRST_WITNESS and on the
+    pure kernel.
     """
 
     n: int

@@ -7,16 +7,13 @@ Skolem when the plain integer differences y - x (taking y > x) are exactly
 {1, ..., (n-1)/2}.
 
 PairSet is the shared container: immutable, canonically ordered, restricted
-to well-formed inputs (odd n, elements in 1..n-1, no element reused).
-Outside input enters through PairSet(n, pairs), checked pair by pair.  The
-pair sets the package builds itself pass a partition test of 1..n-1: one
-pair set at a time through PairSet._from_pairs (certificates and the
-construction), or a whole search's witnesses at once through
-PairSet._from_witnesses, whose pair tuples are shared.  full_report is
-the one verifier: it decides the three properties in bulk, by a few set,
-size or sorted comparisons over whole tuples, and walks pair by pair only
-on a no, to name the first fault in canonical order.  Error messages quote
-outside input cut to its first 80 characters.
+to well-formed inputs (odd n, elements in 1..n-1, no element reused); its
+docstring names the checked entry for outside input and the two partition
+tests for the package's own pair sets.  full_report is the one verifier:
+it decides the three properties in bulk, by a few set, size or sorted
+comparisons over whole tuples, and walks pair by pair only on a no, to
+name the first fault in canonical order.  Error messages quote outside
+input through residues._quote, cut to its first 80 characters.
 """
 
 from dataclasses import dataclass
@@ -24,7 +21,7 @@ from functools import reduce
 from operator import getitem, or_
 from typing import Iterator
 
-from .residues import _check_modulus
+from .residues import _check_modulus, _quote
 
 
 def skolem_admissible(n: int) -> bool:
@@ -174,12 +171,6 @@ class PairSet:
     def __contains__(self, pair) -> bool:
         x, y = pair
         return ((x, y) if x < y else (y, x)) in self.pairs
-
-
-def _quote(value, limit: int = 80) -> str:
-    """repr(value), cut to limit characters and an ellipsis if longer."""
-    text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}…"
 
 
 def _preview(values, limit: int = 8) -> str:

@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
+import skolem.cli
 import skolem.search
-from skolem import __version__, full_report, iter_pair_sets_text, pair_set_from_obj
+from skolem import (
+    PairSet,
+    __version__,
+    build_strong_starter,
+    full_report,
+    iter_pair_sets_text,
+    pair_set_from_obj,
+)
 from skolem.cli import main
 
 from _fixtures import (
@@ -97,6 +105,38 @@ def test_generate_errors(capsys):
         main(["generate", "11", "--alpha", "4"])
     assert exc_info.value.code == 2
     assert "--alpha" in capsys.readouterr().err
+
+
+# Self-check fakes: a strong starter that is not Skolem, and a starter
+# whose pair sums all vanish, so it is not strong.
+_STRONG_NOT_SKOLEM = full_report(build_strong_starter(11, 7))
+_NOT_STRONG = full_report(PairSet(11, STARTER_NOT_SKOLEM_11))
+
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        (["generate", "11"], (1, 1)),
+        (["generate", "11", "--beta", "7"], (0, 1)),
+        (["tabulate", "--q-max", "20"], (1, 1)),
+    ],
+    ids=["generate-skolem", "generate-integer-beta", "tabulate"],
+)
+def test_self_check_holds_each_command_to_its_promise(capsys, monkeypatch, argv, codes):
+    # generate promises a strong Skolem starter for a named beta choice and
+    # a strong one for an integer beta; tabulate a strong Skolem starter
+    assert _STRONG_NOT_SKOLEM.verdicts == (True, True, False)
+    assert _NOT_STRONG.verdicts == (True, False, False)
+    for report, want in zip((_STRONG_NOT_SKOLEM, _NOT_STRONG), codes):
+        monkeypatch.setattr(skolem.cli, "full_report", lambda ps: report)
+        code, out, err = _run(capsys, *argv)
+        assert code == want, (argv, report.verdicts)
+        if want:
+            assert err.startswith("error: self-check failed for q=")
+            assert err.endswith("this is a bug\n")
+            assert out == ""
+        else:
+            assert err == "" and "# strong: yes" in out
 
 
 # Each verify input is also read after a UTF-8 byte-order mark, which
@@ -201,6 +241,24 @@ def test_search_count_json(capsys):
     assert doc["results"]["complete"] is True
     assert doc["results"]["witnesses"] == []
     assert doc["parameters"]["require_strong"] is False
+
+
+def test_search_mode_flags(capsys):
+    modes = {}
+    for flags in ([], ["--count"], ["--first"], ["--enumerate"]):
+        code, out, _ = _run(capsys, "search", "11", *flags, "--json")
+        assert code == 0
+        modes[tuple(flags)] = json.loads(out)["parameters"]["mode"]
+    assert modes == {
+        (): "count",
+        ("--count",): "count",
+        ("--first",): "first",
+        ("--enumerate",): "enumerate",
+    }
+    with pytest.raises(SystemExit) as exc_info:
+        main(["search", "11", "--first", "--enumerate"])
+    assert exc_info.value.code == 2
+    assert "not allowed with argument --first" in capsys.readouterr().err
 
 
 def test_search_enumerate_text_streams_records(capsys):
@@ -330,6 +388,14 @@ def test_tabulate_single_choice_json(capsys):
     by_q = {e["q"]: e for e in entries}
     assert pair_set_from_obj(by_q[43]["pair_set"]).pairs == S_HALF[43]
     assert by_q[19]["beta"] == 10
+
+
+def test_tabulate_past_the_modulus_cap_fails_at_once():
+    # no primality test runs before the bound is refused
+    proc = _python_m_skolem("tabulate", "--q-max", "3000000000", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: q_max 3000000000 exceeds the supported cap 2**31 - 1\n"
 
 
 def test_version_flag(capsys):

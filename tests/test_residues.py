@@ -5,7 +5,9 @@ import skolem.construction
 import skolem.residues
 from skolem import (
     MAX_MODULUS,
+    ConstructionError,
     build_qr_table,
+    construction_primes,
     enumerate_strong_skolem,
     is_prime,
     smallest_qr_generator,
@@ -111,6 +113,25 @@ def test_enumeration_runs_miller_rabin_once_per_candidate(monkeypatch):
     monkeypatch.setattr(skolem.construction, "is_prime", counting_is_prime)
     list(enumerate_strong_skolem(100))
     assert calls == list(range(3, 101, 8))
+
+
+def test_q_max_past_the_cap_is_refused_before_any_primality_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(skolem.construction, "is_prime", calls.append)
+    for q_max in (MAX_MODULUS + 1, 3_000_000_000, 10**20):
+        message = f"q_max {q_max} exceeds the supported cap 2**31 - 1"
+        with pytest.raises(ConstructionError) as info:
+            construction_primes(q_max)
+        assert str(info.value) == message
+        with pytest.raises(ConstructionError, match="exceeds the supported cap"):
+            next(enumerate_strong_skolem(q_max))
+    for q_max in ("100", 100.0, True, None):
+        with pytest.raises(TypeError, match="q_max must be an int"):
+            construction_primes(q_max)
+    assert calls == []
+    monkeypatch.undo()
+    assert construction_primes(2) == construction_primes(-5) == []
+    assert construction_primes(43) == [3, 11, 19, 43]
 
 
 def test_minus_one_rule():

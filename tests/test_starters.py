@@ -6,9 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from skolem import (
     ConstructionError,
+    HalfSetCertificate,
     PairSet,
+    SearchConfig,
+    build_strong_skolem,
     build_strong_starter,
     full_report,
+    half_set_certificate,
+    is_prime,
     iter_pair_sets_text,
     pair_set_from_obj,
     pair_set_to_obj,
@@ -17,6 +22,7 @@ from skolem import (
     skolem_admissible,
 )
 import skolem.starters
+from skolem.cli import _construct
 
 from _fixtures import (
     NON_STARTER_PARTITION_11,
@@ -414,35 +420,106 @@ def _cut(value):
 
 
 @pytest.mark.parametrize(
-    "parse, data, message",
+    "call, data, error, message",
     [
-        (parse_pair_set_text, f"n={_LONG}x", f"line 1: bad header {_cut(f'n={_LONG}x')}"),
+        (
+            parse_pair_set_text,
+            f"n={_LONG}x",
+            ValueError,
+            f"line 1: bad header {_cut(f'n={_LONG}x')}",
+        ),
         (
             parse_pair_set_text,
             f"n=11\n1 6 {_LONG}",
+            ValueError,
             f"line 2: expected 'x y', got {_cut(f'1 6 {_LONG}')}",
         ),
         (
             parse_pair_set_text,
             f"n=11\n1 {_LONG}x",
+            ValueError,
             f"line 2: non-integer pair {_cut(f'1 {_LONG}x')}",
         ),
         (
             pair_set_from_obj,
             {"n": [1] * 1000, "pairs": []},
+            ValueError,
             f"'n' must be an int, got {_cut([1] * 1000)}",
         ),
         (
             pair_set_from_obj,
             {"n": 11, "pairs": [[*range(200_000)]]},
+            ValueError,
             f"pair {_cut([*range(200_000)])} is not a two-element list of ints",
         ),
+        (lambda n: SearchConfig(n=n), _LONG, TypeError, f"n must be an int, got {_cut(_LONG)}"),
+        (
+            lambda mode: SearchConfig(n=11, mode=mode),
+            _LONG,
+            ValueError,
+            f"{_cut(_LONG)} is not a valid SearchMode",
+        ),
+        (
+            lambda flag: SearchConfig(n=11, require_strong=flag),
+            _LONG,
+            TypeError,
+            f"require_strong must be a bool, got {_cut(_LONG)}",
+        ),
+        (is_prime, _LONG, TypeError, f"is_prime needs an int, got {_cut(_LONG)}"),
+        (
+            lambda n: PairSet(n, []),
+            _LONG,
+            TypeError,
+            f"modulus must be an int, got {_cut(_LONG)}",
+        ),
+        (
+            lambda beta: build_strong_starter(11, beta),
+            _LONG,
+            TypeError,
+            f"beta must be an int, got {_cut(_LONG)}",
+        ),
+        (
+            lambda choice: build_strong_skolem(11, choice),
+            _LONG,
+            ConstructionError,
+            f"beta choice must be '2' or 'half', got {_cut(_LONG)}",
+        ),
+        (
+            lambda choice: half_set_certificate(11, choice),
+            _LONG,
+            ConstructionError,
+            f"beta choice must be '2' or 'half', got {_cut(_LONG)}",
+        ),
+        (
+            lambda d: HalfSetCertificate(q=11, beta=2, direct=(d,), reflected=()).pair_set(),
+            _LONG,
+            ValueError,
+            f"certificate entry {_cut(_LONG)} is not an int in 1..5",
+        ),
+        (
+            build_strong_skolem,
+            _LONG,
+            ConstructionError,
+            f"modulus must be an int, got {_cut(_LONG)}",
+        ),
+        (
+            lambda raw: _construct(11, raw),
+            f"{_LONG}x",
+            ConstructionError,
+            f"--beta must be '2', 'half' or an integer, got {_cut(f'{_LONG}x')}",
+        ),
     ],
-    ids=["header", "three-fields", "non-integer", "n", "pair"],
+    ids=[
+        "header", "three-fields", "non-integer", "n", "pair",
+        "search-n", "search-mode", "search-require-strong", "is-prime",
+        "pair-set-n", "beta", "skolem-choice", "certificate-choice",
+        "certificate-entry", "skolem-q", "cli-beta",
+    ],
 )
-def test_errors_quote_a_bounded_prefix_of_outside_input(parse, data, message):
-    with pytest.raises(ValueError) as info:
-        parse(data)
+def test_errors_quote_a_bounded_prefix_of_outside_input(call, data, error, message):
+    with pytest.raises(error) as info:
+        call(data)
+    assert type(info.value) is error
     assert str(info.value) == message
     assert len(message) < 140
 
