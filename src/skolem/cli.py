@@ -21,7 +21,7 @@ from .construction import (
     build_strong_starter,
     enumerate_strong_skolem,
 )
-from .residues import _quote
+from .residues import _cut, _quote
 from .search import (
     DEFAULT_CEILING,
     CeilingExceededError,
@@ -278,8 +278,16 @@ def _cmd_tabulate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subcommands' parsers included, whose error
+    message is cut to 200 characters: argparse quotes a bad argument whole."""
+
+    def error(self, message):
+        super().error(_cut(message, 200))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skolem",
         description="Construct, verify and exhaustively search strong "
         "Skolem starters for Z_n.",
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel threads on the compiled kernel (the pure kernel runs on one)",
+        help="run the compiled kernel on the caller plus WORKERS-1 threads "
+        "(the pure kernel runs on one)",
     )
     sea.add_argument(
         "--force",

@@ -212,7 +212,7 @@ def construction_primes(q_max: int) -> list[int]:
     """All primes q <= q_max with q % 8 == 3, ascending (q_max <= 2**31 - 1)."""
     _require_int("q_max", q_max)
     if q_max > MAX_MODULUS:
-        raise ConstructionError(f"q_max {q_max} exceeds the supported cap 2**31 - 1")
+        raise ConstructionError(f"q_max {_quote(q_max)} exceeds the supported cap 2**31 - 1")
     return [q for q in range(3, q_max + 1, 8) if is_prime(q)]
 
 

@@ -9,7 +9,8 @@ sees such a modulus, and its own 64-bit masks cap the order it searches
 at 63.
 
 It also holds the package's argument checks, as the other modules import
-it: _require_int, and _quote, which cuts a bad value's repr to 80 characters.
+it: _require_int, and _quote, which cuts a bad value's repr to 80 characters
+and names a longer int by its size.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,21 @@ MAX_MODULUS = 2**31 - 1
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _quote(value, limit: int = 80) -> str:
-    """repr(value), cut to limit characters and an ellipsis if longer."""
-    text = repr(value)
+def _cut(text: str, limit: int) -> str:
+    """text, cut to limit characters and an ellipsis if longer."""
     return text if len(text) <= limit else f"{text[:limit]}…"
+
+
+def _quote(value, limit: int = 80) -> str:
+    """repr(value), cut to limit characters and an ellipsis if longer.
+
+    An int of more than limit digits is named by its size and never made
+    text: past 4,300 digits the conversion itself raises.
+    """
+    if isinstance(value, int) and abs(value) >= 10**limit:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}int of {value.bit_length()} bits>"
+    return _cut(repr(value), limit)
 
 
 def _require_int(name: str, value) -> None:
@@ -43,7 +55,7 @@ def is_prime(n: int) -> bool:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"is_prime needs an int, got {_quote(n)}")
     if n >= 2**64:
-        raise ValueError(f"is_prime is exact only below 2**64, got {n}")
+        raise ValueError(f"is_prime is exact only below 2**64, got {_quote(n)}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -74,11 +86,11 @@ def _check_modulus(n) -> None:
     check without the primality test, all PairSet needs."""
     _require_int("modulus", n)
     if n < 3:
-        raise ValueError(f"modulus must be >= 3, got {n}")
+        raise ValueError(f"modulus must be >= 3, got {_quote(n)}")
     if n % 2 == 0:
-        raise ValueError(f"modulus must be odd, got {n}")
+        raise ValueError(f"modulus must be odd, got {_quote(n)}")
     if n > MAX_MODULUS:
-        raise ValueError(f"modulus {n} exceeds the supported cap 2**31 - 1")
+        raise ValueError(f"modulus {_quote(n)} exceeds the supported cap 2**31 - 1")
 
 
 def _require_prime(q) -> None:

@@ -9,12 +9,12 @@ its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
 difference t) and merges the parts in ascending x.  With workers > 1 the
 parts of the compiled kernel, which walks with the GIL released, run on
-plain threads; the pure kernel holds the GIL, so it runs on one worker,
-which also sees Ctrl-C at once.  `import skolem` loads no executor, and
-_pysearch only when a search picks it.  The reflection x -> n - x - d maps
-starters to starters and partition x to t + 1 - x, so a count walks only
-x = 1..ceil(t/2) and adds each mirror pair twice; its node count is
-still that of the whole tree.
+the caller plus workers - 1 plain threads; the pure kernel holds the GIL,
+so it runs on one worker, which also sees Ctrl-C at once.  `import
+skolem` loads no executor, and _pysearch only when a search picks it.
+The reflection x -> n - x - d maps starters to starters and partition x
+to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds each
+mirror pair twice; its node count is still that of the whole tree.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above DEFAULT_CEILING (27) unless forced.
@@ -88,11 +88,12 @@ class SearchConfig:
     stays exact past the cap).
     require_strong restricts the walk to strong starters.  COUNT_ALL walks
     the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
-    all t of them, spread over min(workers, partitions) plain threads
-    when workers > 1 on the compiled kernel; the pure kernel, which holds
-    the GIL, and FIRST_WITNESS run on one worker, the latter walking the
-    partitions in order until one holds a starter, so the witness is the
-    deterministic depth-first one.  force bypasses the ceiling.
+    all t of them, spread over the caller plus min(workers, partitions) - 1
+    plain threads when workers > 1 on the compiled kernel; the pure
+    kernel, which holds the GIL, and FIRST_WITNESS run on one worker, the
+    latter walking the partitions in order until one holds a starter, so
+    the witness is the deterministic depth-first one.  force bypasses the
+    ceiling.
     """
 
     n: int
@@ -110,13 +111,13 @@ class SearchConfig:
         n = self.n
         _require_int("n", n)
         if n < 3 or n % 2 == 0:
-            raise ValueError(f"n must be odd and >= 3, got {n}")
+            raise ValueError(f"n must be odd and >= 3, got {_quote(n)}")
         if n > MAX_SEARCH_N:
             raise ValueError(f"exhaustive search beyond n = {MAX_SEARCH_N} is not supported")
         if self.limit is not None:
             _require_int("limit", self.limit)
             if self.limit < 1:
-                raise ValueError(f"limit must be a positive int or None, got {self.limit}")
+                raise ValueError(f"limit must be a positive int or None, got {_quote(self.limit)}")
             if self.mode is not SearchMode.ENUMERATE_ALL:
                 raise ValueError(
                     "limit applies only to ENUMERATE_ALL "
@@ -124,7 +125,7 @@ class SearchConfig:
                 )
         _require_int("workers", self.workers)
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise ValueError(f"workers must be >= 1, got {_quote(self.workers)}")
         for name in ("require_strong", "force"):
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a bool, got {_quote(getattr(self, name))}")
@@ -148,8 +149,8 @@ class SearchResult:
     PairSet._from_witnesses with n validated once by SearchConfig.
     wall_time times the walk only (kernel calls, worker start-up and
     merge), not the building of the PairSets.  workers is the number of
-    plain threads the walk used: always 1 for FIRST_WITNESS and on the
-    pure kernel.
+    threads the walk used, the caller plus workers - 1 plain ones: always
+    1 for FIRST_WITNESS and on the pure kernel.
     """
 
     n: int
@@ -165,13 +166,17 @@ class SearchResult:
 
 
 def _thread_map(workers: int, fn, *iterables) -> list:
-    """[fn(*args) for args in zip(*iterables)], run on `workers` threads.
+    """[fn(*args) for args in zip(*iterables)], run by the caller plus
+    `workers - 1` threads, all taking calls from one queue.
 
     Like Executor.map, it draws every call's arguments up front and keeps
     the results in call order; the first call, in that order, that raised
-    re-raises here, and no call not yet begun starts after a failure.  If
-    the wait is interrupted (Ctrl-C), no call not yet begun starts, the
-    running ones finish, and every thread is joined before the exception
+    re-raises here, and no call not yet begun starts after a failure.  The
+    caller works rather than waits, so its CPU, warm from whatever ran
+    before, is not left idle while the threads share the other ones.  On
+    Ctrl-C the caller's own call stops (the compiled kernel at its next
+    poll), no call not yet begun starts, the calls running on the other
+    threads finish, and every thread is joined before the exception
     propagates.  Plain threads spare `import skolem` the import of the
     standard executors, about a third of its cost.
     """
@@ -200,11 +205,12 @@ def _thread_map(workers: int, fn, *iterables) -> list:
 
     threads = []
     try:
-        for _ in range(min(workers, len(calls))):
+        for _ in range(min(workers, len(calls)) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        for _ in threads:
+        work()
+        for _ in range(len(threads) + 1):  # the caller's work released once too
             exited.acquire()
     except BaseException:
         queue.clear()

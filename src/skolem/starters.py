@@ -72,7 +72,7 @@ class PairSet:
                 if not isinstance(el, int) or isinstance(el, bool):
                     raise TypeError(f"pair element {_quote(el)} is not an int")
                 if not 1 <= el <= n - 1:
-                    raise ValueError(f"element {el} outside 1..{n - 1}")
+                    raise ValueError(f"element {_quote(el)} outside 1..{n - 1}")
             if x == y:
                 raise ValueError(f"pair ({x}, {y}) repeats an element")
             for el in pair:

@@ -330,8 +330,9 @@ _PURE_SEARCH_31 = (
     ids=["1", "2", "pure-2"],
 )
 def test_search_stops_on_ctrl_c(argv):
-    # one worker stops at the kernel's next signal poll; on two the running
-    # partitions finish and the queued ones are cancelled.  Uninterrupted,
+    # one worker stops at the kernel's next signal poll; on two the
+    # caller's own partition stops there too, the one running on the other
+    # thread finishes and the queued ones are cancelled.  Uninterrupted,
     # the two-worker walk takes several seconds.  The pure kernel runs on
     # one worker whatever --workers asks, so the main thread sees the
     # signal at once.
@@ -356,6 +357,32 @@ def test_search_stops_on_ctrl_c(argv):
     assert "error: search interrupted" in err
     assert "Traceback" not in err
     assert "# count=" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        (["search", "x" * 100_000], "usage: skolem search ",
+         "skolem search: error: argument n: invalid int value: 'xxx"),
+        (["verify", "--require", "x" * 100_000], "usage: skolem verify ",
+         "skolem verify: error: argument --require: invalid choice: 'xxx"),
+    ],
+    ids=["search-n", "verify-require"],
+)
+def test_argparse_errors_are_cut(capsys, argv, usage, error):
+    # argparse quotes a bad argument whole; its message is cut to 200
+    # characters and an ellipsis, after the usage lines
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(error)
+    message = last.split(": error: ", 1)[1]
+    assert len(message) == 201 and message.endswith("…")
+    assert len(captured.err) < 600
 
 
 def test_search_rejects_even_n(capsys):

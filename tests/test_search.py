@@ -423,12 +423,52 @@ def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch
     assert sorted(tops) == list(range(1, len(tops) + 1))
 
 
+def test_two_workers_are_the_caller_and_one_thread(fastsearch, monkeypatch):
+    # workers=2 starts one thread and the caller takes parts from the same
+    # queue; each thread's first part waits for the other's, so both must
+    # take one
+    runners = []
+    first_parts = threading.Barrier(2, timeout=10)
+
+    class RecordingKernel:
+        MAX_N = fastsearch.MAX_N
+
+        @staticmethod
+        def run_search(*args):
+            me = threading.current_thread()
+            if me not in runners:
+                first_parts.wait()
+            runners.append(me)
+            return fastsearch.run_search(*args)
+
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    expected = search_skolem_starters(SearchConfig(n=25, mode="enumerate"))
+    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    before = threading.active_count()
+    result = search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
+    assert threading.active_count() == before
+    assert len(started) == 1
+    assert set(runners) == {threading.main_thread(), started[0]}
+    assert len(runners) == 12
+    assert (result.count, result.nodes_explored, result.witnesses, result.workers) == (
+        expected.count, expected.nodes_explored, expected.witnesses, 2)
+
+
 def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch, monkeypatch):
-    # Ctrl-C while the caller waits on two running parts: both finish, no
-    # queued part starts, and every thread is joined before the
-    # KeyboardInterrupt propagates
-    started, finished = [], []
-    both_running = threading.Event()
+    # Ctrl-C while the caller walks its own part and the thread another:
+    # the caller's part stops at the kernel's next poll, the thread's part
+    # finishes, no queued part starts, and every thread is joined before
+    # the KeyboardInterrupt propagates.  Uninterrupted, the caller's part
+    # (partition 1 of n = 35) takes about ten seconds.
+    started, finished, interrupted = [], [], []
+    caller_running = threading.Event()
 
     class RecordingKernel:
         MAX_N = fastsearch.MAX_N
@@ -436,14 +476,18 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
         @staticmethod
         def run_search(*args):
             started.append(args[5])
-            if args[5] == 2:
-                both_running.set()
-            if args[5] == 1:
-                assert both_running.wait(10)
-                time.sleep(0.05)
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            time.sleep(0.2)
-            finished.append(args[5])
+            if threading.current_thread() is threading.main_thread():
+                try:
+                    caller_running.set()
+                    return fastsearch.run_search(35, True, 0, 0, True, 1)
+                except KeyboardInterrupt:
+                    interrupted.append((args[5], time.perf_counter()))
+                    raise
+            assert caller_running.wait(10)
+            time.sleep(0.05)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.5)
+            finished.append((args[5], time.perf_counter()))
             return fastsearch.run_search(*args)
 
     monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
@@ -451,7 +495,12 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
     with pytest.raises(KeyboardInterrupt):
         search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
     assert threading.active_count() == before
-    assert sorted(started) == sorted(finished) == [1, 2]
+    assert sorted(started) == [1, 2]
+    [(caller_top, stopped_at)] = interrupted
+    [(thread_top, finished_at)] = finished
+    assert {caller_top, thread_top} == {1, 2}
+    # the caller stopped while the thread's part was still running
+    assert stopped_at < finished_at
 
 
 def test_mirror_partitions_have_equal_counts_and_nodes(fastsearch):

@@ -11,6 +11,7 @@ from skolem import (
     SearchConfig,
     build_strong_skolem,
     build_strong_starter,
+    construction_primes,
     full_report,
     half_set_certificate,
     is_prime,
@@ -23,6 +24,7 @@ from skolem import (
 )
 import skolem.starters
 from skolem.cli import _construct
+from skolem.residues import _quote
 
 from _fixtures import (
     NON_STARTER_PARTITION_11,
@@ -413,6 +415,8 @@ def test_obj_validation():
 
 
 _LONG = "7" * 1000
+# past 4,300 digits the interpreter refuses to make an int text at all
+_HUGE = 10**5000
 
 
 def _cut(value):
@@ -508,12 +512,76 @@ def _cut(value):
             ConstructionError,
             f"--beta must be '2', 'half' or an integer, got {_cut(f'{_LONG}x')}",
         ),
+        # an int too long to show is named by its size
+        (
+            is_prime,
+            _HUGE,
+            ValueError,
+            "is_prime is exact only below 2**64, got <int of 16610 bits>",
+        ),
+        (
+            lambda n: PairSet(n, []),
+            _HUGE,
+            ValueError,
+            "modulus must be odd, got <int of 16610 bits>",
+        ),
+        (
+            lambda n: PairSet(n + 1, []),
+            _HUGE,
+            ValueError,
+            "modulus <int of 16610 bits> exceeds the supported cap 2**31 - 1",
+        ),
+        (
+            lambda n: PairSet(-n, []),
+            _HUGE,
+            ValueError,
+            "modulus must be >= 3, got <negative int of 16610 bits>",
+        ),
+        (
+            lambda el: PairSet(11, [(el, 1)]),
+            _HUGE,
+            ValueError,
+            "element <int of 16610 bits> outside 1..10",
+        ),
+        (
+            lambda q: build_strong_skolem(q + 3),
+            _HUGE,
+            ConstructionError,
+            "modulus <int of 16610 bits> exceeds the supported cap 2**31 - 1",
+        ),
+        (
+            lambda n: SearchConfig(n=n),
+            _HUGE,
+            ValueError,
+            "n must be odd and >= 3, got <int of 16610 bits>",
+        ),
+        (
+            lambda limit: SearchConfig(n=11, mode="enumerate", limit=-limit),
+            _HUGE,
+            ValueError,
+            "limit must be a positive int or None, got <negative int of 16610 bits>",
+        ),
+        (
+            lambda workers: SearchConfig(n=11, workers=-workers),
+            _HUGE,
+            ValueError,
+            "workers must be >= 1, got <negative int of 16610 bits>",
+        ),
+        (
+            construction_primes,
+            _HUGE,
+            ConstructionError,
+            "q_max <int of 16610 bits> exceeds the supported cap 2**31 - 1",
+        ),
     ],
     ids=[
         "header", "three-fields", "non-integer", "n", "pair",
         "search-n", "search-mode", "search-require-strong", "is-prime",
         "pair-set-n", "beta", "skolem-choice", "certificate-choice",
         "certificate-entry", "skolem-q", "cli-beta",
+        "huge-is-prime", "huge-even-pair-set-n", "huge-odd-pair-set-n",
+        "huge-negative-pair-set-n", "huge-pair-element", "huge-skolem-q",
+        "huge-search-n", "huge-search-limit", "huge-search-workers", "huge-q-max",
     ],
 )
 def test_errors_quote_a_bounded_prefix_of_outside_input(call, data, error, message):
@@ -522,6 +590,13 @@ def test_errors_quote_a_bounded_prefix_of_outside_input(call, data, error, messa
     assert type(info.value) is error
     assert str(info.value) == message
     assert len(message) < 140
+
+
+def test_quote_shows_an_int_of_up_to_limit_digits_and_sizes_a_longer_one():
+    assert _quote(10**80 - 1) == "9" * 80
+    assert _quote(-(10**80 - 1)) == "-" + "9" * 79 + "…"
+    assert _quote(10**80) == "<int of 266 bits>"
+    assert _quote(True) == "True"
 
 
 def _all_partitions(elements):
