@@ -6,11 +6,13 @@ uses.  --json switches any subcommand to a single JSON envelope on stdout.
 
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
 precondition, 3 verified property does not hold, 4 search ceiling refusal,
-130 search interrupted (Ctrl-C).
+130 search interrupted (Ctrl-C), 141 stdout closed by its reader (as by
+`| head -1`).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -46,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_PROPERTY = 3
 EXIT_CEILING = 4
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
 def _envelope(command: str, parameters: dict, results: dict) -> str:
@@ -152,7 +155,8 @@ def _cmd_verify(args) -> int:
     try:
         ps = _parse_any(_read_input(args.input))
     except (ValueError, OSError) as exc:
-        _error(str(exc))
+        # an OSError repeats the path whole; cut it as argparse's messages are
+        _error(_cut(str(exc), 200))
         return EXIT_USAGE
     report = full_report(ps)
     holds = _requirement_holds(report, args.require)
@@ -382,4 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # interpreter exit finds nothing to write and raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code

@@ -18,6 +18,9 @@ pairs are {y, 2y mod q} with y ranging over one residuosity class, and
 folding that class into {1, ..., (q-1)/2} hits each integer difference
 exactly once.  half_set_certificate exposes that folding, with beta naming
 the class, as an object whose pair_set() checks it.
+The folding is the one route to these starters: every builder of them
+folds the residues once per call (enumerate_strong_skolem once per q), and
+the {x, beta * x} loop serves only build_strong_starter's general beta.
 """
 
 from bisect import bisect_right
@@ -77,6 +80,31 @@ def _squares(q: int) -> set[int]:
     return {x * x % q for x in range(1, (q + 1) // 2)}
 
 
+def _fold(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(low, high), ascending: the squares d <= (q-1)/2 and the d <= (q-1)/2
+    with q - d a square.  For q == 3 (mod 4) exactly one of d and q - d is
+    a square, so the residues fold into (low, high), the rest into (high, low).
+    """
+    squares = sorted(_squares(q))
+    k = bisect_right(squares, (q - 1) // 2)
+    return tuple(squares[:k]), tuple([q - s for s in reversed(squares[k:])])
+
+
+def _folded(choice: BetaChoice, low, high):
+    """(direct, reflected) for choice: beta = 2 folds the residues."""
+    return (low, high) if choice is BetaChoice.TWO else (high, low)
+
+
+def _skolem_pairs(q: int, direct, reflected) -> PairSet:
+    """The pairs (d, 2d) for d in direct and (q - 2d, q - d) for d in
+    reflected, checked to partition 1..q-1; ascending direct and reflected
+    give two ascending runs, which the sort merges."""
+    rev = reflected[::-1]
+    xs = [*direct, *[q - 2 * d for d in rev]]
+    ys = [*[2 * d for d in direct], *[q - d for d in rev]]
+    return PairSet._from_pairs(q, xs, ys)
+
+
 def _starter(q: int, beta: int) -> PairSet:
     """S_beta for a prime q == 3 (mod 4) that the caller has checked.
 
@@ -128,7 +156,7 @@ def build_strong_skolem(q: int, choice=BetaChoice.TWO) -> PairSet:
     """
     c = _as_choice(choice)
     _require_skolem_q(q)
-    return _starter(q, c.beta(q))
+    return _skolem_pairs(q, *_folded(c, *_fold(q)))
 
 
 @dataclass(frozen=True)
@@ -171,10 +199,7 @@ class HalfSetCertificate:
             for d in entries:
                 if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
                     raise ValueError(f"certificate entry {_quote(d)} is not an int in 1..{t}")
-        q = self.q
-        xs = [*self.direct, *[q - 2 * d for d in self.reflected]]
-        ys = [*[2 * d for d in self.direct], *[q - d for d in self.reflected]]
-        return PairSet._from_pairs(q, xs, ys)
+        return _skolem_pairs(self.q, self.direct, self.reflected)
 
 
 def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
@@ -187,15 +212,7 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     c = _as_choice(choice)
     _require_skolem_q(q)
     t = (q - 1) // 2
-    # one sorted pass over the squares: low holds the squares d <= t, high
-    # the d <= t with q - d a square.  The check below shows that exactly
-    # one of d and q - d is a square, so the QR class folds into
-    # (low, high) and the NQR class into (high, low).
-    squares = sorted(_squares(q))
-    k = bisect_right(squares, t)
-    low = tuple(squares[:k])
-    high = tuple([q - s for s in reversed(squares[k:])])
-    direct, reflected = (low, high) if c is BetaChoice.TWO else (high, low)
+    direct, reflected = _folded(c, *_fold(q))
     if sorted(direct + reflected) != list(range(1, t + 1)):
         raise ArithmeticError(
             f"folding for beta = {c.beta(q)} does not partition 1..{t}"
@@ -223,5 +240,6 @@ def enumerate_strong_skolem(
     """Yield (q, choice, starter) for every q in construction_primes(q_max)."""
     normalized = tuple(_as_choice(c) for c in choices)
     for q in construction_primes(q_max):
+        fold = _fold(q)
         for c in normalized:
-            yield q, c, _starter(q, c.beta(q))
+            yield q, c, _skolem_pairs(q, *_folded(c, *fold))

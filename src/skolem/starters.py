@@ -192,9 +192,12 @@ def _first_repeat(pairs, keys):
     return None
 
 
-def _starter_witness(ps: PairSet) -> str | None:
+def _starter_witness(ps: PairSet, skolem: bool) -> str | None:
     """Why ps is not a starter, or None when its pairs cover {1..n-1} and
-    so do their +- differences."""
+    so do their +- differences; skolem says that its integer differences
+    are 1..t, which already makes it one."""
+    if skolem:
+        return None
     n = ps.n
     # the elements are distinct and in 1..n-1, so they cover it iff there
     # are n - 1 of them
@@ -215,18 +218,6 @@ def _strong_witness(ps: PairSet, sums: tuple[int, ...]) -> str | None:
         return None
     other, pair, s = _first_repeat(ps.pairs, sums)
     return f"pairs {other} and {pair} share the sum {s} (mod {ps.n})"
-
-
-def _skolem_witness(ps: PairSet) -> str | None:
-    """Why the starter ps is not Skolem, or None when its integer
-    differences are exactly {1, ..., (n-1)/2}."""
-    diffs = sorted(ps.integer_differences())
-    if diffs == [*range(1, ps.t + 1)]:
-        return None
-    return (
-        f"integer differences {{{_preview(diffs)}}} differ from "
-        f"{{1, ..., {ps.t}}}"
-    )
 
 
 @dataclass(frozen=True)
@@ -297,11 +288,18 @@ def full_report(ps: PairSet) -> VerificationReport:
     This is the one verifier: it never raises, and a non-starter is
     reported as neither strong nor Skolem.
     """
-    starter = _starter_witness(ps)
+    t = ps.t
+    diffs = ps.integer_differences()
+    # t distinct integer differences, none above t, are exactly 1..t: one
+    # set test decides both "starter" and "Skolem" for every Skolem starter
+    is_skolem = len({*diffs}) == t and max(diffs) <= t
+    starter = _starter_witness(ps, is_skolem)
     sums = ps.sums()
     if starter is None:
         strong = _strong_witness(ps, sums)
-        skolem = _skolem_witness(ps)
+        skolem = None if is_skolem else (
+            f"integer differences {{{_preview(diffs)}}} differ from {{1, ..., {t}}}"
+        )
     else:
         strong = skolem = "not a starter"
     return VerificationReport(

@@ -232,6 +232,13 @@ def test_verify_parse_errors(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: JSON input is nested too deeply\n"
 
+    # an OSError quotes the path whole; its message is cut to 200
+    # characters and an ellipsis, as argparse's are
+    code, out, err = _run(capsys, "verify", "x" * 100_000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and err.endswith("x…\n")
+    assert len(err) == len("error: ") + 200 + len("…\n")
+
 
 def test_search_count_json(capsys):
     code, out, _ = _run(capsys, "search", "9", "--no-strong", "--json")
@@ -357,6 +364,39 @@ def test_search_stops_on_ctrl_c(argv):
     assert "error: search interrupted" in err
     assert "Traceback" not in err
     assert "# count=" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["search", "19", "--enumerate", "--no-strong"],
+         "# search n=19 kind=skolem mode=enumerate"),
+        (["tabulate", "--q-max", "1500"],
+         "# strong skolem starters from the quadratic-residue construction"),
+    ],
+    ids=["search", "tabulate"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, first):
+    # as `skolem ... | head -1`: the reader takes one line and closes the
+    # pipe while the command still has far more than a pipe buffer to write
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skolem", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert line.startswith(first)
+    assert (proc.returncode, err) == (141, "")
 
 
 @pytest.mark.parametrize(

@@ -270,3 +270,49 @@ def test_pairs_are_doubling_pairs():
                 assert (x in members and 2 * x % q == y) or (
                     y in members and 2 * y % q == x
                 ), (q, choice, x, y)
+
+
+def test_every_route_to_the_paper_starters_agrees():
+    # the folding (build, certificate, enumeration) against the general
+    # {x, beta * x} loop of build_strong_starter, for every q <= 1500
+    enumerated = {(q, c): ps for q, c, ps in enumerate_strong_skolem(1500)}
+    assert len(enumerated) == 120
+    for q in construction_primes(1500):
+        for choice in BetaChoice:
+            pairs = build_strong_starter(q, choice.beta(q)).pairs
+            assert all(type(el) is int for pair in pairs for el in pair)
+            for ps in (
+                build_strong_skolem(q, choice),
+                half_set_certificate(q, choice).pair_set(),
+                enumerated[q, choice],
+            ):
+                assert ps.pairs == pairs, (q, choice)
+                assert all(type(el) is int for pair in ps.pairs for el in pair)
+
+
+def test_residues_are_squared_once_per_call(monkeypatch):
+    calls = []
+    squares = skolem.construction._squares
+
+    def counting(q):
+        calls.append(q)
+        return squares(q)
+
+    monkeypatch.setattr(skolem.construction, "_squares", counting)
+    for q in (3, 11, 1499):
+        for choice in BetaChoice:
+            for build in (build_strong_skolem, half_set_certificate):
+                calls.clear()
+                build(q, choice)
+                assert calls == [q], (build, q, choice)
+        calls.clear()
+        build_strong_starter(q, 2)
+        assert calls == [q]
+    cert = half_set_certificate(1499)
+    calls.clear()
+    cert.pair_set()
+    assert calls == []
+    # the enumeration folds once per q for both choices
+    calls.clear()
+    assert len(list(enumerate_strong_skolem(1500))) == 120
+    assert calls == construction_primes(1500)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 
@@ -34,6 +36,20 @@ def test_is_prime_large_values():
     # the largest prime below 2**64, the end of the proven range
     assert is_prime(2**64 - 59)
     assert not is_prime(2**64 - 1)
+
+
+def test_is_prime_at_the_four_base_bound():
+    # below 3,215,031,751 only the bases 2, 3, 5 and 7 run.  The least
+    # strong pseudoprimes to the first one, two and three of them (OEIS
+    # A014233) are composite, and 3,215,031,751, the least to all four,
+    # is pinned above.
+    for n in (2047, 1_373_653, 25_326_001):
+        assert not is_prime(n), n
+    rng = random.Random(31)
+    below_cap = [2**31 - 1 - 2 * rng.randrange(10**6) for _ in range(2000)]
+    bound = 3_215_031_751
+    for n in [*below_cap, *range(bound - 10**4, bound + 10**4 + 1, 2)]:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 @pytest.mark.parametrize(

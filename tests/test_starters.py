@@ -20,6 +20,7 @@ from skolem import (
     pair_set_to_obj,
     pair_set_to_text,
     parse_pair_set_text,
+    search_skolem_starters,
     skolem_admissible,
 )
 import skolem.starters
@@ -286,6 +287,15 @@ _STARTER_19 = (
         (19, _STARTER_19, "skolem_witness",
          "integer differences {1, 2, 3, 4, 6, 7, 8, 10, ... (9 total)} "
          "differ from {1, ..., 9}"),
+        (11, STARTER_NOT_SKOLEM_11, "starter_witness", None),
+        (11, STARTER_NOT_SKOLEM_11, "strong_witness",
+         "pairs (1, 10) and (2, 9) share the sum 0 (mod 11)"),
+        (11, STARTER_NOT_SKOLEM_11, "skolem_witness",
+         "integer differences {1, 3, 5, 7, 9} differ from {1, ..., 5}"),
+        (11, NON_STARTER_PARTITION_11, "starter_witness",
+         "pairs (1, 7) and (3, 8) share the difference class +-5 (mod 11)"),
+        (11, NON_STARTER_PARTITION_11, "strong_witness", "not a starter"),
+        (11, NON_STARTER_PARTITION_11, "skolem_witness", "not a starter"),
     ],
 )
 def test_witnesses_name_the_first_collision(n, pairs, field, witness):
@@ -316,9 +326,9 @@ def test_full_report_verifies_the_starter_once(monkeypatch):
 
     check = skolem.starters._starter_witness
 
-    def counting(ps):
+    def counting(ps, skolem):
         calls.append(ps)
-        return check(ps)
+        return check(ps, skolem)
 
     monkeypatch.setattr(skolem.starters, "_starter_witness", counting)
     for pairs in (S_HALF[11], STARTER_NOT_SKOLEM_11, NON_STARTER_PARTITION_11):
@@ -667,3 +677,36 @@ def test_report_matches_naive_on_perturbed_and_partial_sets():
         (True, True, False),
         (True, True, True),
     }
+
+
+def test_one_difference_set_decides_as_the_naive_verdicts():
+    # full_report decides "starter" and "Skolem" from one set test on the
+    # integer differences; around every plain Skolem starter of Z_11 and
+    # Z_19, each way that test can fail must still agree with the naive
+    # quadratic scans
+    rng = random.Random(20)
+    kinds = {"skolem": 0, "distinct, one above t": 0, "repeated": 0, "short": 0}
+    for n, total in ((11, 10), (19, 2656)):
+        t = (n - 1) // 2
+        result = search_skolem_starters(
+            SearchConfig(n=n, mode="enumerate", require_strong=False)
+        )
+        assert len(result.witnesses) == total
+        for ps in result.witnesses:
+            for pairs in (
+                ps.pairs,
+                perturb_partition(ps.pairs, rng, 1),
+                perturb_partition(ps.pairs, rng, 2),
+                ps.pairs[: rng.randrange(t)],
+            ):
+                diffs = {y - x for x, y in pairs}
+                if len(pairs) < t:
+                    kinds["short"] += 1
+                elif len(diffs) < t:
+                    kinds["repeated"] += 1
+                elif max(diffs) > t:
+                    kinds["distinct, one above t"] += 1
+                else:
+                    kinds["skolem"] += 1
+                _naive_check(n, pairs)
+    assert min(kinds.values()) >= 100, kinds
