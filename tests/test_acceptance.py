@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: ten end-to-end criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines; each
 criterion prints PASS or FAIL plus its wall time, and the stated time
@@ -22,6 +22,7 @@ from skolem import (
     is_prime,
     smallest_qr_generator,
     search_skolem_starters,
+    skolem_admissible,
     PairSet,
 )
 
@@ -239,4 +240,26 @@ def test_criterion_9_verifier_equivalence():
         "criterion 9: verifier equals naive reference, 1000 random sets each",
         body,
         budget=180.0,
+    )
+
+
+def test_criterion_10_strong_skolem_starters_from_11_to_57():
+    # the abstract's range: Shalaby's strong Skolem starters of Z_n for
+    # 11 <= n <= 57, each n == 1 or 3 (mod 8); the search finds one for
+    # every such n, and none for n = 9, the only smaller admissible n > 3
+    def body():
+        orders = [n for n in range(9, 58) if skolem_admissible(n)]
+        assert orders == [9, 11, 17, 19, 25, 27, 33, 35, 41, 43, 49, 51, 57]
+        for n in orders:
+            result = search_skolem_starters(SearchConfig(n=n, mode="first", force=True))
+            if n == 9:
+                assert result.complete and result.count == 0 and not result.witnesses
+                continue
+            (ps,) = result.witnesses
+            assert full_report(ps).verdicts == (True, True, True), n
+
+    _criterion(
+        "criterion 10: a strong Skolem starter for every admissible 11 <= n <= 57",
+        body,
+        budget=10.0,
     )

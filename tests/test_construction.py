@@ -120,6 +120,20 @@ def test_q3_edge_case():
     assert build_strong_starter(3, 2).pairs == ((1, 2),)
 
 
+def test_paper_starters_are_skew_above_q3():
+    # the sums of S_beta are (1 + beta) * QR and their negatives
+    # (1 + beta) * NQR, as -1 is a non-residue: the nonzero residues
+    # exactly, unless 1 + beta = 0, which both betas give only at q = 3
+    skew = 0
+    for q, choice, ps in enumerate_strong_skolem(1500):
+        sums = {*ps.sums()}
+        negated = {(q - s) % q for s in sums}
+        assert ((sums | negated) == set(range(1, q))) == (q != 3), (q, choice)
+        skew += q != 3
+    assert skew == 118
+    assert build_strong_skolem(3).sums() == (0,)
+
+
 def test_strong_starter_validation():
     for q, beta, message in (
         (15, 2, "q = 15 is not prime"),

@@ -97,13 +97,18 @@ def _partners(xs):
     return [x + d for d, x in enumerate(xs, start=1)]
 
 
+# Both kernel modules turn raw witnesses into canonical pair tuples through
+# their own witness_pairs, which PairSet._from_witnesses wraps; every test
+# below holds the compiled one and the pure one to the same contract.
+
+
 def test_witness_constructor_matches_pair_set(fastsearch):
     for kernel in (fastsearch, _pysearch):
         for n in range(3, 20, 2):
             for strong in (False, True):
                 for descending in (True, False):
                     _, _, witnesses = kernel.run_search(n, strong, 0, -1, descending, 0)
-                    batch = PairSet._from_witnesses(n, witnesses)
+                    batch = PairSet._from_witnesses(n, kernel.witness_pairs(n, witnesses))
                     assert len(batch) == len(witnesses)
                     for xs, from_batch in zip(witnesses, batch):
                         fast = PairSet._from_pairs(n, xs, _partners(xs))
@@ -114,14 +119,41 @@ def test_witness_constructor_matches_pair_set(fastsearch):
                             assert hash(built) == hash(checked)
 
 
-def test_witness_batch_of_none_is_empty():
+def test_witness_batch_of_none_is_empty(fastsearch):
+    for kernel in (fastsearch, _pysearch):
+        assert kernel.witness_pairs(11, []) == []
     assert PairSet._from_witnesses(11, []) == ()
 
 
-def test_witness_batch_range_checks_each_difference_column():
-    # a witness element outside 1..n-1 is refused before it becomes a mask
-    with pytest.raises(ValueError, match=r"^pairs of difference 1 do not partition 1\.\.10$"):
-        PairSet._from_witnesses(11, [(9, 2, 5, 3, 1), (-(10**9), 2, 5, 3, 1)])
+def test_witness_batch_range_checks_each_difference_column(fastsearch):
+    # a witness element outside 1..n-1 is refused before it becomes a mask:
+    # 9 + 64 and 9 + 2**64 would alias 9 under a 64-bit shift, and the
+    # others would shift by far more
+    for bad in (-(10**9), 10**30, -(10**30), 9 + 64, 9 + 2**64):
+        for kernel in (fastsearch, _pysearch):
+            with pytest.raises(ValueError, match=r"^pairs of difference 1 do not partition 1\.\.10$"):
+                kernel.witness_pairs(11, [(9, 2, 5, 3, 1), (bad, 2, 5, 3, 1)])
+
+
+def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
+    # n = 63, the compiled kernel's limit, puts element 62 on bit 62.  No
+    # Skolem starter of Z_63 exists, so pairs that are in range but cannot
+    # partition 1..62 name the witness, and element 63 names its column.
+    n, t = 63, 31
+    # (61, 62) for d = 1 and (31, 62) for d = 31 both hold element 62
+    in_range = (61,) + (1,) * (t - 2) + (31,)
+    past_end = in_range[:-1] + (32,)  # (32, 63) for d = 31
+    messages = []
+    for kernel in (fastsearch, _pysearch):
+        with pytest.raises(ValueError, match=r"^witness \(61, 1, .* does not partition 1\.\.62$") as info:
+            kernel.witness_pairs(n, [in_range])
+        messages.append(str(info.value))
+        with pytest.raises(ValueError, match=r"^pairs of difference 31 do not partition 1\.\.62$"):
+            kernel.witness_pairs(n, [past_end])
+    assert messages[0] == messages[1]
+    for bad_n in (1, 4, 65):
+        with pytest.raises(ValueError, match=f"got {bad_n}$"):
+            fastsearch.witness_pairs(bad_n, [])
 
 
 # a valid witness for each order the corruption cases below use
@@ -144,15 +176,19 @@ _VALID_WITNESS = {3: (1,), 11: (9, 2, 5, 3, 1)}
         (3, (2,)),
     ],
 )
-def test_witness_constructor_rejects_non_partitions(n, xs):
+def test_witness_constructor_rejects_non_partitions(fastsearch, n, xs):
     with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
         PairSet._from_pairs(n, xs, _partners(xs))
     valid = _VALID_WITNESS[n]
-    assert PairSet._from_witnesses(n, [valid])[0].pairs == tuple(sorted(_witness_pairs(valid)))
     for batch in ([xs], [valid, xs, valid]):
-        with pytest.raises(ValueError, match=f"not partition 1..{n - 1}") as info:
-            PairSet._from_witnesses(n, batch)
-        assert repr(valid) not in str(info.value)  # the fault is not blamed on it
+        messages = []
+        for kernel in (fastsearch, _pysearch):
+            assert kernel.witness_pairs(n, [valid]) == [tuple(sorted(_witness_pairs(valid)))]
+            with pytest.raises(ValueError, match=f"not partition 1..{n - 1}") as info:
+                kernel.witness_pairs(n, batch)
+            assert repr(valid) not in str(info.value)  # the fault is not blamed on it
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def test_witnesses_share_their_pair_tuples(fastsearch):
@@ -161,10 +197,15 @@ def test_witnesses_share_their_pair_tuples(fastsearch):
     n = 19
     t = (n - 1) // 2
     distinct_pairs = sum(n - 1 - d for d in range(1, t + 1))
+    for kernel in (fastsearch, _pysearch):
+        _, _, witnesses = kernel.run_search(n, False, 0, -1)
+        canonical = kernel.witness_pairs(n, witnesses)
+        assert len(canonical) == STARTER_COUNTS[(n, False)] > distinct_pairs
+        assert len({id(p) for pairs in canonical for p in pairs}) <= distinct_pairs
     for workers in (1, 2):
         config = SearchConfig(n=n, mode="enumerate", require_strong=False, workers=workers)
         r = search_skolem_starters(config)
-        assert len(r.witnesses) == STARTER_COUNTS[(n, False)] > distinct_pairs
+        assert len(r.witnesses) == STARTER_COUNTS[(n, False)]
         assert len({id(p) for ps in r.witnesses for p in ps.pairs}) <= distinct_pairs
 
 
@@ -402,6 +443,7 @@ def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch
 
     class RecordingKernel:
         MAX_N = fastsearch.MAX_N
+        witness_pairs = fastsearch.witness_pairs
 
         @staticmethod
         def run_search(*args):
@@ -432,6 +474,7 @@ def test_two_workers_are_the_caller_and_one_thread(fastsearch, monkeypatch):
 
     class RecordingKernel:
         MAX_N = fastsearch.MAX_N
+        witness_pairs = fastsearch.witness_pairs
 
         @staticmethod
         def run_search(*args):
@@ -472,6 +515,7 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
 
     class RecordingKernel:
         MAX_N = fastsearch.MAX_N
+        witness_pairs = fastsearch.witness_pairs
 
         @staticmethod
         def run_search(*args):
@@ -537,6 +581,7 @@ def test_count_walks_half_the_partitions_and_enumeration_all(fastsearch, monkeyp
 
     class RecordingKernel:
         MAX_N = fastsearch.MAX_N
+        witness_pairs = fastsearch.witness_pairs
 
         @staticmethod
         def run_search(*args):
@@ -558,6 +603,7 @@ def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, m
 
     class RecordingKernel:
         MAX_N = fastsearch.MAX_N
+        witness_pairs = fastsearch.witness_pairs
 
         @staticmethod
         def run_search(*args):

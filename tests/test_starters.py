@@ -321,6 +321,15 @@ def test_full_report_verdict_matrix():
     assert broken.skolem_witness == "not a starter"
 
 
+def test_strong_skolem_starter_without_zero_sum_need_not_be_skew():
+    # Z_17: Skolem and strong, no sum is 0, yet 8 and 9 = -8 are both sums
+    ps = PairSet(17, ((1, 9), (2, 6), (3, 10), (4, 7), (5, 11), (8, 13), (12, 14), (15, 16)))
+    report = full_report(ps)
+    assert report.verdicts == (True, True, True)
+    assert not report.has_zero_sum
+    assert ps.sums() == (10, 8, 13, 11, 16, 4, 9, 14)
+
+
 def test_full_report_verifies_the_starter_once(monkeypatch):
     calls = []
 
