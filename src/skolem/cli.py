@@ -5,9 +5,10 @@ and the pair blocks parse back with the same reader the verify command
 uses.  --json switches any subcommand to a single JSON envelope on stdout.
 
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
-precondition, 3 verified property does not hold, 4 search ceiling refusal,
-130 search interrupted (Ctrl-C), 141 stdout closed by its reader (as by
-`| head -1`).
+precondition, unreadable input or unwritable output, 3 verified property
+does not hold, 4 search ceiling refusal, 130 interrupted (Ctrl-C), 141
+stdout closed by its reader (as by `| head -1`).  main alone maps each
+outcome to its code.
 """
 
 import argparse
@@ -66,14 +67,10 @@ def _error(message: str) -> None:
 
 
 def _cmd_generate(args) -> int:
-    try:
-        choice, beta, ps = _construct(args.q, args.beta)
-    except ValueError as exc:
-        _error(str(exc))
-        return EXIT_USAGE
+    choice, beta, ps = _construct(args.q, args.beta)
     report = full_report(ps)
     # Self-check: the construction must deliver what it promises.
-    if not _requirement_holds(report, "strong" if choice is None else "strong-skolem"):
+    if not _REQUIREMENTS["strong" if choice is None else "strong-skolem"](report):
         _error(
             f"self-check failed for q={args.q}: construction output does "
             f"not verify; this is a bug"
@@ -138,28 +135,20 @@ def _parse_any(text: str) -> PairSet:
     return parse_pair_set_text(text)
 
 
-_REQUIREMENTS = ("starter", "strong", "skolem", "strong-skolem")
-
-
-def _requirement_holds(report, requirement: str) -> bool:
-    if requirement == "starter":
-        return report.is_starter
-    if requirement == "strong":
-        return report.is_strong
-    if requirement == "skolem":
-        return report.is_skolem
-    return report.is_strong and report.is_skolem
+# Each requirement verify --require accepts, and the rule that decides it;
+# generate and tabulate hold their own output to these rules too.
+_REQUIREMENTS = {
+    "starter": lambda report: report.is_starter,
+    "strong": lambda report: report.is_strong,
+    "skolem": lambda report: report.is_skolem,
+    "strong-skolem": lambda report: report.is_strong and report.is_skolem,
+}
 
 
 def _cmd_verify(args) -> int:
-    try:
-        ps = _parse_any(_read_input(args.input))
-    except (ValueError, OSError) as exc:
-        # an OSError repeats the path whole; cut it as argparse's messages are
-        _error(_cut(str(exc), 200))
-        return EXIT_USAGE
+    ps = _parse_any(_read_input(args.input))
     report = full_report(ps)
-    holds = _requirement_holds(report, args.require)
+    holds = _REQUIREMENTS[args.require](report)
     if args.json:
         print(
             _envelope(
@@ -181,25 +170,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        config = SearchConfig(
-            n=args.n,
-            mode=args.mode,
-            require_strong=not args.no_strong,
-            limit=args.limit,
-            workers=args.workers,
-            force=args.force,
-        )
-        result = search_skolem_starters(config)
-    except CeilingExceededError as exc:
-        _error(str(exc))
-        return EXIT_CEILING
-    except KeyboardInterrupt:
-        _error("search interrupted")
-        return EXIT_INTERRUPTED
-    except (ValueError, RuntimeError) as exc:
-        _error(str(exc))
-        return EXIT_USAGE
+    config = SearchConfig(
+        n=args.n,
+        mode=args.mode,
+        require_strong=not args.no_strong,
+        limit=args.limit,
+        workers=args.workers,
+        force=args.force,
+    )
+    result = search_skolem_starters(config)
     if args.json:
         print(
             _envelope(
@@ -240,18 +219,14 @@ def _cmd_search(args) -> int:
 def _cmd_tabulate(args) -> int:
     choices = ("2", "half") if args.beta == "both" else (args.beta,)
     entries = []
-    try:
-        for q, choice, ps in enumerate_strong_skolem(args.q_max, choices):
-            if not _requirement_holds(full_report(ps), "strong-skolem"):
-                _error(
-                    f"self-check failed for q={q} beta={choice.value}; "
-                    f"this is a bug"
-                )
-                return EXIT_SELF_CHECK
-            entries.append((q, choice, ps))
-    except ValueError as exc:
-        _error(str(exc))
-        return EXIT_USAGE
+    for q, choice, ps in enumerate_strong_skolem(args.q_max, choices):
+        if not _REQUIREMENTS["strong-skolem"](full_report(ps)):
+            _error(
+                f"self-check failed for q={q} beta={choice.value}; "
+                f"this is a bug"
+            )
+            return EXIT_SELF_CHECK
+        entries.append((q, choice, ps))
     if args.json:
         print(
             _envelope(
@@ -389,10 +364,20 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
+    except CeilingExceededError as exc:
+        _error(str(exc))
+        return EXIT_CEILING
+    except KeyboardInterrupt:
+        _error(f"{args.command} interrupted")
+        return EXIT_INTERRUPTED
+    except BrokenPipeError:  # an OSError, so caught before that
         # the reader is gone: point stdout at devnull so that the flush at
         # interpreter exit finds nothing to write and raises nothing
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except (ValueError, OSError) as exc:
+        # an OSError repeats a path whole; cut it as argparse's messages are
+        _error(_cut(str(exc), 200))
+        return EXIT_USAGE
     return code

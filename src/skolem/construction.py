@@ -190,7 +190,9 @@ class HalfSetCertificate:
 
     def pair_set(self) -> PairSet:
         """The full starter reassembled from the certificate alone; raises
-        ValueError unless it realises each difference 1..t exactly once."""
+        TypeError or ValueError for a q that PairSet refuses, and ValueError
+        unless it realises each difference 1..t exactly once."""
+        _check_modulus(self.q)
         t = self.t
         entries = (*self.direct, *self.reflected)
         # in bulk first; the walk runs only to name a bad entry

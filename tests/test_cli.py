@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -364,6 +365,65 @@ def test_search_stops_on_ctrl_c(argv):
     assert "error: search interrupted" in err
     assert "Traceback" not in err
     assert "# count=" not in out
+
+
+def test_verify_stops_on_ctrl_c():
+    # verify waits on a stdin its writer holds open; Ctrl-C ends it as it
+    # ends a search
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skolem", "verify", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        start_new_session=True,
+    )
+    time.sleep(1)
+    proc.send_signal(signal.SIGINT)
+    try:
+        out, err = proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 130
+    assert "error: verify interrupted" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_an_internal_fault_is_not_a_usage_error(monkeypatch):
+    # only the ceiling's RuntimeError is an exit code; any other one is a
+    # bug, and its traceback reaches the user
+    def boom(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(skolem.cli, "search_skolem_starters", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["search", "11"])
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "11"], ["verify"], ["search", "11"], ["tabulate", "--q-max", "20"]],
+    ids=["generate", "verify", "search", "tabulate"],
+)
+def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv):
+    # as `skolem tabulate > /dev/full`: a write error other than a closed
+    # pipe exits 2 with one line, not a traceback
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n=11\n1 6\n2 4\n3 7\n5 8\n9 10\n"))
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(

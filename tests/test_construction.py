@@ -250,6 +250,23 @@ def test_incomplete_certificate_raises():
             bad.difference_pairs()
 
 
+def test_certificate_with_a_bad_modulus_raises():
+    # q gets the shape check PairSet runs before any entry is read: these
+    # used to fail on an empty min(), the partition check or int-to-text
+    cert = half_set_certificate(11)
+    for q, error, message in (
+        (1, ValueError, "modulus must be >= 3, got 1"),
+        (True, TypeError, "modulus must be an int, got True"),
+        (11.0, TypeError, "modulus must be an int, got 11.0"),
+        (10**5000, ValueError, "modulus must be odd, got <int of 16610 bits>"),
+    ):
+        bad = dataclasses.replace(cert, q=q)
+        with pytest.raises(error, match=re.escape(message)):
+            bad.pair_set()
+        with pytest.raises(error, match=re.escape(message)):
+            bad.difference_pairs()
+
+
 def test_construction_output_is_a_checked_partition(monkeypatch):
     # with a residue missing, S_beta misses two elements of 1..q-1; the
     # construction refuses it instead of returning the shorter set

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -432,6 +433,15 @@ def test_import_loads_no_executor_and_no_pure_kernel(fastsearch):
     assert proc.stdout.splitlines() == ["[] True", "[] pure 1"]
 
 
+def _hook_kernel(monkeypatch, fastsearch, run_search):
+    """Point the search at the compiled kernel, each run_search call going
+    through the given hook instead."""
+    kernel = types.SimpleNamespace(
+        MAX_N=fastsearch.MAX_N, witness_pairs=fastsearch.witness_pairs, run_search=run_search
+    )
+    monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+
+
 @pytest.mark.parametrize("failing", [{2}, {1, 2}], ids=["part-2", "parts-1-and-2"])
 def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch, failing):
     # a part that raises re-raises in the caller once every thread is
@@ -441,23 +451,18 @@ def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch
     tops = []
     second_failed = threading.Event()
 
-    class RecordingKernel:
-        MAX_N = fastsearch.MAX_N
-        witness_pairs = fastsearch.witness_pairs
+    def run_search(*args):
+        top = args[5]
+        tops.append(top)
+        if top not in failing:
+            return fastsearch.run_search(*args)
+        if top == 2:
+            second_failed.set()
+        else:
+            assert second_failed.wait(10)
+        raise RuntimeError(f"partition {top} failed")
 
-        @staticmethod
-        def run_search(*args):
-            top = args[5]
-            tops.append(top)
-            if top not in failing:
-                return fastsearch.run_search(*args)
-            if top == 2:
-                second_failed.set()
-            else:
-                assert second_failed.wait(10)
-            raise RuntimeError(f"partition {top} failed")
-
-    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    _hook_kernel(monkeypatch, fastsearch, run_search)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"partition {min(failing)} failed"):
         search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
@@ -472,17 +477,12 @@ def test_two_workers_are_the_caller_and_one_thread(fastsearch, monkeypatch):
     runners = []
     first_parts = threading.Barrier(2, timeout=10)
 
-    class RecordingKernel:
-        MAX_N = fastsearch.MAX_N
-        witness_pairs = fastsearch.witness_pairs
-
-        @staticmethod
-        def run_search(*args):
-            me = threading.current_thread()
-            if me not in runners:
-                first_parts.wait()
-            runners.append(me)
-            return fastsearch.run_search(*args)
+    def run_search(*args):
+        me = threading.current_thread()
+        if me not in runners:
+            first_parts.wait()
+        runners.append(me)
+        return fastsearch.run_search(*args)
 
     started = []
 
@@ -492,7 +492,7 @@ def test_two_workers_are_the_caller_and_one_thread(fastsearch, monkeypatch):
             super().start()
 
     expected = search_skolem_starters(SearchConfig(n=25, mode="enumerate"))
-    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    _hook_kernel(monkeypatch, fastsearch, run_search)
     monkeypatch.setattr(threading, "Thread", CountingThread)
     before = threading.active_count()
     result = search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
@@ -513,28 +513,23 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
     started, finished, interrupted = [], [], []
     caller_running = threading.Event()
 
-    class RecordingKernel:
-        MAX_N = fastsearch.MAX_N
-        witness_pairs = fastsearch.witness_pairs
+    def run_search(*args):
+        started.append(args[5])
+        if threading.current_thread() is threading.main_thread():
+            try:
+                caller_running.set()
+                return fastsearch.run_search(35, True, 0, 0, True, 1)
+            except KeyboardInterrupt:
+                interrupted.append((args[5], time.perf_counter()))
+                raise
+        assert caller_running.wait(10)
+        time.sleep(0.05)
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.5)
+        finished.append((args[5], time.perf_counter()))
+        return fastsearch.run_search(*args)
 
-        @staticmethod
-        def run_search(*args):
-            started.append(args[5])
-            if threading.current_thread() is threading.main_thread():
-                try:
-                    caller_running.set()
-                    return fastsearch.run_search(35, True, 0, 0, True, 1)
-                except KeyboardInterrupt:
-                    interrupted.append((args[5], time.perf_counter()))
-                    raise
-            assert caller_running.wait(10)
-            time.sleep(0.05)
-            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            time.sleep(0.5)
-            finished.append((args[5], time.perf_counter()))
-            return fastsearch.run_search(*args)
-
-    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    _hook_kernel(monkeypatch, fastsearch, run_search)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
@@ -579,16 +574,11 @@ def test_mirrored_count_at_27_strong(fastsearch):
 def test_count_walks_half_the_partitions_and_enumeration_all(fastsearch, monkeypatch):
     tops = []
 
-    class RecordingKernel:
-        MAX_N = fastsearch.MAX_N
-        witness_pairs = fastsearch.witness_pairs
+    def run_search(*args):
+        tops.append(args[5])
+        return fastsearch.run_search(*args)
 
-        @staticmethod
-        def run_search(*args):
-            tops.append(args[5])
-            return fastsearch.run_search(*args)
-
-    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    _hook_kernel(monkeypatch, fastsearch, run_search)
     for n, half in ((25, 6), (27, 7)):
         for mode, seen in (("count", half), ("enumerate", (n - 1) // 2)):
             tops.clear()
@@ -601,16 +591,11 @@ def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, m
     # with limit 10 the parts are asked for 10, 4, 1 and then no witness
     caps = []
 
-    class RecordingKernel:
-        MAX_N = fastsearch.MAX_N
-        witness_pairs = fastsearch.witness_pairs
+    def run_search(*args):
+        caps.append(args[3])
+        return fastsearch.run_search(*args)
 
-        @staticmethod
-        def run_search(*args):
-            caps.append(args[3])
-            return fastsearch.run_search(*args)
-
-    monkeypatch.setattr(skolem.search, "_fastsearch", RecordingKernel)
+    _hook_kernel(monkeypatch, fastsearch, run_search)
     result = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10))
     assert caps == [10, 4, 1, 0, 0, 0, 0, 0]
     assert (result.count, len(result.witnesses)) == (56, 10)
