@@ -24,11 +24,12 @@
  *
  * witness_pairs turns those witnesses into what a PairSet holds: per
  * witness, the tuple of its pairs (x, x + d) in ascending x, each distinct
- * pair one tuple shared by the whole batch.  One pass over the batch
- * checks that every witness's pairs partition 1..n-1, range-checking each
- * element before it becomes a bit, and reports a fault with the same
- * ValueError as skolem._pysearch.witness_pairs.  skolem.search calls it
- * with the GIL held, after the search's wall time is taken.
+ * pair one tuple shared by the whole batch.  It checks each witness in
+ * batch order, range-checking each element before it becomes a bit, and
+ * the first one that is not t in-range entries whose pairs partition
+ * 1..n-1 raises ValueError("witness xs does not partition 1..n-1"), as
+ * skolem._pysearch.witness_pairs does.  skolem.search calls it with the
+ * GIL held, after the search's wall time is taken.
  *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
@@ -209,27 +210,15 @@ witness_pairs(PyObject *self, PyObject *args)
     int t = (n - 1) / 2;
     /* table[d][x]: the pair (x, x + d), built on first use and shared. */
     PyObject *table[MAX_T + 1][MAX_N] = {{NULL}};
-    /* The faults, reported in the pure kernel's order: the lowest
-     * difference with an element out of range among the columns every
-     * witness has, then the first shortest witness when it is short, then
-     * the first faulty witness. */
-    int bad_d = t + 1;
-    Py_ssize_t min_len = PY_SSIZE_T_MAX;
-    PyObject *shortest = NULL, *first_fault = NULL;
     for (Py_ssize_t k = 0; k < count; k++) {
         PyObject *w = PyTuple_GET_ITEM(witnesses, k);
         PyObject *xs = PySequence_Tuple(w);
         if (xs == NULL)
             goto fail;
-        Py_ssize_t len = PyTuple_GET_SIZE(xs);
-        if (len < min_len) {
-            min_len = len;
-            shortest = w;
-        }
-        int faulty = len != t, m = len < t ? (int)len : t;
+        int faulty = PyTuple_GET_SIZE(xs) != t;
         int diff_of[MAX_N]; /* the difference of the pair with smaller element x */
         uint64_t used = 0, lows = 0;
-        for (int d = 1; d <= m; d++) {
+        for (int d = 1; d <= t && !faulty; d++) {
             int overflow;
             long x = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(xs, d - 1), &overflow);
             if (x == -1 && PyErr_Occurred()) {
@@ -237,23 +226,19 @@ witness_pairs(PyObject *self, PyObject *args)
                 goto fail;
             }
             /* checked before any shift, so no shift reaches bit n */
-            if (overflow || x < 1 || x > n - 1 - d) {
-                if (d < bad_d)
-                    bad_d = d;
+            if (overflow || x < 1 || x > n - 1 - d || (used & (BIT(x) | BIT(x + d)))) {
                 faulty = 1;
-                continue;
+                break;
             }
-            uint64_t pair = BIT(x) | BIT(x + d);
-            faulty |= (used & pair) != 0;
-            used |= pair;
+            used |= BIT(x) | BIT(x + d);
             lows |= BIT(x);
             diff_of[x] = d;
         }
         Py_DECREF(xs);
-        if (faulty && first_fault == NULL)
-            first_fault = w;
-        if (first_fault != NULL)
-            continue; /* the batch fails; only the faults still matter */
+        if (faulty) {
+            PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", w, n - 1);
+            goto fail;
+        }
         /* t disjoint pairs within 1..n-1: a partition.  Their smaller
          * elements in ascending order give the canonical order. */
         PyObject *pairs = PyTuple_New(t);
@@ -269,16 +254,7 @@ witness_pairs(PyObject *self, PyObject *args)
             PyTuple_SET_ITEM(pairs, i, *pair);
         }
     }
-    if (bad_d <= t && bad_d <= min_len)
-        PyErr_Format(PyExc_ValueError, "pairs of difference %d do not partition 1..%d",
-                     bad_d, n - 1);
-    else if (min_len < t)
-        PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", shortest, n - 1);
-    else if (first_fault != NULL)
-        PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", first_fault,
-                     n - 1);
-    else
-        goto done;
+    goto done;
 fail:
     Py_CLEAR(out);
 done:
@@ -300,8 +276,10 @@ static PyMethodDef methods[] = {
     {"witness_pairs", witness_pairs, METH_VARARGS,
      "witness_pairs(n, witnesses)\n--\n\n"
      "The canonical pair tuples of run_search witnesses, 3 <= n <= 63.\n\n"
-     "See skolem._pysearch.witness_pairs for the full contract; both return\n"
-     "equal lists and raise the same ValueError."},
+     "The first witness, in batch order, that is not t in-range entries\n"
+     "whose pairs partition 1..n-1 raises ValueError.  See\n"
+     "skolem._pysearch.witness_pairs; both return equal lists and raise the\n"
+     "same ValueError."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -14,18 +14,21 @@ one candidate mask per level instead of recursing, so its stack depth
 does not grow with n.
 
 witness_pairs turns the walk's witnesses into the canonical pair tuples a
-PairSet holds, one tuple shared per distinct pair, and checks that each
-witness's pairs partition 1..n-1; the raw witness format is known only
-here and in _fastsearch.
+PairSet holds, one tuple shared per distinct pair, and names the first
+witness whose pairs do not partition 1..n-1.  The raw witness format,
+xs[d - 1] the smaller element of the difference-d pair, is decoded here
+and in _fastsearch, and also by the tests and perfbench's kernel_pairs.
 
 skolem.search runs this module when the extension did not build and for
 n > 63, calling run_search once per top-level partition (descending
-order, fixed_top = 1..t) and witness_pairs once on the merged witnesses;
+order, fixed_top = 1..t, or only 1..ceil(t/2) for a count, which weighs
+the mirrored parts twice) and witness_pairs once on the merged witnesses;
 the tests use it as a second implementation of the compiled one, and the
 ascending order as an independent route to the same counts.
 """
 
 from functools import reduce
+from itertools import zip_longest
 from operator import getitem, or_
 
 
@@ -129,29 +132,30 @@ def run_search(
 def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
     """The canonical pairs of run_search witnesses, for a valid n: per
     witness xs, the tuple of its pairs (x, x + d), xs[d - 1] = x, in
-    ascending x.  Every witness must have t entries whose pairs partition
-    1..n-1, else ValueError.
+    ascending x.  The first witness, in batch order, that is not t
+    in-range entries whose pairs partition 1..n-1 raises ValueError.
 
-    Each difference column is range-checked once, which keeps every
-    mask within n bits, and tabled: x maps to the pair (x, x + d), one
-    tuple shared by every witness, and to its bitmask.  t pairs
-    partition 1..n-1 iff their masks OR to bits 1..n-1.
+    Each difference column is tabled over its in-range values only, which
+    keeps every mask within n bits: x maps to the pair (x, x + d), one
+    tuple shared by every witness, and to its bitmask, so looking up an
+    element out of range is a KeyError.  t pairs partition 1..n-1 iff
+    their masks OR to bits 1..n-1.
     """
+    witnesses = tuple(witnesses)  # read twice: once by column, once by witness
     t = (n - 1) // 2
     pairs, masks = [], []
-    for d, column in zip(range(1, t + 1), zip(*witnesses)):
-        values = {*column}
-        if min(values) < 1 or max(values) + d > n - 1:
-            raise ValueError(f"pairs of difference {d} do not partition 1..{n - 1}")
+    for d, column in zip(range(1, t + 1), zip_longest(*witnesses, fillvalue=0)):
+        values = {*column}.intersection(range(1, n - d))
         pairs.append({x: (x, x + d) for x in values})
         masks.append({x: 1 << x | 1 << x + d for x in values})
-    if witnesses and len(masks) < t:  # zip stopped at the shortest witness
-        xs = min(witnesses, key=len)
-        raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
     full = (1 << n) - 2
     out = []
     for xs in witnesses:
-        if len(xs) != t or reduce(or_, map(getitem, masks, xs), 0) != full:
+        try:
+            partition = len(xs) == t and reduce(or_, map(getitem, masks, xs), 0) == full
+        except KeyError:
+            partition = False
+        if not partition:
             raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
         out.append(tuple(sorted(map(getitem, pairs, xs))))
     return out

@@ -5,8 +5,8 @@ partition and an early stop with a witness cap, and each kernel must
 return the (count, nodes, witnesses) triple of the recursive walk in
 _naive.py, which tests every candidate's sum instead of masking by
 half-sums.  Each drawn batch of witnesses, real ones and corruptions of
-them, must get the same pair tuples or the same ValueError from both
-kernels' witness_pairs.
+them, passed as a list or as a one-shot iterator, must get the same pair
+tuples or the same ValueError from both kernels' witness_pairs.
 """
 
 from functools import cache
@@ -61,7 +61,8 @@ def _witness_batches(draw):
             lambda c: c[0][: c[1]] + (c[2],) + c[0][c[1] + 1 :]
         )
         drawn = st.one_of(real, changed, drawn)
-    return n, draw(st.lists(drawn, max_size=4))
+    # passed as a list, or as an iterator that can be read only once
+    return n, draw(st.lists(drawn, max_size=4)), draw(st.sampled_from((list, iter)))
 
 
 def _outcome(kernel, n, batch):
@@ -74,5 +75,5 @@ def _outcome(kernel, n, batch):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(case=_witness_batches())
 def test_witness_pairs_agree_on_random_batches(fastsearch, case):
-    n, batch = case
-    assert _outcome(fastsearch, n, batch) == _outcome(_pysearch, n, batch)
+    n, batch, wrap = case
+    assert _outcome(fastsearch, n, wrap(batch)) == _outcome(_pysearch, n, wrap(batch))

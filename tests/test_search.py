@@ -131,30 +131,59 @@ def test_witness_batch_range_checks_each_difference_column(fastsearch):
     # 9 + 64 and 9 + 2**64 would alias 9 under a 64-bit shift, and the
     # others would shift by far more
     for bad in (-(10**9), 10**30, -(10**30), 9 + 64, 9 + 2**64):
+        xs = (bad, 2, 5, 3, 1)
+        messages = []
         for kernel in (fastsearch, _pysearch):
-            with pytest.raises(ValueError, match=r"^pairs of difference 1 do not partition 1\.\.10$"):
-                kernel.witness_pairs(11, [(9, 2, 5, 3, 1), (bad, 2, 5, 3, 1)])
+            with pytest.raises(ValueError, match=rf"^witness \({bad}, 2, 5, 3, 1\) does not partition 1\.\.10$") as info:
+                kernel.witness_pairs(11, [(9, 2, 5, 3, 1), xs])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
     # n = 63, the compiled kernel's limit, puts element 62 on bit 62.  No
     # Skolem starter of Z_63 exists, so pairs that are in range but cannot
-    # partition 1..62 name the witness, and element 63 names its column.
+    # partition 1..62 name the witness, and so does element 63.
     n, t = 63, 31
     # (61, 62) for d = 1 and (31, 62) for d = 31 both hold element 62
     in_range = (61,) + (1,) * (t - 2) + (31,)
     past_end = in_range[:-1] + (32,)  # (32, 63) for d = 31
-    messages = []
-    for kernel in (fastsearch, _pysearch):
-        with pytest.raises(ValueError, match=r"^witness \(61, 1, .* does not partition 1\.\.62$") as info:
-            kernel.witness_pairs(n, [in_range])
-        messages.append(str(info.value))
-        with pytest.raises(ValueError, match=r"^pairs of difference 31 do not partition 1\.\.62$"):
-            kernel.witness_pairs(n, [past_end])
-    assert messages[0] == messages[1]
+    for xs in (in_range, past_end):
+        messages = []
+        for kernel in (fastsearch, _pysearch):
+            with pytest.raises(ValueError, match=r"^witness \(61, 1, .* does not partition 1\.\.62$") as info:
+                kernel.witness_pairs(n, [xs])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"witness {xs!r} does not partition 1..62"
     for bad_n in (1, 4, 65):
         with pytest.raises(ValueError, match=f"got {bad_n}$"):
             fastsearch.witness_pairs(bad_n, [])
+
+
+@pytest.mark.parametrize(
+    "batch, first_fault",
+    [
+        # two pairs holding 2, then the pair (6, 11) past n - 1
+        ([(9, 2, 5, 2, 1), (9, 2, 5, 3, 6)], (9, 2, 5, 2, 1)),
+        # a valid witness, a short one, then one with element 0
+        ([(9, 2, 5, 3, 1), (9, 2, 5, 3), (0, 2, 5, 3, 1)], (9, 2, 5, 3)),
+    ],
+)
+def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_fault):
+    for kernel in (fastsearch, _pysearch):
+        with pytest.raises(ValueError) as info:
+            kernel.witness_pairs(11, batch)
+        assert str(info.value) == f"witness {first_fault!r} does not partition 1..10"
+
+
+def test_witness_batch_may_be_a_one_shot_iterable(fastsearch):
+    valid = (9, 2, 5, 3, 1)
+    expected = [tuple(sorted(_witness_pairs(valid)))] * 2
+    for kernel in (fastsearch, _pysearch):
+        assert kernel.witness_pairs(11, iter([valid, valid])) == expected
+        assert kernel.witness_pairs(11, (xs for xs in [valid, valid])) == expected
+        with pytest.raises(ValueError, match=r"^witness \(9, 2, 5, 3\) "):
+            kernel.witness_pairs(11, (xs for xs in [valid, valid[:-1]]))
 
 
 # a valid witness for each order the corruption cases below use
