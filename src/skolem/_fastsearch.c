@@ -13,7 +13,17 @@
  * of them exactly when bit x of H rotated right by half[d] within n bits
  * is clear, so the candidates become F & (F >> d) & ~rotr_n(H, half[d]):
  * every candidate popped is placed.  h < 2n, so one conditional subtract
- * reduces it.  Without strong, H stays empty and is never read.
+ * reduces it.
+ *
+ * The walk is a stack of levels, one per difference in assignment order.
+ * Each holds its untried candidates and the masks F and H it was entered
+ * with; a placement computes the next level's F and H from its own, so
+ * backing up restores the state by leaving the level, with nothing to
+ * undo.  A witness is read off the stack: level i placed the pair whose
+ * two bits F loses between levels i and i + 1.  strong is fixed per
+ * compiled instance: the walk is inlined once with strong = 1 and once
+ * with 0, so neither instance tests it per node, and without strong H is
+ * never written or read.
  *
  * The walk runs with the GIL released, so skolem.search can run several
  * top-level partitions at once on threads.  Kept witnesses wait in a C
@@ -25,9 +35,10 @@
  * witness_pairs turns those witnesses into what a PairSet holds: per
  * witness, the tuple of its pairs (x, x + d) in ascending x, each distinct
  * pair one tuple shared by the whole batch.  It checks each witness in
- * batch order, range-checking each element before it becomes a bit, and
- * the first one that is not t in-range entries whose pairs partition
- * 1..n-1 raises ValueError("witness xs does not partition 1..n-1"), as
+ * batch order, range-checking each element before it becomes a bit (an
+ * element that operator.index refuses is out of range), and the first one
+ * that is not t in-range entries whose pairs partition 1..n-1 raises
+ * ValueError("witness xs does not partition 1..n-1"), as
  * skolem._pysearch.witness_pairs does.  skolem.search calls it with the
  * GIL held, after the search's wall time is taken.
  *
@@ -60,6 +71,14 @@ rotr(uint64_t m, int k, int n)
     return (m >> k) | (m << (n - k));
 }
 
+/* One level of the walk: the difference d it places and its half-shift
+ * half[d], the masks F and H it was entered with, and its untried
+ * candidates. */
+struct level {
+    uint64_t cand, free_, hsums;
+    int d, shift;
+};
+
 /* Append rows[0..count), t entries each, to list as tuples of ints.
  * Needs the GIL. */
 static int
@@ -85,67 +104,38 @@ append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
     return 0;
 }
 
-static PyObject *
-run_search(PyObject *self, PyObject *args, PyObject *kwargs)
+/* The walk from lv[0], whose fields and every level's d and shift the
+ * caller set: the (count, nodes, witnesses) triple, or NULL with an
+ * exception.  Inlined into each call with strong a constant, so each
+ * instance is compiled without the other's branches. */
+static inline __attribute__((always_inline)) PyObject *
+walk(struct level *lv, int n, int t, const int strong, long long stop_after,
+     long long collect_limit)
 {
-    static char *keywords[] = {"n", "strong", "stop_after", "collect_limit",
-                               "descending", "fixed_top", NULL};
-    int n, strong, descending = 1, fixed_top = 0;
-    long long stop_after = 0, collect_limit = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ip|LLpi", keywords, &n, &strong,
-                                     &stop_after, &collect_limit, &descending,
-                                     &fixed_top))
-        return NULL;
-    if (n < 3 || n % 2 == 0)
-        return PyErr_Format(PyExc_ValueError, "n must be odd and >= 3, got %d", n);
-    if (n > MAX_N)
-        return PyErr_Format(PyExc_ValueError,
-                            "n = %d exceeds the compiled kernel's limit of %d",
-                            n, MAX_N);
-    int t = (n - 1) / 2;
-    int order[MAX_T], xs[MAX_T + 1];
-    uint64_t cand[MAX_T + 1];
-    for (int i = 0; i < t; i++)
-        order[i] = descending ? t - i : i + 1;
-    if (fixed_top && !(1 <= fixed_top && fixed_top <= n - 1 - order[0]))
-        return PyErr_Format(PyExc_ValueError,
-                            "fixed_top %d out of range for difference %d",
-                            fixed_top, order[0]);
-
-    int half[MAX_T + 1];
-    for (int d = 1; d <= t; d++)
-        half[d] = d * ((n + 1) / 2) % n;
-
     PyObject *witnesses = PyList_New(0);
     if (witnesses == NULL)
         return NULL;
     long long count = 0, nodes = 0;
     unsigned char batch[BATCH][MAX_T];
     int batched = 0;
-    uint64_t free_ = (BIT(n) - 1) & ~BIT(0), hsums = 0;
-    int level = 0;
-    cand[0] = free_ & (free_ >> order[0]);
-    if (fixed_top)
-        cand[0] &= BIT(fixed_top);
+    struct level *top = lv, *last = lv + t - 1;
     /* From here on no Python object is touched without the GIL. */
     PyThreadState *tstate = PyEval_SaveThread();
     for (;;) {
-        if (cand[level] == 0) {
-            /* Exhausted: back up and take back the parent's placement. */
-            if (--level < 0)
+        uint64_t c = top->cand;
+        if (c == 0) {
+            /* Exhausted: back up.  The parent's masks are still those it
+             * was entered with, so leaving this level is the whole undo. */
+            if (top == lv)
                 break;
-            int d = order[level], x = xs[d];
-            free_ |= BIT(x) | BIT(x + d);
-            if (strong)
-                hsums &= ~BIT(half_sum(x, half[d], n));
+            top--;
             continue;
         }
-        int d = order[level], x = __builtin_ctzll(cand[level]);
-        cand[level] &= cand[level] - 1;
-        free_ &= ~(BIT(x) | BIT(x + d));
-        if (strong)
-            hsums |= BIT(half_sum(x, half[d], n));
-        xs[d] = x;
+        top->cand = c & (c - 1);
+        int x = __builtin_ctzll(c);
+        struct level *next = top + 1;
+        uint64_t free_ = top->free_ & ~(BIT(x) | BIT(x + top->d));
+        next->free_ = free_;
         nodes++;
         if ((nodes & 0xFFFFF) == 0) {
             PyEval_RestoreThread(tstate);
@@ -153,19 +143,24 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
                 goto fail;
             tstate = PyEval_SaveThread();
         }
-        if (++level < t) {
-            int e = order[level];
-            cand[level] = free_ & (free_ >> e);
-            if (strong)
-                cand[level] &= ~rotr(hsums, half[e], n);
+        if (top != last) {
+            c = free_ & (free_ >> next->d);
+            if (strong) {
+                uint64_t hsums = top->hsums | BIT(half_sum(x, top->shift, n));
+                next->hsums = hsums;
+                c &= ~rotr(hsums, next->shift, n);
+            }
+            next->cand = c;
+            top = next;
             continue;
         }
-        /* A starter.  Level t has no candidates, so the next pass backs up. */
-        cand[level] = 0;
+        /* A starter.  The next pass pops this level's next candidate. */
         count++;
         if (collect_limit < 0 || count <= collect_limit) {
+            /* x at level i: the lower bit F loses on the way to i + 1 */
             for (int i = 0; i < t; i++)
-                batch[batched][i] = (unsigned char)xs[i + 1];
+                batch[batched][lv[i].d - 1] =
+                    (unsigned char)__builtin_ctzll(lv[i].free_ ^ lv[i + 1].free_);
             if (++batched == BATCH) {
                 PyEval_RestoreThread(tstate);
                 if (append_witnesses(witnesses, batch, batched, t) < 0)
@@ -185,6 +180,44 @@ run_search(PyObject *self, PyObject *args, PyObject *kwargs)
 fail: /* reached with the GIL held */
     Py_DECREF(witnesses);
     return NULL;
+}
+
+static PyObject *
+run_search(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"n", "strong", "stop_after", "collect_limit",
+                               "descending", "fixed_top", NULL};
+    int n, strong, descending = 1, fixed_top = 0;
+    long long stop_after = 0, collect_limit = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ip|LLpi", keywords, &n, &strong,
+                                     &stop_after, &collect_limit, &descending,
+                                     &fixed_top))
+        return NULL;
+    if (n < 3 || n % 2 == 0)
+        return PyErr_Format(PyExc_ValueError, "n must be odd and >= 3, got %d", n);
+    if (n > MAX_N)
+        return PyErr_Format(PyExc_ValueError,
+                            "n = %d exceeds the compiled kernel's limit of %d",
+                            n, MAX_N);
+    int t = (n - 1) / 2;
+    /* lv[t] is entered by no walk: a starter's last placement leaves its F
+     * there to decode the witness */
+    struct level lv[MAX_T + 1];
+    for (int i = 0; i < t; i++) {
+        lv[i].d = descending ? t - i : i + 1;
+        lv[i].shift = lv[i].d * ((n + 1) / 2) % n; /* d * 2^-1 mod n */
+    }
+    if (fixed_top && !(1 <= fixed_top && fixed_top <= n - 1 - lv[0].d))
+        return PyErr_Format(PyExc_ValueError,
+                            "fixed_top %d out of range for difference %d",
+                            fixed_top, lv[0].d);
+    lv[0].free_ = (BIT(n) - 1) & ~BIT(0);
+    lv[0].hsums = 0;
+    lv[0].cand = lv[0].free_ & (lv[0].free_ >> lv[0].d);
+    if (fixed_top)
+        lv[0].cand &= BIT(fixed_top);
+    return strong ? walk(lv, n, t, 1, stop_after, collect_limit)
+                  : walk(lv, n, t, 0, stop_after, collect_limit);
 }
 
 static PyObject *
@@ -222,8 +255,14 @@ witness_pairs(PyObject *self, PyObject *args)
             int overflow;
             long x = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(xs, d - 1), &overflow);
             if (x == -1 && PyErr_Occurred()) {
-                Py_DECREF(xs);
-                goto fail;
+                if (!PyErr_ExceptionMatches(PyExc_TypeError)) {
+                    Py_DECREF(xs);
+                    goto fail;
+                }
+                /* operator.index refuses it: no int, so never in range */
+                PyErr_Clear();
+                faulty = 1;
+                break;
             }
             /* checked before any shift, so no shift reaches bit n */
             if (overflow || x < 1 || x > n - 1 - d || (used & (BIT(x) | BIT(x + d)))) {

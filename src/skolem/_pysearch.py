@@ -10,8 +10,12 @@ h = x + half[d] mod n must too, where half[d] = d * 2^-1 =
 d * (n + 1) / 2 mod n.  H is the mask of half-sums in use, and
 F & (F >> d) & ~rotr_n(H, half[d]) holds exactly the candidates whose
 half-sum is free, so every candidate popped is placed.  The walk keeps
-one candidate mask per level instead of recursing, so its stack depth
-does not grow with n.
+a stack of levels instead of recursing, so its stack depth does not grow
+with n.  Each level holds its untried candidates and the masks F and H it
+was entered with; a placement computes the next level's masks from its
+own, so backing up restores the state by leaving the level, with nothing
+to undo.  Here strong is tested at each node; the compiled kernel fixes
+it per compiled instance of its walk.
 
 witness_pairs turns the walk's witnesses into the canonical pair tuples a
 PairSet holds, one tuple shared per distinct pair, and names the first
@@ -29,7 +33,7 @@ ascending order as an independent route to the same counts.
 
 from functools import reduce
 from itertools import zip_longest
-from operator import getitem, or_
+from operator import getitem, index, or_
 
 
 def run_search(
@@ -69,16 +73,17 @@ def run_search(
         )
     half = [d * ((n + 1) // 2) % n for d in range(t + 1)]
     full = (1 << n) - 1
-    free = full ^ 1
-    hsums = 0
-    # cand[level]: the untried candidates for difference order[level];
-    # xbit[level], hbit[level]: the element and half-sum bits of the pair
-    # placed at that level.
-    cand = [0] * (t + 1)
+    last = t - 1
+    # Per level: cand, its untried candidates for difference order[level];
+    # frees and hsums_at, the masks F and H it was entered with; xbit, the
+    # element bit it placed last, read only to decode a witness.
+    cand = [0] * t
+    frees = [0] * t
+    hsums_at = [0] * t
     xbit = [0] * t
-    hbit = [0] * t
     # the levels of the differences 1..t, in that order
     by_difference = sorted(range(t), key=order.__getitem__)
+    free = frees[0] = full ^ 1
     cand[0] = free & (free >> order[0])
     if fixed_top:
         cand[0] &= 1 << fixed_top
@@ -89,38 +94,34 @@ def run_search(
     while True:
         c = cand[level]
         if not c:
-            # Exhausted: back up and take back the parent's placement.
+            # Exhausted: back up to the parent, whose masks are unchanged.
             level -= 1
             if level < 0:
                 break
-            low = xbit[level]
-            free |= low | (low << order[level])
-            hsums ^= hbit[level]
             continue
         low = c & -c
         cand[level] = c ^ low
         d = order[level]
-        free ^= low | (low << d)
-        if strong:
-            # bit x + half[d] mod n: x + half[d] < 2n, so one shift reduces it
-            h = low << half[d]
-            if h > full:
-                h >>= n
-            hsums |= h
-            hbit[level] = h
+        free = frees[level] ^ (low | (low << d))
         xbit[level] = low
         nodes += 1
-        level += 1
-        if level < t:
+        if level < last:
+            level += 1
+            frees[level] = free
             e = order[level]
             c = free & (free >> e)
             if strong:
+                # bit x + half[d] mod n: x + half[d] < 2n, so one shift reduces it
+                h = low << half[d]
+                if h > full:
+                    h >>= n
+                hsums = hsums_at[level] = hsums_at[level - 1] | h
                 # rotr_n(H, k); its bits at n and above miss F anyway
                 k = half[e]
                 c &= ~((hsums >> k) | (hsums << (n - k)))
             cand[level] = c
             continue
-        # A starter.  Level t has no candidates, so the next pass backs up.
+        # A starter.  The next pass pops this level's next candidate.
         count += 1
         if collect_limit < 0 or len(witnesses) < collect_limit:
             witnesses.append(tuple(xbit[i].bit_length() - 1 for i in by_difference))
@@ -133,7 +134,9 @@ def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
     """The canonical pairs of run_search witnesses, for a valid n: per
     witness xs, the tuple of its pairs (x, x + d), xs[d - 1] = x, in
     ascending x.  The first witness, in batch order, that is not t
-    in-range entries whose pairs partition 1..n-1 raises ValueError.
+    in-range entries whose pairs partition 1..n-1 raises ValueError; an
+    element that operator.index refuses is never in range, though it may
+    equal one (9.0 == 9).
 
     Each difference column is tabled over its in-range values only, which
     keeps every mask within n bits: x maps to the pair (x, x + d), one
@@ -141,21 +144,32 @@ def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
     element out of range is a KeyError.  t pairs partition 1..n-1 iff
     their masks OR to bits 1..n-1.
     """
-    witnesses = tuple(witnesses)  # read twice: once by column, once by witness
+    witnesses = tuple(witnesses)  # read twice: into rows, and to name a fault
+    rows = [_indices(xs) for xs in witnesses]
     t = (n - 1) // 2
     pairs, masks = [], []
-    for d, column in zip(range(1, t + 1), zip_longest(*witnesses, fillvalue=0)):
+    for d, column in zip(range(1, t + 1), zip_longest(*rows, fillvalue=0)):
         values = {*column}.intersection(range(1, n - d))
         pairs.append({x: (x, x + d) for x in values})
         masks.append({x: 1 << x | 1 << x + d for x in values})
     full = (1 << n) - 2
     out = []
-    for xs in witnesses:
+    for xs, row in zip(witnesses, rows):
         try:
-            partition = len(xs) == t and reduce(or_, map(getitem, masks, xs), 0) == full
+            partition = len(row) == t and reduce(or_, map(getitem, masks, row), 0) == full
         except KeyError:
             partition = False
         if not partition:
             raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
-        out.append(tuple(sorted(map(getitem, pairs, xs))))
+        out.append(tuple(sorted(map(getitem, pairs, row))))
     return out
+
+
+def _indices(xs) -> tuple[int, ...]:
+    """The elements of witness xs as ints, or () if operator.index
+    refuses one of them: t >= 1, so () is never a witness."""
+    elements = map(index, xs)  # a witness that is not iterable raises here
+    try:
+        return tuple(elements)
+    except TypeError:
+        return ()

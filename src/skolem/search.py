@@ -257,11 +257,17 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     # that part, so on one worker each part collects just what the cap
     # still needs; threads draw them all up front, so the merge truncates.
     caps = (collect - len(raw_witnesses) if collect >= 0 else -1 for _ in tops)
-    calls = (mod.run_search, repeat(n), repeat(strong), repeat(stop_after),
-             caps, repeat(True), tops)
+    calls = (mod.run_search, repeat(n), repeat(strong), repeat(stop_after), caps, repeat(True))
 
     started = time.perf_counter()
-    parts = map(*calls) if workers == 1 else _thread_map(workers, *calls)
+    if workers == 1:
+        parts = map(*calls, tops)
+    else:
+        # Parts grow towards the mirror axis x = (t + 1) / 2, so threads
+        # take the parts nearest it first and the last to start is small.
+        queued = sorted(tops, key=lambda x: abs(2 * x - t - 1))
+        done = dict(zip(queued, _thread_map(workers, *calls, queued)))
+        parts = map(done.pop, tops)
     for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
         weight = 2 if mirrored and 2 * x != t + 1 else 1
         count += weight * part_count

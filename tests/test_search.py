@@ -73,6 +73,15 @@ def test_kernels_agree_exactly(fastsearch):
                     assert fastsearch.run_search(*args) == expected, args
 
 
+@pytest.mark.parametrize("n, nodes", [(57, 304_453), (59, 164_183)])
+def test_kernels_agree_at_the_top_of_the_word(fastsearch, n, nodes):
+    # the first three strong starters: F and H reach bit n - 1 near 63,
+    # and rotr shifts by up to n - 1
+    expected = _pysearch.run_search(n, True, 3, -1, True, 0)
+    assert expected[:2] == (3, nodes)
+    assert fastsearch.run_search(n, True, 3, -1, True, 0) == expected
+
+
 def test_pure_kernel_does_not_recurse():
     # t = 10 levels deep, under a limit 5 frames above this one; the lowest
     # limit the interpreter accepts is one above the current depth, which
@@ -167,6 +176,9 @@ def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
         ([(9, 2, 5, 2, 1), (9, 2, 5, 3, 6)], (9, 2, 5, 2, 1)),
         # a valid witness, a short one, then one with element 0
         ([(9, 2, 5, 3, 1), (9, 2, 5, 3), (0, 2, 5, 3, 1)], (9, 2, 5, 3)),
+        # elements operator.index refuses: 9.0 equals and hashes like 9
+        ([(9, 2, 5, 3, 1), (9.0, 2, 5, 3, 1)], (9.0, 2, 5, 3, 1)),
+        ([("a", 2, 5, 3, 1), (9.0, 2, 5, 3, 1)], ("a", 2, 5, 3, 1)),
     ],
 )
 def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_fault):
@@ -474,29 +486,31 @@ def _hook_kernel(monkeypatch, fastsearch, run_search):
 @pytest.mark.parametrize("failing", [{2}, {1, 2}], ids=["part-2", "parts-1-and-2"])
 def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch, failing):
     # a part that raises re-raises in the caller once every thread is
-    # joined; parts start in ascending order and stop at the failure.  When
-    # two parts fail, the first in partition order wins, not the first in
-    # time: part 1 raises only after part 2 has.
+    # joined; parts start nearest the mirror axis first (6, 7, 5, 8, ...,
+    # 2, 11, 1, 12 at n = 25) and stop at the failure.  When two parts
+    # fail, the first in that order wins, not the first in time: part 2
+    # raises only after part 1 has.
+    queue = [6, 7, 5, 8, 4, 9, 3, 10, 2, 11, 1, 12]
     tops = []
-    second_failed = threading.Event()
+    first_failed = threading.Event()
 
     def run_search(*args):
         top = args[5]
         tops.append(top)
         if top not in failing:
             return fastsearch.run_search(*args)
-        if top == 2:
-            second_failed.set()
-        else:
-            assert second_failed.wait(10)
+        if top == 1:
+            first_failed.set()
+        elif 1 in failing:
+            assert first_failed.wait(10)
         raise RuntimeError(f"partition {top} failed")
 
     _hook_kernel(monkeypatch, fastsearch, run_search)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"partition {min(failing)} failed"):
+    with pytest.raises(RuntimeError, match=f"partition {min(failing, key=queue.index)} failed"):
         search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
     assert threading.active_count() == before
-    assert sorted(tops) == list(range(1, len(tops) + 1))
+    assert sorted(tops, key=queue.index) == queue[: len(tops)]
 
 
 def test_two_workers_are_the_caller_and_one_thread(fastsearch, monkeypatch):
@@ -563,10 +577,10 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
     with pytest.raises(KeyboardInterrupt):
         search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
     assert threading.active_count() == before
-    assert sorted(started) == [1, 2]
+    assert sorted(started) == [6, 7]
     [(caller_top, stopped_at)] = interrupted
     [(thread_top, finished_at)] = finished
-    assert {caller_top, thread_top} == {1, 2}
+    assert {caller_top, thread_top} == {6, 7}
     # the caller stopped while the thread's part was still running
     assert stopped_at < finished_at
 
