@@ -7,8 +7,8 @@ uses.  --json switches any subcommand to a single JSON envelope on stdout.
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
 precondition, unreadable input or unwritable output, 3 verified property
 does not hold, 4 search ceiling refusal, 130 interrupted (Ctrl-C), 141
-stdout closed by its reader (as by `| head -1`).  main alone maps each
-outcome to its code.
+stdout closed by its reader (as by `| head -1`).  A command returns 0, 1
+or 3; main maps every exception a command raises to its code.
 """
 
 import argparse

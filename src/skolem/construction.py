@@ -105,13 +105,14 @@ def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     return PairSet._from_pairs(q, xs, ys)
 
 
-def _starter(q: int, beta: int) -> PairSet:
-    """S_beta for a prime q == 3 (mod 4) that the caller has checked.
-
-    beta must be a non-residue mod q.  beta = q - 1 is rejected for q > 3
-    because then every pair sums to zero and the starter cannot be strong;
-    for q = 3 the single pair makes the sums trivially distinct.
-    """
+def build_strong_starter(q: int, beta: int) -> PairSet:
+    """Strong starter S_beta for Z_q; q prime, q % 4 == 3, beta a
+    non-residue other than q - 1 (taken mod q)."""
+    _require_prime_q(q)
+    if q % 4 != 3:
+        raise ConstructionError(
+            f"q % 4 == {q % 4}: the construction requires q % 4 == 3"
+        )
     _require_int("beta", beta)
     beta %= q
     residues = _squares(q)
@@ -122,6 +123,8 @@ def _starter(q: int, beta: int) -> PairSet:
             f"beta = {beta} is a quadratic residue mod {q}; "
             f"a non-residue is required"
         )
+    # beta = q - 1 makes every pair sum to zero, so the starter cannot be
+    # strong; for q = 3 the single pair makes the sums trivially distinct
     if beta == q - 1 and q > 3:
         raise ConstructionError(
             "beta = q - 1 makes every pair sum to zero; "
@@ -136,17 +139,6 @@ def _starter(q: int, beta: int) -> PairSet:
         xs.append(x)
         ys.append(y)
     return PairSet._from_pairs(q, xs, ys)
-
-
-def build_strong_starter(q: int, beta: int) -> PairSet:
-    """Strong starter S_beta for Z_q; q prime, q % 4 == 3, beta a
-    non-residue other than q - 1 (taken mod q)."""
-    _require_prime_q(q)
-    if q % 4 != 3:
-        raise ConstructionError(
-            f"q % 4 == {q % 4}: the construction requires q % 4 == 3"
-        )
-    return _starter(q, beta)
 
 
 def build_strong_skolem(q: int, choice=BetaChoice.TWO) -> PairSet:
@@ -239,7 +231,12 @@ def enumerate_strong_skolem(
     q_max: int,
     choices: tuple = (BetaChoice.TWO, BetaChoice.HALF),
 ) -> Iterator[tuple[int, BetaChoice, PairSet]]:
-    """Yield (q, choice, starter) for every q in construction_primes(q_max)."""
+    """Yield (q, choice, starter) for every q in construction_primes(q_max)
+    and every choice in the tuple choices, each '2', 'half' or a BetaChoice."""
+    if isinstance(choices, (str, BetaChoice)):
+        raise ConstructionError(
+            f"choices must be a tuple such as ('2', 'half'), got {_quote(choices)}"
+        )
     normalized = tuple(_as_choice(c) for c in choices)
     for q in construction_primes(q_max):
         fold = _fold(q)

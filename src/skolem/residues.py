@@ -29,16 +29,16 @@ def _cut(text: str, limit: int) -> str:
     return text if len(text) <= limit else f"{text[:limit]}…"
 
 
-def _quote(value, limit: int = 80) -> str:
-    """repr(value), cut to limit characters and an ellipsis if longer.
+def _quote(value) -> str:
+    """repr(value), cut to 80 characters and an ellipsis if longer.
 
-    An int of more than limit digits is named by its size and never made
+    An int of more than 80 digits is named by its size and never made
     text: past 4,300 digits the conversion itself raises.
     """
-    if isinstance(value, int) and abs(value) >= 10**limit:
+    if isinstance(value, int) and abs(value) >= 10**80:
         sign = "negative " if value < 0 else ""
         return f"<{sign}int of {value.bit_length()} bits>"
-    return _cut(repr(value), limit)
+    return _cut(repr(value), 80)
 
 
 def _require_int(name: str, value) -> None:

@@ -26,7 +26,6 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 from .residues import _quote, _require_int
 from .starters import PairSet
@@ -77,7 +76,7 @@ def active_backend() -> str:
 
     Larger orders always run the pure kernel.
     """
-    return _kernel(3)[1]
+    return "compiled" if _fastsearch is not None else "pure"
 
 
 @dataclass(frozen=True)
@@ -168,25 +167,23 @@ class SearchResult:
     workers: int
 
 
-def _thread_map(workers: int, fn, *iterables) -> list:
-    """[fn(*args) for args in zip(*iterables)], run by the caller plus
-    `workers - 1` threads, all taking calls from one queue.
+def _thread_map(workers: int, fn, items: list) -> list:
+    """[fn(item) for item in items], run by the caller plus `workers - 1`
+    threads, all taking calls from one queue.
 
-    Like Executor.map, it draws every call's arguments up front and keeps
-    the results in call order; the first call, in that order, that raised
-    re-raises here, and no call not yet begun starts after a failure.  The
-    caller works rather than waits, so its CPU, warm from whatever ran
-    before, is not left idle while the threads share the other ones.  On
-    Ctrl-C the caller's own call stops (the compiled kernel at its next
-    poll), no call not yet begun starts, the calls running on the other
-    threads finish, and every thread is joined before the exception
-    propagates.  Plain threads spare `import skolem` the import of the
-    standard executors, about a third of its cost.
+    The results keep the order of items; the first call, in that order,
+    that raised re-raises here, and no call not yet begun starts after a
+    failure.  The caller works rather than waits, so its CPU, warm from
+    whatever ran before, is not left idle while the threads share the
+    other ones.  On Ctrl-C the caller's own call stops (the compiled
+    kernel at its next poll), no call not yet begun starts, the calls
+    running on the other threads finish, and every thread is joined
+    before the exception propagates.  Plain threads spare `import skolem`
+    the import of the standard executors, about a third of its cost.
     """
-    calls = list(zip(*iterables))
-    results = [None] * len(calls)
+    results = [None] * len(items)
     errors = {}
-    queue = list(enumerate(calls))[::-1]  # popped from the end, in order
+    queue = list(enumerate(items))[::-1]  # popped from the end, in order
     # The wait is on this semaphore, not on Thread.join: an interrupted
     # join can mark a thread that is still running as stopped (CPython
     # 3.11), after which joining it again returns at once.
@@ -196,11 +193,11 @@ def _thread_map(workers: int, fn, *iterables) -> list:
         # list.pop and list.clear are atomic, so each call runs once
         while True:
             try:
-                i, args = queue.pop()
+                i, item = queue.pop()
             except IndexError:
                 break
             try:
-                results[i] = fn(*args)
+                results[i] = fn(item)
             except BaseException as exc:
                 errors[i] = exc
                 queue.clear()
@@ -208,7 +205,7 @@ def _thread_map(workers: int, fn, *iterables) -> list:
 
     threads = []
     try:
-        for _ in range(min(workers, len(calls)) - 1):
+        for _ in range(min(workers, len(items)) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
@@ -253,20 +250,23 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(tops))
     count = nodes = 0
     raw_witnesses = []
-    # The builtin map draws a call's arguments only when the loop asks for
-    # that part, so on one worker each part collects just what the cap
-    # still needs; threads draw them all up front, so the merge truncates.
-    caps = (collect - len(raw_witnesses) if collect >= 0 else -1 for _ in tops)
-    calls = (mod.run_search, repeat(n), repeat(strong), repeat(stop_after), caps, repeat(True))
+
+    def part(x):
+        # The cap is what the merge below has not yet collected when the
+        # part starts: on one worker every earlier part is merged by then,
+        # on threads none is, so each asks for the whole cap and the merge
+        # cuts the list.
+        cap = collect - len(raw_witnesses) if collect >= 0 else -1
+        return mod.run_search(n, strong, stop_after, cap, True, x)
 
     started = time.perf_counter()
     if workers == 1:
-        parts = map(*calls, tops)
+        parts = map(part, tops)
     else:
         # Parts grow towards the mirror axis x = (t + 1) / 2, so threads
         # take the parts nearest it first and the last to start is small.
         queued = sorted(tops, key=lambda x: abs(2 * x - t - 1))
-        done = dict(zip(queued, _thread_map(workers, *calls, queued)))
+        done = dict(zip(queued, _thread_map(workers, part, queued)))
         parts = map(done.pop, tops)
     for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
         weight = 2 if mirrored and 2 * x != t + 1 else 1

@@ -50,8 +50,9 @@ class PairSet:
     The pair sets the package builds itself take one of two other
     entries, both leaving n to the caller to validate once: _from_pairs
     for one pair set, which checks only that the pairs partition
-    {1, ..., n-1} exactly, and _from_witnesses for a search's witnesses,
-    which a kernel's witness_pairs has already made canonical and checked.
+    {1, ..., n-1} exactly, and _from_witnesses, which wraps pair tuples
+    already canonical and checked, as _from_pairs and a kernel's
+    witness_pairs hand them over.
     """
 
     n: int
@@ -98,17 +99,13 @@ class PairSet:
             raise ValueError(
                 f"pair set {tuple(zip(xs, ys))!r} does not partition 1..{n - 1}"
             )
-        ps = object.__new__(cls)
-        object.__setattr__(ps, "n", n)
-        object.__setattr__(ps, "pairs", tuple(sorted(zip(xs, ys))))
-        return ps
+        return cls._from_witnesses(n, [tuple(sorted(zip(xs, ys)))])[0]
 
     @classmethod
     def _from_witnesses(cls, n: int, canonical) -> tuple["PairSet", ...]:
-        """The PairSets of a search's witnesses, for a valid n, as the
-        witness_pairs of the kernel that found them returns them: tuples
-        of pairs already in canonical order and checked to partition
-        1..n-1.  Each one is wrapped as it is, shared pairs and all.
+        """The PairSets, for a valid n, of canonical pair tuples already
+        checked to partition 1..n-1, as a kernel's witness_pairs returns
+        them.  Each one is wrapped as it is, shared pairs and all.
         """
         new, set_field = object.__new__, object.__setattr__
         out = []
@@ -155,11 +152,11 @@ class PairSet:
         return ((x, y) if x < y else (y, x)) in self.pairs
 
 
-def _preview(values, limit: int = 8) -> str:
+def _preview(values) -> str:
     vals = sorted(values)
-    if len(vals) <= limit:
+    if len(vals) <= 8:
         return ", ".join(map(str, vals))
-    shown = ", ".join(map(str, vals[:limit]))
+    shown = ", ".join(map(str, vals[:8]))
     return f"{shown}, ... ({len(vals)} total)"
 
 

@@ -196,6 +196,15 @@ def test_enumerate_strong_skolem():
     ]
 
 
+@pytest.mark.parametrize("choices", ["half", "2", BetaChoice.HALF])
+def test_enumerate_strong_skolem_refuses_a_bare_choice(choices):
+    # a lone str would be iterated character by character, so "2" would
+    # pass as ("2",); the tuple form is the one accepted
+    expected = r"choices must be a tuple such as \('2', 'half'\), got "
+    with pytest.raises(ConstructionError, match=expected):
+        list(enumerate_strong_skolem(20, choices))
+
+
 def test_half_set_certificate_structure():
     for q in (11, 19, 43, 59):
         for choice in BetaChoice:

@@ -474,6 +474,15 @@ def test_import_loads_no_executor_and_no_pure_kernel(fastsearch):
     assert proc.stdout.splitlines() == ["[] True", "[] pure 1"]
 
 
+def test_active_backend_loads_no_pure_kernel():
+    # naming the pure kernel is no search, so it does not load it
+    probe = ("import sys, skolem; skolem.search._fastsearch = None; "
+             "print(skolem.active_backend(), 'skolem._pysearch' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert proc.stdout.splitlines() == ["pure False"]
+
+
 def _hook_kernel(monkeypatch, fastsearch, run_search):
     """Point the search at the compiled kernel, each run_search call going
     through the given hook instead."""
@@ -642,6 +651,22 @@ def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, m
     result = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10))
     assert caps == [10, 4, 1, 0, 0, 0, 0, 0]
     assert (result.count, len(result.witnesses)) == (56, 10)
+
+
+def test_threads_ask_each_partition_for_the_whole_cap(fastsearch, monkeypatch):
+    # on threads every part runs before the merge, so each is asked for
+    # all 10 witnesses and the merge keeps the one-worker result's
+    one_worker = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10))
+    caps = []
+
+    def run_search(*args):
+        caps.append(args[3])
+        return fastsearch.run_search(*args)
+
+    _hook_kernel(monkeypatch, fastsearch, run_search)
+    result = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10, workers=2))
+    assert (result.workers, caps) == (2, [10] * 8)
+    assert result.witnesses == one_worker.witnesses
 
 
 def test_parallel_zero_count_order():
