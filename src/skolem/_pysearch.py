@@ -6,16 +6,20 @@ The free elements of 1..n-1 are one mask F, and the candidates x for
 difference d are the set bits of F & (F >> d), popped in ascending order
 (the lowest bit is c & -c; bit_length turns bits back into elements).
 With strong, the pair sums 2x + d mod n must differ, so the half-sums
-h = x + half[d] mod n must too, where half[d] = d * 2^-1 =
-d * (n + 1) / 2 mod n.  H is the mask of half-sums in use, and
-F & (F >> d) & ~rotr_n(H, half[d]) holds exactly the candidates whose
-half-sum is free, so every candidate popped is placed.  The walk keeps
-a stack of levels instead of recursing, so its stack depth does not grow
-with n.  Each level holds its untried candidates and the masks F and H it
-was entered with; a placement computes the next level's masks from its
-own, so backing up restores the state by leaving the level, with nothing
-to undo.  Here strong is tested at each node; the compiled kernel fixes
-it per compiled instance of its walk.
+x + d * 2^-1 mod n must too.  Each level keeps them in its own frame: bit
+x of its mask G is set iff placing (x, x + d) there would repeat a
+half-sum, so F & (F >> d) & ~G holds exactly the level's candidates and
+every candidate popped is placed.  Consecutive half-shifts d * 2^-1
+differ by r = t (descending) or t + 1 (ascending) mod n, so placing x
+gives the child G' = rotr_n(G | bit x, r), cut to n bits so that the int
+does not grow with depth.  The walk keeps a stack of levels instead of
+recursing, so its stack depth does not grow with n.  Each level holds
+its untried candidates and the masks F and G it was entered with; a
+placement computes the next level's masks and candidates from its own
+and enters it only when it has a candidate, so backing up restores the
+state by leaving the level, with nothing to undo.  Here strong is tested
+at each node; the compiled kernel fixes it per compiled instance of its
+walk.
 
 witness_pairs turns the walk's witnesses into the canonical pair tuples a
 PairSet holds, one tuple shared per distinct pair, and names the first
@@ -71,11 +75,12 @@ def run_search(
         raise ValueError(
             f"fixed_top {fixed_top} out of range for difference {order[0]}"
         )
-    half = [d * ((n + 1) // 2) % n for d in range(t + 1)]
     full = (1 << n) - 1
+    # rotr_n(h, r) is h >> r | h << wrap: a level's frame rotated to its child's
+    r, wrap = (t, t + 1) if descending else (t + 1, t)
     last = t - 1
     # Per level: cand, its untried candidates for difference order[level];
-    # frees and hsums_at, the masks F and H it was entered with; xbit, the
+    # frees and hsums_at, the masks F and G it was entered with; xbit, the
     # element bit it placed last, read only to decode a witness.
     cand = [0] * t
     frees = [0] * t
@@ -101,25 +106,19 @@ def run_search(
             continue
         low = c & -c
         cand[level] = c ^ low
-        d = order[level]
-        free = frees[level] ^ (low | (low << d))
+        free = frees[level] ^ (low | (low << order[level]))
         xbit[level] = low
         nodes += 1
         if level < last:
-            level += 1
-            frees[level] = free
-            e = order[level]
-            c = free & (free >> e)
+            c = free & (free >> order[level + 1])
             if strong:
-                # bit x + half[d] mod n: x + half[d] < 2n, so one shift reduces it
-                h = low << half[d]
-                if h > full:
-                    h >>= n
-                hsums = hsums_at[level] = hsums_at[level - 1] | h
-                # rotr_n(H, k); its bits at n and above miss F anyway
-                k = half[e]
-                c &= ~((hsums >> k) | (hsums << (n - k)))
-            cand[level] = c
+                h = hsums_at[level] | low
+                h = hsums_at[level + 1] = (h >> r | h << wrap) & full
+                c &= ~h
+            if c:  # else the next pass pops this level's next candidate
+                level += 1
+                frees[level] = free
+                cand[level] = c
             continue
         # A starter.  The next pass pops this level's next candidate.
         count += 1

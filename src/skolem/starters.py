@@ -148,8 +148,12 @@ class PairSet:
         return iter(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        x, y = pair
-        return ((x, y) if x < y else (y, x)) in self.pairs
+        try:  # anything but a pair of comparable elements is not held, as in a set
+            x, y = pair
+            pair = (x, y) if x < y else (y, x)
+        except (TypeError, ValueError):
+            return False
+        return pair in self.pairs
 
 
 def _preview(values) -> str:

@@ -41,8 +41,8 @@ def test_kernel_counts_match_fixtures():
     for key, expected in STARTER_COUNTS.items():
         assert NODE_COUNTS[key][0] == expected, key
     for (n, strong), (count, nodes) in NODE_COUNTS.items():
-        if n > 19:
-            continue  # larger orders are exercised by the compiled kernel below
+        if n > 21 or (n, strong) == (21, False):
+            continue  # larger walks are exercised by the compiled kernel below
         assert _pysearch.run_search(n, strong) == (count, nodes, []), (n, strong)
 
 
@@ -75,8 +75,8 @@ def test_kernels_agree_exactly(fastsearch):
 
 @pytest.mark.parametrize("n, nodes", [(57, 304_453), (59, 164_183)])
 def test_kernels_agree_at_the_top_of_the_word(fastsearch, n, nodes):
-    # the first three strong starters: F and H reach bit n - 1 near 63,
-    # and rotr shifts by up to n - 1
+    # the first three strong starters: F and G reach bit n - 1 near 63,
+    # and the C kernel's G carries bits past n into the next rotation
     expected = _pysearch.run_search(n, True, 3, -1, True, 0)
     assert expected[:2] == (3, nodes)
     assert fastsearch.run_search(n, True, 3, -1, True, 0) == expected
@@ -257,6 +257,20 @@ def test_variable_order_does_not_change_the_count():
             down = _pysearch.run_search(n, strong, 0, 0, True)[0]
             up = _pysearch.run_search(n, strong, 0, 0, False)[0]
             assert down == up, (n, strong)
+
+
+@pytest.mark.parametrize("n, count, nodes", [(19, 194, 65_159), (21, 0, 396_907)])
+def test_kernels_agree_in_ascending_order_past_the_fuzz_range(fastsearch, n, count, nodes):
+    # ascending order shifts each level's half-sum frame by t + 1, not t
+    expected = _pysearch.run_search(n, True, 0, -1, False, 0)
+    assert expected[:2] == (count, nodes)
+    assert fastsearch.run_search(n, True, 0, -1, False, 0) == expected
+
+
+def test_compiled_ascending_count_at_25_strong(fastsearch):
+    assert fastsearch.run_search(25, True, 0, 0, False, 0) == (
+        STARTER_COUNTS[(25, True)], 16_833_937, []
+    )
 
 
 def test_kernel_witnesses_match_element_driven_oracle(fastsearch):

@@ -59,6 +59,16 @@ def test_pair_set_canonicalisation():
     assert (6, 1) in a and (1, 6) in a and (1, 7) not in a
 
 
+def test_pair_set_holds_its_pairs_in_either_order_and_nothing_else():
+    ps = PairSet(11, S_HALF[11])
+    for x, y in S_HALF[11]:
+        assert (x, y) in ps and (y, x) in ps and [x, y] in ps
+    assert (1, 7) not in ps and (1, 1) not in ps
+    # not a pair, or not a pair of comparable elements: False, as in a set
+    for probe in (5, None, (1, 6, 2), (1,), (), "ab", (1, "a"), ("a", 1), iter((6,))):
+        assert probe not in ps, probe
+
+
 def test_pair_set_properties():
     ps = PairSet(11, S_HALF[11])
     assert ps.t == 5
