@@ -1,4 +1,5 @@
-/* Compiled backtracking kernel for (strong) Skolem starters.
+/* Compiled backtracking kernel for (strong) Skolem starters, and the
+ * construction's folding and pair layout.
  *
  * Contract and semantics mirror skolem._pysearch.run_search exactly: the
  * same tree, walked in the same order, so both kernels return identical
@@ -46,6 +47,16 @@
  *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
+ *
+ * fold and skolem_pairs serve skolem.construction, for any odd q up to
+ * 2^31 - 1, with its pure functions as the fallback and the reference.
+ * fold marks each x^2 mod q, x = 1..(q-1)/2, in a bitmap of q bits and
+ * reads the two folded runs off it in one ascending scan.  skolem_pairs
+ * marks each pair's two elements in a used bitmap, checking each first,
+ * and its smaller element in a second; the pairs come out in canonical
+ * order from that bitmap, with no set and no sort.  It returns None for
+ * any input it does not read exactly as an exact int in range, so that
+ * the pure route raises its own error.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -301,6 +312,173 @@ done:
     return out;
 }
 
+/* The construction's modulus q as a C long, or -1 with TypeError or
+ * ValueError set: fold and skolem_pairs take any odd q in 3..MAX_Q, as
+ * skolem.residues checks a modulus, so every element, and 2d for d <= t,
+ * fits even a 32-bit long. */
+#define MAX_Q 2147483647L
+
+static long
+modulus(PyObject *obj)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "q must be an int, got %.80s", Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    int overflow;
+    long q = PyLong_AsLongAndOverflow(obj, &overflow);
+    if (q == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || q < 3 || q > MAX_Q || q % 2 == 0) {
+        PyErr_SetString(PyExc_ValueError, "q must be odd and in 3..2147483647");
+        return -1;
+    }
+    return q;
+}
+
+#define WORDS(nbits) ((size_t)(nbits) / 64 + 1) /* a bitmap of bits 0..nbits */
+#define TEST(bits, i) ((bits)[(i) >> 6] & BIT((i) & 63))
+#define MARK(bits, i) ((bits)[(i) >> 6] |= BIT((i) & 63))
+
+/* The tuple of the ints values[0..count), or NULL with an exception. */
+static PyObject *
+int_tuple(const long *values, Py_ssize_t count)
+{
+    PyObject *out = PyTuple_New(count);
+    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
+        PyObject *v = PyLong_FromLong(values[i]);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+static PyObject *
+fold(PyObject *self, PyObject *arg)
+{
+    long q = modulus(arg);
+    if (q < 0)
+        return NULL;
+    long t = (q - 1) / 2;
+    uint64_t *squares = PyMem_Calloc(WORDS(q), sizeof(uint64_t));
+    long *runs = PyMem_Malloc((size_t)q * sizeof(long));
+    PyObject *out = NULL;
+    if (squares == NULL || runs == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    long *high = runs + t + 1; /* low in runs[0..t], high after it */
+    /* (x + 1)^2 = x^2 + 2x + 1, and 2x + 1 < q: one subtraction reduces
+     * s below 2q, which needs 64 bits */
+    int64_t s = 1;
+    for (long x = 1; x <= t; s += 2 * x + 1, x++) {
+        if (s >= q)
+            s -= q;
+        MARK(squares, s);
+    }
+    /* d = 0 is a square only for a composite q, and _fold keeps it in low;
+     * bit q is never set */
+    Py_ssize_t nlow = 0, nhigh = 0;
+    for (long d = 0; d <= t; d++) {
+        if (TEST(squares, d))
+            runs[nlow++] = d;
+        if (TEST(squares, q - d))
+            high[nhigh++] = d;
+    }
+    PyObject *low_run = int_tuple(runs, nlow), *high_run = NULL;
+    if (low_run != NULL && (high_run = int_tuple(high, nhigh)) != NULL)
+        out = PyTuple_Pack(2, low_run, high_run);
+    Py_XDECREF(low_run);
+    Py_XDECREF(high_run);
+done:
+    PyMem_Free(squares);
+    PyMem_Free(runs);
+    return out;
+}
+
+/* Mark the pairs of the entries of seq, a tuple or list: for each d, the
+ * pair (d, 2d) or, reflected, (q - 2d, q - d), its smaller element in
+ * lows and, if reflected, in reflected_lows.  0, or -1 when an entry is not
+ * an exact int in 1..t or an element is already used.  Touches no Python
+ * object that could run code, so seq cannot change under it. */
+static int
+mark_pairs(PyObject *seq, long q, int reflected, uint64_t *used, uint64_t *lows,
+           uint64_t *reflected_lows)
+{
+    long t = (q - 1) / 2;
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t i = 0; i < size; i++) {
+        if (!PyLong_CheckExact(items[i]))
+            return -1;
+        int overflow;
+        long d = PyLong_AsLongAndOverflow(items[i], &overflow);
+        if (overflow || d < 1 || d > t)
+            return -1;
+        long x = reflected ? q - 2 * d : d, y = x + d;
+        if (TEST(used, x) || TEST(used, y))
+            return -1;
+        MARK(used, x);
+        MARK(used, y);
+        MARK(lows, x);
+        if (reflected)
+            MARK(reflected_lows, x);
+    }
+    return 0;
+}
+
+static PyObject *
+skolem_pairs(PyObject *self, PyObject *args)
+{
+    PyObject *qarg, *direct, *reflected;
+    if (!PyArg_ParseTuple(args, "OOO:skolem_pairs", &qarg, &direct, &reflected))
+        return NULL;
+    long q = modulus(qarg);
+    if (q < 0)
+        return NULL;
+    long t = (q - 1) / 2;
+    /* only a tuple or a list is read in place; anything else is the pure
+     * route's to iterate */
+    if (!(PyTuple_CheckExact(direct) || PyList_CheckExact(direct)) ||
+        !(PyTuple_CheckExact(reflected) || PyList_CheckExact(reflected)) ||
+        PySequence_Fast_GET_SIZE(direct) + PySequence_Fast_GET_SIZE(reflected) != t)
+        Py_RETURN_NONE;
+    uint64_t *used = PyMem_Calloc(3 * WORDS(q), sizeof(uint64_t));
+    if (used == NULL)
+        return PyErr_NoMemory();
+    uint64_t *lows = used + WORDS(q), *reflected_lows = lows + WORDS(q);
+    PyObject *out = NULL;
+    /* t disjoint pairs within 1..q-1: a partition */
+    if (mark_pairs(direct, q, 0, used, lows, reflected_lows) < 0 ||
+        mark_pairs(reflected, q, 1, used, lows, reflected_lows) < 0) {
+        out = Py_NewRef(Py_None);
+        goto done;
+    }
+    /* the smaller elements in ascending order give the canonical order */
+    if ((out = PyTuple_New(t)) == NULL)
+        goto done;
+    Py_ssize_t i = 0;
+    for (long w = 0; w <= q / 64; w++) {
+        for (uint64_t bits = lows[w]; bits; bits &= bits - 1) {
+            long x = w * 64 + __builtin_ctzll(bits);
+            /* (d, 2d) or (q - 2d, q - d), d = (q - x) / 2 */
+            long y = TEST(reflected_lows, x) ? x + (q - x) / 2 : 2 * x;
+            long xy[2] = {x, y};
+            PyObject *pair = int_tuple(xy, 2);
+            if (pair == NULL) {
+                Py_CLEAR(out);
+                goto done;
+            }
+            PyTuple_SET_ITEM(out, i++, pair);
+        }
+    }
+done:
+    PyMem_Free(used);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"run_search", (PyCFunction)(void (*)(void))run_search,
      METH_VARARGS | METH_KEYWORDS,
@@ -316,12 +494,24 @@ static PyMethodDef methods[] = {
      "whose pairs partition 1..n-1 raises ValueError.  See\n"
      "skolem._pysearch.witness_pairs; both return equal lists and raise the\n"
      "same ValueError."},
+    {"fold", fold, METH_O,
+     "fold(q)\n--\n\n"
+     "skolem.construction._fold(q) for any odd q in 3..2**31 - 1: (low, high),\n"
+     "ascending, the d <= (q-1)/2 that are squares mod q and those whose\n"
+     "q - d is.  Raises TypeError or ValueError for any other q."},
+    {"skolem_pairs", skolem_pairs, METH_VARARGS,
+     "skolem_pairs(q, direct, reflected)\n--\n\n"
+     "The canonical pair tuple of (d, 2d) for d in direct and (q - 2d, q - d)\n"
+     "for d in reflected, q as fold takes it.  None unless direct and\n"
+     "reflected are tuples or lists of exact ints in 1..(q-1)/2 whose pairs\n"
+     "partition 1..q-1: skolem.construction._skolem_pairs then raises."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "skolem._fastsearch",
-    "Compiled backtracking kernel for (strong) Skolem starters, n <= 63.",
+    "Compiled Skolem starter search, n <= 63, and the construction's folding\n"
+    "and pair layout for any q the package accepts.",
     -1, methods,
 };
 

@@ -21,6 +21,9 @@ the class, as an object whose pair_set() checks it.
 The folding is the one route to these starters: every builder of them
 folds the residues once per call (enumerate_strong_skolem once per q), and
 the {x, beta * x} loop serves only build_strong_starter's general beta.
+_fold and _skolem_pairs run in the compiled module skolem.search loads,
+read at call time, for any q the package accepts; their pure-Python lines
+are the route without it, and the one that raises for a refused folding.
 """
 
 from bisect import bisect_right
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+from . import search
 from .residues import MAX_MODULUS, _check_modulus, _quote, _require_int, is_prime
 from .starters import PairSet
 
@@ -84,7 +88,12 @@ def _fold(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(low, high), ascending: the squares d <= (q-1)/2 and the d <= (q-1)/2
     with q - d a square.  For q == 3 (mod 4) exactly one of d and q - d is
     a square, so the residues fold into (low, high), the rest into (high, low).
+    The compiled module folds when it built; the lines below are the pure
+    route.
     """
+    fast = search._fastsearch
+    if fast is not None:
+        return fast.fold(q)
     squares = sorted(_squares(q))
     k = bisect_right(squares, (q - 1) // 2)
     return tuple(squares[:k]), tuple([q - s for s in reversed(squares[k:])])
@@ -95,10 +104,23 @@ def _folded(choice: BetaChoice, low, high):
     return (low, high) if choice is BetaChoice.TWO else (high, low)
 
 
+def _compiled_pairs(q: int, direct, reflected) -> PairSet | None:
+    """_skolem_pairs as the compiled module lays it out, or None when it
+    did not build or refuses the entries: anything but tuples or lists of
+    exact ints in 1..t whose pairs partition 1..q-1."""
+    fast = search._fastsearch
+    pairs = None if fast is None else fast.skolem_pairs(q, direct, reflected)
+    return None if pairs is None else PairSet._from_witnesses(q, (pairs,))[0]
+
+
 def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     """The pairs (d, 2d) for d in direct and (q - 2d, q - d) for d in
-    reflected, checked to partition 1..q-1; ascending direct and reflected
-    give two ascending runs, which the sort merges."""
+    reflected, checked to partition 1..q-1.  Compiled when it can be; on
+    the pure route, which also raises for every refusal, ascending direct
+    and reflected give two ascending runs, which the sort merges."""
+    ps = _compiled_pairs(q, direct, reflected)
+    if ps is not None:
+        return ps
     rev = reflected[::-1]
     xs = [*direct, *[q - 2 * d for d in rev]]
     ys = [*[2 * d for d in direct], *[q - d for d in rev]]
@@ -185,6 +207,10 @@ class HalfSetCertificate:
         TypeError or ValueError for a q that PairSet refuses, and ValueError
         unless it realises each difference 1..t exactly once."""
         _check_modulus(self.q)
+        ps = _compiled_pairs(self.q, self.direct, self.reflected)
+        if ps is not None:
+            return ps
+        # refused or no compiled module: the pure route names the fault
         t = self.t
         entries = (*self.direct, *self.reflected)
         # in bulk first; the walk runs only to name a bad entry

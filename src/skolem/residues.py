@@ -4,9 +4,9 @@ residues.
 Everything is plain integer arithmetic; no floating point anywhere.  A
 modulus is a plain int q, checked once per public call and capped at
 2**31 - 1, so the product of two residues always fits in a 64-bit word.
-The compiled search kernel does not depend on this cap: it never
-sees such a modulus, and its own 64-bit masks cap the order it searches
-at 63.
+The compiled module's construction functions take a modulus up to the
+same cap; its search kernel does not depend on it, as its own 64-bit
+masks cap the order it searches at 63.
 
 It also holds the package's argument checks, as the other modules import
 it: _require_int, and _quote, which cuts a bad value's repr to 80 characters

@@ -30,6 +30,7 @@ from enum import Enum
 from .residues import _quote, _require_int
 from .starters import PairSet
 
+# the one handle on the compiled module; skolem.construction reads it too
 try:
     from . import _fastsearch
 except ImportError:

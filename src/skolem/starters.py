@@ -51,8 +51,8 @@ class PairSet:
     entries, both leaving n to the caller to validate once: _from_pairs
     for one pair set, which checks only that the pairs partition
     {1, ..., n-1} exactly, and _from_witnesses, which wraps pair tuples
-    already canonical and checked, as _from_pairs and a kernel's
-    witness_pairs hand them over.
+    already canonical and checked, as _from_pairs, a kernel's
+    witness_pairs and the compiled skolem_pairs hand them over.
     """
 
     n: int
@@ -104,8 +104,9 @@ class PairSet:
     @classmethod
     def _from_witnesses(cls, n: int, canonical) -> tuple["PairSet", ...]:
         """The PairSets, for a valid n, of canonical pair tuples already
-        checked to partition 1..n-1, as a kernel's witness_pairs returns
-        them.  Each one is wrapped as it is, shared pairs and all.
+        checked to partition 1..n-1, as a kernel's witness_pairs or the
+        compiled skolem_pairs returns them.  Each one is wrapped as it is,
+        shared pairs and all.
         """
         new, set_field = object.__new__, object.__setattr__
         out = []

@@ -1,4 +1,5 @@
-"""Build the compiled search kernel in place before any test imports skolem.
+"""Build the compiled module in place before any test imports skolem: the
+search kernel, and the construction's folding and pair layout.
 
 The suite imports skolem from src/, so the extension has to be built next
 to its source.  setup.py marks it optional, so a failed compile only warns;
@@ -28,7 +29,7 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def fastsearch(request):
-    """The compiled kernel; fails the test when it did not build."""
+    """The compiled module; fails the test when it did not build."""
     from skolem.search import _fastsearch
 
     if _fastsearch is None:

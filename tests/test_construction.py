@@ -1,5 +1,7 @@
 import dataclasses
+import enum
 import re
+import types
 
 import pytest
 
@@ -278,7 +280,9 @@ def test_certificate_with_a_bad_modulus_raises():
 
 def test_construction_output_is_a_checked_partition(monkeypatch):
     # with a residue missing, S_beta misses two elements of 1..q-1; the
-    # construction refuses it instead of returning the shorter set
+    # construction refuses it instead of returning the shorter set.  The
+    # pure route: the compiled fold never calls _squares
+    monkeypatch.setattr(skolem.search, "_fastsearch", None)
     squares = skolem.construction._squares
     monkeypatch.setattr(
         skolem.construction, "_squares", lambda q: squares(q) - {max(squares(q))}
@@ -330,7 +334,24 @@ def test_every_route_to_the_paper_starters_agrees():
                 assert all(type(el) is int for pair in ps.pairs for el in pair)
 
 
+def test_compiled_construction_output_is_a_checked_partition(fastsearch, monkeypatch):
+    # the compiled fold with its largest residue missing: the compiled
+    # layout refuses the shorter folding and the pure route names it
+    def short_fold(q):
+        low, high = fastsearch.fold(q)
+        return (low, high[1:]) if high else (low[:-1], high)
+
+    monkeypatch.setattr(skolem.search, "_fastsearch", types.SimpleNamespace(
+        fold=short_fold, skolem_pairs=fastsearch.skolem_pairs))
+    with pytest.raises(ValueError, match=r"does not partition 1\.\.10"):
+        build_strong_skolem(11)
+    with pytest.raises(ValueError, match=r"does not partition 1\.\.2"):
+        next(enumerate_strong_skolem(20))
+
+
 def test_residues_are_squared_once_per_call(monkeypatch):
+    # the pure route: the compiled fold never calls _squares
+    monkeypatch.setattr(skolem.search, "_fastsearch", None)
     calls = []
     squares = skolem.construction._squares
 
@@ -356,3 +377,101 @@ def test_residues_are_squared_once_per_call(monkeypatch):
     calls.clear()
     assert len(list(enumerate_strong_skolem(1500))) == 120
     assert calls == construction_primes(1500)
+
+
+def test_compiled_fold_runs_once_per_call(fastsearch, monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return fastsearch.fold(q)
+
+    monkeypatch.setattr(skolem.search, "_fastsearch", types.SimpleNamespace(
+        fold=counting, skolem_pairs=fastsearch.skolem_pairs))
+    for q in (3, 11, 1499):
+        for choice in BetaChoice:
+            for build in (build_strong_skolem, half_set_certificate):
+                calls.clear()
+                build(q, choice)
+                assert calls == [q], (build, q, choice)
+    cert = half_set_certificate(1499)
+    calls.clear()
+    cert.pair_set()
+    assert calls == []
+    calls.clear()
+    assert len(list(enumerate_strong_skolem(1500))) == 120
+    assert calls == construction_primes(1500)
+
+
+def _routes(monkeypatch, fastsearch, build):
+    """build() on the compiled and on the pure route: the tuples of ints it
+    returns with their element types, or the exception's type and message."""
+    out = []
+    for kernel in (fastsearch, None):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        try:
+            pairs = build()
+        except (TypeError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((pairs, [type(el) for pair in pairs for el in pair]))
+    return out
+
+
+def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
+    construction = skolem.construction
+    # the fold of every odd q, composites (whose squares may include 0) too
+    for q in range(3, 400, 2):
+        compiled, pure = _routes(monkeypatch, fastsearch, lambda: construction._fold(q))
+        assert compiled == pure, q
+    for q in construction_primes(1500):
+        for choice in BetaChoice:
+            folded = construction._folded(choice, *construction._fold(q))
+            compiled, pure = _routes(
+                monkeypatch, fastsearch, lambda: construction._skolem_pairs(q, *folded).pairs)
+            assert compiled == pure and pure[1] == [int] * (q - 1), (q, choice)
+    # one large q through each builder; the enumeration is cut to it
+    q = 100_003
+    primes = construction.construction_primes
+    monkeypatch.setattr(construction, "construction_primes",
+                        lambda q_max: [p for p in primes(q_max) if p == q])
+    for choice in BetaChoice:
+        for build in (
+            lambda: build_strong_skolem(q, choice).pairs,
+            lambda: half_set_certificate(q, choice).pair_set().pairs,
+            lambda: next(ps.pairs for _, c, ps in enumerate_strong_skolem(q) if c is choice),
+        ):
+            compiled, pure = _routes(monkeypatch, fastsearch, build)
+            assert compiled == pure and pure[1] == [int] * (q - 1), choice
+
+
+class _Three(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize(
+    "direct, reflected",
+    [
+        ((4, 1, 3, 5), (2,)),  # unsorted: the same starter
+        ([1, 3, 4, 5], [2]),  # lists
+        ((1, 3, 4, 5), (2, 2)),  # a duplicated entry
+        ((1, 3, 3, 4, 5), ()),
+        ((0, 1, 3, 4, 5), ()),
+        ((1, 3, 4, 6), (2,)),  # t + 1
+        ((1, True, 4, 5), (3,)),
+        ((1, 3, 4, 5.0), (2,)),
+        ((1, _Three.THREE, 4, 5), (2,)),  # an int subclass passes, as before
+    ],
+)
+def test_both_routes_refuse_a_certificate_alike(fastsearch, monkeypatch, direct, reflected):
+    cert = dataclasses.replace(half_set_certificate(11), direct=direct, reflected=reflected)
+    compiled, pure = _routes(monkeypatch, fastsearch, lambda: cert.pair_set().pairs)
+    assert compiled == pure
+
+
+@pytest.mark.parametrize("q", [1, 2, -5, 2**31 + 1, 11.0])
+def test_compiled_construction_refuses_a_bad_modulus(fastsearch, q):
+    with pytest.raises((TypeError, ValueError)):
+        fastsearch.fold(q)
+    with pytest.raises((TypeError, ValueError)):
+        fastsearch.skolem_pairs(q, (1,), ())

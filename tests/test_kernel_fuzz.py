@@ -6,14 +6,21 @@ return the (count, nodes, witnesses) triple of the recursive walk in
 _naive.py, which tests every candidate's sum instead of masking by
 half-sums.  Each drawn batch of witnesses, real ones and corruptions of
 them, passed as a list or as a one-shot iterator, must get the same pair
-tuples or the same ValueError from both kernels' witness_pairs.
+tuples or the same ValueError from both kernels' witness_pairs.  Each
+drawn folding certificate, real or corrupted, must get the same pair set,
+element types included, or the same error from the construction's
+compiled and pure routes.
 """
 
+import enum
 from functools import cache
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from skolem import _pysearch
+import skolem.search
+from skolem import HalfSetCertificate, _pysearch
+from skolem.construction import _skolem_pairs
 
 from _naive import sum_array_walk
 
@@ -79,3 +86,59 @@ def _outcome(kernel, n, batch):
 def test_witness_pairs_agree_on_random_batches(fastsearch, case):
     n, batch, wrap = case
     assert _outcome(fastsearch, n, wrap(batch)) == _outcome(_pysearch, n, wrap(batch))
+
+
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
+@st.composite
+def _foldings(draw):
+    # the folding of the squares partitions 1..t for a prime q == 3 (mod 4),
+    # drawn half the time, and otherwise for no odd q
+    q = draw(st.one_of(st.sampled_from((3, 7, 11, 19, 23, 31)), st.sampled_from(range(3, 40, 2))))
+    t = (q - 1) // 2
+    squares = {x * x % q for x in range(1, t + 1)}
+    runs = [tuple(d for d in range(1, t + 1) if d in squares),
+            tuple(d for d in range(1, t + 1) if q - d in squares)]
+    if draw(st.booleans()):
+        runs.reverse()
+    # entries near the range, far past any machine word, and a bool, a
+    # float and an int subclass, which only the pure route reads
+    near = st.integers(-1, t + 2)
+    entry = st.one_of(near, st.integers(-(2**80), 2**80), st.sampled_from((True, 2.0, _Two.TWO)))
+
+    def varied(run):
+        changed = st.tuples(st.integers(0, max(len(run) - 1, 0)), entry).map(
+            lambda c: run[: c[0]] + (c[1],) + run[c[0] + 1 :])
+        drawn = st.lists(entry, max_size=t + 1).map(tuple)
+        return st.one_of(st.just(run), st.permutations(run).map(tuple), changed, drawn)
+
+    wrap = draw(st.sampled_from((tuple, list)))
+    return q, wrap(draw(varied(runs[0]))), wrap(draw(varied(runs[1])))
+
+
+def _routes(fastsearch, build):
+    """build() on the compiled and on the pure construction route: the
+    pairs with their element types, or the exception's type and message."""
+    out = []
+    for kernel in (fastsearch, None):
+        with mock.patch.object(skolem.search, "_fastsearch", kernel):
+            try:
+                pairs = build().pairs
+            except (TypeError, ValueError) as exc:
+                out.append((type(exc), str(exc)))
+            else:
+                out.append((pairs, [type(el) for pair in pairs for el in pair]))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_foldings())
+def test_construction_routes_agree_on_random_foldings(fastsearch, case):
+    q, direct, reflected = case
+    compiled, pure = _routes(fastsearch, lambda: _skolem_pairs(q, direct, reflected))
+    assert compiled == pure
+    certificate = HalfSetCertificate(q, 2, direct, reflected)
+    compiled, pure = _routes(fastsearch, certificate.pair_set)
+    assert compiled == pure
