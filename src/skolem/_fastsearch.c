@@ -1,5 +1,5 @@
-/* Compiled backtracking kernel for (strong) Skolem starters, and the
- * construction's folding and pair layout.
+/* Compiled backtracking kernel for (strong) Skolem starters, the
+ * construction's folding and pair layout, and full_report's bulk verdicts.
  *
  * Contract and semantics mirror skolem._pysearch.run_search exactly: the
  * same tree, walked in the same order, so both kernels return identical
@@ -56,7 +56,16 @@
  * and its smaller element in a second; the pairs come out in canonical
  * order from that bitmap, with no set and no sort.  It returns None for
  * any input it does not read exactly as an exact int in range, so that
- * the pure route raises its own error.
+ * the pure route raises its own error.  partitions_half decides
+ * half_set_certificate's check that the two folded runs partition
+ * 1..(q-1)/2 with one bitmap, in place of a sort.
+ *
+ * skolem_verdicts serves skolem.starters.full_report: it decides in one
+ * pass whether a full pair tuple is Skolem and has distinct sums, marking
+ * each integer difference and each sum mod n in a bitmap.  When both hold,
+ * full_report returns the all-yes report from it; on any other answer, or
+ * None for input it does not read exactly, the pure lines decide, and they
+ * alone decide every "no" and name its fault.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -312,10 +321,10 @@ done:
     return out;
 }
 
-/* The construction's modulus q as a C long, or -1 with TypeError or
- * ValueError set: fold and skolem_pairs take any odd q in 3..MAX_Q, as
- * skolem.residues checks a modulus, so every element, and 2d for d <= t,
- * fits even a 32-bit long. */
+/* The modulus q as a C long, or -1 with TypeError or ValueError set: fold,
+ * skolem_pairs, partitions_half and skolem_verdicts take any odd q in
+ * 3..MAX_Q, as skolem.residues checks a modulus, so every element, and 2d
+ * for d <= t, fits even a 32-bit long. */
 #define MAX_Q 2147483647L
 
 static long
@@ -479,6 +488,111 @@ done:
     return out;
 }
 
+/* Whether the tuples direct and reflected hold 1..(q-1)/2, each once.  None
+ * unless both are tuples of exact ints, t of them in all: the pure route
+ * then decides. */
+static PyObject *
+partitions_half(PyObject *self, PyObject *args)
+{
+    PyObject *qarg, *runs[2];
+    if (!PyArg_ParseTuple(args, "OOO:partitions_half", &qarg, &runs[0], &runs[1]))
+        return NULL;
+    long q = modulus(qarg);
+    if (q < 0)
+        return NULL;
+    long t = (q - 1) / 2;
+    if (!PyTuple_CheckExact(runs[0]) || !PyTuple_CheckExact(runs[1]) ||
+        PyTuple_GET_SIZE(runs[0]) + PyTuple_GET_SIZE(runs[1]) != t)
+        Py_RETURN_NONE;
+    uint64_t *seen = PyMem_Calloc(WORDS(t), sizeof(uint64_t));
+    if (seen == NULL)
+        return PyErr_NoMemory();
+    int partition = 1;
+    for (int k = 0; k < 2; k++) {
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(runs[k]); i++) {
+            PyObject *entry = PyTuple_GET_ITEM(runs[k], i);
+            if (!PyLong_CheckExact(entry)) {
+                PyMem_Free(seen);
+                Py_RETURN_NONE;
+            }
+            int overflow;
+            long d = PyLong_AsLongAndOverflow(entry, &overflow);
+            if (overflow || d < 1 || d > t || TEST(seen, d))
+                partition = 0;
+            else
+                MARK(seen, d);
+        }
+    }
+    PyMem_Free(seen);
+    return PyBool_FromLong(partition);
+}
+
+/* full_report's bulk verdicts on a full pair tuple, in one pass: each
+ * integer difference y - x is marked in a (t+1)-bit map and each sum
+ * (x + y) mod n in an n-bit map, and a repeat, or a difference above t,
+ * clears its verdict.  (is_skolem, is_strong, has_zero_sum), where is_strong
+ * says only that the sums are distinct, or None for anything but a tuple of
+ * exactly t tuples (x, y) of exact ints with 1 <= x < y <= n - 1 and no
+ * element used twice.  Each element is checked before it becomes a bit, and
+ * the maps are allocated only once the tuple is known to hold t pairs, so
+ * they are always smaller than it. */
+static PyObject *
+skolem_verdicts(PyObject *self, PyObject *args)
+{
+    PyObject *narg, *pairs;
+    if (!PyArg_ParseTuple(args, "OO:skolem_verdicts", &narg, &pairs))
+        return NULL;
+    long n = modulus(narg);
+    if (n < 0)
+        return NULL;
+    long t = (n - 1) / 2;
+    if (!PyTuple_CheckExact(pairs) || PyTuple_GET_SIZE(pairs) != t)
+        Py_RETURN_NONE;
+    uint64_t *used = PyMem_Calloc(2 * WORDS(n) + WORDS(t), sizeof(uint64_t));
+    if (used == NULL)
+        return PyErr_NoMemory();
+    uint64_t *sums = used + WORDS(n), *diffs = sums + WORDS(n);
+    int skolem = 1, strong = 1, zero_sum = 0;
+    PyObject *out;
+    for (Py_ssize_t i = 0; i < t; i++) {
+        PyObject *pair = PyTuple_GET_ITEM(pairs, i);
+        if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2)
+            goto refuse;
+        long xy[2];
+        for (int j = 0; j < 2; j++) {
+            PyObject *el = PyTuple_GET_ITEM(pair, j);
+            int overflow;
+            if (!PyLong_CheckExact(el))
+                goto refuse;
+            xy[j] = PyLong_AsLongAndOverflow(el, &overflow);
+            if (overflow || xy[j] < 1 || xy[j] > n - 1 || TEST(used, xy[j]))
+                goto refuse;
+            MARK(used, xy[j]);
+        }
+        long x = xy[0], y = xy[1], d = y - x;
+        if (d < 0) /* d == 0 reuses x */
+            goto refuse;
+        /* (x + y) mod n without forming x + y, which may pass a 32-bit long */
+        long s = x >= n - y ? x - (n - y) : x + y;
+        if (d > t || TEST(diffs, d))
+            skolem = 0;
+        else
+            MARK(diffs, d);
+        if (TEST(sums, s))
+            strong = 0;
+        MARK(sums, s);
+        zero_sum |= s == 0;
+    }
+    out = Py_BuildValue("(NNN)", PyBool_FromLong(skolem), PyBool_FromLong(strong),
+                        PyBool_FromLong(zero_sum));
+    goto done;
+refuse:
+    out = Py_NewRef(Py_None);
+done:
+    PyMem_Free(used);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"run_search", (PyCFunction)(void (*)(void))run_search,
      METH_VARARGS | METH_KEYWORDS,
@@ -505,13 +619,25 @@ static PyMethodDef methods[] = {
      "for d in reflected, q as fold takes it.  None unless direct and\n"
      "reflected are tuples or lists of exact ints in 1..(q-1)/2 whose pairs\n"
      "partition 1..q-1: skolem.construction._skolem_pairs then raises."},
+    {"partitions_half", partitions_half, METH_VARARGS,
+     "partitions_half(q, direct, reflected)\n--\n\n"
+     "Whether direct and reflected hold 1..(q-1)/2, each once, q as fold\n"
+     "takes it.  None unless both are tuples of exact ints, (q-1)/2 in all:\n"
+     "skolem.construction.half_set_certificate then sorts them."},
+    {"skolem_verdicts", skolem_verdicts, METH_VARARGS,
+     "skolem_verdicts(n, pairs)\n--\n\n"
+     "(is_skolem, sums distinct, has_zero_sum) for a tuple of exactly\n"
+     "(n-1)/2 tuples (x, y) of exact ints, 1 <= x < y <= n - 1, no element\n"
+     "used twice; None for anything else.  n as fold takes q.  The pure\n"
+     "lines of skolem.starters.full_report decide every other case."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "skolem._fastsearch",
-    "Compiled Skolem starter search, n <= 63, and the construction's folding\n"
-    "and pair layout for any q the package accepts.",
+    "Compiled Skolem starter search, n <= 63, the construction's folding\n"
+    "and pair layout, and full_report's bulk verdicts, for any q the package\n"
+    "accepts.",
     -1, methods,
 };
 

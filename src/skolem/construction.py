@@ -21,9 +21,10 @@ the class, as an object whose pair_set() checks it.
 The folding is the one route to these starters: every builder of them
 folds the residues once per call (enumerate_strong_skolem once per q), and
 the {x, beta * x} loop serves only build_strong_starter's general beta.
-_fold and _skolem_pairs run in the compiled module skolem.search loads,
-read at call time, for any q the package accepts; their pure-Python lines
-are the route without it, and the one that raises for a refused folding.
+_fold, _skolem_pairs and half_set_certificate's partition check run in
+the compiled module skolem.search loads, read at call time, for any q the
+package accepts; their pure-Python lines are the route without it, and the
+one that raises for a refused folding.
 """
 
 from bisect import bisect_right
@@ -233,7 +234,11 @@ def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
     _require_skolem_q(q)
     t = (q - 1) // 2
     direct, reflected = _folded(c, *_fold(q))
-    if sorted(direct + reflected) != list(range(1, t + 1)):
+    fast = search._fastsearch
+    partition = None if fast is None else fast.partitions_half(q, direct, reflected)
+    if partition is None:  # the pure route
+        partition = sorted(direct + reflected) == list(range(1, t + 1))
+    if not partition:
         raise ArithmeticError(
             f"folding for beta = {c.beta(q)} does not partition 1..{t}"
         )

@@ -10,10 +10,12 @@ PairSet is the shared container: immutable, canonically ordered, restricted
 to well-formed inputs (odd n, elements in 1..n-1, no element reused); its
 docstring names the checked entry for outside input and the two partition
 tests for the package's own pair sets.  full_report is the one verifier:
-it decides the three properties in bulk, by a few set, size or sorted
-comparisons over whole tuples, and walks pair by pair only on a no, to
-name the first fault in canonical order.  Error messages quote outside
-input through residues._quote, cut to its first 80 characters.
+a compiled pass decides a full pair set that is Skolem and strong; every
+other set, and every set without the compiled module, goes to the pure
+lines, which decide in bulk, by a few set and size comparisons over whole
+tuples, and walk pair by pair only on a no, to name the first fault in
+canonical order.  Error messages quote outside input through
+residues._quote, cut to its first 80 characters.
 """
 
 from dataclasses import dataclass
@@ -157,12 +159,10 @@ class PairSet:
         return pair in self.pairs
 
 
-def _preview(values) -> str:
-    vals = sorted(values)
-    if len(vals) <= 8:
-        return ", ".join(map(str, vals))
+def _preview(vals, total: int) -> str:
+    """The first 8 of the ascending vals, then total when it is more."""
     shown = ", ".join(map(str, vals[:8]))
-    return f"{shown}, ... ({len(vals)} total)"
+    return shown if total <= 8 else f"{shown}, ... ({total} total)"
 
 
 def _first_repeat(pairs, keys):
@@ -185,9 +185,12 @@ def _starter_witness(ps: PairSet, skolem: bool) -> str | None:
     n = ps.n
     # the elements are distinct and in 1..n-1, so they cover it iff there
     # are n - 1 of them
-    if 2 * len(ps.pairs) != n - 1:
-        missing = set(range(1, n)) - ps.elements
-        return f"uncovered elements: {_preview(missing)}"
+    covered = 2 * len(ps.pairs)
+    if covered != n - 1:
+        # the first 8 uncovered lie below covered + 9, however large n is
+        used = ps.elements
+        missing = [e for e in range(1, min(n, covered + 9)) if e not in used]
+        return f"uncovered elements: {_preview(missing, n - 1 - covered)}"
     classes = ps.difference_classes()
     if len({*classes}) == len(classes):
         return None
@@ -272,8 +275,14 @@ def full_report(ps: PairSet) -> VerificationReport:
     """Decide all three properties of ps, with a witness for each failure.
 
     This is the one verifier: it never raises, and a non-starter is
-    reported as neither strong nor Skolem.
+    reported as neither strong nor Skolem.  The compiled module, when it
+    built, decides a Skolem strong starter in one pass; the lines below
+    decide every other set and name each fault.
     """
+    from .search import _fastsearch  # read per call; search imports starters
+    fast = None if _fastsearch is None else _fastsearch.skolem_verdicts(ps.n, ps.pairs)
+    if fast is not None and fast[:2] == (True, True):  # no witness to name
+        return VerificationReport(ps.n, ps.pairs, None, None, None, fast[2])
     t = ps.t
     diffs = ps.integer_differences()
     # t distinct integer differences, none above t, are exactly 1..t: one
@@ -284,7 +293,7 @@ def full_report(ps: PairSet) -> VerificationReport:
     if starter is None:
         strong = _strong_witness(ps, sums)
         skolem = None if is_skolem else (
-            f"integer differences {{{_preview(diffs)}}} differ from {{1, ..., {t}}}"
+            f"integer differences {{{_preview(sorted(diffs), len(diffs))}}} differ from {{1, ..., {t}}}"
         )
     else:
         strong = skolem = "not a starter"

@@ -241,6 +241,27 @@ def test_verify_parse_errors(tmp_path, capsys):
     assert len(err) == len("error: ") + 200 + len("…\n")
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def test_verify_names_the_uncovered_elements_of_a_sparse_set_with_a_huge_n():
+    # nothing of size n is built, so 2 GiB of address space is plenty; a
+    # set of 1..n-1 would need about 100 GB and end in a MemoryError
+    start = time.perf_counter()
+    proc = _python_m_skolem("verify", "-", input="n=2147483647\n1 2\n",
+                            preexec_fn=_cap_address_space, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout.splitlines()[:2] == [
+        "# n=2147483647 pairs=1",
+        "# starter: no (uncovered elements: 3, 4, 5, 6, 7, 8, 9, 10, ... (2147483644 total))",
+    ]
+    assert elapsed < 2
+
+
 def test_search_count_json(capsys):
     code, out, _ = _run(capsys, "search", "9", "--no-strong", "--json")
     assert code == 0

@@ -349,6 +349,45 @@ def test_compiled_construction_output_is_a_checked_partition(fastsearch, monkeyp
         next(enumerate_strong_skolem(20))
 
 
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        ((1, 3, 4), (2,)),  # 5 missing
+        ((1, 3, 4, 4), (2,)),  # 4 twice, 5 missing
+        ((1, 3, 4, 5), (2, 2)),  # one entry too many
+        ((0, 3, 4, 5), (2,)),
+        ((1, 3, 4, 6), (2,)),  # t + 1
+        ((1, 3, 4, 2**70), (2,)),
+    ],
+)
+def test_both_routes_refuse_a_folding_that_is_no_partition(fastsearch, monkeypatch, low, high):
+    # a prime q never folds so; with _fold patched to, the certificate
+    # raises the same ArithmeticError on both routes.  The compiled check
+    # decides t = 5 entries by its bitmap and leaves any other count to
+    # the pure sort
+    monkeypatch.setattr(skolem.construction, "_fold", lambda q: (low, high))
+    decided = fastsearch.partitions_half(11, low, high)
+    assert decided is (False if len(low + high) == 5 else None)
+    messages = []
+    for kernel in (fastsearch, None):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        for choice in BetaChoice:
+            with pytest.raises(ArithmeticError) as info:
+                half_set_certificate(11, choice)
+            messages.append(str(info.value))
+    assert messages == [
+        "folding for beta = 2 does not partition 1..5",
+        "folding for beta = 6 does not partition 1..5",
+    ] * 2
+
+
+def test_compiled_partition_check_leaves_what_it_does_not_read_to_sorting(fastsearch):
+    assert fastsearch.partitions_half(11, (1, 3, 4, 5), (2,)) is True
+    assert fastsearch.partitions_half(11, (), (5, 4, 3, 2, 1)) is True
+    for low, high in (([1, 3, 4, 5], (2,)), ((1, 3, 4, 5.0), (2,)), ((1, 3, 4, True), (2,))):
+        assert fastsearch.partitions_half(11, low, high) is None, (low, high)
+
+
 def test_residues_are_squared_once_per_call(monkeypatch):
     # the pure route: the compiled fold never calls _squares
     monkeypatch.setattr(skolem.search, "_fastsearch", None)
@@ -387,7 +426,8 @@ def test_compiled_fold_runs_once_per_call(fastsearch, monkeypatch):
         return fastsearch.fold(q)
 
     monkeypatch.setattr(skolem.search, "_fastsearch", types.SimpleNamespace(
-        fold=counting, skolem_pairs=fastsearch.skolem_pairs))
+        fold=counting, skolem_pairs=fastsearch.skolem_pairs,
+        partitions_half=fastsearch.partitions_half))
     for q in (3, 11, 1499):
         for choice in BetaChoice:
             for build in (build_strong_skolem, half_set_certificate):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from skolem import (
     search_skolem_starters,
     skolem_admissible,
 )
+import skolem.search
 import skolem.starters
 from skolem.cli import _construct
 from skolem.residues import _quote
@@ -308,10 +313,12 @@ _STARTER_19 = (
         (11, NON_STARTER_PARTITION_11, "skolem_witness", "not a starter"),
     ],
 )
-def test_witnesses_name_the_first_collision(n, pairs, field, witness):
+def test_witnesses_name_the_first_collision(fastsearch, monkeypatch, n, pairs, field, witness):
     # the pairs go in reversed, so only the canonical order can pick them
     ps = PairSet(n, [(y, x) for x, y in reversed(pairs)])
-    assert getattr(full_report(ps), field) == witness
+    for kernel in (fastsearch, None):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        assert getattr(full_report(ps), field) == witness
 
 
 def test_full_report_verdict_matrix():
@@ -340,7 +347,7 @@ def test_strong_skolem_starter_without_zero_sum_need_not_be_skew():
     assert ps.sums() == (10, 8, 13, 11, 16, 4, 9, 14)
 
 
-def test_full_report_verifies_the_starter_once(monkeypatch):
+def test_full_report_verifies_the_starter_once(fastsearch, monkeypatch):
     calls = []
 
     check = skolem.starters._starter_witness
@@ -350,10 +357,71 @@ def test_full_report_verifies_the_starter_once(monkeypatch):
         return check(ps, skolem)
 
     monkeypatch.setattr(skolem.starters, "_starter_witness", counting)
-    for pairs in (S_HALF[11], STARTER_NOT_SKOLEM_11, NON_STARTER_PARTITION_11):
-        calls.clear()
-        full_report(PairSet(11, pairs))
-        assert len(calls) == 1, pairs
+    # the pure route verifies each set once; on the compiled route a strong
+    # Skolem starter is decided by the compiled pass, with no witness
+    for kernel, expected in ((None, (1, 1, 1)), (fastsearch, (0, 1, 1))):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        for pairs, count in zip(
+            (S_HALF[11], STARTER_NOT_SKOLEM_11, NON_STARTER_PARTITION_11), expected
+        ):
+            calls.clear()
+            full_report(PairSet(11, pairs))
+            assert len(calls) == count, (kernel, pairs)
+
+
+def test_a_sparse_set_with_a_huge_n_names_its_uncovered_elements():
+    # the first 8 uncovered elements come from a short scan and the total
+    # from the pair count, so nothing of size n is built: a set of 1..n-1
+    # (about 100 GB) would fail in the child's 2 GiB of address space
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+        "from skolem import PairSet, full_report\n"
+        "start = time.perf_counter()\n"
+        "report = full_report(PairSet(2**31 - 1, [(2, 1)]))\n"
+        "print(time.perf_counter() - start)\n"
+        "print(report.starter_witness)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    elapsed, witness = proc.stdout.splitlines()
+    assert witness == (
+        "uncovered elements: 3, 4, 5, 6, 7, 8, 9, 10, ... (2147483644 total)"
+    )
+    assert float(elapsed) < 0.5
+
+
+_S11 = S_HALF[11]  # ((1, 6), (2, 4), (3, 7), (5, 8), (9, 10))
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (11, _S11[:-1]),
+        (11, list(_S11)),
+        (11, ([1, 6], *_S11[1:])),
+        (11, ((1, 6, 2), *_S11[1:])),
+        (11, ((True, 6), *_S11[1:])),
+        (11, ((1.0, 6), *_S11[1:])),
+        (11, ((_Element(1), 6), *_S11[1:])),
+        (11, ((6, 1), *_S11[1:])),
+        (11, ((0, 6), *_S11[1:])),
+        (11, ((1, 11), *_S11[1:])),
+        (11, ((1, 2**70), *_S11[1:])),
+        (11, ((1, 6), (2, 6), *_S11[2:])),
+        (11, ((1, 1), *_S11[1:])),
+        (2**31 - 1, ((1, 2),)),
+    ],
+    ids=[
+        "short", "list", "pair-list", "triple", "bool", "float", "enum", "x>y",
+        "zero", "n", "huge", "reused", "x=y", "sparse-huge-n",
+    ],
+)
+def test_compiled_verdicts_refuse_what_they_do_not_read_exactly(fastsearch, n, pairs):
+    # _naive_check covers what it does read
+    assert fastsearch.skolem_verdicts(n, pairs) is None
 
 
 def test_full_report_lines():
@@ -641,7 +709,13 @@ def _all_partitions(elements):
 
 
 def _naive_check(n, pairs):
-    report = full_report(PairSet(n, pairs))
+    """full_report on the compiled route, equal to the pure route's report,
+    and the compiled pass itself, against the naive verdicts."""
+    ps = PairSet(n, pairs)
+    report = full_report(ps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(skolem.search, "_fastsearch", None)
+        assert full_report(ps) == report, (n, pairs)
     got = (
         report.is_starter,
         report.is_strong,
@@ -650,10 +724,15 @@ def _naive_check(n, pairs):
     )
     expected = naive_verdicts(n, pairs)
     assert got == expected, (n, pairs)
+    sums = ps.sums()
+    full = 2 * len(pairs) == n - 1
+    assert skolem.search._fastsearch.skolem_verdicts(n, ps.pairs) == (
+        (got[2], len({*sums}) == len(sums), got[3]) if full else None
+    ), (n, pairs)
     return got
 
 
-def test_report_matches_naive_on_every_partition():
+def test_report_matches_naive_on_every_partition(fastsearch):
     # Exhaustive equivalence against the independent reference: all 945
     # pair partitions of 1..10, all 105 of 1..8 and all 15 of 1..6.
     for n, total in ((7, 15), (9, 105), (11, 945)):
@@ -664,7 +743,7 @@ def test_report_matches_naive_on_every_partition():
         assert seen == total
 
 
-def test_report_matches_naive_on_perturbed_and_partial_sets():
+def test_report_matches_naive_on_perturbed_and_partial_sets(fastsearch):
     # Random, perturbed and partial pair sets for every odd n <= 41, around
     # the construction's strong starters and around unit multiples of the
     # plain Skolem starters of Z_17, where the verdicts actually vary.
@@ -698,7 +777,7 @@ def test_report_matches_naive_on_perturbed_and_partial_sets():
     }
 
 
-def test_one_difference_set_decides_as_the_naive_verdicts():
+def test_one_difference_set_decides_as_the_naive_verdicts(fastsearch):
     # full_report decides "starter" and "Skolem" from one set test on the
     # integer differences; around every plain Skolem starter of Z_11 and
     # Z_19, each way that test can fail must still agree with the naive
