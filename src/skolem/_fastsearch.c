@@ -51,14 +51,13 @@
  * fold and skolem_pairs serve skolem.construction, for any odd q up to
  * 2^31 - 1, with its pure functions as the fallback and the reference.
  * fold marks each x^2 mod q, x = 1..(q-1)/2, in a bitmap of q bits and
- * reads the two folded runs off it in one ascending scan.  skolem_pairs
- * marks each pair's two elements in a used bitmap, checking each first,
- * and its smaller element in a second; the pairs come out in canonical
- * order from that bitmap, with no set and no sort.  It returns None for
- * any input it does not read exactly as an exact int in range, so that
- * the pure route raises its own error.  partitions_half decides
- * half_set_certificate's check that the two folded runs partition
- * 1..(q-1)/2 with one bitmap, in place of a sort.
+ * reads the two folded runs off it in one ascending scan, which also
+ * checks that they partition 1..(q-1)/2.  skolem_pairs marks each entry
+ * in a bitmap, refusing a repeat, each pair's two elements in a used
+ * bitmap, checking each first, and its smaller element in a third; the
+ * pairs come out in canonical order from that bitmap, with no set and no
+ * sort.  For a valid q each returns its answer or None, and the pure
+ * route raises and names the fault.
  *
  * skolem_verdicts serves skolem.starters.full_report: it decides in one
  * pass whether a full pair tuple is Skolem and has distinct sums, marking
@@ -322,7 +321,7 @@ done:
 }
 
 /* The modulus q as a C long, or -1 with TypeError or ValueError set: fold,
- * skolem_pairs, partitions_half and skolem_verdicts take any odd q in
+ * skolem_pairs and skolem_verdicts take any odd q in
  * 3..MAX_Q, as skolem.residues checks a modulus, so every element, and 2d
  * for d <= t, fits even a 32-bit long. */
 #define MAX_Q 2147483647L
@@ -372,13 +371,13 @@ fold(PyObject *self, PyObject *arg)
         return NULL;
     long t = (q - 1) / 2;
     uint64_t *squares = PyMem_Calloc(WORDS(q), sizeof(uint64_t));
-    long *runs = PyMem_Malloc((size_t)q * sizeof(long));
+    long *runs = PyMem_Malloc((size_t)(2 * t) * sizeof(long));
     PyObject *out = NULL;
     if (squares == NULL || runs == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    long *high = runs + t + 1; /* low in runs[0..t], high after it */
+    long *high = runs + t; /* low in runs[0..t), high after it */
     /* (x + 1)^2 = x^2 + 2x + 1, and 2x + 1 < q: one subtraction reduces
      * s below 2q, which needs 64 bits */
     int64_t s = 1;
@@ -387,17 +386,23 @@ fold(PyObject *self, PyObject *arg)
             s -= q;
         MARK(squares, s);
     }
-    /* d = 0 is a square only for a composite q, and _fold keeps it in low;
-     * bit q is never set */
+    /* A folding puts each d in 1..t in exactly one run, and 0 in neither: a
+     * q whose squares include 0 has fewer than t others, so it fails the
+     * count.  Bit q is never set */
     Py_ssize_t nlow = 0, nhigh = 0;
-    for (long d = 0; d <= t; d++) {
+    int folds = 1;
+    for (long d = 1; folds && d <= t; d++) {
         if (TEST(squares, d))
             runs[nlow++] = d;
         if (TEST(squares, q - d))
             high[nhigh++] = d;
+        folds = nlow + nhigh == d;
     }
-    PyObject *low_run = int_tuple(runs, nlow), *high_run = NULL;
-    if (low_run != NULL && (high_run = int_tuple(high, nhigh)) != NULL)
+    PyObject *low_run = NULL, *high_run = NULL;
+    if (!folds)
+        out = Py_NewRef(Py_None);
+    else if ((low_run = int_tuple(runs, nlow)) != NULL &&
+             (high_run = int_tuple(high, nhigh)) != NULL)
         out = PyTuple_Pack(2, low_run, high_run);
     Py_XDECREF(low_run);
     Py_XDECREF(high_run);
@@ -407,16 +412,18 @@ done:
     return out;
 }
 
-/* Mark the pairs of the entries of seq, a tuple or list: for each d, the
- * pair (d, 2d) or, reflected, (q - 2d, q - d), its smaller element in
- * lows and, if reflected, in reflected_lows.  0, or -1 when an entry is not
- * an exact int in 1..t or an element is already used.  Touches no Python
- * object that could run code, so seq cannot change under it. */
+/* Mark each entry d of seq, a tuple or list, in entries, and its pair (d,
+ * 2d) or, reflected, (q - 2d, q - d): both elements in used, the smaller in
+ * lows and, if reflected, in reflected_lows, the maps WORDS(q) words apart
+ * from used.  0, or -1 when an entry is not an exact int in 1..t or repeats,
+ * or an element is already used.  Touches no Python object that could run
+ * code, so seq cannot change under it. */
 static int
-mark_pairs(PyObject *seq, long q, int reflected, uint64_t *used, uint64_t *lows,
-           uint64_t *reflected_lows)
+mark_pairs(PyObject *seq, long q, int reflected, uint64_t *used)
 {
     long t = (q - 1) / 2;
+    uint64_t *lows = used + WORDS(q), *reflected_lows = lows + WORDS(q),
+             *entries = reflected_lows + WORDS(q);
     Py_ssize_t size = PySequence_Fast_GET_SIZE(seq);
     PyObject **items = PySequence_Fast_ITEMS(seq);
     for (Py_ssize_t i = 0; i < size; i++) {
@@ -424,8 +431,9 @@ mark_pairs(PyObject *seq, long q, int reflected, uint64_t *used, uint64_t *lows,
             return -1;
         int overflow;
         long d = PyLong_AsLongAndOverflow(items[i], &overflow);
-        if (overflow || d < 1 || d > t)
+        if (overflow || d < 1 || d > t || TEST(entries, d))
             return -1;
+        MARK(entries, d);
         long x = reflected ? q - 2 * d : d, y = x + d;
         if (TEST(used, x) || TEST(used, y))
             return -1;
@@ -454,14 +462,14 @@ skolem_pairs(PyObject *self, PyObject *args)
         !(PyTuple_CheckExact(reflected) || PyList_CheckExact(reflected)) ||
         PySequence_Fast_GET_SIZE(direct) + PySequence_Fast_GET_SIZE(reflected) != t)
         Py_RETURN_NONE;
-    uint64_t *used = PyMem_Calloc(3 * WORDS(q), sizeof(uint64_t));
+    uint64_t *used = PyMem_Calloc(3 * WORDS(q) + WORDS(t), sizeof(uint64_t));
     if (used == NULL)
         return PyErr_NoMemory();
     uint64_t *lows = used + WORDS(q), *reflected_lows = lows + WORDS(q);
     PyObject *out = NULL;
-    /* t disjoint pairs within 1..q-1: a partition */
-    if (mark_pairs(direct, q, 0, used, lows, reflected_lows) < 0 ||
-        mark_pairs(reflected, q, 1, used, lows, reflected_lows) < 0) {
+    /* t distinct entries whose t pairs are disjoint within 1..q-1: each
+     * difference 1..t once, and a partition */
+    if (mark_pairs(direct, q, 0, used) < 0 || mark_pairs(reflected, q, 1, used) < 0) {
         out = Py_NewRef(Py_None);
         goto done;
     }
@@ -486,45 +494,6 @@ skolem_pairs(PyObject *self, PyObject *args)
 done:
     PyMem_Free(used);
     return out;
-}
-
-/* Whether the tuples direct and reflected hold 1..(q-1)/2, each once.  None
- * unless both are tuples of exact ints, t of them in all: the pure route
- * then decides. */
-static PyObject *
-partitions_half(PyObject *self, PyObject *args)
-{
-    PyObject *qarg, *runs[2];
-    if (!PyArg_ParseTuple(args, "OOO:partitions_half", &qarg, &runs[0], &runs[1]))
-        return NULL;
-    long q = modulus(qarg);
-    if (q < 0)
-        return NULL;
-    long t = (q - 1) / 2;
-    if (!PyTuple_CheckExact(runs[0]) || !PyTuple_CheckExact(runs[1]) ||
-        PyTuple_GET_SIZE(runs[0]) + PyTuple_GET_SIZE(runs[1]) != t)
-        Py_RETURN_NONE;
-    uint64_t *seen = PyMem_Calloc(WORDS(t), sizeof(uint64_t));
-    if (seen == NULL)
-        return PyErr_NoMemory();
-    int partition = 1;
-    for (int k = 0; k < 2; k++) {
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(runs[k]); i++) {
-            PyObject *entry = PyTuple_GET_ITEM(runs[k], i);
-            if (!PyLong_CheckExact(entry)) {
-                PyMem_Free(seen);
-                Py_RETURN_NONE;
-            }
-            int overflow;
-            long d = PyLong_AsLongAndOverflow(entry, &overflow);
-            if (overflow || d < 1 || d > t || TEST(seen, d))
-                partition = 0;
-            else
-                MARK(seen, d);
-        }
-    }
-    PyMem_Free(seen);
-    return PyBool_FromLong(partition);
 }
 
 /* full_report's bulk verdicts on a full pair tuple, in one pass: each
@@ -612,18 +581,14 @@ static PyMethodDef methods[] = {
      "fold(q)\n--\n\n"
      "skolem.construction._fold(q) for any odd q in 3..2**31 - 1: (low, high),\n"
      "ascending, the d <= (q-1)/2 that are squares mod q and those whose\n"
-     "q - d is.  Raises TypeError or ValueError for any other q."},
+     "q - d is.  None unless they partition 1..(q-1)/2: _fold then raises.\n"
+     "Raises TypeError or ValueError for any other q."},
     {"skolem_pairs", skolem_pairs, METH_VARARGS,
      "skolem_pairs(q, direct, reflected)\n--\n\n"
      "The canonical pair tuple of (d, 2d) for d in direct and (q - 2d, q - d)\n"
      "for d in reflected, q as fold takes it.  None unless direct and\n"
-     "reflected are tuples or lists of exact ints in 1..(q-1)/2 whose pairs\n"
-     "partition 1..q-1: skolem.construction._skolem_pairs then raises."},
-    {"partitions_half", partitions_half, METH_VARARGS,
-     "partitions_half(q, direct, reflected)\n--\n\n"
-     "Whether direct and reflected hold 1..(q-1)/2, each once, q as fold\n"
-     "takes it.  None unless both are tuples of exact ints, (q-1)/2 in all:\n"
-     "skolem.construction.half_set_certificate then sorts them."},
+     "reflected are tuples or lists of distinct exact ints in 1..(q-1)/2\n"
+     "whose pairs partition 1..q-1: skolem.construction._skolem_pairs raises."},
     {"skolem_verdicts", skolem_verdicts, METH_VARARGS,
      "skolem_verdicts(n, pairs)\n--\n\n"
      "(is_skolem, sums distinct, has_zero_sum) for a tuple of exactly\n"
@@ -635,9 +600,9 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "skolem._fastsearch",
-    "Compiled Skolem starter search, n <= 63, the construction's folding\n"
-    "and pair layout, and full_report's bulk verdicts, for any q the package\n"
-    "accepts.",
+    "Compiled Skolem starter search, n <= 63, and, for any q the package\n"
+    "accepts, the construction's checked folding and pair layout and\n"
+    "full_report's bulk verdicts, each an answer or None.",
     -1, methods,
 };
 

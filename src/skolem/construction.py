@@ -21,13 +21,14 @@ the class, as an object whose pair_set() checks it.
 The folding is the one route to these starters: every builder of them
 folds the residues once per call (enumerate_strong_skolem once per q), and
 the {x, beta * x} loop serves only build_strong_starter's general beta.
-_fold, _skolem_pairs and half_set_certificate's partition check run in
-the compiled module skolem.search loads, read at call time, for any q the
-package accepts; their pure-Python lines are the route without it, and the
-one that raises for a refused folding.
+Each fact is checked where it is made: _fold checks that the folding
+partitions 1..(q-1)/2, and _skolem_pairs that the pairs realise each
+difference once and partition 1..q-1.  Both run in the compiled module
+skolem.search loads, read at call time, for any q the package accepts,
+which returns an answer or None; their pure-Python lines are the route
+without it, and the one that raises for a refusal.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -86,18 +87,23 @@ def _squares(q: int) -> set[int]:
 
 
 def _fold(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(low, high), ascending: the squares d <= (q-1)/2 and the d <= (q-1)/2
+    """(low, high), ascending: the squares d <= t = (q-1)/2 and the d <= t
     with q - d a square.  For q == 3 (mod 4) exactly one of d and q - d is
-    a square, so the residues fold into (low, high), the rest into (high, low).
-    The compiled module folds when it built; the lines below are the pure
-    route.
+    a square, so the residues fold into (low, high), the rest into (high, low);
+    ArithmeticError unless they partition 1..t.  The compiled module folds and
+    checks when it built; the pure route below folds again to raise.
     """
     fast = search._fastsearch
-    if fast is not None:
-        return fast.fold(q)
-    squares = sorted(_squares(q))
-    k = bisect_right(squares, (q - 1) // 2)
-    return tuple(squares[:k]), tuple([q - s for s in reversed(squares[k:])])
+    runs = None if fast is None else fast.fold(q)
+    if runs is not None:
+        return runs
+    t = (q - 1) // 2
+    squares = _squares(q)
+    low = tuple(d for d in range(1, t + 1) if d in squares)
+    high = tuple(d for d in range(1, t + 1) if q - d in squares)
+    if sorted(low + high) != list(range(1, t + 1)):
+        raise ArithmeticError(f"the squares mod {q} do not fold into a partition of 1..{t}")
+    return low, high
 
 
 def _folded(choice: BetaChoice, low, high):
@@ -105,27 +111,32 @@ def _folded(choice: BetaChoice, low, high):
     return (low, high) if choice is BetaChoice.TWO else (high, low)
 
 
-def _compiled_pairs(q: int, direct, reflected) -> PairSet | None:
-    """_skolem_pairs as the compiled module lays it out, or None when it
-    did not build or refuses the entries: anything but tuples or lists of
-    exact ints in 1..t whose pairs partition 1..q-1."""
-    fast = search._fastsearch
-    pairs = None if fast is None else fast.skolem_pairs(q, direct, reflected)
-    return None if pairs is None else PairSet._from_witnesses(q, (pairs,))[0]
-
-
 def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     """The pairs (d, 2d) for d in direct and (q - 2d, q - d) for d in
-    reflected, checked to partition 1..q-1.  Compiled when it can be; on
-    the pure route, which also raises for every refusal, ascending direct
-    and reflected give two ascending runs, which the sort merges."""
-    ps = _compiled_pairs(q, direct, reflected)
-    if ps is not None:
-        return ps
+    reflected, for a valid q, checked to realise each difference 1..t once
+    and to partition 1..q-1.  Compiled when it can be; the pure route names
+    every fault, and on it ascending direct and reflected give two
+    ascending runs, which the sort merges."""
+    fast = search._fastsearch
+    pairs = None if fast is None else fast.skolem_pairs(q, direct, reflected)
+    if pairs is not None:
+        return PairSet._from_witnesses(q, (pairs,))[0]
+    t = (q - 1) // 2
+    entries = (*direct, *reflected)
+    # in bulk first; the walk runs only to name a bad entry
+    if not ({*map(type, entries)} <= {int}
+            and min(entries, default=1) >= 1 and max(entries, default=t) <= t):
+        for d in entries:
+            if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
+                raise ValueError(f"certificate entry {_quote(d)} is not an int in 1..{t}")
     rev = reflected[::-1]
     xs = [*direct, *[q - 2 * d for d in rev]]
     ys = [*[2 * d for d in direct], *[q - d for d in rev]]
-    return PairSet._from_pairs(q, xs, ys)
+    ps = PairSet._from_pairs(q, xs, ys)
+    if len({*entries}) < t:
+        d = next(d for i, d in enumerate(entries) if d in entries[:i])
+        raise ValueError(f"certificate realises difference {_quote(d)} more than once")
+    return ps
 
 
 def build_strong_starter(q: int, beta: int) -> PairSet:
@@ -205,43 +216,23 @@ class HalfSetCertificate:
 
     def pair_set(self) -> PairSet:
         """The full starter reassembled from the certificate alone; raises
-        TypeError or ValueError for a q that PairSet refuses, and ValueError
-        unless it realises each difference 1..t exactly once."""
+        TypeError or ValueError for a q that PairSet refuses, and, from the
+        checks of _skolem_pairs, ValueError unless it realises each
+        difference 1..t exactly once."""
         _check_modulus(self.q)
-        ps = _compiled_pairs(self.q, self.direct, self.reflected)
-        if ps is not None:
-            return ps
-        # refused or no compiled module: the pure route names the fault
-        t = self.t
-        entries = (*self.direct, *self.reflected)
-        # in bulk first; the walk runs only to name a bad entry
-        if not ({*map(type, entries)} <= {int}
-                and min(entries, default=1) >= 1 and max(entries, default=t) <= t):
-            for d in entries:
-                if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
-                    raise ValueError(f"certificate entry {_quote(d)} is not an int in 1..{t}")
         return _skolem_pairs(self.q, self.direct, self.reflected)
 
 
 def half_set_certificate(q: int, choice=BetaChoice.TWO) -> HalfSetCertificate:
-    """Build and internally check the folding certificate for S_beta.
+    """The folding certificate for S_beta, checked where _fold makes it.
 
-    Raises ConstructionError for inapplicable q and ArithmeticError if the
-    folding fails to partition {1, ..., t}, which cannot happen when the
-    preconditions hold.
+    Raises ConstructionError for inapplicable q and, from _fold,
+    ArithmeticError if the folding fails to partition {1, ..., t}, which
+    cannot happen when the preconditions hold.
     """
     c = _as_choice(choice)
     _require_skolem_q(q)
-    t = (q - 1) // 2
     direct, reflected = _folded(c, *_fold(q))
-    fast = search._fastsearch
-    partition = None if fast is None else fast.partitions_half(q, direct, reflected)
-    if partition is None:  # the pure route
-        partition = sorted(direct + reflected) == list(range(1, t + 1))
-    if not partition:
-        raise ArithmeticError(
-            f"folding for beta = {c.beta(q)} does not partition 1..{t}"
-        )
     return HalfSetCertificate(
         q=q,
         beta=c.beta(q),

@@ -243,7 +243,8 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     elif config.mode is SearchMode.COUNT_ALL:
         stop_after, collect = 0, 0
     else:
-        stop_after, collect = 0, (-1 if config.limit is None else config.limit)
+        # no cap past the compiled kernel's C long long can bind
+        stop_after, collect = 0, (-1 if config.limit is None else min(config.limit, 2**63 - 1))
     # A count walks up to the mirror (see the module docstring) and weighs
     # every part twice but the middle one of odd t, its own mirror.
     mirrored = config.mode is SearchMode.COUNT_ALL

@@ -315,6 +315,16 @@ def test_search_enumerate_limit(capsys):
     assert len(doc["results"]["witnesses"]) == 3
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_enumerate_limit_past_the_machine_word(capsys, workers):
+    code, out, err = _run(capsys, "search", "11", "--enumerate", "--limit",
+                          "100000000000000000000000", "--workers", workers, "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["results"]["count"] == 2
+    assert len(doc["results"]["witnesses"]) == 2
+
+
 def test_search_limit_requires_enumerate(capsys):
     code, _, err = _run(capsys, "search", "17", "--limit", "3")
     assert code == 2

@@ -9,6 +9,7 @@ import skolem.construction
 from skolem import (
     BetaChoice,
     ConstructionError,
+    HalfSetCertificate,
     PairSet,
     build_qr_table,
     build_strong_skolem,
@@ -280,18 +281,19 @@ def test_certificate_with_a_bad_modulus_raises():
 
 def test_construction_output_is_a_checked_partition(monkeypatch):
     # with a residue missing, S_beta misses two elements of 1..q-1; the
-    # construction refuses it instead of returning the shorter set.  The
-    # pure route: the compiled fold never calls _squares
+    # construction refuses it instead of returning the shorter set: the
+    # folding builders where _fold folds, the general loop where its pairs
+    # are checked.  The pure route: the compiled fold never calls _squares
     monkeypatch.setattr(skolem.search, "_fastsearch", None)
     squares = skolem.construction._squares
     monkeypatch.setattr(
         skolem.construction, "_squares", lambda q: squares(q) - {max(squares(q))}
     )
-    with pytest.raises(ValueError, match=r"does not partition 1\.\.10"):
+    with pytest.raises(ArithmeticError, match=r"^the squares mod 11 do not fold into a partition of 1\.\.5$"):
         build_strong_skolem(11)
     with pytest.raises(ValueError, match=r"does not partition 1\.\.10"):
         build_strong_starter(11, 2)
-    with pytest.raises(ValueError, match=r"does not partition 1\.\.2"):
+    with pytest.raises(ArithmeticError, match=r"^the squares mod 3 do not fold into a partition of 1\.\.1$"):
         next(enumerate_strong_skolem(20))
 
 
@@ -361,31 +363,13 @@ def test_compiled_construction_output_is_a_checked_partition(fastsearch, monkeyp
     ],
 )
 def test_both_routes_refuse_a_folding_that_is_no_partition(fastsearch, monkeypatch, low, high):
-    # a prime q never folds so; with _fold patched to, the certificate
-    # raises the same ArithmeticError on both routes.  The compiled check
-    # decides t = 5 entries by its bitmap and leaves any other count to
-    # the pure sort
-    monkeypatch.setattr(skolem.construction, "_fold", lambda q: (low, high))
-    decided = fastsearch.partitions_half(11, low, high)
-    assert decided is (False if len(low + high) == 5 else None)
-    messages = []
-    for kernel in (fastsearch, None):
-        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
-        for choice in BetaChoice:
-            with pytest.raises(ArithmeticError) as info:
-                half_set_certificate(11, choice)
-            messages.append(str(info.value))
-    assert messages == [
-        "folding for beta = 2 does not partition 1..5",
-        "folding for beta = 6 does not partition 1..5",
-    ] * 2
-
-
-def test_compiled_partition_check_leaves_what_it_does_not_read_to_sorting(fastsearch):
-    assert fastsearch.partitions_half(11, (1, 3, 4, 5), (2,)) is True
-    assert fastsearch.partitions_half(11, (), (5, 4, 3, 2, 1)) is True
-    for low, high in (([1, 3, 4, 5], (2,)), ((1, 3, 4, 5.0), (2,)), ((1, 3, 4, True), (2,))):
-        assert fastsearch.partitions_half(11, low, high) is None, (low, high)
+    # a prime q never folds so, and _fold refuses any q that does (see
+    # test_compiled_and_pure_routes_agree); laid out as either choice
+    # would, such runs are refused with the same ValueError on both routes
+    for direct, reflected in ((low, high), (high, low)):
+        compiled, pure = _routes(
+            monkeypatch, fastsearch, lambda: skolem.construction._skolem_pairs(11, direct, reflected).pairs)
+        assert compiled == pure and pure[0] is ValueError, (direct, reflected)
 
 
 def test_residues_are_squared_once_per_call(monkeypatch):
@@ -426,8 +410,7 @@ def test_compiled_fold_runs_once_per_call(fastsearch, monkeypatch):
         return fastsearch.fold(q)
 
     monkeypatch.setattr(skolem.search, "_fastsearch", types.SimpleNamespace(
-        fold=counting, skolem_pairs=fastsearch.skolem_pairs,
-        partitions_half=fastsearch.partitions_half))
+        fold=counting, skolem_pairs=fastsearch.skolem_pairs))
     for q in (3, 11, 1499):
         for choice in BetaChoice:
             for build in (build_strong_skolem, half_set_certificate):
@@ -451,7 +434,7 @@ def _routes(monkeypatch, fastsearch, build):
         monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
         try:
             pairs = build()
-        except (TypeError, ValueError) as exc:
+        except (ArithmeticError, TypeError, ValueError) as exc:
             out.append((type(exc), str(exc)))
         else:
             out.append((pairs, [type(el) for pair in pairs for el in pair]))
@@ -460,10 +443,20 @@ def _routes(monkeypatch, fastsearch, build):
 
 def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
     construction = skolem.construction
-    # the fold of every odd q, composites (whose squares may include 0) too
+    # the fold of every odd q, composites (whose squares may include 0) too:
+    # the same runs, or the same refusal of a folding that is no partition
+    refused = []
     for q in range(3, 400, 2):
         compiled, pure = _routes(monkeypatch, fastsearch, lambda: construction._fold(q))
         assert compiled == pure, q
+        if pure[0] is ArithmeticError:
+            assert pure[1] == f"the squares mod {q} do not fold into a partition of 1..{q // 2}"
+            refused.append(q)
+    # 3**2 == 0 mod 9, and -1 is a square mod 13, so 4 and 9 are both squares
+    assert {9, 13} <= {*refused}
+    # a prime q folds exactly when -1 is a non-residue
+    assert all(q % 4 == 1 for q in refused if is_prime(q))
+    assert all(q in refused for q in range(5, 400, 4) if is_prime(q))
     for q in construction_primes(1500):
         for choice in BetaChoice:
             folded = construction._folded(choice, *construction._fold(q))
@@ -507,6 +500,39 @@ def test_both_routes_refuse_a_certificate_alike(fastsearch, monkeypatch, direct,
     cert = dataclasses.replace(half_set_certificate(11), direct=direct, reflected=reflected)
     compiled, pure = _routes(monkeypatch, fastsearch, lambda: cert.pair_set().pairs)
     assert compiled == pure
+
+
+@pytest.mark.parametrize("q, direct, reflected, d", [
+    (13, (1, 3, 4), (4, 3, 1), 4),
+    (5, (1,), (1,), 1),
+])
+def test_both_routes_refuse_a_certificate_that_repeats_a_difference(
+        fastsearch, monkeypatch, q, direct, reflected, d):
+    # the pairs partition 1..q-1, so only the repeated difference, and the
+    # one it leaves out, tell that this is no Skolem starter
+    cert = HalfSetCertificate(q=q, beta=2, direct=direct, reflected=reflected)
+    refusal = (ValueError, f"certificate realises difference {d} more than once")
+    for view in (lambda: cert.pair_set().pairs, lambda: tuple(cert.difference_pairs())):
+        assert _routes(monkeypatch, fastsearch, view) == [refusal, refusal]
+
+
+def test_half_set_certificate_is_the_folding_of_its_class(fastsearch, monkeypatch):
+    # on both routes, for every q <= 1500, against the class read off a
+    # squaring of all of 1..q-1
+    for q in construction_primes(1500):
+        t = (q - 1) // 2
+        residues = {x * x % q for x in range(1, q)}
+        for choice in BetaChoice:
+            members = residues if choice is BetaChoice.TWO else {*range(1, q)} - residues
+            expected = HalfSetCertificate(
+                q=q,
+                beta=choice.beta(q),
+                direct=tuple(d for d in range(1, t + 1) if d in members),
+                reflected=tuple(d for d in range(1, t + 1) if q - d in members),
+            )
+            for kernel in (fastsearch, None):
+                monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+                assert half_set_certificate(q, choice) == expected, (q, choice, kernel)
 
 
 @pytest.mark.parametrize("q", [1, 2, -5, 2**31 + 1, 11.0])

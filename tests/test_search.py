@@ -389,6 +389,19 @@ def test_enumerate_mode_limit_keeps_exact_count():
     ]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_limit_past_the_machine_word_is_no_limit(fastsearch, monkeypatch, workers):
+    # the compiled kernel takes its cap as a C long long, which such a cap
+    # overflowed; none so large can bind, so both kernels enumerate all
+    full = search_skolem_starters(SearchConfig(n=11, mode="enumerate", workers=workers))
+    for kernel in (fastsearch, None):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        for limit in (2**63 - 1, 2**63, 10**23):
+            config = SearchConfig(n=11, mode="enumerate", limit=limit, workers=workers)
+            result = search_skolem_starters(config)
+            assert (result.count, result.witnesses) == (2, full.witnesses), (kernel, limit)
+
+
 def test_first_witness_mode():
     for n, xs in FIRST_STRONG_WITNESS.items():
         if n > DEFAULT_CEILING:
