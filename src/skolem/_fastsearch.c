@@ -38,12 +38,12 @@
  * witness_pairs turns those witnesses into what a PairSet holds: per
  * witness, the tuple of its pairs (x, x + d) in ascending x, each distinct
  * pair one tuple shared by the whole batch.  It checks each witness in
- * batch order, range-checking each element before it becomes a bit (an
- * element that operator.index refuses is out of range), and the first one
- * that is not t in-range entries whose pairs partition 1..n-1 raises
- * ValueError("witness xs does not partition 1..n-1"), as
- * skolem._pysearch.witness_pairs does.  skolem.search calls it with the
- * GIL held, after the search's wall time is taken.
+ * batch order, range-checking each element before it becomes a bit, and
+ * the first one that is not an exact tuple of t exact ints whose pairs
+ * partition 1..n-1 raises ValueError("witness xs does not partition
+ * 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch may be any
+ * iterable, copied once.  skolem.search calls it with the GIL held, after
+ * the search's wall time is taken.
  *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
@@ -199,15 +199,12 @@ fail: /* reached with the GIL held */
 }
 
 static PyObject *
-run_search(PyObject *self, PyObject *args, PyObject *kwargs)
+run_search(PyObject *self, PyObject *args)
 {
-    static char *keywords[] = {"n", "strong", "stop_after", "collect_limit",
-                               "descending", "fixed_top", NULL};
     int n, strong, descending = 1, fixed_top = 0;
     long long stop_after = 0, collect_limit = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "ip|LLpi", keywords, &n, &strong,
-                                     &stop_after, &collect_limit, &descending,
-                                     &fixed_top))
+    if (!PyArg_ParseTuple(args, "ip|LLpi:run_search", &n, &strong, &stop_after,
+                          &collect_limit, &descending, &fixed_top))
         return NULL;
     if (n < 3 || n % 2 == 0)
         return PyErr_Format(PyExc_ValueError, "n must be odd and >= 3, got %d", n);
@@ -246,7 +243,7 @@ witness_pairs(PyObject *self, PyObject *args)
     if (n < 3 || n % 2 == 0 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError, "n must be odd and in 3..%d, got %d",
                             MAX_N, n);
-    /* Tuples: no element conversion below can change what is being read. */
+    /* Only exact tuples of exact ints are read: nothing can change them. */
     PyObject *witnesses = PySequence_Tuple(arg);
     if (witnesses == NULL)
         return NULL;
@@ -260,26 +257,14 @@ witness_pairs(PyObject *self, PyObject *args)
     /* table[d][x]: the pair (x, x + d), built on first use and shared. */
     PyObject *table[MAX_T + 1][MAX_N] = {{NULL}};
     for (Py_ssize_t k = 0; k < count; k++) {
-        PyObject *w = PyTuple_GET_ITEM(witnesses, k);
-        PyObject *xs = PySequence_Tuple(w);
-        if (xs == NULL)
-            goto fail;
-        int faulty = PyTuple_GET_SIZE(xs) != t;
+        PyObject *xs = PyTuple_GET_ITEM(witnesses, k);
+        int faulty = !PyTuple_CheckExact(xs) || PyTuple_GET_SIZE(xs) != t;
         int diff_of[MAX_N]; /* the difference of the pair with smaller element x */
         uint64_t used = 0, lows = 0;
         for (int d = 1; d <= t && !faulty; d++) {
-            int overflow;
-            long x = PyLong_AsLongAndOverflow(PyTuple_GET_ITEM(xs, d - 1), &overflow);
-            if (x == -1 && PyErr_Occurred()) {
-                if (!PyErr_ExceptionMatches(PyExc_TypeError)) {
-                    Py_DECREF(xs);
-                    goto fail;
-                }
-                /* operator.index refuses it: no int, so never in range */
-                PyErr_Clear();
-                faulty = 1;
-                break;
-            }
+            PyObject *el = PyTuple_GET_ITEM(xs, d - 1);
+            int overflow = 0; /* anything but an exact int reads as 0, out of range */
+            long x = PyLong_CheckExact(el) ? PyLong_AsLongAndOverflow(el, &overflow) : 0;
             /* checked before any shift, so no shift reaches bit n */
             if (overflow || x < 1 || x > n - 1 - d || (used & (BIT(x) | BIT(x + d)))) {
                 faulty = 1;
@@ -289,9 +274,8 @@ witness_pairs(PyObject *self, PyObject *args)
             lows |= BIT(x);
             diff_of[x] = d;
         }
-        Py_DECREF(xs);
         if (faulty) {
-            PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", w, n - 1);
+            PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", xs, n - 1);
             goto fail;
         }
         /* t disjoint pairs within 1..n-1: a partition.  Their smaller
@@ -563,20 +547,19 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"run_search", (PyCFunction)(void (*)(void))run_search,
-     METH_VARARGS | METH_KEYWORDS,
+    {"run_search", run_search, METH_VARARGS,
      "run_search(n, strong, stop_after=0, collect_limit=0, descending=True, "
-     "fixed_top=0)\n--\n\n"
+     "fixed_top=0, /)\n--\n\n"
      "Count and optionally collect Skolem starters of Z_n, 3 <= n <= 63.\n\n"
      "See skolem._pysearch.run_search for the full parameter contract; both\n"
      "kernels return identical (count, nodes, witnesses) triples."},
     {"witness_pairs", witness_pairs, METH_VARARGS,
      "witness_pairs(n, witnesses)\n--\n\n"
      "The canonical pair tuples of run_search witnesses, 3 <= n <= 63.\n\n"
-     "The first witness, in batch order, that is not t in-range entries\n"
-     "whose pairs partition 1..n-1 raises ValueError.  See\n"
-     "skolem._pysearch.witness_pairs; both return equal lists and raise the\n"
-     "same ValueError."},
+     "witnesses is any iterable.  The first witness, in batch order, that\n"
+     "is not an exact tuple of t exact ints whose pairs partition 1..n-1\n"
+     "raises ValueError.  See skolem._pysearch.witness_pairs; both return\n"
+     "equal lists and raise the same ValueError."},
     {"fold", fold, METH_O,
      "fold(q)\n--\n\n"
      "skolem.construction._fold(q) for any odd q in 3..2**31 - 1: (low, high),\n"

@@ -23,9 +23,10 @@ walk.
 
 witness_pairs turns the walk's witnesses into the canonical pair tuples a
 PairSet holds, one tuple shared per distinct pair, and names the first
-witness whose pairs do not partition 1..n-1.  The raw witness format,
-xs[d - 1] the smaller element of the difference-d pair, is decoded here
-and in _fastsearch, and also by the tests and perfbench's kernel_pairs.
+witness whose pairs do not partition 1..n-1.  The raw witness format, an
+exact tuple of exact ints with xs[d - 1] the smaller element of the
+difference-d pair, is decoded here and in _fastsearch, and also by the
+tests and perfbench's kernel_pairs.
 
 skolem.search runs this module when the extension did not build and for
 n > 63, calling run_search once per top-level partition (descending
@@ -37,7 +38,7 @@ ascending order as an independent route to the same counts.
 
 from functools import reduce
 from itertools import zip_longest
-from operator import getitem, index, or_
+from operator import getitem, or_
 
 
 def run_search(
@@ -47,6 +48,7 @@ def run_search(
     collect_limit: int = 0,
     descending: bool = True,
     fixed_top: int = 0,
+    /,
 ):
     """Walk every Skolem starter of Z_n, counting and optionally collecting.
 
@@ -65,7 +67,7 @@ def run_search(
 
     Returns (count, nodes, witnesses): nodes is the number of successful
     pair placements, witnesses a list of tuples xs with xs[d - 1] the
-    smaller element of the difference-d pair.
+    smaller element of the difference-d pair.  No argument has a keyword.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
@@ -132,19 +134,19 @@ def run_search(
 def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
     """The canonical pairs of run_search witnesses, for a valid n: per
     witness xs, the tuple of its pairs (x, x + d), xs[d - 1] = x, in
-    ascending x.  The first witness, in batch order, that is not t
-    in-range entries whose pairs partition 1..n-1 raises ValueError; an
-    element that operator.index refuses is never in range, though it may
-    equal one (9.0 == 9).
+    ascending x.  witnesses is any iterable.  The first witness, in batch
+    order, that is not an exact tuple of t exact ints whose pairs
+    partition 1..n-1 raises ValueError, as in _fastsearch: so does a
+    list, or a tuple holding 9.0 or True, though they equal ints.
 
     Each difference column is tabled over its in-range values only, which
     keeps every mask within n bits: x maps to the pair (x, x + d), one
     tuple shared by every witness, and to its bitmask, so looking up an
     element out of range is a KeyError.  t pairs partition 1..n-1 iff
-    their masks OR to bits 1..n-1.
+    their masks OR to bits 1..n-1; a witness of another type reads as ().
     """
     witnesses = tuple(witnesses)  # read twice: into rows, and to name a fault
-    rows = [_indices(xs) for xs in witnesses]
+    rows = [xs if type(xs) is tuple and {*map(type, xs)} <= {int} else () for xs in witnesses]
     t = (n - 1) // 2
     pairs, masks = [], []
     for d, column in zip(range(1, t + 1), zip_longest(*rows, fillvalue=0)):
@@ -163,12 +165,3 @@ def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
         out.append(tuple(sorted(map(getitem, pairs, row))))
     return out
 
-
-def _indices(xs) -> tuple[int, ...]:
-    """The elements of witness xs as ints, or () if operator.index
-    refuses one of them: t >= 1, so () is never a witness."""
-    elements = map(index, xs)  # a witness that is not iterable raises here
-    try:
-        return tuple(elements)
-    except TypeError:
-        return ()

@@ -5,10 +5,11 @@ and the pair blocks parse back with the same reader the verify command
 uses.  --json switches any subcommand to a single JSON envelope on stdout.
 
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
-precondition, unreadable input or unwritable output, 3 verified property
-does not hold, 4 search ceiling refusal, 130 interrupted (Ctrl-C), 141
-stdout closed by its reader (as by `| head -1`).  A command returns 0, 1
-or 3; main maps every exception a command raises to its code.
+precondition, unreadable input, unwritable output or too little memory,
+3 verified property does not hold, 4 search ceiling refusal, 130
+interrupted (Ctrl-C), 141 stdout closed by its reader (as by
+`| head -1`).  A command returns 0, 1 or 3; main maps every exception a
+command raises to its code.
 """
 
 import argparse
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _error(f"{args.command} interrupted")
         return EXIT_INTERRUPTED
+    except MemoryError:
+        _error(f"{args.command} ran out of memory")
+        return EXIT_USAGE
     except BrokenPipeError:  # an OSError, so caught before that
         # the reader is gone: point stdout at devnull so that the flush at
         # interpreter exit finds nothing to write and raises nothing

@@ -262,6 +262,15 @@ def test_verify_names_the_uncovered_elements_of_a_sparse_set_with_a_huge_n():
     assert elapsed < 2
 
 
+def test_generate_out_of_memory_is_one_error_line():
+    # a valid prime q = 3 (mod 8) below the cap whose folding needs about
+    # 17 GB: exit 2, as for any input too large to handle, not the exit 1
+    # of a failed self-check, and no traceback
+    proc = _python_m_skolem("generate", "2147483587", preexec_fn=_cap_address_space, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: generate ran out of memory\n"
+
+
 def test_search_count_json(capsys):
     code, out, _ = _run(capsys, "search", "9", "--no-strong", "--json")
     assert code == 0

@@ -58,8 +58,8 @@ def _plain_witnesses(n):
 def _witness_batches(draw):
     n = draw(st.sampled_from(range(3, 18, 2)))
     t = (n - 1) // 2
-    # near the range, far past any machine word, and elements that
-    # operator.index refuses: floats equal to ints near the range, and strs
+    # near the range, far past any machine word, and elements that are no
+    # exact int: floats equal to ints near the range, and strs
     near = st.integers(-2, n + 1)
     element = st.one_of(near, st.integers(-(2**80), 2**80), near.map(float), st.text(max_size=2))
     drawn = st.lists(element, min_size=t - 1, max_size=t + 1).map(tuple)

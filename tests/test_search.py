@@ -1,3 +1,4 @@
+import enum
 import inspect
 import os
 import signal
@@ -102,6 +103,10 @@ def test_pure_kernel_does_not_recurse():
     assert result[:2] == NODE_COUNTS[(21, True)]
 
 
+class _Two(enum.IntEnum):
+    TWO = 2
+
+
 def _partners(xs):
     """The larger elements x + d of a witness's pairs, xs[d - 1] = x."""
     return [x + d for d, x in enumerate(xs, start=1)]
@@ -176,9 +181,13 @@ def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
         ([(9, 2, 5, 2, 1), (9, 2, 5, 3, 6)], (9, 2, 5, 2, 1)),
         # a valid witness, a short one, then one with element 0
         ([(9, 2, 5, 3, 1), (9, 2, 5, 3), (0, 2, 5, 3, 1)], (9, 2, 5, 3)),
-        # elements operator.index refuses: 9.0 equals and hashes like 9
+        # only an exact tuple of exact ints is read: 9.0 and True equal and
+        # hash like 9 and 1, an IntEnum member is an int, a list holds ints
         ([(9, 2, 5, 3, 1), (9.0, 2, 5, 3, 1)], (9.0, 2, 5, 3, 1)),
         ([("a", 2, 5, 3, 1), (9.0, 2, 5, 3, 1)], ("a", 2, 5, 3, 1)),
+        ([(9, 2, 5, 3, 1), (9, 2, 5, 3, True)], (9, 2, 5, 3, True)),
+        ([(9, 2, 5, 3, 1), (9, _Two.TWO, 5, 3, 1)], (9, _Two.TWO, 5, 3, 1)),
+        ([(9, 2, 5, 3, 1), [9, 2, 5, 3, 1]], [9, 2, 5, 3, 1]),
     ],
 )
 def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_fault):
@@ -295,6 +304,8 @@ def test_kernel_validation():
         _pysearch.run_search(1, True)
     with pytest.raises(ValueError, match="fixed_top"):
         _pysearch.run_search(11, True, 0, 0, True, 6)
+    with pytest.raises(TypeError, match="keyword argument"):
+        _pysearch.run_search(11, True, fixed_top=1)
 
 
 def test_compiled_kernel_validation(fastsearch):
@@ -304,6 +315,8 @@ def test_compiled_kernel_validation(fastsearch):
         fastsearch.run_search(11, True, 0, 0, True, 6)
     with pytest.raises(ValueError, match="limit of 63"):
         fastsearch.run_search(65, True)
+    with pytest.raises(TypeError, match="keyword argument"):
+        fastsearch.run_search(11, True, fixed_top=1)
 
 
 def test_fixed_top_partitions_the_space():
@@ -619,6 +632,37 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
     assert {caller_top, thread_top} == {6, 7}
     # the caller stopped while the thread's part was still running
     assert stopped_at < finished_at
+
+
+def test_interrupt_while_the_caller_waits_lets_the_thread_finish(fastsearch, monkeypatch):
+    # Ctrl-C after the caller has run its own part, while it waits for the
+    # thread's: the thread's part still finishes and the thread is joined
+    # before the KeyboardInterrupt propagates.  A count at n = 7 has two
+    # parts, one per worker.
+    thread_started, caller_done = threading.Event(), threading.Event()
+    finished = []
+
+    def run_search(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert thread_started.wait(10)  # the thread holds the other part
+            caller_done.set()
+            return fastsearch.run_search(*args)
+        thread_started.set()
+        assert caller_done.wait(10)
+        time.sleep(0.05)  # the caller is back in _thread_map, waiting
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        time.sleep(0.5)
+        finished.append(time.perf_counter())
+        return fastsearch.run_search(*args)
+
+    _hook_kernel(monkeypatch, fastsearch, run_search)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        search_skolem_starters(SearchConfig(n=7, workers=2))
+    raised_at = time.perf_counter()
+    assert threading.active_count() == before
+    [finished_at] = finished
+    assert finished_at < raised_at
 
 
 def test_mirror_partitions_have_equal_counts_and_nodes(fastsearch):
