@@ -35,15 +35,24 @@
  * made two threads enumerating n = 25 slower than one.  Every error path
  * and the result are built with the GIL held.
  *
- * witness_pairs turns those witnesses into what a PairSet holds: per
+ * witness_pairs, skolem_pairs and skolem_verdicts read pairs, and read them
+ * one way: read_int takes each element only if it is an exact int in
+ * range, pair_up enters each pair in a partner array mate, refusing an
+ * element already paired, and marks its smaller element in a lows bitmap,
+ * and layout pops the lows bits in ascending order into the canonical tuple
+ * of pairs (x, mate[x]), with no set and no sort.  Only exact tuples, and
+ * for skolem_pairs lists, are read, with no Python code run while they are,
+ * so nothing can change them; for input read any other way each entry
+ * point returns None or raises as its pure counterpart does.
+ *
+ * witness_pairs turns the walk's witnesses into what a PairSet holds: per
  * witness, the tuple of its pairs (x, x + d) in ascending x, each distinct
  * pair one tuple shared by the whole batch.  It checks each witness in
- * batch order, range-checking each element before it becomes a bit, and
- * the first one that is not an exact tuple of t exact ints whose pairs
- * partition 1..n-1 raises ValueError("witness xs does not partition
- * 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch may be any
- * iterable, copied once.  skolem.search calls it with the GIL held, after
- * the search's wall time is taken.
+ * batch order, and the first one that is not an exact tuple of t exact
+ * ints whose pairs partition 1..n-1 raises ValueError("witness xs does not
+ * partition 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch
+ * may be any iterable, copied once.  skolem.search calls it with the GIL
+ * held, after the search's wall time is taken.
  *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
@@ -52,19 +61,17 @@
  * 2^31 - 1, with its pure functions as the fallback and the reference.
  * fold marks each x^2 mod q, x = 1..(q-1)/2, in a bitmap of q bits and
  * reads the two folded runs off it in one ascending scan, which also
- * checks that they partition 1..(q-1)/2.  skolem_pairs marks each entry
- * in a bitmap, refusing a repeat, each pair's two elements in a used
- * bitmap, checking each first, and its smaller element in a third; the
- * pairs come out in canonical order from that bitmap, with no set and no
- * sort.  For a valid q each returns its answer or None, and the pure
- * route raises and names the fault.
+ * checks that they partition 1..(q-1)/2.  skolem_pairs pairs up (d, 2d) or
+ * (q - 2d, q - d) for each entry d, marking d in a bitmap to refuse a
+ * repeated difference, and lays the pairs out.  For a valid q each returns
+ * its answer or None, and the pure route raises and names the fault.
  *
  * skolem_verdicts serves skolem.starters.full_report: it decides in one
  * pass whether a full pair tuple is Skolem and has distinct sums, marking
- * each integer difference and each sum mod n in a bitmap.  When both hold,
- * full_report returns the all-yes report from it; on any other answer, or
- * None for input it does not read exactly, the pure lines decide, and they
- * alone decide every "no" and name its fault.
+ * each integer difference and each sum mod n in a bitmap as it pairs the
+ * elements up.  When both hold, full_report returns the all-yes report from
+ * it; on any other answer, or None for input it does not read exactly, the
+ * pure lines decide, and they alone decide every "no" and name its fault.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -233,6 +240,74 @@ run_search(PyObject *self, PyObject *args)
                   : walk(lv, n, t, r, 0, stop_after, collect_limit);
 }
 
+#define WORDS(nbits) ((size_t)(nbits) / 64 + 1) /* a bitmap of bits 0..nbits */
+#define TEST(bits, i) ((bits)[(i) >> 6] & BIT((i) & 63))
+#define MARK(bits, i) ((bits)[(i) >> 6] |= BIT((i) & 63))
+
+/* The tuple of the ints values[0..count), or NULL with an exception. */
+static PyObject *
+int_tuple(const long *values, Py_ssize_t count)
+{
+    PyObject *out = PyTuple_New(count);
+    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
+        PyObject *v = PyLong_FromLong(values[i]);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+/* The value of obj if it is an exact int in 1..hi, else 0.  Runs no Python
+ * code, so it cannot change the container obj was read from. */
+static long
+read_int(PyObject *obj, long hi)
+{
+    int overflow = 0;
+    long v = PyLong_CheckExact(obj) ? PyLong_AsLongAndOverflow(obj, &overflow) : 0;
+    return overflow || v < 1 || v > hi ? 0 : v;
+}
+
+/* Pair x < y, both below the length of mate: mate[x] = y, mate[y] = x,
+ * and x marked in lows; -1, changing nothing, if either is already paired.
+ * Elements are at least 1, so 0 in mate means unpaired. */
+static int
+pair_up(int32_t *mate, uint64_t *lows, long x, long y)
+{
+    if (mate[x] || mate[y])
+        return -1;
+    mate[x] = (int32_t)y;
+    mate[y] = (int32_t)x;
+    MARK(lows, x);
+    return 0;
+}
+
+/* The canonical tuple of the t pairs (x, mate[x]), x the set bits of lows
+ * below n in ascending order, or NULL with an exception.  With shared, a
+ * table of (t + 1) * n slots, the pair (x, x + d) is shared[d * n + x],
+ * built on first use, owned by the table and reused. */
+static PyObject *
+layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **shared)
+{
+    PyObject *out = PyTuple_New(t);
+    if (out == NULL)
+        return NULL;
+    Py_ssize_t i = 0;
+    for (long w = 0; w <= (n - 1) / 64; w++) {
+        for (uint64_t bits = lows[w]; bits; bits &= bits - 1) {
+            long x = w * 64 + __builtin_ctzll(bits), xy[2] = {x, mate[x]};
+            PyObject *own = NULL, **slot = shared ? &shared[(xy[1] - x) * n + x] : &own;
+            if (*slot == NULL && (*slot = int_tuple(xy, 2)) == NULL) {
+                Py_DECREF(out);
+                return NULL;
+            }
+            PyTuple_SET_ITEM(out, i++, shared ? Py_NewRef(*slot) : *slot);
+        }
+    }
+    return out;
+}
+
 static PyObject *
 witness_pairs(PyObject *self, PyObject *args)
 {
@@ -243,7 +318,6 @@ witness_pairs(PyObject *self, PyObject *args)
     if (n < 3 || n % 2 == 0 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError, "n must be odd and in 3..%d, got %d",
                             MAX_N, n);
-    /* Only exact tuples of exact ints are read: nothing can change them. */
     PyObject *witnesses = PySequence_Tuple(arg);
     if (witnesses == NULL)
         return NULL;
@@ -254,52 +328,35 @@ witness_pairs(PyObject *self, PyObject *args)
         return NULL;
     }
     int t = (n - 1) / 2;
-    /* table[d][x]: the pair (x, x + d), built on first use and shared. */
-    PyObject *table[MAX_T + 1][MAX_N] = {{NULL}};
+    PyObject *shared[(MAX_T + 1) * MAX_N] = {NULL};
     for (Py_ssize_t k = 0; k < count; k++) {
         PyObject *xs = PyTuple_GET_ITEM(witnesses, k);
+        /* only n entries are cleared: clearing all MAX_N made the call 20%
+         * slower on the 2656 witnesses of n = 19 */
+        int32_t mate[MAX_N];
+        memset(mate, 0, n * sizeof(int32_t));
+        uint64_t lows = 0;
+        /* t disjoint pairs (x, x + d) within 1..n-1: a partition */
         int faulty = !PyTuple_CheckExact(xs) || PyTuple_GET_SIZE(xs) != t;
-        int diff_of[MAX_N]; /* the difference of the pair with smaller element x */
-        uint64_t used = 0, lows = 0;
         for (int d = 1; d <= t && !faulty; d++) {
-            PyObject *el = PyTuple_GET_ITEM(xs, d - 1);
-            int overflow = 0; /* anything but an exact int reads as 0, out of range */
-            long x = PyLong_CheckExact(el) ? PyLong_AsLongAndOverflow(el, &overflow) : 0;
-            /* checked before any shift, so no shift reaches bit n */
-            if (overflow || x < 1 || x > n - 1 - d || (used & (BIT(x) | BIT(x + d)))) {
-                faulty = 1;
-                break;
-            }
-            used |= BIT(x) | BIT(x + d);
-            lows |= BIT(x);
-            diff_of[x] = d;
+            long x = read_int(PyTuple_GET_ITEM(xs, d - 1), n - 1 - d);
+            faulty = x == 0 || pair_up(mate, &lows, x, x + d) < 0;
         }
         if (faulty) {
             PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", xs, n - 1);
             goto fail;
         }
-        /* t disjoint pairs within 1..n-1: a partition.  Their smaller
-         * elements in ascending order give the canonical order. */
-        PyObject *pairs = PyTuple_New(t);
+        PyObject *pairs = layout(mate, &lows, n, t, shared);
         if (pairs == NULL)
             goto fail;
         PyList_SET_ITEM(out, k, pairs);
-        for (int i = 0; i < t; i++, lows &= lows - 1) {
-            int x = __builtin_ctzll(lows), d = diff_of[x];
-            PyObject **pair = &table[d][x];
-            if (*pair == NULL && (*pair = Py_BuildValue("(ii)", x, x + d)) == NULL)
-                goto fail;
-            Py_INCREF(*pair);
-            PyTuple_SET_ITEM(pairs, i, *pair);
-        }
     }
     goto done;
 fail:
     Py_CLEAR(out);
 done:
-    for (int d = 1; d <= t; d++)
-        for (int x = 1; x + d < n; x++)
-            Py_XDECREF(table[d][x]);
+    for (int i = 0; i < (t + 1) * n; i++)
+        Py_XDECREF(shared[i]);
     Py_DECREF(witnesses);
     return out;
 }
@@ -307,7 +364,7 @@ done:
 /* The modulus q as a C long, or -1 with TypeError or ValueError set: fold,
  * skolem_pairs and skolem_verdicts take any odd q in
  * 3..MAX_Q, as skolem.residues checks a modulus, so every element, and 2d
- * for d <= t, fits even a 32-bit long. */
+ * for d <= t, fits even a 32-bit long, and every element an int32_t. */
 #define MAX_Q 2147483647L
 
 static long
@@ -326,25 +383,6 @@ modulus(PyObject *obj)
         return -1;
     }
     return q;
-}
-
-#define WORDS(nbits) ((size_t)(nbits) / 64 + 1) /* a bitmap of bits 0..nbits */
-#define TEST(bits, i) ((bits)[(i) >> 6] & BIT((i) & 63))
-#define MARK(bits, i) ((bits)[(i) >> 6] |= BIT((i) & 63))
-
-/* The tuple of the ints values[0..count), or NULL with an exception. */
-static PyObject *
-int_tuple(const long *values, Py_ssize_t count)
-{
-    PyObject *out = PyTuple_New(count);
-    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
-        PyObject *v = PyLong_FromLong(values[i]);
-        if (v == NULL)
-            Py_CLEAR(out);
-        else
-            PyTuple_SET_ITEM(out, i, v);
-    }
-    return out;
 }
 
 static PyObject *
@@ -396,45 +434,11 @@ done:
     return out;
 }
 
-/* Mark each entry d of seq, a tuple or list, in entries, and its pair (d,
- * 2d) or, reflected, (q - 2d, q - d): both elements in used, the smaller in
- * lows and, if reflected, in reflected_lows, the maps WORDS(q) words apart
- * from used.  0, or -1 when an entry is not an exact int in 1..t or repeats,
- * or an element is already used.  Touches no Python object that could run
- * code, so seq cannot change under it. */
-static int
-mark_pairs(PyObject *seq, long q, int reflected, uint64_t *used)
-{
-    long t = (q - 1) / 2;
-    uint64_t *lows = used + WORDS(q), *reflected_lows = lows + WORDS(q),
-             *entries = reflected_lows + WORDS(q);
-    Py_ssize_t size = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (Py_ssize_t i = 0; i < size; i++) {
-        if (!PyLong_CheckExact(items[i]))
-            return -1;
-        int overflow;
-        long d = PyLong_AsLongAndOverflow(items[i], &overflow);
-        if (overflow || d < 1 || d > t || TEST(entries, d))
-            return -1;
-        MARK(entries, d);
-        long x = reflected ? q - 2 * d : d, y = x + d;
-        if (TEST(used, x) || TEST(used, y))
-            return -1;
-        MARK(used, x);
-        MARK(used, y);
-        MARK(lows, x);
-        if (reflected)
-            MARK(reflected_lows, x);
-    }
-    return 0;
-}
-
 static PyObject *
 skolem_pairs(PyObject *self, PyObject *args)
 {
-    PyObject *qarg, *direct, *reflected;
-    if (!PyArg_ParseTuple(args, "OOO:skolem_pairs", &qarg, &direct, &reflected))
+    PyObject *qarg, *runs[2];
+    if (!PyArg_ParseTuple(args, "OOO:skolem_pairs", &qarg, &runs[0], &runs[1]))
         return NULL;
     long q = modulus(qarg);
     if (q < 0)
@@ -442,41 +446,34 @@ skolem_pairs(PyObject *self, PyObject *args)
     long t = (q - 1) / 2;
     /* only a tuple or a list is read in place; anything else is the pure
      * route's to iterate */
-    if (!(PyTuple_CheckExact(direct) || PyList_CheckExact(direct)) ||
-        !(PyTuple_CheckExact(reflected) || PyList_CheckExact(reflected)) ||
-        PySequence_Fast_GET_SIZE(direct) + PySequence_Fast_GET_SIZE(reflected) != t)
+    if (!(PyTuple_CheckExact(runs[0]) || PyList_CheckExact(runs[0])) ||
+        !(PyTuple_CheckExact(runs[1]) || PyList_CheckExact(runs[1])) ||
+        PySequence_Fast_GET_SIZE(runs[0]) + PySequence_Fast_GET_SIZE(runs[1]) != t)
         Py_RETURN_NONE;
-    uint64_t *used = PyMem_Calloc(3 * WORDS(q) + WORDS(t), sizeof(uint64_t));
-    if (used == NULL)
+    /* lows, the entries map and, in (q + 1) / 2 words, mate */
+    uint64_t *lows = PyMem_Calloc(WORDS(q) + WORDS(t) + (q + 1) / 2, sizeof(uint64_t));
+    if (lows == NULL)
         return PyErr_NoMemory();
-    uint64_t *lows = used + WORDS(q), *reflected_lows = lows + WORDS(q);
-    PyObject *out = NULL;
-    /* t distinct entries whose t pairs are disjoint within 1..q-1: each
+    uint64_t *entries = lows + WORDS(q);
+    int32_t *mate = (int32_t *)(entries + WORDS(t));
+    PyObject *out;
+    /* t distinct entries whose t pairs, (d, 2d) from runs[0] and
+     * (q - 2d, q - d) from runs[1], are disjoint within 1..q-1: each
      * difference 1..t once, and a partition */
-    if (mark_pairs(direct, q, 0, used) < 0 || mark_pairs(reflected, q, 1, used) < 0) {
-        out = Py_NewRef(Py_None);
-        goto done;
-    }
-    /* the smaller elements in ascending order give the canonical order */
-    if ((out = PyTuple_New(t)) == NULL)
-        goto done;
-    Py_ssize_t i = 0;
-    for (long w = 0; w <= q / 64; w++) {
-        for (uint64_t bits = lows[w]; bits; bits &= bits - 1) {
-            long x = w * 64 + __builtin_ctzll(bits);
-            /* (d, 2d) or (q - 2d, q - d), d = (q - x) / 2 */
-            long y = TEST(reflected_lows, x) ? x + (q - x) / 2 : 2 * x;
-            long xy[2] = {x, y};
-            PyObject *pair = int_tuple(xy, 2);
-            if (pair == NULL) {
-                Py_CLEAR(out);
+    for (int r = 0; r < 2; r++) {
+        PyObject **items = PySequence_Fast_ITEMS(runs[r]);
+        for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(runs[r]); i++) {
+            long d = read_int(items[i], t), x = r ? q - 2 * d : d;
+            if (d == 0 || TEST(entries, d) || pair_up(mate, lows, x, x + d) < 0) {
+                out = Py_NewRef(Py_None);
                 goto done;
             }
-            PyTuple_SET_ITEM(out, i++, pair);
+            MARK(entries, d);
         }
     }
+    out = layout(mate, lows, q, t, NULL);
 done:
-    PyMem_Free(used);
+    PyMem_Free(lows);
     return out;
 }
 
@@ -486,9 +483,9 @@ done:
  * clears its verdict.  (is_skolem, is_strong, has_zero_sum), where is_strong
  * says only that the sums are distinct, or None for anything but a tuple of
  * exactly t tuples (x, y) of exact ints with 1 <= x < y <= n - 1 and no
- * element used twice.  Each element is checked before it becomes a bit, and
- * the maps are allocated only once the tuple is known to hold t pairs, so
- * they are always smaller than it. */
+ * element used twice.  mate and the maps are allocated only once the tuple
+ * is known to hold t pairs, so they stay smaller than it: mate takes 4 bytes
+ * per element, 8 per pair, and each input pair at least 64 bytes. */
 static PyObject *
 skolem_verdicts(PyObject *self, PyObject *args)
 {
@@ -501,29 +498,22 @@ skolem_verdicts(PyObject *self, PyObject *args)
     long t = (n - 1) / 2;
     if (!PyTuple_CheckExact(pairs) || PyTuple_GET_SIZE(pairs) != t)
         Py_RETURN_NONE;
-    uint64_t *used = PyMem_Calloc(2 * WORDS(n) + WORDS(t), sizeof(uint64_t));
-    if (used == NULL)
+    /* lows, the sums and diffs maps and, in (n + 1) / 2 words, mate */
+    uint64_t *lows = PyMem_Calloc(2 * WORDS(n) + WORDS(t) + (n + 1) / 2, sizeof(uint64_t));
+    if (lows == NULL)
         return PyErr_NoMemory();
-    uint64_t *sums = used + WORDS(n), *diffs = sums + WORDS(n);
+    uint64_t *sums = lows + WORDS(n), *diffs = sums + WORDS(n);
+    int32_t *mate = (int32_t *)(diffs + WORDS(t));
     int skolem = 1, strong = 1, zero_sum = 0;
     PyObject *out;
     for (Py_ssize_t i = 0; i < t; i++) {
         PyObject *pair = PyTuple_GET_ITEM(pairs, i);
         if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2)
             goto refuse;
-        long xy[2];
-        for (int j = 0; j < 2; j++) {
-            PyObject *el = PyTuple_GET_ITEM(pair, j);
-            int overflow;
-            if (!PyLong_CheckExact(el))
-                goto refuse;
-            xy[j] = PyLong_AsLongAndOverflow(el, &overflow);
-            if (overflow || xy[j] < 1 || xy[j] > n - 1 || TEST(used, xy[j]))
-                goto refuse;
-            MARK(used, xy[j]);
-        }
-        long x = xy[0], y = xy[1], d = y - x;
-        if (d < 0) /* d == 0 reuses x */
+        long x = read_int(PyTuple_GET_ITEM(pair, 0), n - 1),
+             y = read_int(PyTuple_GET_ITEM(pair, 1), n - 1), d = y - x;
+        /* a bad y reads 0, so d < 0 */
+        if (x == 0 || d <= 0 || pair_up(mate, lows, x, y) < 0)
             goto refuse;
         /* (x + y) mod n without forming x + y, which may pass a 32-bit long */
         long s = x >= n - y ? x - (n - y) : x + y;
@@ -542,7 +532,7 @@ skolem_verdicts(PyObject *self, PyObject *args)
 refuse:
     out = Py_NewRef(Py_None);
 done:
-    PyMem_Free(used);
+    PyMem_Free(lows);
     return out;
 }
 

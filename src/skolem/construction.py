@@ -122,7 +122,10 @@ def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     if pairs is not None:
         return PairSet._from_witnesses(q, (pairs,))[0]
     t = (q - 1) // 2
-    entries = (*direct, *reflected)
+    # each run is read once, so any iterable serves and cannot change under
+    # the checks below
+    direct, reflected = tuple(direct), tuple(reflected)
+    entries = direct + reflected
     # in bulk first; the walk runs only to name a bad entry
     if not ({*map(type, entries)} <= {int}
             and min(entries, default=1) >= 1 and max(entries, default=t) <= t):

@@ -6,8 +6,9 @@ give the same pairs, element types and messages.  naive_verdicts
 re-decides the three starter properties with quadratic scans over plain
 tuples, and element_driven_starters enumerates (strong) Skolem starters
 by always extending the smallest uncovered element, a different strategy
-from the difference-driven package kernels.  generator_starter builds
-the construction's starter in the paper's generator form, while the
+from the difference-driven package kernels; count_skolem_starters counts
+the plain ones the same way, caching equal states.  generator_starter
+builds the construction's starter in the paper's generator form, while the
 package builds it from the set of quadratic residues, and
 cycle_qr_generators lists every generator alpha of the residues by
 walking each residue's cycle of powers, with no order factorisation.
@@ -163,6 +164,32 @@ def element_driven_starters(n, strong):
 
     walk()
     return found
+
+
+def count_skolem_starters(n):
+    """The number of Skolem starters of Z_n, counted element by element.
+
+    Pairs the smallest free element e with e + d for each unused difference
+    d, and caches the count of each state, the free elements and the unused
+    differences as two bitmasks.  Neither kernel branches on elements or
+    merges equal states, so agreeing with them on a count is meaningful.
+    """
+    t = (n - 1) // 2
+    cache = {}
+
+    def count(free, unused):
+        if not free:
+            return 1
+        if (free, unused) not in cache:
+            e = (free & -free).bit_length() - 1
+            cache[free, unused] = sum(
+                count(free & ~(1 << e | 1 << e + d), unused & ~(1 << d))
+                for d in range(1, t + 1)
+                if unused >> d & 1 and free >> e + d & 1
+            )
+        return cache[free, unused]
+
+    return count((1 << n) - 2, (1 << t + 1) - 2)
 
 
 def random_pair_partition(n, rng):

@@ -237,6 +237,14 @@ def test_half_set_certificate_rebuilds_starter():
             assert half_set_certificate(q, choice).pair_set() == build_strong_skolem(
                 q, choice
             )
+    # the pure route reads each run once, so a run may be any iterable: a
+    # frozenset, or an iterator that a second read would find empty
+    cert = half_set_certificate(11)
+    for other in (
+        dataclasses.replace(cert, reflected=frozenset(cert.reflected)),
+        dataclasses.replace(cert, direct=iter(cert.direct)),
+    ):
+        assert other.pair_set() == build_strong_skolem(11)
 
 
 def test_incomplete_certificate_raises():

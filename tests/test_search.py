@@ -27,7 +27,7 @@ import skolem.search
 from skolem import _pysearch
 
 from _fixtures import FIRST_STRONG_WITNESS, NODE_COUNTS, S_HALF, S_TWO, STARTER_COUNTS
-from _naive import element_driven_starters, sum_array_walk
+from _naive import count_skolem_starters, element_driven_starters, sum_array_walk
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -295,6 +295,15 @@ def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
                 found = {_witness_pairs(xs) for xs in witnesses}
                 assert count == len(oracle) == len(found), (kernel, n, strong)
                 assert found == oracle, (kernel, n, strong)
+
+
+def test_plain_counts_match_a_memoised_element_driven_count():
+    # the oracle above lists starters only up to n = 17; this count checks
+    # the plain fixtures at n = 19 and 25 too, with no kernel involved.
+    # n = 27 takes it 4.5 s and is left out
+    for (n, strong), count in STARTER_COUNTS.items():
+        if not strong and n <= 25:
+            assert count_skolem_starters(n) == count, n
 
 
 def test_kernel_validation():
