@@ -72,6 +72,17 @@
  * elements up.  When both hold, full_report returns the all-yes report from
  * it; on any other answer, or None for input it does not read exactly, the
  * pure lines decide, and they alone decide every "no" and name its fault.
+ *
+ * Every tuple the module builds holds only ints or only such tuples: the
+ * raw witnesses, each pair and each tuple of pairs, and fold's runs and
+ * the tuple that holds them.  Each is taken out of the cyclic GC as it is
+ * built, which is safe because an immutable tuple of such contents cannot
+ * be part of a cycle; the collector would in time untrack it itself, and
+ * would scan it, and all it holds, until then.  The lists and
+ * run_search's result tuple stay tracked.  Elements below 2^16 come from
+ * one table that lives as long as the module, so every starter shares one
+ * int per value: it keeps at most 2^16 ints, about 2 MB, and the 512 KB
+ * pointer array is resident only where it is touched.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -117,6 +128,7 @@ append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
             }
             PyTuple_SET_ITEM(w, i, v);
         }
+        PyObject_GC_UnTrack(w);
         int err = PyList_Append(list, w);
         Py_DECREF(w);
         if (err < 0)
@@ -244,18 +256,38 @@ run_search(PyObject *self, PyObject *args)
 #define TEST(bits, i) ((bits)[(i) >> 6] & BIT((i) & 63))
 #define MARK(bits, i) ((bits)[(i) >> 6] |= BIT((i) & 63))
 
-/* The tuple of the ints values[0..count), or NULL with an exception. */
+/* The ints 0..SHARED_INTS - 1 that int_tuple has handed out, each made on
+ * first use and kept for the life of the module; filled and read only with
+ * the GIL held. */
+#define SHARED_INTS (1L << 16)
+static PyObject *shared_ints[SHARED_INTS];
+
+/* A new reference to the int v, or NULL with an exception. */
+static PyObject *
+new_int(long v)
+{
+    if ((unsigned long)v >= SHARED_INTS)
+        return PyLong_FromLong(v);
+    if (shared_ints[v] == NULL && (shared_ints[v] = PyLong_FromLong(v)) == NULL)
+        return NULL;
+    return Py_NewRef(shared_ints[v]);
+}
+
+/* The tuple, untracked, of the ints values[0..count), or NULL with an
+ * exception. */
 static PyObject *
 int_tuple(const long *values, Py_ssize_t count)
 {
     PyObject *out = PyTuple_New(count);
     for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
-        PyObject *v = PyLong_FromLong(values[i]);
+        PyObject *v = new_int(values[i]);
         if (v == NULL)
             Py_CLEAR(out);
         else
             PyTuple_SET_ITEM(out, i, v);
     }
+    if (out != NULL)
+        PyObject_GC_UnTrack(out);
     return out;
 }
 
@@ -283,10 +315,10 @@ pair_up(int32_t *mate, uint64_t *lows, long x, long y)
     return 0;
 }
 
-/* The canonical tuple of the t pairs (x, mate[x]), x the set bits of lows
- * below n in ascending order, or NULL with an exception.  With shared, a
- * table of (t + 1) * n slots, the pair (x, x + d) is shared[d * n + x],
- * built on first use, owned by the table and reused. */
+/* The canonical tuple, untracked, of the t pairs (x, mate[x]), x the set
+ * bits of lows below n in ascending order, or NULL with an exception.
+ * With shared, a table of (t + 1) * n slots, the pair (x, x + d) is
+ * shared[d * n + x], built on first use, owned by the table and reused. */
 static PyObject *
 layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **shared)
 {
@@ -305,6 +337,7 @@ layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **sha
             PyTuple_SET_ITEM(out, i++, shared ? Py_NewRef(*slot) : *slot);
         }
     }
+    PyObject_GC_UnTrack(out);
     return out;
 }
 
@@ -424,8 +457,9 @@ fold(PyObject *self, PyObject *arg)
     if (!folds)
         out = Py_NewRef(Py_None);
     else if ((low_run = int_tuple(runs, nlow)) != NULL &&
-             (high_run = int_tuple(high, nhigh)) != NULL)
-        out = PyTuple_Pack(2, low_run, high_run);
+             (high_run = int_tuple(high, nhigh)) != NULL &&
+             (out = PyTuple_Pack(2, low_run, high_run)) != NULL)
+        PyObject_GC_UnTrack(out);
     Py_XDECREF(low_run);
     Py_XDECREF(high_run);
 done:

@@ -7,6 +7,7 @@ the fastsearch fixture turns that into a test failure that shows the
 compiler output, never a skip.
 """
 
+import gc
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,17 @@ def fastsearch(request):
             pytrace=False,
         )
     return _fastsearch
+
+
+@pytest.fixture
+def no_collection():
+    """The cyclic GC off for the test.  A collection untracks a tuple of
+    ints by itself, so a check that a call hands out untracked tuples must
+    run with none in between."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

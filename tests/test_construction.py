@@ -1,5 +1,6 @@
 import dataclasses
 import enum
+import gc
 import re
 import types
 
@@ -484,6 +485,42 @@ def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
         ):
             compiled, pure = _routes(monkeypatch, fastsearch, build)
             assert compiled == pure and pure[1] == [int] * (q - 1), choice
+
+
+def test_compiled_construction_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
+    q = 1499
+    runs = fastsearch.fold(q)
+    pairs = fastsearch.skolem_pairs(q, *runs)
+    starter = build_strong_skolem(q).pairs
+    for tuples in ((runs, *runs), (pairs, *pairs), (starter, *starter)):
+        assert not any(map(gc.is_tracked, tuples))
+
+
+@pytest.mark.parametrize("q", [1499, 65539])
+def test_compiled_starters_share_one_int_per_value(fastsearch, q):
+    # the compiled module hands out one int per value below 2**16, for
+    # every starter it lays out; the values past it are fresh ints
+    starters = (build_strong_skolem(q, "2"), build_strong_skolem(q, "half"),
+                half_set_certificate(q).pair_set())
+    first = {}
+    for ps in starters:
+        for el in (el for pair in ps.pairs for el in pair if el < 2**16):
+            assert first.setdefault(el, el) is el, (q, el)
+    assert len(first) == min(q - 1, 2**16 - 1)
+
+
+def test_both_routes_agree_past_the_shared_ints(fastsearch, monkeypatch):
+    # q = 65539 = 2**16 + 3 is prime and 3 mod 8: its elements 65536..65538
+    # are past the compiled module's shared ints
+    q = 65539
+    assert is_prime(q) and q % 8 == 3
+    for choice in BetaChoice:
+        compiled, pure = _routes(
+            monkeypatch, fastsearch, lambda: build_strong_skolem(q, choice).pairs)
+        assert compiled == pure and pure[1] == [int] * (q - 1), choice
+        for kernel in (fastsearch, None):
+            monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+            assert full_report(build_strong_skolem(q, choice)).verdicts == (True, True, True)
 
 
 class _Three(enum.IntEnum):

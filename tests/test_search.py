@@ -1,4 +1,5 @@
 import enum
+import gc
 import inspect
 import os
 import signal
@@ -260,6 +261,20 @@ def test_witnesses_share_their_pair_tuples(fastsearch):
         assert len({id(p) for ps in r.witnesses for p in ps.pairs}) <= distinct_pairs
 
 
+def test_compiled_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
+    # tuples of ints, and tuples of those, cannot form a cycle; the lists
+    # and the result triple, which hold them, stay tracked
+    n = 19
+    result = fastsearch.run_search(n, False, 0, -1)
+    witnesses = result[2]
+    canonical = fastsearch.witness_pairs(n, witnesses)
+    assert len(witnesses) == len(canonical) == STARTER_COUNTS[(n, False)]
+    assert all(map(gc.is_tracked, (result, witnesses, canonical)))
+    assert not any(map(gc.is_tracked, witnesses))
+    assert not any(map(gc.is_tracked, canonical))
+    assert not any(gc.is_tracked(p) for pairs in canonical for p in pairs)
+
+
 def test_variable_order_does_not_change_the_count():
     for n in (9, 11, 13, 15, 17):
         for strong in (False, True):
@@ -300,10 +315,15 @@ def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
 def test_plain_counts_match_a_memoised_element_driven_count():
     # the oracle above lists starters only up to n = 17; this count checks
     # the plain fixtures at n = 19 and 25 too, with no kernel involved.
-    # n = 27 takes it 4.5 s and is left out
+    # n = 27 takes it 4.5 s and is the slow test below
     for (n, strong), count in STARTER_COUNTS.items():
         if not strong and n <= 25:
             assert count_skolem_starters(n) == count, n
+
+
+@pytest.mark.slow
+def test_plain_count_at_27_matches_a_memoised_element_driven_count():
+    assert count_skolem_starters(27) == STARTER_COUNTS[(27, False)] == 3_040_560
 
 
 def test_kernel_validation():
