@@ -1,17 +1,18 @@
 """Record a baseline: the benchmark's end-to-end metrics over several seeds,
 and the wall time and peak RSS of two command-line runs, in one file.
 
-    python3 bench/record.py --label NAME [--seeds 5] [--seconds S] [--cli-runs 5]
+    python3 bench/record.py --label NAME
 
-For each workload in BENCHMARK.json and each seed 1..k this runs
-`perfbench/run.py --workload W --seed k --trace 0` and reads the row that
-run writes to .bench_build/results/W-seed<k>-trace0.json.  Seed 0 is never
+For each workload in BENCHMARK.json and each seed 1..5 this runs
+`perfbench/run.py --workload W --seed k --trace 0`, each timed pass lasting
+BENCHMARK.json's run_seconds, and reads the row that run writes to
+.bench_build/results/W-seed<k>-trace0.json.  Seed 0 is never
 run or read: perfbench/selftest.py uses it for its deliberate wrong-answer
 run.  Each row is deleted before its run, so a row left by another
 revision cannot be read.
 
 It then times `skolem tabulate --q-max 20000 --beta both` and
-`skolem search 27`, each run from the package the last benchmark run
+`skolem search 27`, five runs each, from the package the last benchmark run
 built from this checkout, and writes BENCH_<NAME>.json at the checkout's
 root.  The file holds, per workload, each row's provenance, attempted and
 failed and its end-to-end metrics, and the median and IQR/median over the
@@ -32,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
+SEEDS = range(1, 6)
+CLI_RUNS = 5
 COMMANDS = {
     "skolem tabulate --q-max 20000 --beta both": ["tabulate", "--q-max", "20000", "--beta", "both"],
     "skolem search 27": ["search", "27"],
@@ -100,32 +103,25 @@ def time_command(args, runs) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, default=5, help="run seeds 1..SEEDS")
-    parser.add_argument("--seconds", type=float,
-                        help="each run's timed pass; BENCHMARK.json's run_seconds by default")
-    parser.add_argument("--cli-runs", type=int, default=5, help="runs of each command")
     args = parser.parse_args(argv)
-    if min(args.seeds, args.cli_runs) < 2:
-        parser.error("a spread needs --seeds and --cli-runs of at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["unit"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
-    seeds = range(1, args.seeds + 1)
+    seconds = spec["run_seconds"]
     status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
                             cwd=ROOT, capture_output=True, text=True).stdout
     out = {
         "label": args.label,
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "seconds": seconds,
         "checkout_path_length": len(str(ROOT)),
         "tracked_files_clean": status == "",
-        "workloads": {w["name"]: summarise(run_workload(w["name"], seeds, seconds),
+        "workloads": {w["name"]: summarise(run_workload(w["name"], SEEDS, seconds),
                                            metrics)
                       for w in spec["workloads"]},
     }
-    out["commands"] = {name: time_command(cli, args.cli_runs) for name, cli in COMMANDS.items()}
+    out["commands"] = {name: time_command(cli, CLI_RUNS) for name, cli in COMMANDS.items()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"# wrote {path.name}", file=sys.stderr)

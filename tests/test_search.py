@@ -315,7 +315,7 @@ def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
 def test_plain_counts_match_a_memoised_element_driven_count():
     # the oracle above lists starters only up to n = 17; this count checks
     # the plain fixtures at n = 19 and 25 too, with no kernel involved.
-    # n = 27 takes it 4.5 s and is the slow test below
+    # n = 27 takes it 6 to 7 s and 408 MB and is the slow test below
     for (n, strong), count in STARTER_COUNTS.items():
         if not strong and n <= 25:
             assert count_skolem_starters(n) == count, n
