@@ -1,5 +1,6 @@
 """Record a baseline: the benchmark's end-to-end metrics over several seeds,
-and the wall time and peak RSS of two command-line runs, in one file.
+the search kernel's speed, and the wall time and peak RSS of three
+command-line runs, in one file.
 
     python3 bench/record.py --label NAME
 
@@ -11,13 +12,21 @@ run or read: perfbench/selftest.py uses it for its deliberate wrong-answer
 run.  Each row is deleted before its run, so a row left by another
 revision cannot be read.
 
-It then times `skolem tabulate --q-max 20000 --beta both` and
-`skolem search 27`, five runs each, from the package the last benchmark run
-built from this checkout, and writes BENCH_<NAME>.json at the checkout's
-root.  The file holds, per workload, each row's provenance, attempted and
-failed and its end-to-end metrics, and the median and IQR/median over the
-seeds of each metric; per command, every run's wall time and peak RSS,
-with the same two figures of each.  It also records the length of the checkout's path,
+It then runs, from the package the last benchmark run built from this
+checkout, the search kernel and three commands.  The kernel block is a
+one-worker COUNT_ALL of each (n, strong) in KERNEL, five times in one fresh
+interpreter: per row, nodes_explored, the best wall_time and ns per node.
+A count walks only half of the mirrored tree and reports the whole tree's
+nodes, so ns per node is per node of the whole tree, about half the time
+each walked node takes.  The commands are `skolem tabulate --q-max 20000
+--beta both`, `skolem search 27` and `skolem search 25 --enumerate
+--no-strong`, five runs each.
+
+BENCH_<NAME>.json, written at the checkout's root, holds, per workload,
+each row's provenance, attempted and failed and its end-to-end metrics,
+and the median and IQR/median over the seeds of each metric; the kernel
+rows; and per command, every run's wall time and peak RSS, with the same
+two figures of each.  It also records the length of the checkout's path,
 which moves peak_rss_mb, so only baselines taken from paths of equal
 length compare on that metric.
 """
@@ -38,7 +47,26 @@ CLI_RUNS = 5
 COMMANDS = {
     "skolem tabulate --q-max 20000 --beta both": ["tabulate", "--q-max", "20000", "--beta", "both"],
     "skolem search 27": ["search", "27"],
+    "skolem search 25 --enumerate --no-strong": ["search", "25", "--enumerate", "--no-strong"],
 }
+KERNEL = [(19, True), (19, False), (25, True), (27, True)]
+KERNEL_RUNS = 5
+# run in a fresh interpreter; argv[1] is KERNEL and KERNEL_RUNS as JSON
+KERNEL_CHILD = """
+import json, sys
+from skolem import SearchConfig, active_backend, search_skolem_starters
+cases, runs = json.loads(sys.argv[1])
+rows = []
+for n, strong in cases:
+    results = [search_skolem_starters(SearchConfig(n=n, require_strong=strong))
+               for _ in range(runs)]
+    best = min(r.wall_time for r in results)
+    nodes = results[0].nodes_explored
+    rows.append({"n": n, "strong": strong, "backend": active_backend(),
+                 "nodes_explored": nodes, "wall_time": best,
+                 "ns_per_node": best / nodes * 1e9})
+print(json.dumps(rows))
+"""
 
 
 def spread(values) -> dict:
@@ -83,6 +111,18 @@ def summarise(rows, metrics) -> dict:
     }
 
 
+def time_kernel() -> list:
+    """The kernel rows: KERNEL's counts on one worker, best of KERNEL_RUNS."""
+    env = {**os.environ, "PYTHONPATH": str(BUILD / "lib")}
+    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps([KERNEL, KERNEL_RUNS])],
+                          env=env, capture_output=True, text=True, check=True)
+    rows = json.loads(proc.stdout)
+    for row in rows:
+        print(f"# kernel n={row['n']} strong={row['strong']}: {row['nodes_explored']} nodes, "
+              f"{row['wall_time'] * 1e3:.2f} ms, {row['ns_per_node']:.3f} ns/node", file=sys.stderr)
+    return rows
+
+
 def time_command(args, runs) -> dict:
     """Wall time and peak RSS of `python -m skolem args`, in fresh processes,
     importing the package the benchmark built."""
@@ -121,6 +161,7 @@ def main(argv=None) -> int:
                                            metrics)
                       for w in spec["workloads"]},
     }
+    out["kernel"] = time_kernel()
     out["commands"] = {name: time_command(cli, CLI_RUNS) for name, cli in COMMANDS.items()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

@@ -218,7 +218,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
+    # Text is printed one starter at a time, each after its self-check, so
+    # only one is held at once; the header goes out with the first, so a
+    # failure there prints nothing.  JSON is one document, printed whole.
     choices = ("2", "half") if args.beta == "both" else (args.beta,)
+    header = (
+        f"# strong skolem starters from the quadratic-residue "
+        f"construction, q <= {args.q_max}"
+    )
     entries = []
     for q, choice, ps in enumerate_strong_skolem(args.q_max, choices):
         if not _REQUIREMENTS["strong-skolem"](full_report(ps)):
@@ -227,7 +234,15 @@ def _cmd_tabulate(args) -> int:
                 f"this is a bug"
             )
             return EXIT_SELF_CHECK
-        entries.append((q, choice, ps))
+        if args.json:
+            entries.append((q, choice, ps))
+            continue
+        if header:
+            print(header)
+            header = None
+        print()
+        print(f"# q={q} beta={choice.beta(q)}")
+        sys.stdout.write(pair_set_to_text(ps))
     if args.json:
         print(
             _envelope(
@@ -246,15 +261,8 @@ def _cmd_tabulate(args) -> int:
                 },
             )
         )
-    else:
-        print(
-            f"# strong skolem starters from the quadratic-residue "
-            f"construction, q <= {args.q_max}"
-        )
-        for q, choice, ps in entries:
-            print()
-            print(f"# q={q} beta={choice.beta(q)}")
-            sys.stdout.write(pair_set_to_text(ps))
+    elif header:
+        print(header)
     return EXIT_OK
 
 

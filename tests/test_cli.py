@@ -140,6 +140,20 @@ def test_self_check_holds_each_command_to_its_promise(capsys, monkeypatch, argv,
             assert err == "" and "# strong: yes" in out
 
 
+def test_tabulate_keeps_what_it_printed_before_a_failed_self_check(capsys, monkeypatch):
+    # text goes out one starter at a time: the two that passed stay printed
+    # when the third fails; --json prints one document or nothing
+    _, whole, _ = _run(capsys, "tabulate", "--q-max", "20")
+    for json_flag, printed in (([], 2), (["--json"], 0)):
+        reports = iter([full_report, full_report, lambda ps: _NOT_STRONG])
+        monkeypatch.setattr(skolem.cli, "full_report", lambda ps: next(reports)(ps))
+        code, out, err = _run(capsys, "tabulate", "--q-max", "20", *json_flag)
+        assert code == 1
+        assert err == "error: self-check failed for q=11 beta=2; this is a bug\n"
+        assert len(list(iter_pair_sets_text(out))) == printed
+        assert whole.startswith(out)
+
+
 # Each verify input is also read after a UTF-8 byte-order mark, which
 # some editors write at the start of a file.
 _PREFIXES = ("", "\ufeff")

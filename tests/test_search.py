@@ -53,26 +53,38 @@ def test_compiled_kernel_counts_match_fixtures(fastsearch):
         assert fastsearch.run_search(n, strong) == (count, nodes, []), (n, strong)
 
 
+def _agreement_calls(n, strong, descending):
+    """run_search arguments for the whole walk, every top-level partition,
+    early stops with and without a witness cap, and caps either side of the
+    256 witnesses the compiled kernel buffers before it builds their tuples."""
+    top_d = (n - 1) // 2 if descending else 1
+    calls = [(0, -1, 0)]
+    calls += [(0, -1, x) for x in range(1, n - top_d)]
+    calls += [(stop, cap, 0) for stop in (1, 3) for cap in (0, 2)]
+    calls += [(0, cap, 0) for cap in (255, 256, 257)]
+    return [(n, strong, stop, cap, descending, top) for stop, cap, top in calls]
+
+
 def test_kernels_agree_exactly(fastsearch):
     # count, node count and witness stream of each kernel all identical to
-    # the recursive walk that tests each candidate's sum, both orders, for
-    # the whole walk, every top-level partition, early stops with and
-    # without a witness cap, and caps either side of the 256 witnesses the
-    # compiled kernel buffers before it builds their tuples (n = 17 plain
-    # has 504)
+    # the recursive walk that tests each candidate's sum, both orders (n =
+    # 17 plain has 504 witnesses, so its caps fill the compiled buffer)
     for n in (9, 11, 13, 15, 17):
         for strong in (False, True):
             for descending in (True, False):
-                top_d = (n - 1) // 2 if descending else 1
-                calls = [(0, -1, 0)]
-                calls += [(0, -1, x) for x in range(1, n - top_d)]
-                calls += [(stop, cap, 0) for stop in (1, 3) for cap in (0, 2)]
-                calls += [(0, cap, 0) for cap in (255, 256, 257)]
-                for stop, cap, top in calls:
-                    args = (n, strong, stop, cap, descending, top)
+                for args in _agreement_calls(n, strong, descending):
                     expected = sum_array_walk(*args)
                     assert _pysearch.run_search(*args) == expected, args
                     assert fastsearch.run_search(*args) == expected, args
+    # The compiled walk runs its last 5 levels as nested loops of their own
+    # and hands each subtree to them from the upper levels' loop.  n = 9
+    # and 11 (t <= 5) are all tail; n = 13 (t = 6) hands over below its top
+    # level; n = 15 to 21 hand over 2 to 5 levels down, and every stop and
+    # every full witness batch falls in the tail.  n = 19 and 21 are checked
+    # against the pure kernel alone, descending, as the package walks.
+    for n, strong in ((19, False), (19, True), (21, True)):
+        for args in _agreement_calls(n, strong, True):
+            assert fastsearch.run_search(*args) == _pysearch.run_search(*args), args
 
 
 @pytest.mark.parametrize("n, nodes", [(57, 304_453), (59, 164_183)])
