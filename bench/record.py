@@ -149,14 +149,15 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                            cwd=ROOT, capture_output=True, text=True).stdout
+    # outside a git checkout, git fails with nothing on stdout: not clean
+    git = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                         cwd=ROOT, capture_output=True, text=True)
     out = {
         "label": args.label,
         "seeds": list(SEEDS),
         "seconds": seconds,
         "checkout_path_length": len(str(ROOT)),
-        "tracked_files_clean": status == "",
+        "tracked_files_clean": git.returncode == 0 and git.stdout == "",
         "workloads": {w["name"]: summarise(run_workload(w["name"], SEEDS, seconds),
                                            metrics)
                       for w in spec["workloads"]},
