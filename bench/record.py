@@ -13,14 +13,17 @@ run.  Each row is deleted before its run, so a row left by another
 revision cannot be read.
 
 It then runs, from the package the last benchmark run built from this
-checkout, the search kernel and three commands.  The kernel block is a
-one-worker COUNT_ALL of each (n, strong) in KERNEL, five times in one fresh
-interpreter: per row, nodes_explored, the best wall_time and ns per node.
-A count walks only half of the mirrored tree and reports the whole tree's
-nodes, so ns per node is per node of the whole tree, about half the time
-each walked node takes.  The commands are `skolem tabulate --q-max 20000
---beta both`, `skolem search 27` and `skolem search 25 --enumerate
---no-strong`, five runs each.
+checkout, the search kernel and four commands.  The kernel block is a
+one-worker COUNT_ALL of each (n, strong) in KERNEL in one fresh
+interpreter: one warm-up run, which is dropped, and then as many runs as
+fill KERNEL_SECONDS, and at least KERNEL_RUNS.  A short count keeps
+speeding up over its first runs, so a fixed few runs read it high.  Per
+row: nodes_explored, the number of runs kept, the best wall_time and ns per
+node.  A count walks only half of the mirrored tree and reports the whole
+tree's nodes, so ns per node is per node of the whole tree, about half the
+time each walked node takes.  The commands are `skolem tabulate --q-max
+20000 --beta both`, the same table to q = 5000 as JSON, `skolem search 27`
+and `skolem search 25 --enumerate --no-strong`, five runs each.
 
 BENCH_<NAME>.json, written at the checkout's root, holds, per workload,
 each row's provenance, attempted and failed and its end-to-end metrics,
@@ -46,24 +49,32 @@ SEEDS = range(1, 6)
 CLI_RUNS = 5
 COMMANDS = {
     "skolem tabulate --q-max 20000 --beta both": ["tabulate", "--q-max", "20000", "--beta", "both"],
+    "skolem tabulate --q-max 5000 --beta both --json":
+        ["tabulate", "--q-max", "5000", "--beta", "both", "--json"],
     "skolem search 27": ["search", "27"],
     "skolem search 25 --enumerate --no-strong": ["search", "25", "--enumerate", "--no-strong"],
 }
 KERNEL = [(19, True), (19, False), (25, True), (27, True)]
 KERNEL_RUNS = 5
-# run in a fresh interpreter; argv[1] is KERNEL and KERNEL_RUNS as JSON
+KERNEL_SECONDS = 0.2
+# run in a fresh interpreter; argv[1] is KERNEL, KERNEL_RUNS and
+# KERNEL_SECONDS as JSON
 KERNEL_CHILD = """
-import json, sys
+import json, sys, time
 from skolem import SearchConfig, active_backend, search_skolem_starters
-cases, runs = json.loads(sys.argv[1])
+cases, runs, seconds = json.loads(sys.argv[1])
 rows = []
 for n, strong in cases:
-    results = [search_skolem_starters(SearchConfig(n=n, require_strong=strong))
-               for _ in range(runs)]
+    config = SearchConfig(n=n, require_strong=strong)
+    search_skolem_starters(config)  # the warm-up run, dropped
+    results = []
+    start = time.perf_counter()
+    while len(results) < runs or time.perf_counter() - start < seconds:
+        results.append(search_skolem_starters(config))
     best = min(r.wall_time for r in results)
     nodes = results[0].nodes_explored
     rows.append({"n": n, "strong": strong, "backend": active_backend(),
-                 "nodes_explored": nodes, "wall_time": best,
+                 "nodes_explored": nodes, "runs": len(results), "wall_time": best,
                  "ns_per_node": best / nodes * 1e9})
 print(json.dumps(rows))
 """
@@ -112,14 +123,18 @@ def summarise(rows, metrics) -> dict:
 
 
 def time_kernel() -> list:
-    """The kernel rows: KERNEL's counts on one worker, best of KERNEL_RUNS."""
+    """The kernel rows: KERNEL's counts on one worker, each the best of the
+    runs that follow one warm-up run and fill KERNEL_SECONDS, at least
+    KERNEL_RUNS of them."""
     env = {**os.environ, "PYTHONPATH": str(BUILD / "lib")}
-    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps([KERNEL, KERNEL_RUNS])],
+    spec = json.dumps([KERNEL, KERNEL_RUNS, KERNEL_SECONDS])
+    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, spec],
                           env=env, capture_output=True, text=True, check=True)
     rows = json.loads(proc.stdout)
     for row in rows:
         print(f"# kernel n={row['n']} strong={row['strong']}: {row['nodes_explored']} nodes, "
-              f"{row['wall_time'] * 1e3:.2f} ms, {row['ns_per_node']:.3f} ns/node", file=sys.stderr)
+              f"best of {row['runs']}: {row['wall_time'] * 1e3:.4g} ms, "
+              f"{row['ns_per_node']:.3f} ns/node", file=sys.stderr)
     return rows
 
 

@@ -96,7 +96,14 @@
  * run_search's result tuple stay tracked.  Elements below 2^16 come from
  * one table that lives as long as the module, so every starter shares one
  * int per value: it keeps at most 2^16 ints, about 2 MB, and the 512 KB
- * pointer array is resident only where it is touched.
+ * pointer array is resident only where it is touched.  Of the 2t pairs of
+ * q's two construction starters, t are (d, 2d), one for each d in 1..t,
+ * and these are the same for every q, so layout, called without a
+ * per-call table as skolem_pairs calls it, takes each (d, 2d) with
+ * d < 2^15 from a second such table, both of whose elements are shared
+ * ints: it keeps at most 2^15 pairs, about 1.8 MB, and its 256 KB pointer
+ * array is likewise resident only where it is touched.  witness_pairs
+ * keeps its own per-call table, which shares every pair of a batch.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -353,6 +360,13 @@ run_search(PyObject *self, PyObject *args)
 #define SHARED_INTS (1L << 16)
 static PyObject *shared_ints[SHARED_INTS];
 
+/* The pairs (d, 2d), d < DOUBLED_PAIRS, that layout has handed out
+ * without a per-call table, each made on first use, untracked, and kept
+ * for the life of the module; 2d < SHARED_INTS, so both elements are
+ * shared ints.  Filled and read only with the GIL held. */
+#define DOUBLED_PAIRS (SHARED_INTS / 2)
+static PyObject *doubled_pairs[DOUBLED_PAIRS];
+
 /* A new reference to the int v, or NULL with an exception. */
 static PyObject *
 new_int(long v)
@@ -409,7 +423,9 @@ pair_up(int32_t *mate, uint64_t *lows, long x, long y)
 /* The canonical tuple, untracked, of the t pairs (x, mate[x]), x the set
  * bits of lows below n in ascending order, or NULL with an exception.
  * With shared, a table of (t + 1) * n slots, the pair (x, x + d) is
- * shared[d * n + x], built on first use, owned by the table and reused. */
+ * shared[d * n + x], built on first use, owned by the table and reused.
+ * Without it, a pair (x, 2x) with x < DOUBLED_PAIRS is doubled_pairs[x],
+ * and any other pair is built for this call. */
 static PyObject *
 layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **shared)
 {
@@ -419,13 +435,16 @@ layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **sha
     Py_ssize_t i = 0;
     for (long w = 0; w <= (n - 1) / 64; w++) {
         for (uint64_t bits = lows[w]; bits; bits &= bits - 1) {
-            long x = w * 64 + __builtin_ctzll(bits), xy[2] = {x, mate[x]};
-            PyObject *own = NULL, **slot = shared ? &shared[(xy[1] - x) * n + x] : &own;
+            long x = w * 64 + __builtin_ctzll(bits), y = mate[x], xy[2] = {x, y};
+            PyObject *own = NULL,
+                     **slot = shared ? &shared[(y - x) * n + x]
+                              : y == 2 * x && x < DOUBLED_PAIRS ? &doubled_pairs[x]
+                                                                : &own;
             if (*slot == NULL && (*slot = int_tuple(xy, 2)) == NULL) {
                 Py_DECREF(out);
                 return NULL;
             }
-            PyTuple_SET_ITEM(out, i++, shared ? Py_NewRef(*slot) : *slot);
+            PyTuple_SET_ITEM(out, i++, slot == &own ? own : Py_NewRef(*slot));
         }
     }
     PyObject_GC_UnTrack(out);

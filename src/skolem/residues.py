@@ -22,6 +22,7 @@ MAX_MODULUS = 2**31 - 1
 # 1993), above the 2**31 - 1 cap on moduli.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_FOUR_BASES_BOUND = 3_215_031_751
+_TRIAL_DIVISION_BOUND = 41 * 41  # see is_prime
 
 
 def _cut(text: str, limit: int) -> str:
@@ -50,8 +51,10 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin, fixed base set).
 
     Exact for every n < 2**64, which covers every modulus the package
-    accepts (at most 2**31 - 1).  Raises TypeError for anything but an
-    int (bool included) and ValueError from 2**64 up, where the fixed
+    accepts (at most 2**31 - 1).  Trial division by the bases 2..37 comes
+    first, and alone decides every n < 41**2 = 1681: a composite below it
+    has a prime factor of at most 37.  Raises TypeError for anything but
+    an int (bool included) and ValueError from 2**64 up, where the fixed
     bases are no longer proven exact.
     """
     if not isinstance(n, int) or isinstance(n, bool):
@@ -65,6 +68,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < _TRIAL_DIVISION_BOUND:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -487,8 +487,10 @@ def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv):
          "# search n=19 kind=skolem mode=enumerate"),
         (["tabulate", "--q-max", "1500"],
          "# strong skolem starters from the quadratic-residue construction"),
+        # the JSON document is streamed, so the pipe closes mid-document
+        (["tabulate", "--q-max", "1500", "--json"], "{"),
     ],
-    ids=["search", "tabulate"],
+    ids=["search", "tabulate", "tabulate-json"],
 )
 def test_closed_stdout_exits_141_without_a_traceback(argv, first):
     # as `skolem ... | head -1`: the reader takes one line and closes the
@@ -569,6 +571,16 @@ def test_tabulate_single_choice_json(capsys):
     by_q = {e["q"]: e for e in entries}
     assert pair_set_from_obj(by_q[43]["pair_set"]).pairs == S_HALF[43]
     assert by_q[19]["beta"] == 10
+
+
+def test_tabulate_json_is_streamed_as_one_indented_document(capsys):
+    # written piece by piece from the pair tuples, it is the document that
+    # one json.dumps of its own content, lists for tuples, would print
+    code, out, err = _run(capsys, "tabulate", "--q-max", "100", "--beta", "both", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["results"]["entries"]) == 14  # q = 3, 11, 19, 43, 59, 67, 83
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_tabulate_past_the_modulus_cap_fails_at_once():

@@ -509,6 +509,52 @@ def test_compiled_starters_share_one_int_per_value(fastsearch, q):
     assert len(first) == min(q - 1, 2**16 - 1)
 
 
+def _doubled(pairs):
+    """The pairs (d, 2d) among pairs."""
+    return [pair for pair in pairs if pair[1] == 2 * pair[0]]
+
+
+@pytest.mark.parametrize("q", [1499, 65539])
+def test_compiled_starters_share_one_tuple_per_doubled_pair(fastsearch, monkeypatch, q):
+    # each (d, 2d) with d < 2**15 is one tuple for every starter the
+    # compiled module lays out; each d <= (q-1)/2 is doubled in one choice
+    construction = skolem.construction
+    primes = construction.construction_primes
+    monkeypatch.setattr(construction, "construction_primes",
+                        lambda q_max: [p for p in primes(q_max) if p == q])
+    starters = [build_strong_skolem(q, choice) for choice in BetaChoice]
+    starters += [half_set_certificate(q, choice).pair_set() for choice in BetaChoice]
+    starters += [ps for _, _, ps in enumerate_strong_skolem(q)]
+    assert len(starters) == 6
+    first = {}
+    for ps in starters:
+        for pair in _doubled(ps.pairs):
+            if pair[0] < 2**15:
+                assert first.setdefault(pair, pair) is pair, (q, pair)
+    assert len(first) == min((q - 1) // 2, 2**15 - 1)
+
+
+def test_compiled_starters_of_two_primes_share_their_doubled_pairs(fastsearch):
+    one, other = (build_strong_skolem(q, BetaChoice.TWO).pairs for q in (1483, 1499))
+    assert one[0] == other[0] == (1, 2)
+    assert one[0] is other[0]
+
+
+def test_doubled_pairs_past_the_table_are_fresh(fastsearch, monkeypatch):
+    # q = 65539: (2**15, 2**16) and (2**15 + 1, 2**16 + 2) are past the
+    # table, so each build makes its own, equal to the pure route's
+    q = 65539
+    builds = []
+    for kernel in (fastsearch, fastsearch, None):
+        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+        builds.append(sorted(pair for choice in BetaChoice
+                             for pair in _doubled(build_strong_skolem(q, choice).pairs)
+                             if pair[0] >= 2**15))
+    one, two, pure = builds
+    assert one == two == pure == [(2**15, 2**16), (2**15 + 1, 2**16 + 2)]
+    assert not any(a is b for a, b in zip(one, two))
+
+
 def test_both_routes_agree_past_the_shared_ints(fastsearch, monkeypatch):
     # q = 65539 = 2**16 + 3 is prime and 3 mod 8: its elements 65536..65538
     # are past the compiled module's shared ints

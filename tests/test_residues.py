@@ -22,7 +22,10 @@ PRIMES_TO_200 = [p for p in range(3, 200) if sympy.isprime(p)]
 
 
 def test_is_prime_matches_sympy_exhaustively():
-    for n in range(0, 2000):
+    # across is_prime's trial-division cutoff 41**2 = 1681, below which no
+    # Miller-Rabin round runs, and the composites 37 * 41 = 1517 below it
+    # and 41 * 43 = 1763 above it
+    for n in range(0, 5000):
         assert is_prime(n) == sympy.isprime(n), n
 
 
