@@ -1,6 +1,6 @@
 """Record a baseline: the benchmark's end-to-end metrics over several seeds,
-the search kernel's speed, and the wall time and peak RSS of three
-command-line runs, in one file.
+the search kernel's speed, the wall time and peak RSS of four command-line
+runs and the wall time of one Tier-1 run, in one file.
 
     python3 bench/record.py --label NAME
 
@@ -23,13 +23,16 @@ node.  A count walks only half of the mirrored tree and reports the whole
 tree's nodes, so ns per node is per node of the whole tree, about half the
 time each walked node takes.  The commands are `skolem tabulate --q-max
 20000 --beta both`, the same table to q = 5000 as JSON, `skolem search 27`
-and `skolem search 25 --enumerate --no-strong`, five runs each.
+and `skolem search 25 --enumerate --no-strong`, five runs each.  Last, it
+runs the Tier-1 suite once, `python -m pytest -q` at the checkout's root,
+which builds the compiled module in place under src/.
 
 BENCH_<NAME>.json, written at the checkout's root, holds, per workload,
 each row's provenance, attempted and failed and its end-to-end metrics,
 and the median and IQR/median over the seeds of each metric; the kernel
-rows; and per command, every run's wall time and peak RSS, with the same
-two figures of each.  It also records the length of the checkout's path,
+rows; per command, every run's wall time and peak RSS, with the same
+two figures of each; and the Tier-1 run's wall time, exit code and its
+pytest summary line.  It also records the length of the checkout's path,
 which moves peak_rss_mb, so only baselines taken from paths of equal
 length compare on that metric.
 """
@@ -54,7 +57,9 @@ COMMANDS = {
     "skolem search 27": ["search", "27"],
     "skolem search 25 --enumerate --no-strong": ["search", "25", "--enumerate", "--no-strong"],
 }
-KERNEL = [(19, True), (19, False), (25, True), (27, True)]
+# the plain walk is compiled apart from the strong one, so it has rows of
+# its own at n = 19 and at n = 25, which has 6.9 times the strong nodes
+KERNEL = [(19, True), (19, False), (25, True), (25, False), (27, True)]
 KERNEL_RUNS = 5
 KERNEL_SECONDS = 0.2
 # run in a fresh interpreter; argv[1] is KERNEL, KERNEL_RUNS and
@@ -157,6 +162,19 @@ def time_command(args, runs) -> dict:
             "peak_rss_mb": {**spread(peaks), "runs": peaks}}
 
 
+def time_tests() -> dict:
+    """Wall time, exit code and summary line of one Tier-1 run."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q"], cwd=ROOT,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    print(f"# tier-1: {summary}, {wall:.1f} s wall, exit {proc.returncode}",
+          file=sys.stderr)
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -179,10 +197,12 @@ def main(argv=None) -> int:
     }
     out["kernel"] = time_kernel()
     out["commands"] = {name: time_command(cli, CLI_RUNS) for name, cli in COMMANDS.items()}
+    out["tier1"] = time_tests()
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"# wrote {path.name}", file=sys.stderr)
-    return 0 if all(w["failed"] == 0 for w in out["workloads"].values()) else 1
+    ok = all(w["failed"] == 0 for w in out["workloads"].values())
+    return 0 if ok and out["tier1"]["exit_code"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
  *
  * Contract and semantics mirror skolem._pysearch.run_search exactly: the
  * same tree, walked in the same order, so both kernels return identical
- * (count, nodes, witnesses) triples.  The walk is iterative and bitwise
- * (Knuth, TAOCP 4A, 7.1.3 and 4B, 7.2.2): the free elements of 1..n-1 are
- * one 64-bit mask F, and the candidates x for difference d are the set
- * bits of F & (F >> d), visited in ascending order by ctz.
+ * (count, nodes, witnesses) triples.  The walk is bitwise (Knuth, TAOCP
+ * 4A, 7.1.3 and 4B, 7.2.2): the free elements of 1..n-1 are one 64-bit
+ * mask F, and the candidates x for difference d are the set bits of
+ * F & (F >> d), visited in ascending order by ctz.
  *
  * With strong, the pair sums 2x + d mod n must differ.  As 2 is invertible
  * mod n, so must the half-sums x + d * 2^-1 mod n.  Each level keeps them
@@ -17,37 +17,41 @@
  * n, so each frame is its parent's rotated right by one constant r, t or
  * t + 1: placing x gives the child G' = rotr_n(G | bit x, r).
  *
- * The walk is a stack of levels, one per difference in assignment order.
- * Each holds its untried candidates and the masks F and G it was entered
- * with; a placement computes the next level's F, G and candidates from its
- * own, and enters that level only when it has a candidate, so backing up
- * restores the state by leaving the level, with nothing to undo, and no
- * level is entered only to be left on the next pass.  A witness is read
- * off the stack: level i placed the pair whose two bits F loses between
- * levels i and i + 1.  strong is fixed per compiled instance: the walk is
- * inlined once with strong = 1 and once with 0, so neither instance tests
- * it per node, and without strong G is never written or read.
+ * The walk has one level per difference, in assignment order, and each
+ * level above the last runs one loop, LEVEL, defined once: it pops its
+ * candidates in ascending order, and each placement computes the child's
+ * F, G and candidates from the level's own, which stay in registers and
+ * arguments, and enters the child only when it has a candidate.  So
+ * backing up restores the state by returning, with nothing to undo, and no
+ * level is entered only to be left at once.  Each level writes only the
+ * child's F to an array of levels, and a witness is read off it: level i
+ * placed the pair whose two bits F loses between levels i and i + 1.
  *
  * Most placements happen in the last levels: in the strong n = 25 walk,
- * 78% of them in the last five.  So one loop walks the upper levels, and a
- * placement that leaves level t - 5 a candidate hands that subtree to five
- * nested loops, tail5 down to tail1, one function per level.  Each level
- * then has its own branch sites, which the processor predicts per level,
- * where one loop for every level shares a few sites among them all; the
- * strong n = 25 count took 7% less time (gcc 12 -O3, AMD EPYC).  A tail
- * level keeps F, G and its candidates in registers and writes only F to
- * its stack entry, for the witness; tail1 is the one path that finds a
- * starter.  For t <= 5 the whole walk is one tail.
+ * 78% of them in the last five.  So these run as five nested loops, tail5
+ * down to tail1, one always_inline function per level with strong a
+ * constant, inlined once with strong = 1 and once with 0, so neither
+ * instance tests it per node, and without strong G is never computed.
+ * Each level then has its own branch sites, which the processor predicts
+ * per level, where one loop for every level shares a few sites among them
+ * all; the strong n = 25 count took 7% less time (gcc 12 -O3, AMD EPYC).
+ * tail1 is the one path that finds a starter.  The levels above, t - 5 of
+ * them, are one out-of-line function, upper, that tests strong per node and
+ * calls itself for the next upper level and tail5 for the first tail
+ * level.  Its recursion measured no cost against one loop over the upper
+ * levels, where recursing through every level but tail1 made the strong
+ * and plain n = 25 counts 15-30% slower.  For t <= 5 the whole walk is one
+ * tail.
  *
  * The walk runs with the GIL released, so skolem.search can run several
  * top-level partitions at once on threads.  Kept witnesses wait in a C
  * buffer, and the walk takes the GIL back only to turn a full buffer into
- * tuples and, in the upper levels' loop, to poll for Ctrl-C each time the
- * node count passes a threshold that then moves 2^20 nodes on; a tail
- * subtree between two checks has at most 10 free elements, so a poll comes
- * at most a few thousand nodes late.  Taking the GIL per witness made two
- * threads enumerating n = 25 slower than one.  Every error path and the
- * result are built with the GIL held.
+ * tuples and, in upper alone, to poll for Ctrl-C each time the node count
+ * passes a threshold that then moves 2^20 nodes on; a tail subtree between
+ * two checks has at most 10 free elements, so a poll comes at most a few
+ * thousand nodes late.  Taking the GIL per witness made two threads
+ * enumerating n = 25 slower than one.  Every error path and the result
+ * are built with the GIL held.
  *
  * witness_pairs, skolem_pairs and skolem_verdicts read pairs, and read them
  * one way: read_int takes each element only if it is an exact int in
@@ -61,7 +65,7 @@
  *
  * witness_pairs turns the walk's witnesses into what a PairSet holds: per
  * witness, the tuple of its pairs (x, x + d) in ascending x, each distinct
- * pair one tuple shared by the whole batch.  It checks each witness in
+ * pair one tuple shared by every batch.  It checks each witness in
  * batch order, and the first one that is not an exact tuple of t exact
  * ints whose pairs partition 1..n-1 raises ValueError("witness xs does not
  * partition 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch
@@ -96,14 +100,16 @@
  * run_search's result tuple stay tracked.  Elements below 2^16 come from
  * one table that lives as long as the module, so every starter shares one
  * int per value: it keeps at most 2^16 ints, about 2 MB, and the 512 KB
- * pointer array is resident only where it is touched.  Of the 2t pairs of
- * q's two construction starters, t are (d, 2d), one for each d in 1..t,
- * and these are the same for every q, so layout, called without a
- * per-call table as skolem_pairs calls it, takes each (d, 2d) with
- * d < 2^15 from a second such table, both of whose elements are shared
- * ints: it keeps at most 2^15 pairs, about 1.8 MB, and its 256 KB pointer
- * array is likewise resident only where it is touched.  witness_pairs
- * keeps its own per-call table, which shares every pair of a batch.
+ * pointer array is resident only where it is touched.  layout takes pairs
+ * from two more such tables, for witness_pairs and skolem_pairs alike.  Of
+ * the 2t pairs of q's two construction starters, t are (d, 2d), one for
+ * each d in 1..t, and these are the same for every q, so each (d, 2d) with
+ * d < 2^15 comes from one table, both of whose elements are shared ints:
+ * it keeps at most 2^15 pairs, about 1.8 MB, and its 256 KB pointer array
+ * is likewise resident only where it is touched.  Every other pair
+ * (x, x + d) with x + d < 63 and d <= 31, which covers every pair of a
+ * witness, comes from a 16 KB table of 32 x 63 slots.  So each such pair
+ * is one object across every search and the construction.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -125,32 +131,30 @@ rotr(uint64_t m, int k, int n)
     return (m >> k) | (m << (n - k));
 }
 
-/* One level of the walk: the difference d it places, the masks F and G it
- * was entered with, and its untried candidates.  A tail level keeps these
- * in registers; only F is written, to decode a witness. */
+/* One level of the walk: the difference d it places and the mask F it was
+ * entered with, written by its parent for the witness.  Every other mask
+ * of a level is a register or an argument of the function that runs it. */
 struct level {
-    uint64_t cand, free_, hsums;
+    uint64_t free_;
     int d;
 };
 
+static PyObject *int_tuple(const long *values, Py_ssize_t count);
+
 /* Append rows[0..count), t entries each, to list as tuples of ints.
- * Needs the GIL. */
-static int
+ * Needs the GIL.  Kept out of line: inlined into the walk, it more than
+ * doubled upper's code and slowed the strong n = 25 count by 2-4% (gcc 12
+ * -O3, AMD EPYC). */
+static __attribute__((noinline)) int
 append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
 {
     for (int r = 0; r < count; r++) {
-        PyObject *w = PyTuple_New(t);
+        long xs[MAX_T];
+        for (int i = 0; i < t; i++)
+            xs[i] = rows[r][i];
+        PyObject *w = int_tuple(xs, t);
         if (w == NULL)
             return -1;
-        for (int i = 0; i < t; i++) {
-            PyObject *v = PyLong_FromLong(rows[r][i]);
-            if (v == NULL) {
-                Py_DECREF(w);
-                return -1;
-            }
-            PyTuple_SET_ITEM(w, i, v);
-        }
-        PyObject_GC_UnTrack(w);
         int err = PyList_Append(list, w);
         Py_DECREF(w);
         if (err < 0)
@@ -167,7 +171,7 @@ append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
 struct walk {
     struct level *lv;
     int n, t, r, batched;
-    long long count, nodes, stop_after, collect_limit;
+    long long count, nodes, next_poll, stop_after, collect_limit;
     PyObject *witnesses;
     PyThreadState *tstate;
     unsigned char batch[BATCH][MAX_T];
@@ -208,100 +212,90 @@ tail1(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums, uint64_t
     return 0;
 }
 
-/* tail<k>, the level k from the bottom, entered as tail1 is: each
- * candidate placed gives the child's F, written for the witness, and G,
- * and the child is entered, as tail<k - 1>, only when it has a candidate.
- * One function per level, not one self-recursive always_inline function,
- * which compiles only where the compiler folds k at every call. */
-#define TAIL_LEVEL(k, child)                                                        \
-    static inline __attribute__((always_inline)) int                                \
-    tail##k(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums,       \
-            uint64_t c, const int strong)                                           \
+/* The function head, then the body, of a level above the last, at lv,
+ * entered as tail1 is and returning as it does: each candidate placed
+ * gives the child's F, written for the witness, and G, and the child is
+ * entered, through the function child, only when it has a candidate. */
+#define LEVEL(head, child)                                                          \
+    head(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums,          \
+         uint64_t c, const int strong)                                              \
     {                                                                               \
         do {                                                                        \
-            uint64_t low = c & -c, g = 0;                                           \
+            uint64_t low = c & -c;                                                  \
             c ^= low;                                                               \
             uint64_t f = lv[1].free_ = free_ & ~(low | low << lv->d);               \
             w->nodes++;                                                             \
-            uint64_t cc = f & (f >> lv[1].d);                                       \
-            if (strong) {                                                           \
-                g = rotr(hsums | low, w->r, w->n);                                  \
-                cc &= ~g;                                                           \
-            }                                                                       \
+            uint64_t g = strong ? rotr(hsums | low, w->r, w->n) : 0;                \
+            uint64_t cc = f & (f >> lv[1].d) & ~g;                                  \
             int stop = cc ? child(w, lv + 1, f, g, cc, strong) : 0;                 \
             if (stop)                                                               \
                 return stop;                                                        \
         } while (c);                                                                \
         return 0;                                                                   \
     }
+
+/* tail<k>, the level k from the bottom.  One function per level, not one
+ * self-recursive always_inline function, which compiles only where the
+ * compiler folds k at every call. */
+#define TAIL_LEVEL(k, child) LEVEL(static inline __attribute__((always_inline)) int tail##k, child)
 TAIL_LEVEL(2, tail1)
 TAIL_LEVEL(3, tail2)
 TAIL_LEVEL(4, tail3)
 TAIL_LEVEL(5, tail4)
 
-/* The walk from lv[0], whose fields and every level's d the caller set, r
- * the shift between the frames of consecutive levels: the (count, nodes,
- * witnesses) triple, or NULL with an exception.  Inlined into each call with
- * strong a constant, so each instance has none of the other's branches. */
-static inline __attribute__((always_inline)) PyObject *
-walk(struct level *lv, int n, int t, int r, const int strong, long long stop_after,
-     long long collect_limit)
+static int upper(struct walk *, struct level *, uint64_t, uint64_t, uint64_t, const int);
+
+/* The child of an upper level, at lv, entered as tail1 is: another upper
+ * level, or the first tail level, inlined once with strong = 1 and once
+ * with 0.  First, once the node count passes next_poll, it polls for
+ * Ctrl-C with the GIL and moves next_poll 2^20 nodes on; a tail subtree
+ * has at most 10 free elements, so a poll comes at most a few thousand
+ * nodes late. */
+static inline __attribute__((always_inline)) int
+below_upper(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums, uint64_t c,
+            const int strong)
 {
-    struct walk w = {.lv = lv, .n = n, .t = t, .r = r, .stop_after = stop_after,
-                     .collect_limit = collect_limit, .witnesses = PyList_New(0)};
+    if (w->nodes >= w->next_poll) {
+        PyEval_RestoreThread(w->tstate);
+        if (PyErr_CheckSignals() < 0)
+            return -1; /* with the GIL held */
+        w->tstate = PyEval_SaveThread();
+        w->next_poll = w->nodes + (1 << 20);
+    }
+    if (lv < w->lv + w->t - TAIL)
+        return upper(w, lv, free_, hsums, c, strong);
+    return strong ? tail5(w, lv, free_, hsums, c, 1) : tail5(w, lv, free_, hsums, c, 0);
+}
+
+/* A level above the tail, t > TAIL: one out-of-line function that recurses,
+ * at most t - TAIL = 26 frames deep, and tests strong per node; the upper
+ * levels hold a fifth of the placements. */
+LEVEL(static int upper, below_upper)
+
+/* The walk from lv[0], with the candidates c != 0, whose F and every
+ * level's d the caller set, r the shift between the frames of consecutive
+ * levels: the (count, nodes, witnesses) triple, or NULL with an exception.
+ * Inlined into each call with strong a constant, so each instance's tail
+ * has none of the other's branches. */
+static inline __attribute__((always_inline)) PyObject *
+walk(struct level *lv, int n, int t, int r, uint64_t c, const int strong,
+     long long stop_after, long long collect_limit)
+{
+    struct walk w = {.lv = lv, .n = n, .t = t, .r = r, .next_poll = 1 << 20,
+                     .stop_after = stop_after, .collect_limit = collect_limit,
+                     .witnesses = PyList_New(0)};
     if (w.witnesses == NULL)
         return NULL;
-    /* the level the upper levels hand over to tail<TAIL>; for t <= TAIL
-     * there are no upper levels, and the walk is one tail<t> */
-    struct level *top = lv, *tail = t > TAIL ? lv + t - TAIL : lv;
-    long long next_poll = 1 << 20;
-    int stop = 0;
-    /* From here on no Python object is touched without the GIL.  lv[0]
-     * has a candidate: run_search checks fixed_top. */
+    int stop;
+    /* From here on no Python object is touched without the GIL */
     w.tstate = PyEval_SaveThread();
     switch (t) {
-    case 1: stop = tail1(&w, lv, lv->free_, 0, lv->cand, strong); break;
-    case 2: stop = tail2(&w, lv, lv->free_, 0, lv->cand, strong); break;
-    case 3: stop = tail3(&w, lv, lv->free_, 0, lv->cand, strong); break;
-    case 4: stop = tail4(&w, lv, lv->free_, 0, lv->cand, strong); break;
-    case 5: stop = tail5(&w, lv, lv->free_, 0, lv->cand, strong); break;
-    }
-    while (t > TAIL) {
-        uint64_t c = top->cand;
-        if (c == 0) {
-            /* Exhausted: back up.  The parent's masks are still those it
-             * was entered with, so leaving this level is the whole undo. */
-            if (top == lv)
-                break;
-            top--;
-            continue;
-        }
-        top->cand = c & (c - 1);
-        int x = __builtin_ctzll(c);
-        struct level *next = top + 1;
-        uint64_t free_ = top->free_ & ~(BIT(x) | BIT(x + top->d)), hsums = 0;
-        next->free_ = free_;
-        /* a tail between two checks adds at most a few thousand nodes */
-        if (++w.nodes >= next_poll) {
-            PyEval_RestoreThread(w.tstate);
-            if (PyErr_CheckSignals() < 0)
-                goto fail;
-            w.tstate = PyEval_SaveThread();
-            next_poll = w.nodes + (1 << 20);
-        }
-        c = free_ & (free_ >> next->d);
-        if (strong) {
-            hsums = next->hsums = rotr(top->hsums | BIT(x), r, n);
-            c &= ~hsums;
-        }
-        if (c == 0) /* the next pass pops this level's next one */
-            continue;
-        if (next != tail) {
-            next->cand = c;
-            top = next;
-        } else if ((stop = tail5(&w, next, free_, hsums, c, strong)) != 0) {
-            break;
-        }
+    case 1: stop = tail1(&w, lv, lv->free_, 0, c, strong); break;
+    case 2: stop = tail2(&w, lv, lv->free_, 0, c, strong); break;
+    case 3: stop = tail3(&w, lv, lv->free_, 0, c, strong); break;
+    case 4: stop = tail4(&w, lv, lv->free_, 0, c, strong); break;
+    case 5: stop = tail5(&w, lv, lv->free_, 0, c, strong); break;
+    default: stop = upper(&w, lv, lv->free_, 0, c, strong); break;
     }
     if (stop < 0) /* the GIL is held */
         goto fail;
@@ -340,14 +334,14 @@ run_search(PyObject *self, PyObject *args)
                             "fixed_top %d out of range for difference %d",
                             fixed_top, lv[0].d);
     lv[0].free_ = (BIT(n) - 1) & ~BIT(0);
-    lv[0].hsums = 0;
-    lv[0].cand = lv[0].free_ & (lv[0].free_ >> lv[0].d);
+    /* lv[0] has a candidate, fixed_top being in range */
+    uint64_t c = lv[0].free_ & (lv[0].free_ >> lv[0].d);
     if (fixed_top)
-        lv[0].cand &= BIT(fixed_top);
+        c &= BIT(fixed_top);
     /* d * 2^-1 mod n steps by -2^-1 = t or by 2^-1 = t + 1 */
     int r = descending ? t : t + 1;
-    return strong ? walk(lv, n, t, r, 1, stop_after, collect_limit)
-                  : walk(lv, n, t, r, 0, stop_after, collect_limit);
+    return strong ? walk(lv, n, t, r, c, 1, stop_after, collect_limit)
+                  : walk(lv, n, t, r, c, 0, stop_after, collect_limit);
 }
 
 #define WORDS(nbits) ((size_t)(nbits) / 64 + 1) /* a bitmap of bits 0..nbits */
@@ -360,12 +354,15 @@ run_search(PyObject *self, PyObject *args)
 #define SHARED_INTS (1L << 16)
 static PyObject *shared_ints[SHARED_INTS];
 
-/* The pairs (d, 2d), d < DOUBLED_PAIRS, that layout has handed out
- * without a per-call table, each made on first use, untracked, and kept
- * for the life of the module; 2d < SHARED_INTS, so both elements are
- * shared ints.  Filled and read only with the GIL held. */
+/* The pairs that layout has handed out from a table, each made on first
+ * use, untracked, and kept for the life of the module; filled and read
+ * only with the GIL held.  doubled_pairs[d] is (d, 2d), d < DOUBLED_PAIRS,
+ * so 2d < SHARED_INTS and both elements are shared ints, and
+ * small_pairs[d][x] is any other (x, x + d) with x + d < MAX_N and
+ * d <= MAX_T, which covers every pair of a witness. */
 #define DOUBLED_PAIRS (SHARED_INTS / 2)
 static PyObject *doubled_pairs[DOUBLED_PAIRS];
+static PyObject *small_pairs[MAX_T + 1][MAX_N];
 
 /* A new reference to the int v, or NULL with an exception. */
 static PyObject *
@@ -421,13 +418,13 @@ pair_up(int32_t *mate, uint64_t *lows, long x, long y)
 }
 
 /* The canonical tuple, untracked, of the t pairs (x, mate[x]), x the set
- * bits of lows below n in ascending order, or NULL with an exception.
- * With shared, a table of (t + 1) * n slots, the pair (x, x + d) is
- * shared[d * n + x], built on first use, owned by the table and reused.
- * Without it, a pair (x, 2x) with x < DOUBLED_PAIRS is doubled_pairs[x],
- * and any other pair is built for this call. */
+ * bits of lows below n in ascending order, or NULL with an exception.  A
+ * pair (x, 2x) is doubled_pairs[x], and then any other (x, y) is
+ * small_pairs[y - x][x], where the tables reach; the rest are built for
+ * this call.  doubled_pairs is looked up first, so the construction, whose
+ * other pairs are mostly large, touches few pages of small_pairs. */
 static PyObject *
-layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **shared)
+layout(const int32_t *mate, const uint64_t *lows, long n, long t)
 {
     PyObject *out = PyTuple_New(t);
     if (out == NULL)
@@ -437,9 +434,9 @@ layout(const int32_t *mate, const uint64_t *lows, long n, long t, PyObject **sha
         for (uint64_t bits = lows[w]; bits; bits &= bits - 1) {
             long x = w * 64 + __builtin_ctzll(bits), y = mate[x], xy[2] = {x, y};
             PyObject *own = NULL,
-                     **slot = shared ? &shared[(y - x) * n + x]
-                              : y == 2 * x && x < DOUBLED_PAIRS ? &doubled_pairs[x]
-                                                                : &own;
+                     **slot = y == 2 * x && x < DOUBLED_PAIRS  ? &doubled_pairs[x]
+                              : y < MAX_N && y - x <= MAX_T ? &small_pairs[y - x][x]
+                                                            : &own;
             if (*slot == NULL && (*slot = int_tuple(xy, 2)) == NULL) {
                 Py_DECREF(out);
                 return NULL;
@@ -471,7 +468,6 @@ witness_pairs(PyObject *self, PyObject *args)
         return NULL;
     }
     int t = (n - 1) / 2;
-    PyObject *shared[(MAX_T + 1) * MAX_N] = {NULL};
     for (Py_ssize_t k = 0; k < count; k++) {
         PyObject *xs = PyTuple_GET_ITEM(witnesses, k);
         /* only n entries are cleared: clearing all MAX_N made the call 20%
@@ -485,21 +481,15 @@ witness_pairs(PyObject *self, PyObject *args)
             long x = read_int(PyTuple_GET_ITEM(xs, d - 1), n - 1 - d);
             faulty = x == 0 || pair_up(mate, &lows, x, x + d) < 0;
         }
-        if (faulty) {
+        if (faulty)
             PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", xs, n - 1);
-            goto fail;
+        PyObject *pairs = faulty ? NULL : layout(mate, &lows, n, t);
+        if (pairs == NULL) {
+            Py_CLEAR(out);
+            break;
         }
-        PyObject *pairs = layout(mate, &lows, n, t, shared);
-        if (pairs == NULL)
-            goto fail;
         PyList_SET_ITEM(out, k, pairs);
     }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
-    for (int i = 0; i < (t + 1) * n; i++)
-        Py_XDECREF(shared[i]);
     Py_DECREF(witnesses);
     return out;
 }
@@ -615,7 +605,7 @@ skolem_pairs(PyObject *self, PyObject *args)
             MARK(entries, d);
         }
     }
-    out = layout(mate, lows, q, t, NULL);
+    out = layout(mate, lows, q, t);
 done:
     PyMem_Free(lows);
     return out;

@@ -1,7 +1,7 @@
 """Exhaustive backtracking kernel for (strong) Skolem starters, pure Python.
 
-Same contract, the same tree and the same iterative bitset walk as the
-compiled kernel in _fastsearch, over Python ints, so n has no word limit.
+Same contract, the same tree and the same bitset walk as the compiled
+kernel in _fastsearch, over Python ints, so n has no word limit.
 The free elements of 1..n-1 are one mask F, and the candidates x for
 difference d are the set bits of F & (F >> d), popped in ascending order
 (the lowest bit is c & -c; bit_length turns bits back into elements).
@@ -13,13 +13,14 @@ every candidate popped is placed.  Consecutive half-shifts d * 2^-1
 differ by r = t (descending) or t + 1 (ascending) mod n, so placing x
 gives the child G' = rotr_n(G | bit x, r), cut to n bits so that the int
 does not grow with depth.  The walk keeps a stack of levels instead of
-recursing, so its stack depth does not grow with n.  Each level holds
-its untried candidates and the masks F and G it was entered with; a
-placement computes the next level's masks and candidates from its own
-and enters it only when it has a candidate, so backing up restores the
-state by leaving the level, with nothing to undo.  Here strong is tested
-at each node; the compiled kernel fixes it per compiled instance of its
-walk.
+recursing, as the compiled one does through its upper levels, so its
+stack depth does not grow with n.  Each level holds its untried
+candidates and the masks F and G it was entered with; a placement
+computes the next level's masks and candidates from its own and enters
+it only when it has a candidate, so backing up restores the state by
+leaving the level, with nothing to undo.  Here strong is tested at each
+node; the compiled kernel fixes it per compiled instance of its last
+five levels.
 
 witness_pairs turns the walk's witnesses into the canonical pair tuples a
 PairSet holds, one tuple shared per distinct pair, and names the first

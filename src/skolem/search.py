@@ -1,8 +1,8 @@
 """Exhaustive search for (strong) Skolem starters: configuration, backend
 selection and the partitioned walk.
 
-The backtracking kernel is one iterative bitset walk, written twice with
-one contract and one tree: a hand-written C extension, _fastsearch, whose
+The backtracking kernel is one bitset walk, written twice with one
+contract and one tree: a hand-written C extension, _fastsearch, whose
 64-bit masks hold n <= 63, and the pure-Python _pysearch, which has no
 such limit.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per

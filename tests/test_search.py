@@ -76,12 +76,13 @@ def test_kernels_agree_exactly(fastsearch):
                     expected = sum_array_walk(*args)
                     assert _pysearch.run_search(*args) == expected, args
                     assert fastsearch.run_search(*args) == expected, args
-    # The compiled walk runs its last 5 levels as nested loops of their own
-    # and hands each subtree to them from the upper levels' loop.  n = 9
-    # and 11 (t <= 5) are all tail; n = 13 (t = 6) hands over below its top
-    # level; n = 15 to 21 hand over 2 to 5 levels down, and every stop and
-    # every full witness batch falls in the tail.  n = 19 and 21 are checked
-    # against the pure kernel alone, descending, as the package walks.
+    # The compiled walk runs its last 5 levels as nested loops of their own,
+    # and a recursive function for each level above them hands each subtree
+    # to them.  n = 9 and 11 (t <= 5) are all tail; n = 13 (t = 6) hands
+    # over below its top level; n = 15 to 21 hand over 2 to 5 levels down,
+    # and every stop and every full witness batch falls in the tail.  n = 19
+    # and 21 are checked against the pure kernel alone, descending, as the
+    # package walks.
     for n, strong in ((19, False), (19, True), (21, True)):
         for args in _agreement_calls(n, strong, True):
             assert fastsearch.run_search(*args) == _pysearch.run_search(*args), args
@@ -271,6 +272,19 @@ def test_witnesses_share_their_pair_tuples(fastsearch):
         r = search_skolem_starters(config)
         assert len(r.witnesses) == STARTER_COUNTS[(n, False)]
         assert len({id(p) for ps in r.witnesses for p in ps.pairs}) <= distinct_pairs
+
+
+def test_pair_tuples_are_shared_across_searches_and_the_construction(fastsearch):
+    # the compiled layout keeps each pair of small elements for the life of
+    # the module: two searches hand out the same objects, and the
+    # construction's starter of Z_19 shares every pair with the equal witness
+    config = SearchConfig(n=19, mode="enumerate")
+    first, second = (search_skolem_starters(config).witnesses for _ in range(2))
+    assert [ps.pairs for ps in first] == [ps.pairs for ps in second]
+    assert all(p is q for a, b in zip(first, second) for p, q in zip(a.pairs, b.pairs))
+    built = build_strong_skolem(19)
+    (found,) = [ps for ps in first if ps.pairs == built.pairs]
+    assert all(p is q for p, q in zip(built.pairs, found.pairs))
 
 
 def test_compiled_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
