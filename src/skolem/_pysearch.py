@@ -37,9 +37,8 @@ the tests use it as a second implementation of the compiled one, and the
 ascending order as an independent route to the same counts.
 """
 
-from functools import reduce
 from itertools import zip_longest
-from operator import getitem, or_
+from operator import getitem
 
 
 def run_search(
@@ -140,29 +139,26 @@ def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
     partition 1..n-1 raises ValueError, as in _fastsearch: so does a
     list, or a tuple holding 9.0 or True, though they equal ints.
 
-    Each difference column is tabled over its in-range values only, which
-    keeps every mask within n bits: x maps to the pair (x, x + d), one
-    tuple shared by every witness, and to its bitmask, so looking up an
-    element out of range is a KeyError.  t pairs partition 1..n-1 iff
-    their masks OR to bits 1..n-1; a witness of another type reads as ().
+    Each difference column is tabled over its in-range values only: x maps
+    to the pair (x, x + d), one tuple shared by every witness, so looking up
+    an element out of range is a KeyError.  The t pairs a witness looks up
+    partition 1..n-1 iff they hold 2t distinct elements; a witness of
+    another type reads as ().
     """
     witnesses = tuple(witnesses)  # read twice: into rows, and to name a fault
     rows = [xs if type(xs) is tuple and {*map(type, xs)} <= {int} else () for xs in witnesses]
     t = (n - 1) // 2
-    pairs, masks = [], []
-    for d, column in zip(range(1, t + 1), zip_longest(*rows, fillvalue=0)):
-        values = {*column}.intersection(range(1, n - d))
-        pairs.append({x: (x, x + d) for x in values})
-        masks.append({x: 1 << x | 1 << x + d for x in values})
-    full = (1 << n) - 2
+    pairs = [
+        {x: (x, x + d) for x in {*column}.intersection(range(1, n - d))}
+        for d, column in zip(range(1, t + 1), zip_longest(*rows, fillvalue=0))
+    ]
     out = []
     for xs, row in zip(witnesses, rows):
         try:
-            partition = len(row) == t and reduce(or_, map(getitem, masks, row), 0) == full
+            found = [*map(getitem, pairs, row)] if len(row) == t else ()
         except KeyError:
-            partition = False
-        if not partition:
+            found = ()
+        if len(set().union(*found)) != 2 * t:
             raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
-        out.append(tuple(sorted(map(getitem, pairs, row))))
+        out.append(tuple(sorted(found)))
     return out
-

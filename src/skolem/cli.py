@@ -243,7 +243,8 @@ def _cmd_tabulate(args) -> int:
             )
             return EXIT_SELF_CHECK
         if args.json:
-            entries.append((q, choice, ps))
+            entries.append({"q": q, "beta": choice.beta(q), "beta_choice": choice.value,
+                            "pair_set": _pair_set_json(ps)})
             continue
         if header:
             print(header)
@@ -255,17 +256,7 @@ def _cmd_tabulate(args) -> int:
         _envelope(
             "tabulate",
             {"q_max": args.q_max, "beta": args.beta},
-            {
-                "entries": [
-                    {
-                        "q": q,
-                        "beta": choice.beta(q),
-                        "beta_choice": choice.value,
-                        "pair_set": _pair_set_json(ps),
-                    }
-                    for q, choice, ps in entries
-                ]
-            },
+            {"entries": entries},
         )
     elif header:
         print(header)

@@ -115,8 +115,8 @@ def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     """The pairs (d, 2d) for d in direct and (q - 2d, q - d) for d in
     reflected, for a valid q, checked to realise each difference 1..t once
     and to partition 1..q-1.  Compiled when it can be; the pure route names
-    every fault, and on it ascending direct and reflected give two
-    ascending runs, which the sort merges."""
+    every fault: a bad entry first, then a failed partition, then a
+    repeated difference."""
     fast = search._fastsearch
     pairs = None if fast is None else fast.skolem_pairs(q, direct, reflected)
     if pairs is not None:
@@ -126,15 +126,11 @@ def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     # the checks below
     direct, reflected = tuple(direct), tuple(reflected)
     entries = direct + reflected
-    # in bulk first; the walk runs only to name a bad entry
-    if not ({*map(type, entries)} <= {int}
-            and min(entries, default=1) >= 1 and max(entries, default=t) <= t):
-        for d in entries:
-            if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
-                raise ValueError(f"certificate entry {_quote(d)} is not an int in 1..{t}")
-    rev = reflected[::-1]
-    xs = [*direct, *[q - 2 * d for d in rev]]
-    ys = [*[2 * d for d in direct], *[q - d for d in rev]]
+    for d in entries:
+        if not isinstance(d, int) or isinstance(d, bool) or not 1 <= d <= t:
+            raise ValueError(f"certificate entry {_quote(d)} is not an int in 1..{t}")
+    xs = [*direct, *[q - 2 * d for d in reflected]]
+    ys = [*[2 * d for d in direct], *[q - d for d in reflected]]
     ps = PairSet._from_pairs(q, xs, ys)
     if len({*entries}) < t:
         d = next(d for i, d in enumerate(entries) if d in entries[:i])

@@ -314,11 +314,22 @@ def pair_set_to_text(ps: PairSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numeral(text: str) -> int:
+    """int(text) for ASCII digits after at most one leading minus, blanks
+    around them allowed; ValueError for the 1_1, +11 and non-ASCII digits
+    that int() takes too, though pair_set_to_text never writes them."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not a numeral")
+    return int(text)
+
+
 def iter_pair_sets_text(text: str) -> Iterator[PairSet]:
     """Parse a stream of text records; each n= header starts a new set.
 
     Blank lines and '#' comments (whole-line or trailing) are ignored, so
     the annotated output of the command-line tools parses back unchanged.
+    n and the elements are ASCII digits after at most one leading minus.
     """
     n = None
     pairs: list[tuple[int, int]] = []
@@ -330,7 +341,7 @@ def iter_pair_sets_text(text: str) -> Iterator[PairSet]:
             if n is not None:
                 yield PairSet(n, pairs)
             try:
-                n = int(line[2:])
+                n = _numeral(line[2:])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad header {_quote(line)}") from None
             pairs = []
@@ -341,7 +352,7 @@ def iter_pair_sets_text(text: str) -> Iterator[PairSet]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'x y', got {_quote(line)}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs.append((_numeral(parts[0]), _numeral(parts[1])))
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer pair {_quote(line)}") from None
     if n is not None:

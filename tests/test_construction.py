@@ -607,6 +607,26 @@ def test_both_routes_refuse_a_certificate_that_repeats_a_difference(
         assert _routes(monkeypatch, fastsearch, view) == [refusal, refusal]
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("q, direct, reflected, message", [
+    # a bad entry first, though a repeated difference comes before it
+    (11, (1, 1, 9), (), r"^certificate entry 9 is not an int in 1\.\.5$"),
+    (11, (1, 1, 2, 3, True), (), r"^certificate entry True is not an int in 1\.\.5$"),
+    # then a failed partition, though a difference repeats too
+    (11, (1, 1, 2, 3, 4), (), r"^pair set .* does not partition 1\.\.10$"),
+    # then the repeated difference, named at its second entry
+    (13, (1, 3, 4), (4, 3, 1), r"^certificate realises difference 4 more than once$"),
+])
+def test_pure_certificate_check_names_faults_in_order(
+        fastsearch, monkeypatch, compiled, q, direct, reflected, message):
+    # the compiled skolem_pairs answers None for every fault, so both
+    # routes raise from the same pure lines
+    monkeypatch.setattr(skolem.search, "_fastsearch", fastsearch if compiled else None)
+    cert = HalfSetCertificate(q=q, beta=2, direct=direct, reflected=reflected)
+    with pytest.raises(ValueError, match=message):
+        cert.pair_set()
+
+
 def test_half_set_certificate_is_the_folding_of_its_class(fastsearch, monkeypatch):
     # on both routes, for every q <= 1500, against the class read off a
     # squaring of all of 1..q-1

@@ -488,6 +488,34 @@ def test_text_parser_errors():
         parse_pair_set_text("n=11\n1 6\nn=11\n1 6\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=1_1\n", "line 1: bad header 'n=1_1'"),
+        ("n=+11\n", "line 1: bad header 'n=+11'"),
+        ("n=\u0661\u0661\n", "line 1: bad header 'n=\u0661\u0661'"),
+        ("n=--11\n", "line 1: bad header 'n=--11'"),
+        ("n=11\n1 \u0662\n", "line 2: non-integer pair '1 \u0662'"),
+        ("n=11\n1_0 2\n", "line 2: non-integer pair '1_0 2'"),
+        ("n=11\n+1 2\n", "line 2: non-integer pair '+1 2'"),
+        ("n=11\n1 \uff12\n", "line 2: non-integer pair '1 \uff12'"),
+        # one leading minus is a numeral, which PairSet then refuses
+        ("n=11\n-1 2\n", "element -1 outside 1..10"),
+    ],
+)
+def test_text_parser_reads_only_the_numerals_it_writes(text, message):
+    # int() also takes underscores, a plus sign and non-ASCII digits, so
+    # n=1_1 read as n = 11 and '1 \u0662' as the pair (1, 2)
+    with pytest.raises(ValueError) as info:
+        parse_pair_set_text(text)
+    assert str(info.value) == message
+
+
+def test_text_parser_allows_blanks_around_numerals():
+    text = "n= 11 \n" + "".join(f" {x}\t{y} \n" for x, y in S_HALF[11])
+    assert parse_pair_set_text(text).pairs == S_HALF[11]
+
+
 def test_obj_round_trip():
     ps = PairSet(19, S_HALF[19])
     obj = pair_set_to_obj(ps)
