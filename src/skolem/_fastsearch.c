@@ -63,14 +63,17 @@
  * so nothing can change them; for input read any other way each entry
  * point returns None or raises as its pure counterpart does.
  *
- * witness_pairs turns the walk's witnesses into what a PairSet holds: per
- * witness, the tuple of its pairs (x, x + d) in ascending x, each distinct
- * pair one tuple shared by every batch.  It checks each witness in
- * batch order, and the first one that is not an exact tuple of t exact
- * ints whose pairs partition 1..n-1 raises ValueError("witness xs does not
+ * witness_pairs turns the walk's witnesses into instances of the class it
+ * is given, PairSet: per witness, it allocates one and sets its two slots,
+ * n and pairs, the tuple of the witness's pairs (x, x + d) in ascending x,
+ * each distinct pair one tuple shared by every batch.  It refuses, with
+ * TypeError, a class whose instances have a __dict__ or a __weakref__, or
+ * that lacks either slot of its own.  It checks each witness in batch
+ * order, and the first one that is not an exact tuple of t exact ints
+ * whose pairs partition 1..n-1 raises ValueError("witness xs does not
  * partition 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch
  * may be any iterable, copied once.  skolem.search calls it with the GIL
- * held, after the search's wall time is taken.
+ * held, once per part, after the search's wall time is taken.
  *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
@@ -96,11 +99,15 @@
  * the tuple that holds them.  Each is taken out of the cyclic GC as it is
  * built, which is safe because an immutable tuple of such contents cannot
  * be part of a cycle; the collector would in time untrack it itself, and
- * would scan it, and all it holds, until then.  The lists and
- * run_search's result tuple stay tracked.  Elements below 2^16 come from
- * one table that lives as long as the module, so every starter shares one
- * int per value: it keeps at most 2^16 ints, about 2 MB, and the 512 KB
- * pointer array is resident only where it is touched.  layout takes pairs
+ * would scan it, and all it holds, until then.  So is each PairSet that
+ * witness_pairs builds, for the same reason: frozen and slotted, it holds
+ * only an int and such a tuple for good; the collector would never untrack
+ * it, and would rescan every one kept so far.  So the class witness_pairs
+ * is given must be frozen, as PairSet is.  The lists and run_search's
+ * result tuple stay tracked.  Elements below 2^16 come from one table that
+ * lives as long as the module, so every starter shares one int per value:
+ * it keeps at most 2^16 ints, about 2 MB, and the 512 KB pointer array is
+ * resident only where it is touched.  layout takes pairs
  * from two more such tables, for witness_pairs and skolem_pairs alike.  Of
  * the 2t pairs of q's two construction starters, t are (d, 2d), one for
  * each d in 1..t, and these are the same for every q, so each (d, 2d) with
@@ -113,6 +120,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h> /* T_OBJECT_EX */
 #include <stdint.h>
 
 #define MAX_N 63
@@ -448,27 +456,52 @@ layout(const int32_t *mate, const uint64_t *lows, long n, long t)
     return out;
 }
 
+/* Whether the strings a and b are equal.  A loop, not strcmp, which the
+ * module would import for this alone: the longer PLT moved upper 16 bytes,
+ * and the strong n = 25 count in fresh processes read 2% slower (gcc 12
+ * -O3, AMD EPYC). */
+static int
+same_name(const char *a, const char *b)
+{
+    while (*a && *a == *b)
+        a++, b++;
+    return *a == *b;
+}
+
 static PyObject *
 witness_pairs(PyObject *self, PyObject *args)
 {
+    PyTypeObject *cls;
     int n;
     PyObject *arg;
-    if (!PyArg_ParseTuple(args, "iO:witness_pairs", &n, &arg))
+    if (!PyArg_ParseTuple(args, "O!iO:witness_pairs", &PyType_Type, &cls, &n, &arg))
         return NULL;
     if (n < 3 || n % 2 == 0 || n > MAX_N)
         return PyErr_Format(PyExc_ValueError, "n must be odd and in 3..%d, got %d",
                             MAX_N, n);
-    PyObject *witnesses = PySequence_Tuple(arg);
-    if (witnesses == NULL)
-        return NULL;
-    Py_ssize_t count = PyTuple_GET_SIZE(witnesses);
-    PyObject *out = PyList_New(count);
-    if (out == NULL) {
-        Py_DECREF(witnesses);
-        return NULL;
+    /* an instance must hold its two slots alone to leave the cyclic GC */
+    if (cls->tp_dictoffset || cls->tp_weaklistoffset)
+        return PyErr_Format(PyExc_TypeError,
+                            "%.80s instances have a __dict__ or a __weakref__",
+                            cls->tp_name);
+    Py_ssize_t n_at = -1, pairs_at = -1;
+    for (PyMemberDef *m = cls->tp_members; m != NULL && m->name != NULL; m++) {
+        if (m->type == T_OBJECT_EX && same_name(m->name, "n"))
+            n_at = m->offset;
+        else if (m->type == T_OBJECT_EX && same_name(m->name, "pairs"))
+            pairs_at = m->offset;
     }
+    if (n_at < 0 || pairs_at < 0)
+        return PyErr_Format(PyExc_TypeError, "%.80s has no slots n and pairs of its own",
+                            cls->tp_name);
+    PyObject *order = new_int(n);
+    if (order == NULL)
+        return NULL;
+    PyObject *witnesses = PySequence_Tuple(arg);
+    Py_ssize_t count = witnesses == NULL ? 0 : PyTuple_GET_SIZE(witnesses);
+    PyObject *out = witnesses == NULL ? NULL : PyList_New(count);
     int t = (n - 1) / 2;
-    for (Py_ssize_t k = 0; k < count; k++) {
+    for (Py_ssize_t k = 0; out != NULL && k < count; k++) {
         PyObject *xs = PyTuple_GET_ITEM(witnesses, k);
         /* only n entries are cleared: clearing all MAX_N made the call 20%
          * slower on the 2656 witnesses of n = 19 */
@@ -484,13 +517,20 @@ witness_pairs(PyObject *self, PyObject *args)
         if (faulty)
             PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", xs, n - 1);
         PyObject *pairs = faulty ? NULL : layout(mate, &lows, n, t);
-        if (pairs == NULL) {
+        PyObject *ps = pairs == NULL ? NULL : cls->tp_alloc(cls, 0);
+        if (ps == NULL) {
+            Py_XDECREF(pairs);
             Py_CLEAR(out);
             break;
         }
-        PyList_SET_ITEM(out, k, pairs);
+        *(PyObject **)((char *)ps + n_at) = Py_NewRef(order);
+        *(PyObject **)((char *)ps + pairs_at) = pairs;
+        if (PyType_IS_GC(cls))
+            PyObject_GC_UnTrack(ps);
+        PyList_SET_ITEM(out, k, ps);
     }
-    Py_DECREF(witnesses);
+    Py_XDECREF(witnesses);
+    Py_DECREF(order);
     return out;
 }
 
@@ -678,12 +718,15 @@ static PyMethodDef methods[] = {
      "See skolem._pysearch.run_search for the full parameter contract; both\n"
      "kernels return identical (count, nodes, witnesses) triples."},
     {"witness_pairs", witness_pairs, METH_VARARGS,
-     "witness_pairs(n, witnesses)\n--\n\n"
-     "The canonical pair tuples of run_search witnesses, 3 <= n <= 63.\n\n"
+     "witness_pairs(cls, n, witnesses)\n--\n\n"
+     "The pair sets of run_search witnesses, 3 <= n <= 63, as untracked\n"
+     "instances of cls, PairSet, whose slots n and pairs are set in C.\n\n"
      "witnesses is any iterable.  The first witness, in batch order, that\n"
      "is not an exact tuple of t exact ints whose pairs partition 1..n-1\n"
-     "raises ValueError.  See skolem._pysearch.witness_pairs; both return\n"
-     "equal lists and raise the same ValueError."},
+     "raises ValueError.  TypeError for a cls whose instances have a\n"
+     "__dict__ or __weakref__, or that lacks either slot of its own.  See\n"
+     "skolem._pysearch.witness_pairs; both return equal lists and raise\n"
+     "the same ValueError."},
     {"fold", fold, METH_O,
      "fold(q)\n--\n\n"
      "skolem.construction._fold(q) for any odd q in 3..2**31 - 1: (low, high),\n"

@@ -22,17 +22,18 @@ leaving the level, with nothing to undo.  Here strong is tested at each
 node; the compiled kernel fixes it per compiled instance of its last
 five levels.
 
-witness_pairs turns the walk's witnesses into the canonical pair tuples a
-PairSet holds, one tuple shared per distinct pair, and names the first
-witness whose pairs do not partition 1..n-1.  The raw witness format, an
-exact tuple of exact ints with xs[d - 1] the smaller element of the
-difference-d pair, is decoded here and in _fastsearch, and also by the
-tests and perfbench's kernel_pairs.
+witness_pairs turns the walk's witnesses into PairSets, through
+PairSet._from_witnesses, whose pair tuples share one tuple per distinct
+pair, and names the first witness whose pairs do not partition 1..n-1;
+it is the reference for the compiled one, which builds the PairSets in
+C.  The raw witness format, an exact tuple of exact ints with xs[d - 1]
+the smaller element of the difference-d pair, is decoded here and in
+_fastsearch, and also by the tests and perfbench's kernel_pairs.
 
 skolem.search runs this module when the extension did not build and for
 n > 63, calling run_search once per top-level partition (descending
 order, fixed_top = 1..t, or only 1..ceil(t/2) for a count, which weighs
-the mirrored parts twice) and witness_pairs once on the merged witnesses;
+the mirrored parts twice) and witness_pairs once per merged part;
 the tests use it as a second implementation of the compiled one, and the
 ascending order as an independent route to the same counts.
 """
@@ -131,13 +132,14 @@ def run_search(
     return count, nodes, witnesses
 
 
-def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
-    """The canonical pairs of run_search witnesses, for a valid n: per
-    witness xs, the tuple of its pairs (x, x + d), xs[d - 1] = x, in
-    ascending x.  witnesses is any iterable.  The first witness, in batch
-    order, that is not an exact tuple of t exact ints whose pairs
-    partition 1..n-1 raises ValueError, as in _fastsearch: so does a
-    list, or a tuple holding 9.0 or True, though they equal ints.
+def witness_pairs(cls, n: int, witnesses) -> list:
+    """The pair sets of run_search witnesses, for a valid n, as instances
+    of cls, which is PairSet: per witness xs, the set whose pairs are the
+    tuple of its pairs (x, x + d), xs[d - 1] = x, in ascending x, which
+    cls._from_witnesses wraps.  witnesses is any iterable.  The first
+    witness, in batch order, that is not an exact tuple of t exact ints
+    whose pairs partition 1..n-1 raises ValueError, as in _fastsearch: so
+    does a list, or a tuple holding 9.0 or True, though they equal ints.
 
     Each difference column is tabled over its in-range values only: x maps
     to the pair (x, x + d), one tuple shared by every witness, so looking up
@@ -161,4 +163,4 @@ def witness_pairs(n: int, witnesses) -> list[tuple[tuple[int, int], ...]]:
         if len(set().union(*found)) != 2 * t:
             raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
         out.append(tuple(sorted(found)))
-    return out
+    return list(cls._from_witnesses(n, out))

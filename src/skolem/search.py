@@ -7,8 +7,10 @@ contract and one tree: a hand-written C extension, _fastsearch, whose
 such limit.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
-difference t), merges the parts in ascending x and has the same kernel
-module turn the merged witnesses into canonical pair tuples.  With
+difference t), merges the parts in ascending x and, after the walk, has
+the same kernel module turn each merged part's witnesses into PairSets,
+one part at a time, dropping the part's raw tuples before the next; the
+compiled kernel builds them in C, out of the cyclic GC.  With
 workers > 1 the parts of the compiled kernel, which walks with the GIL
 released, run on the caller plus workers - 1 plain threads; the pure
 kernel holds the GIL, so it runs on one worker, which also sees Ctrl-C
@@ -148,12 +150,13 @@ class SearchResult:
     tree, the walked partitions with each mirror pair doubled, which the
     reflection makes exact.  witnesses holds collected starters in
     deterministic depth-first order: the witness_pairs of the kernel
-    that walked the tree turns them into canonical pair tuples in one
-    batch, which PairSet._from_witnesses wraps, with n validated once by
-    SearchConfig.  wall_time times the walk only (kernel calls, worker
-    start-up and merge), not the building of the PairSets.  workers is
-    the number of threads the walk used, the caller plus workers - 1
-    plain ones: always 1 for FIRST_WITNESS and on the pure kernel.
+    that walked the tree turns them into PairSets one merged part at a
+    time, with n validated once by SearchConfig; the compiled one builds
+    them in C and the GC does not track them.  wall_time times the walk
+    only (kernel calls, worker start-up and merge), not the building of
+    the PairSets.  workers is the number of threads the walk used, the
+    caller plus workers - 1 plain ones: always 1 for FIRST_WITNESS and on
+    the pure kernel.
     """
 
     n: int
@@ -250,15 +253,15 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     mirrored = config.mode is SearchMode.COUNT_ALL
     tops = range(1, (t + 1) // 2 + 1 if mirrored else t + 1)
     workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(tops))
-    count = nodes = 0
-    raw_witnesses = []
+    count = nodes = kept = 0
+    merged = []  # each merged part's raw witnesses, in ascending x
 
     def part(x):
-        # The cap is what the merge below has not yet collected when the
-        # part starts: on one worker every earlier part is merged by then,
-        # on threads none is, so each asks for the whole cap and the merge
+        # The cap is what the merge below has not yet kept when the part
+        # starts: on one worker every earlier part is merged by then, on
+        # threads none is, so each asks for the whole cap and the merge
         # cuts the list.
-        cap = collect - len(raw_witnesses) if collect >= 0 else -1
+        cap = collect - kept if collect >= 0 else -1
         return mod.run_search(n, strong, stop_after, cap, True, x)
 
     started = time.perf_counter()
@@ -274,16 +277,20 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         weight = 2 if mirrored and 2 * x != t + 1 else 1
         count += weight * part_count
         nodes += weight * part_nodes
-        raw_witnesses += part_witnesses
         if collect >= 0:
-            del raw_witnesses[collect:]
+            del part_witnesses[collect - kept:]
+        kept += len(part_witnesses)
+        merged.append(part_witnesses)
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started
-    canonical = mod.witness_pairs(n, raw_witnesses)
-    # every reference to the raw tuples goes before the PairSets are built,
-    # which takes a plain n = 25 enumeration's peak from 198 MB to 153 MB
-    del raw_witnesses, parts, part_witnesses
+    # One part at a time, each part's raw tuples freed before the next
+    # part's PairSets are built: one batch would keep every raw tuple alive
+    # beside every PairSet until it returned.
+    witnesses = []
+    for raw in merged:
+        witnesses += mod.witness_pairs(PairSet, n, raw)
+        raw.clear()
 
     return SearchResult(
         n=n,
@@ -291,7 +298,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         require_strong=strong,
         count=count,
         nodes_explored=nodes,
-        witnesses=PairSet._from_witnesses(n, canonical),
+        witnesses=tuple(witnesses),
         complete=not stop_after or count == 0,
         wall_time=elapsed,
         backend=backend_name,

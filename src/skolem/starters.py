@@ -34,7 +34,7 @@ def skolem_admissible(n: int) -> bool:
     return n >= 3 and n % 2 == 1 and n % 8 in (1, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSet:
     """An immutable set of disjoint unordered pairs over {1, ..., n-1}.
 
@@ -42,6 +42,12 @@ class PairSet:
     and hash equal no matter the construction order.  Well-formedness (odd
     n, elements in range, no reuse) is enforced here; whether the set is a
     starter is a separate question answered by full_report.
+
+    The two fields are slots: an instance has no __dict__ and takes no
+    weak reference, and holds only n and the tuple of pairs.  A compiled
+    search builds its witnesses in C and takes each out of the cyclic GC,
+    as it does their pair tuples: an object that holds only an int and a
+    tuple of int pairs, and that nothing can change, cannot join a cycle.
 
     The constructor checks outside input in one pass, pair by pair, and
     raises for the first faulty pair in input order: a pair without
@@ -53,7 +59,7 @@ class PairSet:
     entries, both leaving n to the caller to validate once: _from_pairs
     for one pair set, which checks only that the pairs partition
     {1, ..., n-1} exactly, and _from_witnesses, which wraps pair tuples
-    already canonical and checked, as _from_pairs, a kernel's
+    already canonical and checked, as _from_pairs, the pure kernel's
     witness_pairs and the compiled skolem_pairs hand them over.
     """
 
@@ -106,9 +112,9 @@ class PairSet:
     @classmethod
     def _from_witnesses(cls, n: int, canonical) -> tuple["PairSet", ...]:
         """The PairSets, for a valid n, of canonical pair tuples already
-        checked to partition 1..n-1, as a kernel's witness_pairs or the
-        compiled skolem_pairs returns them.  Each one is wrapped as it is,
-        shared pairs and all.
+        checked to partition 1..n-1, as the pure kernel's witness_pairs or
+        the compiled skolem_pairs lays them out.  Each one is wrapped as it
+        is, shared pairs and all.
         """
         new, set_field = object.__new__, object.__setattr__
         out = []

@@ -5,11 +5,11 @@ partition and an early stop with a witness cap, and each kernel must
 return the (count, nodes, witnesses) triple of the recursive walk in
 _naive.py, which tests every candidate's sum instead of masking by
 half-sums.  Each drawn batch of witnesses, real ones and corruptions of
-them, passed as a list or as a one-shot iterator, must get the same pair
-tuples or the same ValueError from both kernels' witness_pairs.  Each
-drawn folding certificate, real or corrupted, must get the same pair set,
-element types included, or the same error from the construction's
-compiled and pure routes.
+them, passed as a list or as a one-shot iterator, must get PairSets with
+the same pair tuples or the same ValueError from both kernels'
+witness_pairs.  Each drawn folding certificate, real or corrupted, must
+get the same pair set, element types included, or the same error from
+the construction's compiled and pure routes.
 """
 
 import enum
@@ -19,7 +19,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import skolem.search
-from skolem import HalfSetCertificate, _pysearch
+from skolem import HalfSetCertificate, PairSet, _pysearch
 from skolem.construction import _skolem_pairs
 
 from _naive import sum_array_walk
@@ -76,7 +76,7 @@ def _witness_batches(draw):
 
 def _outcome(kernel, n, batch):
     try:
-        return kernel.witness_pairs(n, batch)
+        return [ps.pairs for ps in kernel.witness_pairs(PairSet, n, batch)]
     except ValueError as exc:
         return str(exc)
 

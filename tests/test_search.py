@@ -1,13 +1,17 @@
+import copy
+import dataclasses
 import enum
 import gc
 import inspect
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
 import time
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -126,9 +130,10 @@ def _partners(xs):
     return [x + d for d, x in enumerate(xs, start=1)]
 
 
-# Both kernel modules turn raw witnesses into canonical pair tuples through
-# their own witness_pairs, which PairSet._from_witnesses wraps; every test
-# below holds the compiled one and the pure one to the same contract.
+# Both kernel modules turn raw witnesses into PairSets through their own
+# witness_pairs, the compiled one in C and the pure one through
+# PairSet._from_witnesses; every test below holds the two to the same
+# contract.
 
 
 def test_witness_constructor_matches_pair_set(fastsearch):
@@ -137,7 +142,7 @@ def test_witness_constructor_matches_pair_set(fastsearch):
             for strong in (False, True):
                 for descending in (True, False):
                     _, _, witnesses = kernel.run_search(n, strong, 0, -1, descending, 0)
-                    batch = PairSet._from_witnesses(n, kernel.witness_pairs(n, witnesses))
+                    batch = kernel.witness_pairs(PairSet, n, witnesses)
                     assert len(batch) == len(witnesses)
                     for xs, from_batch in zip(witnesses, batch):
                         fast = PairSet._from_pairs(n, xs, _partners(xs))
@@ -150,7 +155,7 @@ def test_witness_constructor_matches_pair_set(fastsearch):
 
 def test_witness_batch_of_none_is_empty(fastsearch):
     for kernel in (fastsearch, _pysearch):
-        assert kernel.witness_pairs(11, []) == []
+        assert kernel.witness_pairs(PairSet, 11, []) == []
     assert PairSet._from_witnesses(11, []) == ()
 
 
@@ -163,7 +168,7 @@ def test_witness_batch_range_checks_each_difference_column(fastsearch):
         messages = []
         for kernel in (fastsearch, _pysearch):
             with pytest.raises(ValueError, match=rf"^witness \({bad}, 2, 5, 3, 1\) does not partition 1\.\.10$") as info:
-                kernel.witness_pairs(11, [(9, 2, 5, 3, 1), xs])
+                kernel.witness_pairs(PairSet, 11, [(9, 2, 5, 3, 1), xs])
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -180,12 +185,12 @@ def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
         messages = []
         for kernel in (fastsearch, _pysearch):
             with pytest.raises(ValueError, match=r"^witness \(61, 1, .* does not partition 1\.\.62$") as info:
-                kernel.witness_pairs(n, [xs])
+                kernel.witness_pairs(PairSet, n, [xs])
             messages.append(str(info.value))
         assert messages[0] == messages[1] == f"witness {xs!r} does not partition 1..62"
     for bad_n in (1, 4, 65):
         with pytest.raises(ValueError, match=f"got {bad_n}$"):
-            fastsearch.witness_pairs(bad_n, [])
+            fastsearch.witness_pairs(PairSet, bad_n, [])
 
 
 @pytest.mark.parametrize(
@@ -207,7 +212,7 @@ def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
 def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_fault):
     for kernel in (fastsearch, _pysearch):
         with pytest.raises(ValueError) as info:
-            kernel.witness_pairs(11, batch)
+            kernel.witness_pairs(PairSet, 11, batch)
         assert str(info.value) == f"witness {first_fault!r} does not partition 1..10"
 
 
@@ -215,10 +220,12 @@ def test_witness_batch_may_be_a_one_shot_iterable(fastsearch):
     valid = (9, 2, 5, 3, 1)
     expected = [tuple(sorted(_witness_pairs(valid)))] * 2
     for kernel in (fastsearch, _pysearch):
-        assert kernel.witness_pairs(11, iter([valid, valid])) == expected
-        assert kernel.witness_pairs(11, (xs for xs in [valid, valid])) == expected
+        assert [ps.pairs for ps in kernel.witness_pairs(PairSet, 11, iter([valid, valid]))] == expected
+        assert [
+            ps.pairs for ps in kernel.witness_pairs(PairSet, 11, (xs for xs in [valid, valid]))
+        ] == expected
         with pytest.raises(ValueError, match=r"^witness \(9, 2, 5, 3\) "):
-            kernel.witness_pairs(11, (xs for xs in [valid, valid[:-1]]))
+            kernel.witness_pairs(PairSet, 11, (xs for xs in [valid, valid[:-1]]))
 
 
 # a valid witness for each order the corruption cases below use
@@ -248,9 +255,11 @@ def test_witness_constructor_rejects_non_partitions(fastsearch, n, xs):
     for batch in ([xs], [valid, xs, valid]):
         messages = []
         for kernel in (fastsearch, _pysearch):
-            assert kernel.witness_pairs(n, [valid]) == [tuple(sorted(_witness_pairs(valid)))]
+            assert [ps.pairs for ps in kernel.witness_pairs(PairSet, n, [valid])] == [
+                tuple(sorted(_witness_pairs(valid)))
+            ]
             with pytest.raises(ValueError, match=f"not partition 1..{n - 1}") as info:
-                kernel.witness_pairs(n, batch)
+                kernel.witness_pairs(PairSet, n, batch)
             assert repr(valid) not in str(info.value)  # the fault is not blamed on it
             messages.append(str(info.value))
         assert messages[0] == messages[1]
@@ -264,7 +273,7 @@ def test_witnesses_share_their_pair_tuples(fastsearch):
     distinct_pairs = sum(n - 1 - d for d in range(1, t + 1))
     for kernel in (fastsearch, _pysearch):
         _, _, witnesses = kernel.run_search(n, False, 0, -1)
-        canonical = kernel.witness_pairs(n, witnesses)
+        canonical = [ps.pairs for ps in kernel.witness_pairs(PairSet, n, witnesses)]
         assert len(canonical) == STARTER_COUNTS[(n, False)] > distinct_pairs
         assert len({id(p) for pairs in canonical for p in pairs}) <= distinct_pairs
     for workers in (1, 2):
@@ -288,17 +297,120 @@ def test_pair_tuples_are_shared_across_searches_and_the_construction(fastsearch)
 
 
 def test_compiled_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
-    # tuples of ints, and tuples of those, cannot form a cycle; the lists
-    # and the result triple, which hold them, stay tracked
+    # tuples of ints, tuples of those, and the frozen slotted PairSets that
+    # hold an int and such a tuple cannot form a cycle; the lists and the
+    # result triple, which hold them, stay tracked
     n = 19
     result = fastsearch.run_search(n, False, 0, -1)
     witnesses = result[2]
-    canonical = fastsearch.witness_pairs(n, witnesses)
-    assert len(witnesses) == len(canonical) == STARTER_COUNTS[(n, False)]
-    assert all(map(gc.is_tracked, (result, witnesses, canonical)))
+    found = fastsearch.witness_pairs(PairSet, n, witnesses)
+    assert len(witnesses) == len(found) == STARTER_COUNTS[(n, False)]
+    assert all(map(gc.is_tracked, (result, witnesses, found)))
     assert not any(map(gc.is_tracked, witnesses))
-    assert not any(map(gc.is_tracked, canonical))
-    assert not any(gc.is_tracked(p) for pairs in canonical for p in pairs)
+    assert not any(map(gc.is_tracked, found))
+    assert not any(gc.is_tracked(ps.pairs) for ps in found)
+    assert not any(gc.is_tracked(p) for ps in found for p in ps.pairs)
+
+
+def test_compiled_search_witnesses_are_untracked_pair_sets(fastsearch, monkeypatch, no_collection):
+    # built in C, each is an exact, frozen PairSet equal, with an equal hash
+    # and repr, to the pure kernel's witness and to the checked constructor's
+    n = 19
+    config = SearchConfig(n=n, mode="enumerate", require_strong=False)
+    compiled = search_skolem_starters(config)
+    monkeypatch.setattr(skolem.search, "_fastsearch", None)
+    pure = search_skolem_starters(config)
+    assert (compiled.backend, pure.backend) == ("compiled", "pure")
+    assert len(compiled.witnesses) == len(pure.witnesses) == STARTER_COUNTS[(n, False)]
+    for ps, reference in zip(compiled.witnesses, pure.witnesses):
+        assert type(ps) is PairSet and not gc.is_tracked(ps)
+        for other in (reference, PairSet(n, ps.pairs)):
+            assert ps == other and hash(ps) == hash(other) and repr(ps) == repr(other)
+    ps = compiled.witnesses[0]
+    assert not hasattr(ps, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(ps)
+    for name, value in (("n", 21), ("pairs", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ps, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ps, name)
+    # a name that is no field has no slot; which error that raises
+    # depends on the Python version
+    with pytest.raises((AttributeError, TypeError)):
+        ps.extra = 1
+
+
+def test_pair_sets_survive_pickle_copy_and_replace(fastsearch):
+    found = search_skolem_starters(SearchConfig(n=19, mode="first")).witnesses[0]
+    built = build_strong_skolem(19)
+    for ps in (found, built):
+        copies = [pickle.loads(pickle.dumps(ps, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(ps), copy.deepcopy(ps), dataclasses.replace(ps)]
+        for other in copies:
+            assert type(other) is PairSet
+            assert other == ps and hash(other) == hash(ps) and repr(other) == repr(ps)
+        # replace runs the checking constructor
+        assert dataclasses.replace(ps, pairs=ps.pairs[::-1]) == ps
+        assert dataclasses.replace(ps, pairs=ps.pairs[1:]) == PairSet(19, ps.pairs[1:])
+        with pytest.raises(ValueError, match="odd"):
+            dataclasses.replace(ps, n=18)
+
+
+@dataclasses.dataclass(frozen=True)
+class _WithDict:
+    n: int
+    pairs: tuple
+
+
+class _WithWeakref:
+    __slots__ = ("n", "pairs", "__weakref__")
+
+
+class _WithoutPairs:
+    __slots__ = ("n",)
+
+
+@pytest.mark.parametrize(
+    "cls, message",
+    [
+        (_WithDict, "^_WithDict instances have a __dict__ or a __weakref__$"),
+        (_WithWeakref, "^_WithWeakref instances have a __dict__ or a __weakref__$"),
+        (_WithoutPairs, "^_WithoutPairs has no slots n and pairs of its own$"),
+        (tuple, "^tuple has no slots n and pairs of its own$"),
+        (PairSet(11, S_HALF[11]), "must be type"),
+    ],
+    ids=["dict", "weakref", "no-pairs-slot", "no-slots", "not-a-class"],
+)
+def test_compiled_witness_pairs_refuses_a_class_it_cannot_untrack(fastsearch, cls, message):
+    with pytest.raises(TypeError, match=message):
+        fastsearch.witness_pairs(cls, 11, [(9, 2, 5, 3, 1)])
+
+
+def test_a_faulty_witness_mid_batch_raises_alike_and_frees_the_batch(fastsearch, no_collection):
+    n = 19
+    witnesses = _pysearch.run_search(n, False, 0, -1)[2]
+    middle = len(witnesses) // 2
+    # the smaller element of its d = 2 pair for d = 1 too: in range, but
+    # not a partition
+    bad = witnesses[middle][1:2] + witnesses[middle][1:]
+    batch = witnesses[:middle] + [bad] + witnesses[middle + 1:]
+    # every PairSet holds a reference to its class, so each built before
+    # the fault must be freed with the batch
+    refs = sys.getrefcount(PairSet)
+    messages = []
+    for kernel in (fastsearch, _pysearch):
+        with pytest.raises(ValueError) as info:
+            kernel.witness_pairs(PairSet, n, batch)
+        messages.append(str(info.value))
+        del info  # its traceback holds the pure kernel's frame
+        assert sys.getrefcount(PairSet) == refs
+    assert messages[0] == messages[1] == f"witness {bad!r} does not partition 1..{n - 1}"
+    found = fastsearch.witness_pairs(PairSet, n, witnesses)
+    assert sys.getrefcount(PairSet) == refs + len(witnesses)
+    del found
+    assert sys.getrefcount(PairSet) == refs
 
 
 def test_variable_order_does_not_change_the_count():
