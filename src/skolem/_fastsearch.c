@@ -46,22 +46,26 @@
  * The walk runs with the GIL released, so skolem.search can run several
  * top-level partitions at once on threads.  Kept witnesses wait in a C
  * buffer, and the walk takes the GIL back only to turn a full buffer into
- * tuples and, in upper alone, to poll for Ctrl-C each time the node count
- * passes a threshold that then moves 2^20 nodes on; a tail subtree between
- * two checks has at most 10 free elements, so a poll comes at most a few
- * thousand nodes late.  Taking the GIL per witness made two threads
+ * bytes objects and, in upper alone, to poll for Ctrl-C each time the node
+ * count passes a threshold that then moves 2^20 nodes on; a tail subtree
+ * between two checks has at most 10 free elements, so a poll comes at most
+ * a few thousand nodes late.  Taking the GIL per witness made two threads
  * enumerating n = 25 slower than one.  Every error path and the result
  * are built with the GIL held.
  *
+ * A witness is the walk's own row: a bytes object of length t whose byte
+ * d - 1 is the smaller element x of the difference-d pair (x, x + d).
+ *
  * witness_pairs, skolem_pairs and skolem_verdicts read pairs, and read them
- * one way: read_int takes each element only if it is an exact int in
- * range, pair_up enters each pair in a partner array mate, refusing an
- * element already paired, and marks its smaller element in a lows bitmap,
- * and layout pops the lows bits in ascending order into the canonical tuple
- * of pairs (x, mate[x]), with no set and no sort.  Only exact tuples, and
- * for skolem_pairs lists, are read, with no Python code run while they are,
- * so nothing can change them; for input read any other way each entry
- * point returns None or raises as its pure counterpart does.
+ * one way: each element is taken only if it is in range, a byte of a
+ * witness or, through read_int, an exact int; pair_up enters each pair in
+ * a partner array mate, refusing an element already paired, and marks its
+ * smaller element in a lows bitmap; and layout pops the lows bits in
+ * ascending order into the canonical tuple of pairs (x, mate[x]), with no
+ * set and no sort.  Only exact bytes and tuples, and for skolem_pairs
+ * lists, are read, with no Python code run while they are, so nothing can
+ * change them; for input read any other way each entry point returns None
+ * or raises as its pure counterpart does.
  *
  * witness_pairs turns the walk's witnesses into instances of the class it
  * is given, PairSet: per witness, it allocates one and sets its two slots,
@@ -69,7 +73,7 @@
  * each distinct pair one tuple shared by every batch.  It refuses, with
  * TypeError, a class whose instances have a __dict__ or a __weakref__, or
  * that lacks either slot of its own.  It checks each witness in batch
- * order, and the first one that is not an exact tuple of t exact ints
+ * order, and the first one that is not an exact bytes object of length t
  * whose pairs partition 1..n-1 raises ValueError("witness xs does not
  * partition 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch
  * may be any iterable, copied once.  skolem.search calls it with the GIL
@@ -94,21 +98,22 @@
  * it; on any other answer, or None for input it does not read exactly, the
  * pure lines decide, and they alone decide every "no" and name its fault.
  *
- * Every tuple the module builds holds only ints or only such tuples: the
- * raw witnesses, each pair and each tuple of pairs, and fold's runs and
- * the tuple that holds them.  Each is taken out of the cyclic GC as it is
- * built, which is safe because an immutable tuple of such contents cannot
- * be part of a cycle; the collector would in time untrack it itself, and
- * would scan it, and all it holds, until then.  So is each PairSet that
- * witness_pairs builds, for the same reason: frozen and slotted, it holds
- * only an int and such a tuple for good; the collector would never untrack
- * it, and would rescan every one kept so far.  So the class witness_pairs
- * is given must be frozen, as PairSet is.  The lists and run_search's
- * result tuple stay tracked.  Elements below 2^16 come from one table that
- * lives as long as the module, so every starter shares one int per value:
- * it keeps at most 2^16 ints, about 2 MB, and the 512 KB pointer array is
- * resident only where it is touched.  layout takes pairs
- * from two more such tables, for witness_pairs and skolem_pairs alike.  Of
+ * Every tuple the module builds holds only ints or only such tuples: each
+ * pair and each tuple of pairs, and fold's runs and the tuple that holds
+ * them.  Each is taken out of the cyclic GC as it is built, which is safe
+ * because an immutable tuple of such contents cannot be part of a cycle;
+ * the collector would in time untrack it itself, and would scan it, and
+ * all it holds, until then.  So is each PairSet that witness_pairs builds,
+ * for the same reason: frozen and slotted, it holds only an int and such a
+ * tuple for good; the collector would never untrack it, and would rescan
+ * every one kept so far.  So the class witness_pairs is given must be
+ * frozen, as PairSet is.  The raw witnesses are bytes, which the collector
+ * never tracks.  The lists and run_search's result tuple stay tracked.
+ * Elements below 2^16 come from one table that lives as long as the
+ * module, so every starter shares one int per value: it keeps at most 2^16
+ * ints, about 2 MB, and the 512 KB pointer array is resident only where it
+ * is touched.  layout takes pairs from two more such tables, for
+ * witness_pairs and skolem_pairs alike.  Of
  * the 2t pairs of q's two construction starters, t are (d, 2d), one for
  * each d in 1..t, and these are the same for every q, so each (d, 2d) with
  * d < 2^15 comes from one table, both of whose elements are shared ints:
@@ -147,20 +152,16 @@ struct level {
     int d;
 };
 
-static PyObject *int_tuple(const long *values, Py_ssize_t count);
-
-/* Append rows[0..count), t entries each, to list as tuples of ints.
- * Needs the GIL.  Kept out of line: inlined into the walk, it more than
- * doubled upper's code and slowed the strong n = 25 count by 2-4% (gcc 12
- * -O3, AMD EPYC). */
+/* Append rows[0..count), t bytes each, to list as bytes objects.  Needs
+ * the GIL.  Kept out of line, as the walk calls it once per BATCH
+ * witnesses: a larger version inlined into the walk more than doubled
+ * upper's code and slowed the strong n = 25 count by 2-4% (gcc 12 -O3,
+ * AMD EPYC). */
 static __attribute__((noinline)) int
 append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
 {
     for (int r = 0; r < count; r++) {
-        long xs[MAX_T];
-        for (int i = 0; i < t; i++)
-            xs[i] = rows[r][i];
-        PyObject *w = int_tuple(xs, t);
+        PyObject *w = PyBytes_FromStringAndSize((const char *)rows[r], t);
         if (w == NULL)
             return -1;
         int err = PyList_Append(list, w);
@@ -456,18 +457,6 @@ layout(const int32_t *mate, const uint64_t *lows, long n, long t)
     return out;
 }
 
-/* Whether the strings a and b are equal.  A loop, not strcmp, which the
- * module would import for this alone: the longer PLT moved upper 16 bytes,
- * and the strong n = 25 count in fresh processes read 2% slower (gcc 12
- * -O3, AMD EPYC). */
-static int
-same_name(const char *a, const char *b)
-{
-    while (*a && *a == *b)
-        a++, b++;
-    return *a == *b;
-}
-
 static PyObject *
 witness_pairs(PyObject *self, PyObject *args)
 {
@@ -486,9 +475,9 @@ witness_pairs(PyObject *self, PyObject *args)
                             cls->tp_name);
     Py_ssize_t n_at = -1, pairs_at = -1;
     for (PyMemberDef *m = cls->tp_members; m != NULL && m->name != NULL; m++) {
-        if (m->type == T_OBJECT_EX && same_name(m->name, "n"))
+        if (m->type == T_OBJECT_EX && strcmp(m->name, "n") == 0)
             n_at = m->offset;
-        else if (m->type == T_OBJECT_EX && same_name(m->name, "pairs"))
+        else if (m->type == T_OBJECT_EX && strcmp(m->name, "pairs") == 0)
             pairs_at = m->offset;
     }
     if (n_at < 0 || pairs_at < 0)
@@ -509,10 +498,12 @@ witness_pairs(PyObject *self, PyObject *args)
         memset(mate, 0, n * sizeof(int32_t));
         uint64_t lows = 0;
         /* t disjoint pairs (x, x + d) within 1..n-1: a partition */
-        int faulty = !PyTuple_CheckExact(xs) || PyTuple_GET_SIZE(xs) != t;
+        int faulty = !PyBytes_CheckExact(xs) || PyBytes_GET_SIZE(xs) != t;
+        const unsigned char *row =
+            faulty ? NULL : (const unsigned char *)PyBytes_AS_STRING(xs);
         for (int d = 1; d <= t && !faulty; d++) {
-            long x = read_int(PyTuple_GET_ITEM(xs, d - 1), n - 1 - d);
-            faulty = x == 0 || pair_up(mate, &lows, x, x + d) < 0;
+            int x = row[d - 1];
+            faulty = x == 0 || x > n - 1 - d || pair_up(mate, &lows, x, x + d) < 0;
         }
         if (faulty)
             PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", xs, n - 1);
@@ -722,7 +713,7 @@ static PyMethodDef methods[] = {
      "The pair sets of run_search witnesses, 3 <= n <= 63, as untracked\n"
      "instances of cls, PairSet, whose slots n and pairs are set in C.\n\n"
      "witnesses is any iterable.  The first witness, in batch order, that\n"
-     "is not an exact tuple of t exact ints whose pairs partition 1..n-1\n"
+     "is not an exact bytes object of length t whose pairs partition 1..n-1\n"
      "raises ValueError.  TypeError for a cls whose instances have a\n"
      "__dict__ or __weakref__, or that lacks either slot of its own.  See\n"
      "skolem._pysearch.witness_pairs; both return equal lists and raise\n"

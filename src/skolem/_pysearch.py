@@ -1,7 +1,8 @@
 """Exhaustive backtracking kernel for (strong) Skolem starters, pure Python.
 
 Same contract, the same tree and the same bitset walk as the compiled
-kernel in _fastsearch, over Python ints, so n has no word limit.
+kernel in _fastsearch, over Python ints, so n has no word limit; it stops
+at n = 257, the last order whose witnesses fit in bytes.
 The free elements of 1..n-1 are one mask F, and the candidates x for
 difference d are the set bits of F & (F >> d), popped in ascending order
 (the lowest bit is c & -c; bit_length turns bits back into elements).
@@ -26,9 +27,10 @@ witness_pairs turns the walk's witnesses into PairSets, through
 PairSet._from_witnesses, whose pair tuples share one tuple per distinct
 pair, and names the first witness whose pairs do not partition 1..n-1;
 it is the reference for the compiled one, which builds the PairSets in
-C.  The raw witness format, an exact tuple of exact ints with xs[d - 1]
-the smaller element of the difference-d pair, is decoded here and in
-_fastsearch, and also by the tests and perfbench's kernel_pairs.
+C.  The raw witness format, an exact bytes object of length t with
+xs[d - 1] the smaller element of the difference-d pair, is the compiled
+walk's own row; it is decoded here and in _fastsearch, and also by the
+tests and perfbench's kernel_pairs.
 
 skolem.search runs this module when the extension did not build and for
 n > 63, calling run_search once per top-level partition (descending
@@ -67,11 +69,14 @@ def run_search(
     skolem.search walks.
 
     Returns (count, nodes, witnesses): nodes is the number of successful
-    pair placements, witnesses a list of tuples xs with xs[d - 1] the
-    smaller element of the difference-d pair.  No argument has a keyword.
+    pair placements, witnesses a list of bytes objects xs with xs[d - 1]
+    the smaller element of the difference-d pair.  No argument has a
+    keyword.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
+    if n > 257:  # a witness's elements, x <= n - 2, must each fit in a byte
+        raise ValueError(f"n = {n} exceeds the pure kernel's limit of 257")
     t = (n - 1) // 2
     order = list(range(t, 0, -1)) if descending else list(range(1, t + 1))
     if fixed_top and not 1 <= fixed_top <= n - 1 - order[0]:
@@ -97,7 +102,7 @@ def run_search(
         cand[0] &= 1 << fixed_top
     count = 0
     nodes = 0
-    witnesses: list[tuple[int, ...]] = []
+    witnesses: list[bytes] = []
     level = 0
     while True:
         c = cand[level]
@@ -126,7 +131,7 @@ def run_search(
         # A starter.  The next pass pops this level's next candidate.
         count += 1
         if collect_limit < 0 or len(witnesses) < collect_limit:
-            witnesses.append(tuple(xbit[i].bit_length() - 1 for i in by_difference))
+            witnesses.append(bytes(xbit[i].bit_length() - 1 for i in by_difference))
         if 0 < stop_after <= count:
             break
     return count, nodes, witnesses
@@ -137,9 +142,9 @@ def witness_pairs(cls, n: int, witnesses) -> list:
     of cls, which is PairSet: per witness xs, the set whose pairs are the
     tuple of its pairs (x, x + d), xs[d - 1] = x, in ascending x, which
     cls._from_witnesses wraps.  witnesses is any iterable.  The first
-    witness, in batch order, that is not an exact tuple of t exact ints
+    witness, in batch order, that is not an exact bytes object of length t
     whose pairs partition 1..n-1 raises ValueError, as in _fastsearch: so
-    does a list, or a tuple holding 9.0 or True, though they equal ints.
+    does a tuple, a bytearray or a memoryview of the same elements.
 
     Each difference column is tabled over its in-range values only: x maps
     to the pair (x, x + d), one tuple shared by every witness, so looking up
@@ -148,7 +153,7 @@ def witness_pairs(cls, n: int, witnesses) -> list:
     another type reads as ().
     """
     witnesses = tuple(witnesses)  # read twice: into rows, and to name a fault
-    rows = [xs if type(xs) is tuple and {*map(type, xs)} <= {int} else () for xs in witnesses]
+    rows = [xs if type(xs) is bytes else () for xs in witnesses]
     t = (n - 1) // 2
     pairs = [
         {x: (x, x + d) for x in {*column}.intersection(range(1, n - d))}

@@ -4,18 +4,19 @@ selection and the partitioned walk.
 The backtracking kernel is one bitset walk, written twice with one
 contract and one tree: a hand-written C extension, _fastsearch, whose
 64-bit masks hold n <= 63, and the pure-Python _pysearch, which has no
-such limit.  A search runs the compiled kernel when it built and n fits
+word limit and stops at n = 257, where a witness's elements still fit in
+its bytes.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
 difference t), merges the parts in ascending x and, after the walk, has
 the same kernel module turn each merged part's witnesses into PairSets,
-one part at a time, dropping the part's raw tuples before the next; the
-compiled kernel builds them in C, out of the cyclic GC.  With
-workers > 1 the parts of the compiled kernel, which walks with the GIL
-released, run on the caller plus workers - 1 plain threads; the pure
-kernel holds the GIL, so it runs on one worker, which also sees Ctrl-C
-at once.  `import skolem` loads no executor, and _pysearch only when a
-search picks it.
+one part at a time, dropping the part's raw witnesses, one bytes object
+each, before the next; the compiled kernel builds them in C, out of the
+cyclic GC.  With workers > 1 the parts of the compiled kernel, which
+walks with the GIL released, run on the caller plus workers - 1 plain
+threads; the pure kernel holds the GIL, so it runs on one worker, which
+also sees Ctrl-C at once.  `import skolem` loads no executor, and
+_pysearch only when a search picks it.
 The reflection x -> n - x - d maps starters to starters and partition x
 to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds each
 mirror pair twice; its node count is still that of the whole tree.
@@ -40,11 +41,11 @@ except ImportError:
 
 DEFAULT_CEILING = 27
 
-# Bound on the memory of the pure kernel, the only one past n = 63: its
-# masks are n-bit ints (125 kB each at the bound) and its per-level lists
-# hold t + 1 entries.  The time wall arrives far earlier, and the ceiling
-# plus force covers every realistic run.
-MAX_SEARCH_N = 1_000_001
+# The pure kernel, the only one past n = 63, hands each witness over as
+# bytes, and a smaller element x <= n - 2 must fit in a byte.  No search
+# near the bound can finish anyway: the pure kernel finds no first strong
+# witness for any n in 89..123 within 20 s.
+MAX_SEARCH_N = 257
 
 
 class SearchMode(Enum):
@@ -284,9 +285,9 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started
-    # One part at a time, each part's raw tuples freed before the next
-    # part's PairSets are built: one batch would keep every raw tuple alive
-    # beside every PairSet until it returned.
+    # One part at a time, each part's raw witnesses freed before the next
+    # part's PairSets are built: one batch would keep every raw witness
+    # alive beside every PairSet until it returned.
     witnesses = []
     for raw in merged:
         witnesses += mod.witness_pairs(PairSet, n, raw)

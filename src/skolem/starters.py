@@ -34,7 +34,7 @@ def skolem_admissible(n: int) -> bool:
     return n >= 3 and n % 2 == 1 and n % 8 in (1, 3)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PairSet:
     """An immutable set of disjoint unordered pairs over {1, ..., n-1}.
 
@@ -43,11 +43,15 @@ class PairSet:
     n, elements in range, no reuse) is enforced here; whether the set is a
     starter is a separate question answered by full_report.
 
-    The two fields are slots: an instance has no __dict__ and takes no
-    weak reference, and holds only n and the tuple of pairs.  A compiled
-    search builds its witnesses in C and takes each out of the cyclic GC,
-    as it does their pair tuples: an object that holds only an int and a
-    tuple of int pairs, and that nothing can change, cannot join a cycle.
+    The two fields are slots, declared here rather than through
+    dataclass(slots=True), which rebuilds the class and leaves the frozen
+    __setattr__ and __delattr__ bound to the old one: an instance has no
+    __dict__ and takes no weak reference, and holds only n and the tuple of
+    pairs.  It pickles and copies as a call to the checking constructor.
+    A compiled search builds its witnesses in C and takes each out of the
+    cyclic GC, as it does their pair tuples: an object that holds only an
+    int and a tuple of int pairs, and that nothing can change, cannot join
+    a cycle.
 
     The constructor checks outside input in one pass, pair by pair, and
     raises for the first faulty pair in input order: a pair without
@@ -63,6 +67,7 @@ class PairSet:
     witness_pairs and the compiled skolem_pairs hand them over.
     """
 
+    __slots__ = ("n", "pairs")
     n: int
     pairs: tuple[tuple[int, int], ...]
 
@@ -89,6 +94,9 @@ class PairSet:
                 seen.add(el)
             canon.append((x, y) if x < y else (y, x))
         object.__setattr__(self, "pairs", tuple(sorted(canon)))
+
+    def __reduce__(self):
+        return PairSet, (self.n, self.pairs)
 
     @classmethod
     def _from_pairs(cls, n: int, xs, ys) -> "PairSet":

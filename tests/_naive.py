@@ -242,7 +242,7 @@ def sum_array_walk(
     xs = [0] * (t + 1)
     count = 0
     nodes = 0
-    witnesses: list[tuple[int, ...]] = []
+    witnesses: list[bytes] = []
 
     def walk(level: int) -> bool:
         # Returns True to abort the whole walk (stop_after reached).
@@ -250,7 +250,7 @@ def sum_array_walk(
         if level == t:
             count += 1
             if collect_limit < 0 or len(witnesses) < collect_limit:
-                witnesses.append(tuple(xs[1:]))
+                witnesses.append(bytes(xs[1:]))
             return 0 < stop_after <= count
         d = order[level]
         if level == 0 and fixed_top:

@@ -5,8 +5,9 @@ partition and an early stop with a witness cap, and each kernel must
 return the (count, nodes, witnesses) triple of the recursive walk in
 _naive.py, which tests every candidate's sum instead of masking by
 half-sums.  Each drawn batch of witnesses, real ones and corruptions of
-them, passed as a list or as a one-shot iterator, must get PairSets with
-the same pair tuples or the same ValueError from both kernels'
+them, each as bytes or as a tuple, bytearray or memoryview of the same
+elements, passed as a list or as a one-shot iterator, must get PairSets
+with the same pair tuples or the same ValueError from both kernels'
 witness_pairs.  Each drawn folding certificate, real or corrupted, must
 get the same pair set, element types included, or the same error from
 the construction's compiled and pure routes.
@@ -58,20 +59,21 @@ def _plain_witnesses(n):
 def _witness_batches(draw):
     n = draw(st.sampled_from(range(3, 18, 2)))
     t = (n - 1) // 2
-    # near the range, far past any machine word, and elements that are no
-    # exact int: floats equal to ints near the range, and strs
-    near = st.integers(-2, n + 1)
-    element = st.one_of(near, st.integers(-(2**80), 2**80), near.map(float), st.text(max_size=2))
-    drawn = st.lists(element, min_size=t - 1, max_size=t + 1).map(tuple)
+    # near the range, and anywhere in a byte
+    element = st.one_of(st.integers(0, n + 1), st.integers(0, 255))
+    drawn = st.lists(element, min_size=t - 1, max_size=t + 1).map(bytes)
     found = _plain_witnesses(n)
     if found:
         real = st.sampled_from(found)
         changed = st.tuples(real, st.integers(0, t - 1), element).map(
-            lambda c: c[0][: c[1]] + (c[2],) + c[0][c[1] + 1 :]
+            lambda c: c[0][: c[1]] + bytes((c[2],)) + c[0][c[1] + 1 :]
         )
         drawn = st.one_of(real, changed, drawn)
+    # mostly bytes, the one type read; the others hold the same elements
+    typed = st.tuples(st.sampled_from((bytes,) * 4 + (tuple, bytearray, memoryview)), drawn)
+    witness = typed.map(lambda c: c[0](c[1]))
     # passed as a list, or as an iterator that can be read only once
-    return n, draw(st.lists(drawn, max_size=4)), draw(st.sampled_from((list, iter)))
+    return n, draw(st.lists(witness, max_size=4)), draw(st.sampled_from((list, iter)))
 
 
 def _outcome(kernel, n, batch):

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import enum
 import gc
 import inspect
 import os
@@ -60,7 +59,7 @@ def test_compiled_kernel_counts_match_fixtures(fastsearch):
 def _agreement_calls(n, strong, descending):
     """run_search arguments for the whole walk, every top-level partition,
     early stops with and without a witness cap, and caps either side of the
-    256 witnesses the compiled kernel buffers before it builds their tuples."""
+    256 witnesses the compiled kernel buffers before it hands them over."""
     top_d = (n - 1) // 2 if descending else 1
     calls = [(0, -1, 0)]
     calls += [(0, -1, x) for x in range(1, n - top_d)]
@@ -121,8 +120,8 @@ def test_pure_kernel_does_not_recurse():
     assert result[:2] == NODE_COUNTS[(21, True)]
 
 
-class _Two(enum.IntEnum):
-    TWO = 2
+class _Bytes(bytes):
+    pass
 
 
 def _partners(xs):
@@ -160,17 +159,19 @@ def test_witness_batch_of_none_is_empty(fastsearch):
 
 
 def test_witness_batch_range_checks_each_difference_column(fastsearch):
-    # a witness element outside 1..n-1 is refused before it becomes a mask:
-    # 9 + 64 and 9 + 2**64 would alias 9 under a 64-bit shift, and the
-    # others would shift by far more
-    for bad in (-(10**9), 10**30, -(10**30), 9 + 64, 9 + 2**64):
-        xs = (bad, 2, 5, 3, 1)
-        messages = []
-        for kernel in (fastsearch, _pysearch):
-            with pytest.raises(ValueError, match=rf"^witness \({bad}, 2, 5, 3, 1\) does not partition 1\.\.10$") as info:
-                kernel.witness_pairs(PairSet, 11, [(9, 2, 5, 3, 1), xs])
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    # each difference d takes x in 1..n-1-d: 0 and n - d are refused in
+    # every column, and so are 9 + 64, which would alias 9 under a 64-bit
+    # shift, and 255, the largest byte
+    valid = bytes((9, 2, 5, 3, 1))
+    for d in range(1, 6):
+        for bad in (0, 11 - d, 9 + 64, 255):
+            xs = valid[: d - 1] + bytes((bad,)) + valid[d:]
+            messages = []
+            for kernel in (fastsearch, _pysearch):
+                with pytest.raises(ValueError) as info:
+                    kernel.witness_pairs(PairSet, 11, [valid, xs])
+                messages.append(str(info.value))
+            assert messages[0] == messages[1] == f"witness {xs!r} does not partition 1..10"
 
 
 def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
@@ -179,12 +180,12 @@ def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
     # partition 1..62 name the witness, and so does element 63.
     n, t = 63, 31
     # (61, 62) for d = 1 and (31, 62) for d = 31 both hold element 62
-    in_range = (61,) + (1,) * (t - 2) + (31,)
-    past_end = in_range[:-1] + (32,)  # (32, 63) for d = 31
+    in_range = bytes((61,) + (1,) * (t - 2) + (31,))
+    past_end = in_range[:-1] + bytes((32,))  # (32, 63) for d = 31
     for xs in (in_range, past_end):
         messages = []
         for kernel in (fastsearch, _pysearch):
-            with pytest.raises(ValueError, match=r"^witness \(61, 1, .* does not partition 1\.\.62$") as info:
+            with pytest.raises(ValueError, match=r"^witness b'=\\x01.* does not partition 1\.\.62$") as info:
                 kernel.witness_pairs(PairSet, n, [xs])
             messages.append(str(info.value))
         assert messages[0] == messages[1] == f"witness {xs!r} does not partition 1..62"
@@ -193,21 +194,27 @@ def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
             fastsearch.witness_pairs(PairSet, bad_n, [])
 
 
+_VALID_11 = bytes((9, 2, 5, 3, 1))
+_VIEW_11 = memoryview(_VALID_11)  # one object: its repr is its address
+
+
 @pytest.mark.parametrize(
     "batch, first_fault",
     [
         # two pairs holding 2, then the pair (6, 11) past n - 1
-        ([(9, 2, 5, 2, 1), (9, 2, 5, 3, 6)], (9, 2, 5, 2, 1)),
+        ([bytes((9, 2, 5, 2, 1)), bytes((9, 2, 5, 3, 6))], bytes((9, 2, 5, 2, 1))),
         # a valid witness, a short one, then one with element 0
-        ([(9, 2, 5, 3, 1), (9, 2, 5, 3), (0, 2, 5, 3, 1)], (9, 2, 5, 3)),
-        # only an exact tuple of exact ints is read: 9.0 and True equal and
-        # hash like 9 and 1, an IntEnum member is an int, a list holds ints
-        ([(9, 2, 5, 3, 1), (9.0, 2, 5, 3, 1)], (9.0, 2, 5, 3, 1)),
-        ([("a", 2, 5, 3, 1), (9.0, 2, 5, 3, 1)], ("a", 2, 5, 3, 1)),
-        ([(9, 2, 5, 3, 1), (9, 2, 5, 3, True)], (9, 2, 5, 3, True)),
-        ([(9, 2, 5, 3, 1), (9, _Two.TWO, 5, 3, 1)], (9, _Two.TWO, 5, 3, 1)),
-        ([(9, 2, 5, 3, 1), [9, 2, 5, 3, 1]], [9, 2, 5, 3, 1]),
+        ([_VALID_11, bytes((9, 2, 5, 3)), bytes((0, 2, 5, 3, 1))], bytes((9, 2, 5, 3))),
+        # only an exact bytes object is read: a tuple, a bytearray, a
+        # memoryview and a bytes subclass hold the same elements
+        ([_VALID_11, (9, 2, 5, 3, 1)], (9, 2, 5, 3, 1)),
+        ([bytearray(_VALID_11), (9, 2, 5, 3, 1)], bytearray(_VALID_11)),
+        ([_VALID_11, _VIEW_11], _VIEW_11),
+        ([_VALID_11, _Bytes(_VALID_11)], _Bytes(_VALID_11)),
+        ([_VALID_11, "\t\x02\x05\x03\x01"], "\t\x02\x05\x03\x01"),
     ],
+    # ids by position, as pytest names values that are not str or bytes
+    ids=[f"batch{i}-first_fault{i}" for i in range(7)],
 )
 def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_fault):
     for kernel in (fastsearch, _pysearch):
@@ -217,19 +224,19 @@ def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_f
 
 
 def test_witness_batch_may_be_a_one_shot_iterable(fastsearch):
-    valid = (9, 2, 5, 3, 1)
+    valid = _VALID_11
     expected = [tuple(sorted(_witness_pairs(valid)))] * 2
     for kernel in (fastsearch, _pysearch):
         assert [ps.pairs for ps in kernel.witness_pairs(PairSet, 11, iter([valid, valid]))] == expected
         assert [
             ps.pairs for ps in kernel.witness_pairs(PairSet, 11, (xs for xs in [valid, valid]))
         ] == expected
-        with pytest.raises(ValueError, match=r"^witness \(9, 2, 5, 3\) "):
+        with pytest.raises(ValueError, match=r"^witness b'\\t\\x02\\x05\\x03' "):
             kernel.witness_pairs(PairSet, 11, (xs for xs in [valid, valid[:-1]]))
 
 
 # a valid witness for each order the corruption cases below use
-_VALID_WITNESS = {3: (1,), 11: (9, 2, 5, 3, 1)}
+_VALID_WITNESS = {3: b"\x01", 11: _VALID_11}
 
 
 @pytest.mark.parametrize(
@@ -251,6 +258,7 @@ _VALID_WITNESS = {3: (1,), 11: (9, 2, 5, 3, 1)}
 def test_witness_constructor_rejects_non_partitions(fastsearch, n, xs):
     with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
         PairSet._from_pairs(n, xs, _partners(xs))
+    xs = bytes(xs)  # the kernels' witness format
     valid = _VALID_WITNESS[n]
     for batch in ([xs], [valid, xs, valid]):
         messages = []
@@ -298,14 +306,16 @@ def test_pair_tuples_are_shared_across_searches_and_the_construction(fastsearch)
 
 def test_compiled_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
     # tuples of ints, tuples of those, and the frozen slotted PairSets that
-    # hold an int and such a tuple cannot form a cycle; the lists and the
-    # result triple, which hold them, stay tracked
+    # hold an int and such a tuple cannot form a cycle, and the raw
+    # witnesses are bytes; the lists and the result triple, which hold
+    # them, stay tracked
     n = 19
     result = fastsearch.run_search(n, False, 0, -1)
     witnesses = result[2]
     found = fastsearch.witness_pairs(PairSet, n, witnesses)
     assert len(witnesses) == len(found) == STARTER_COUNTS[(n, False)]
     assert all(map(gc.is_tracked, (result, witnesses, found)))
+    assert {(type(xs), len(xs)) for xs in witnesses} == {(bytes, (n - 1) // 2)}
     assert not any(map(gc.is_tracked, witnesses))
     assert not any(map(gc.is_tracked, found))
     assert not any(gc.is_tracked(ps.pairs) for ps in found)
@@ -335,10 +345,11 @@ def test_compiled_search_witnesses_are_untracked_pair_sets(fastsearch, monkeypat
             setattr(ps, name, value)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(ps, name)
-    # a name that is no field has no slot; which error that raises
-    # depends on the Python version
-    with pytest.raises((AttributeError, TypeError)):
+    # so is a name that is no field, which has no slot either
+    with pytest.raises(dataclasses.FrozenInstanceError):
         ps.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ps.extra
 
 
 def test_pair_sets_survive_pickle_copy_and_replace(fastsearch):
@@ -385,7 +396,7 @@ class _WithoutPairs:
 )
 def test_compiled_witness_pairs_refuses_a_class_it_cannot_untrack(fastsearch, cls, message):
     with pytest.raises(TypeError, match=message):
-        fastsearch.witness_pairs(cls, 11, [(9, 2, 5, 3, 1)])
+        fastsearch.witness_pairs(cls, 11, [_VALID_11])
 
 
 def test_a_faulty_witness_mid_batch_raises_alike_and_frees_the_batch(fastsearch, no_collection):
@@ -473,6 +484,8 @@ def test_kernel_validation():
         _pysearch.run_search(11, True, 0, 0, True, 6)
     with pytest.raises(TypeError, match="keyword argument"):
         _pysearch.run_search(11, True, fixed_top=1)
+    with pytest.raises(ValueError, match="^n = 259 exceeds the pure kernel's limit of 257$"):
+        _pysearch.run_search(259, True)
 
 
 def test_compiled_kernel_validation(fastsearch):
@@ -523,6 +536,10 @@ def test_search_config_validation():
         SearchConfig(n=11, mode=3)
     with pytest.raises(ValueError, match="not supported"):
         SearchConfig(n=1_000_003)
+    # the pure kernel's witnesses hold each element, x <= n - 2, in a byte
+    assert SearchConfig(n=257, force=True).n == skolem.search.MAX_SEARCH_N == 257
+    with pytest.raises(ValueError, match="^exhaustive search beyond n = 257 is not supported$"):
+        SearchConfig(n=259, force=True)
     assert SearchConfig(n=11, mode="count").mode is SearchMode.COUNT_ALL
     assert SearchConfig(n=11).t == 5
 
@@ -966,6 +983,19 @@ def test_non_int_limit_or_workers_is_refused_on_both_kernels(fastsearch, monkeyp
 def test_orders_past_the_machine_word_run_the_pure_kernel(fastsearch):
     assert skolem.search._kernel(63) == (fastsearch, "compiled")
     assert skolem.search._kernel(65) == (_pysearch, "pure")
+
+
+def test_pure_witness_pairs_reads_a_row_near_the_top_of_a_byte():
+    # q = 251, prime and 3 mod 8, is the largest order within the search
+    # bound 257 that the construction covers; its row holds elements up to
+    # 247, far past the compiled word
+    built = build_strong_skolem(251)
+    row = bytearray(125)
+    for x, y in built.pairs:
+        row[y - x - 1] = x
+    assert max(row) > 127
+    (found,) = _pysearch.witness_pairs(PairSet, 251, [bytes(row)])
+    assert found == built and found.pairs == built.pairs
 
 
 def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):
