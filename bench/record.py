@@ -18,8 +18,9 @@ one-worker COUNT_ALL of each (n, strong) in KERNEL in one fresh
 interpreter: one warm-up run, which is dropped, and then as many runs as
 fill KERNEL_SECONDS, and at least KERNEL_RUNS.  A short count keeps
 speeding up over its first runs, so a fixed few runs read it high.  Per
-row: nodes_explored, the number of runs kept, the best wall_time and ns per
-node.  A count walks only half of the mirrored tree and reports the whole
+row: the backend and, for the compiled one, the copy of its walk that
+runs on this CPU (_fastsearch.WALK, bmi2 or baseline), nodes_explored,
+the number of runs kept, the best wall_time and ns per node.  A count walks only half of the mirrored tree and reports the whole
 tree's nodes, so ns per node is per node of the whole tree, about half the
 time each walked node takes.  The commands are `skolem tabulate --q-max
 20000 --beta both`, the same table to q = 5000 as JSON, `skolem search 27`
@@ -67,6 +68,7 @@ KERNEL_SECONDS = 0.2
 KERNEL_CHILD = """
 import json, sys, time
 from skolem import SearchConfig, active_backend, search_skolem_starters
+from skolem.search import _fastsearch
 cases, runs, seconds = json.loads(sys.argv[1])
 rows = []
 for n, strong in cases:
@@ -79,6 +81,7 @@ for n, strong in cases:
     best = min(r.wall_time for r in results)
     nodes = results[0].nodes_explored
     rows.append({"n": n, "strong": strong, "backend": active_backend(),
+                 "walk": _fastsearch.WALK if _fastsearch else None,
                  "nodes_explored": nodes, "runs": len(results), "wall_time": best,
                  "ns_per_node": best / nodes * 1e9})
 print(json.dumps(rows))

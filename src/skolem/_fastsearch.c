@@ -43,6 +43,19 @@
  * and plain n = 25 counts 15-30% slower.  For t <= 5 the whole walk is one
  * tail.
  *
+ * upper, with the tails inlined into it, is compiled twice from one text,
+ * UPPER.  Built for baseline x86-64, each shift of a level takes its count
+ * in CL, and c & -c and f & ~g each need a separate neg or not; BMI2's
+ * shlx and shrx and BMI1's blsi and andn do each in one instruction.  So
+ * GCC and clang on x86-64 also build upper_bmi2, for target bmi,bmi2, and
+ * the module picks it once at import, on a CPU that has both, and names
+ * the copy it runs in WALK, "bmi2" or "baseline".  The strong n = 25 and
+ * n = 27 counts took 5-6% less time and the plain n = 25 count 7-8% (gcc
+ * 12 -O3, AMD EPYC).  The baseline copy is the one upper that came before
+ * it, instruction for instruction, and the only one elsewhere.  No build
+ * flag is needed, and none is set: a module built with -mbmi2 dies with
+ * SIGILL on a CPU without BMI2.
+ *
  * The walk runs with the GIL released, so skolem.search can run several
  * top-level partitions at once on threads.  Kept witnesses wait in a C
  * buffer, and the walk takes the GIL back only to turn a full buffer into
@@ -252,34 +265,45 @@ TAIL_LEVEL(3, tail2)
 TAIL_LEVEL(4, tail3)
 TAIL_LEVEL(5, tail4)
 
-static int upper(struct walk *, struct level *, uint64_t, uint64_t, uint64_t, const int);
+/* A level above the tail, t > TAIL, as the out-of-line function upper,
+ * with attributes attrs, that recurses, at most t - TAIL = 26 frames deep,
+ * and tests strong per node; the upper levels hold a fifth of the
+ * placements.  Its child, below_upper, at lv, entered as tail1 is, is
+ * another upper level, or the first tail level, inlined once with
+ * strong = 1 and once with 0.  First, once the node count passes
+ * next_poll, it polls for Ctrl-C with the GIL and moves next_poll 2^20
+ * nodes on; a tail subtree has at most 10 free elements, so a poll comes
+ * at most a few thousand nodes late.  Each UPPER is one copy of the pair,
+ * whose below_upper enters its own upper. */
+#define UPPER(upper, below_upper, attrs)                                                 \
+    static attrs int upper(struct walk *, struct level *, uint64_t, uint64_t, uint64_t,  \
+                           const int);                                                   \
+    static inline __attribute__((always_inline)) int below_upper(                        \
+        struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums, uint64_t c,    \
+        const int strong)                                                                \
+    {                                                                                    \
+        if (w->nodes >= w->next_poll) {                                                  \
+            PyEval_RestoreThread(w->tstate);                                             \
+            if (PyErr_CheckSignals() < 0)                                                \
+                return -1; /* with the GIL held */                                       \
+            w->tstate = PyEval_SaveThread();                                             \
+            w->next_poll = w->nodes + (1 << 20);                                         \
+        }                                                                                \
+        if (lv < w->lv + w->t - TAIL)                                                    \
+            return upper(w, lv, free_, hsums, c, strong);                                \
+        return strong ? tail5(w, lv, free_, hsums, c, 1) : tail5(w, lv, free_, hsums, c, 0); \
+    }                                                                                    \
+    LEVEL(static attrs int upper, below_upper)
 
-/* The child of an upper level, at lv, entered as tail1 is: another upper
- * level, or the first tail level, inlined once with strong = 1 and once
- * with 0.  First, once the node count passes next_poll, it polls for
- * Ctrl-C with the GIL and moves next_poll 2^20 nodes on; a tail subtree
- * has at most 10 free elements, so a poll comes at most a few thousand
- * nodes late. */
-static inline __attribute__((always_inline)) int
-below_upper(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums, uint64_t c,
-            const int strong)
-{
-    if (w->nodes >= w->next_poll) {
-        PyEval_RestoreThread(w->tstate);
-        if (PyErr_CheckSignals() < 0)
-            return -1; /* with the GIL held */
-        w->tstate = PyEval_SaveThread();
-        w->next_poll = w->nodes + (1 << 20);
-    }
-    if (lv < w->lv + w->t - TAIL)
-        return upper(w, lv, free_, hsums, c, strong);
-    return strong ? tail5(w, lv, free_, hsums, c, 1) : tail5(w, lv, free_, hsums, c, 0);
-}
+UPPER(upper, below_upper, )
 
-/* A level above the tail, t > TAIL: one out-of-line function that recurses,
- * at most t - TAIL = 26 frames deep, and tests strong per node; the upper
- * levels hold a fifth of the placements. */
-LEVEL(static int upper, below_upper)
+/* The walk's BMI1/BMI2 copy, built by GCC and clang for x86-64, and the
+ * flag, set once at import on a CPU that has both, that runs it */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define BMI2_WALK
+UPPER(upper_bmi2, below_upper_bmi2, __attribute__((target("bmi,bmi2"))))
+static int bmi2;
+#endif
 
 /* The walk from lv[0], with the candidates c != 0, whose F and every
  * level's d the caller set, r the shift between the frames of consecutive
@@ -304,7 +328,15 @@ walk(struct level *lv, int n, int t, int r, uint64_t c, const int strong,
     case 3: stop = tail3(&w, lv, lv->free_, 0, c, strong); break;
     case 4: stop = tail4(&w, lv, lv->free_, 0, c, strong); break;
     case 5: stop = tail5(&w, lv, lv->free_, 0, c, strong); break;
-    default: stop = upper(&w, lv, lv->free_, 0, c, strong); break;
+    default:
+#ifdef BMI2_WALK
+        if (bmi2) {
+            stop = upper_bmi2(&w, lv, lv->free_, 0, c, strong);
+            break;
+        }
+#endif
+        stop = upper(&w, lv, lv->free_, 0, c, strong);
+        break;
     }
     if (stop < 0) /* the GIL is held */
         goto fail;
@@ -750,8 +782,17 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__fastsearch(void)
 {
+    const char *walk_name = "baseline";
+#ifdef BMI2_WALK
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("bmi") && __builtin_cpu_supports("bmi2")) {
+        bmi2 = 1;
+        walk_name = "bmi2";
+    }
+#endif
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddIntConstant(m, "MAX_N", MAX_N) < 0)
+    if (m != NULL && (PyModule_AddIntConstant(m, "MAX_N", MAX_N) < 0 ||
+                      PyModule_AddStringConstant(m, "WALK", walk_name) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -256,22 +256,28 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(tops))
     count = nodes = kept = 0
     merged = []  # each merged part's raw witnesses, in ascending x
+    walked = [0] * (t + 1)  # the count of each part x once it is walked
 
     def part(x):
-        # The cap is what the merge below has not yet kept when the part
-        # starts: on one worker every earlier part is merged by then, on
-        # threads none is, so each asks for the whole cap and the merge
-        # cuts the list.
-        cap = collect - kept if collect >= 0 else -1
-        return mod.run_search(n, strong, stop_after, cap, True, x)
+        # The merge below keeps the cap less the witnesses of the parts
+        # below x, and no part is short of its count.  So a part asks for
+        # the cap less the counts of the parts below it walked by the time
+        # it starts: on one worker all of them, on threads those finished.
+        cap = max(collect - sum(walked[:x]), 0) if collect >= 0 else -1
+        result = mod.run_search(n, strong, stop_after, cap, True, x)
+        walked[x] = result[0]
+        return result
 
     started = time.perf_counter()
     if workers == 1:
         parts = map(part, tops)
     else:
-        # Parts grow towards the mirror axis x = (t + 1) / 2, so threads
-        # take the parts nearest it first and the last to start is small.
-        queued = sorted(tops, key=lambda x: abs(2 * x - t - 1))
+        # Parts grow towards the mirror axis x = (t + 1) / 2, so a count's
+        # threads take the parts nearest it first and the last to start is
+        # small.  An enumeration takes them in ascending x, so that more
+        # of the parts below each are walked when it starts; the part
+        # sizes are symmetric, so its last part is small too.
+        queued = sorted(tops, key=lambda x: abs(2 * x - t - 1)) if mirrored else list(tops)
         done = dict(zip(queued, _thread_map(workers, part, queued)))
         parts = map(done.pop, tops)
     for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):

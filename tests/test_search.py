@@ -4,6 +4,7 @@ import gc
 import inspect
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -719,23 +720,22 @@ def _hook_kernel(monkeypatch, fastsearch, run_search):
 @pytest.mark.parametrize("failing", [{2}, {1, 2}], ids=["part-2", "parts-1-and-2"])
 def test_failing_partition_raises_and_joins_every_thread(fastsearch, monkeypatch, failing):
     # a part that raises re-raises in the caller once every thread is
-    # joined; parts start nearest the mirror axis first (6, 7, 5, 8, ...,
-    # 2, 11, 1, 12 at n = 25) and stop at the failure.  When two parts
-    # fail, the first in that order wins, not the first in time: part 2
-    # raises only after part 1 has.
-    queue = [6, 7, 5, 8, 4, 9, 3, 10, 2, 11, 1, 12]
+    # joined; an enumeration's parts start in ascending x and stop at the
+    # failure.  When two parts fail, the first in that order wins, not the
+    # first in time: part 1 raises only after part 2 has.
+    queue = list(range(1, 13))
     tops = []
-    first_failed = threading.Event()
+    second_failed = threading.Event()
 
     def run_search(*args):
         top = args[5]
         tops.append(top)
         if top not in failing:
             return fastsearch.run_search(*args)
-        if top == 1:
-            first_failed.set()
-        elif 1 in failing:
-            assert first_failed.wait(10)
+        if top == 2:
+            second_failed.set()
+        elif 2 in failing:
+            assert second_failed.wait(10)
         raise RuntimeError(f"partition {top} failed")
 
     _hook_kernel(monkeypatch, fastsearch, run_search)
@@ -784,8 +784,9 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
     # Ctrl-C while the caller walks its own part and the thread another:
     # the caller's part stops at the kernel's next poll, the thread's part
     # finishes, no queued part starts, and every thread is joined before
-    # the KeyboardInterrupt propagates.  Uninterrupted, the caller's part
-    # (partition 1 of n = 35) takes about ten seconds.
+    # the KeyboardInterrupt propagates.  An enumeration starts parts 1 and
+    # 2.  Uninterrupted, the caller's part (partition 1 of n = 35) takes
+    # about ten seconds.
     started, finished, interrupted = [], [], []
     caller_running = threading.Event()
 
@@ -810,10 +811,10 @@ def test_interrupt_lets_running_partitions_finish_and_starts_no_more(fastsearch,
     with pytest.raises(KeyboardInterrupt):
         search_skolem_starters(SearchConfig(n=25, mode="enumerate", workers=2))
     assert threading.active_count() == before
-    assert sorted(started) == [6, 7]
+    assert sorted(started) == [1, 2]
     [(caller_top, stopped_at)] = interrupted
     [(thread_top, finished_at)] = finished
-    assert {caller_top, thread_top} == {6, 7}
+    assert {caller_top, thread_top} == {1, 2}
     # the caller stopped while the thread's part was still running
     assert stopped_at < finished_at
 
@@ -908,20 +909,53 @@ def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, m
     assert (result.count, len(result.witnesses)) == (56, 10)
 
 
-def test_threads_ask_each_partition_for_the_whole_cap(fastsearch, monkeypatch):
-    # on threads every part runs before the merge, so each is asked for
-    # all 10 witnesses and the merge keeps the one-worker result's
+def test_threads_ask_each_partition_for_the_cap_less_the_parts_below(fastsearch, monkeypatch):
+    # on threads a part asks for the cap of 10 less the counts of the parts
+    # below it that are walked when it starts, and an enumeration queues
+    # its parts in ascending x.  Each part here runs alone, so every part
+    # that ran before it counts; the part counts are 6, 3, 7, 12, 12, 7, 3, 6
     one_worker = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10))
-    caps = []
+    counts = {x: fastsearch.run_search(17, True, 0, 0, True, x)[0] for x in range(1, 9)}
+    queues, calls = [], []
+    alone = threading.Lock()
+    thread_map = skolem.search._thread_map
+
+    def one_at_a_time(workers, fn, items):
+        queues.append(list(items))
+
+        def part(x):
+            with alone:
+                return fn(x)
+
+        return thread_map(workers, part, items)
 
     def run_search(*args):
-        caps.append(args[3])
+        calls.append((args[5], args[3]))
         return fastsearch.run_search(*args)
 
+    monkeypatch.setattr(skolem.search, "_thread_map", one_at_a_time)
     _hook_kernel(monkeypatch, fastsearch, run_search)
     result = search_skolem_starters(SearchConfig(n=17, mode="enumerate", limit=10, workers=2))
-    assert (result.workers, caps) == (2, [10] * 8)
+    assert (result.workers, queues) == (2, [list(range(1, 9))])
+    assert sorted(x for x, _ in calls) == list(range(1, 9))
+    for i, (x, cap) in enumerate(calls):
+        assert cap == max(10 - sum(counts[y] for y, _ in calls[:i] if y < x), 0)
     assert result.witnesses == one_worker.witnesses
+
+
+def test_threads_queue_a_count_nearest_the_mirror_axis_first(fastsearch, monkeypatch):
+    # a count's parts grow towards the axis x = (t + 1) / 2, so its
+    # threads take the largest parts first and the last to start is small
+    queues = []
+    thread_map = skolem.search._thread_map
+
+    def record(workers, fn, items):
+        queues.append(list(items))
+        return thread_map(workers, fn, items)
+
+    monkeypatch.setattr(skolem.search, "_thread_map", record)
+    result = search_skolem_starters(SearchConfig(n=25, workers=2))
+    assert (result.count, queues) == (STARTER_COUNTS[25, True], [[6, 5, 4, 3, 2, 1]])
 
 
 def test_parallel_zero_count_order():
@@ -965,6 +999,17 @@ def test_backend_override(fastsearch, monkeypatch):
     result = search_skolem_starters(SearchConfig(n=11))
     assert result.backend == "pure"
     assert result.count == 2
+
+
+def test_the_walk_runs_on_bmi2_exactly_where_the_cpu_has_it(fastsearch):
+    # GCC and clang build the walk a second time for BMI1 and BMI2 on
+    # x86-64, and the module picks that copy at import on a CPU that lists
+    # both; anywhere else the walk is the baseline copy
+    flags = set()
+    if sys.platform == "linux" and platform.machine() == "x86_64":
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+        flags = set(next(line for line in lines if line.startswith("flags")).split())
+    assert fastsearch.WALK == ("bmi2" if {"bmi1", "bmi2"} <= flags else "baseline")
 
 
 def test_non_int_limit_or_workers_is_refused_on_both_kernels(fastsearch, monkeypatch):
