@@ -20,9 +20,10 @@ fill KERNEL_SECONDS, and at least KERNEL_RUNS.  A short count keeps
 speeding up over its first runs, so a fixed few runs read it high.  Per
 row: the backend and, for the compiled one, the copy of its walk that
 runs on this CPU (_fastsearch.WALK, bmi2 or baseline), nodes_explored,
-the number of runs kept, the best wall_time and ns per node.  A count walks only half of the mirrored tree and reports the whole
-tree's nodes, so ns per node is per node of the whole tree, about half the
-time each walked node takes.  The commands are `skolem tabulate --q-max
+the number of runs kept, the best wall_time and ns per node.  A count
+walks only half of the mirrored tree and reports the whole tree's nodes,
+so ns per node is per node of the whole tree, about half the time each
+walked node takes.  The commands are `skolem tabulate --q-max
 20000 --beta both`, the same table to q = 5000 as JSON, `skolem search 27`
 and `skolem search 25 --enumerate --no-strong`, five runs each.  Last, it
 runs the Tier-1 suite once, `python -m pytest -q` at the checkout's root,

@@ -259,10 +259,10 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     walked = [0] * (t + 1)  # the count of each part x once it is walked
 
     def part(x):
-        # The merge below keeps the cap less the witnesses of the parts
-        # below x, and no part is short of its count.  So a part asks for
-        # the cap less the counts of the parts below it walked by the time
-        # it starts: on one worker all of them, on threads those finished.
+        # The merge below keeps from part x at most the cap less the
+        # counts of the parts below it, so the part asks for the cap less
+        # the counts of those walked by the time it starts: on one worker
+        # all of them, on threads those that have finished.
         cap = max(collect - sum(walked[:x]), 0) if collect >= 0 else -1
         result = mod.run_search(n, strong, stop_after, cap, True, x)
         walked[x] = result[0]
