@@ -1,6 +1,6 @@
 """Record a baseline: the benchmark's end-to-end metrics over several seeds,
 the search kernel's speed, the wall time and peak RSS of four command-line
-runs and the wall time of one Tier-1 run, in one file.
+runs, the wall time of one Tier-1 run and the source size, in one file.
 
     python3 bench/record.py --label NAME
 
@@ -33,10 +33,12 @@ BENCH_<NAME>.json, written at the checkout's root, holds, per workload,
 each row's provenance, attempted and failed and its end-to-end metrics,
 and the median and IQR/median over the seeds of each metric; the kernel
 rows; per command, every run's wall time and peak RSS, with the same
-two figures of each; and the Tier-1 run's wall time, exit code and its
-pytest summary line.  It also records the length of the checkout's path,
-which moves peak_rss_mb, so only baselines taken from paths of equal
-length compare on that metric.
+two figures of each; the Tier-1 run's wall time, exit code and its
+pytest summary line; and, as source, bench/size.py's figures: the lines
+of each file under src/skolem, the C file's lines that hold code and the
+Python lines that hold code.  It also records the length of the
+checkout's path, which moves peak_rss_mb, so only baselines taken from
+paths of equal length compare on that metric.
 """
 
 import argparse
@@ -47,6 +49,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from size import sizes
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
@@ -202,6 +206,7 @@ def main(argv=None) -> int:
     out["kernel"] = time_kernel()
     out["commands"] = {name: time_command(cli, CLI_RUNS) for name, cli in COMMANDS.items()}
     out["tier1"] = time_tests()
+    out["source"] = sizes()
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"# wrote {path.name}", file=sys.stderr)

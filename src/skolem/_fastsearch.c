@@ -58,39 +58,35 @@
  *
  * The walk runs with the GIL released, so skolem.search can run several
  * top-level partitions at once on threads.  Kept witnesses wait in a C
- * buffer, and the walk takes the GIL back only to turn a full buffer into
- * bytes objects and, in upper alone, to poll for Ctrl-C each time the node
- * count passes a threshold that then moves 2^20 nodes on; a tail subtree
- * between two checks has at most 10 free elements, so a poll comes at most
- * a few thousand nodes late.  Taking the GIL per witness made two threads
- * enumerating n = 25 slower than one.  Every error path and the result
- * are built with the GIL held.
+ * buffer as rows, and the walk takes the GIL back only to flush a full
+ * buffer and, in upper alone, to poll for Ctrl-C each time the node count
+ * passes a threshold that then moves 2^20 nodes on; a tail subtree between
+ * two checks has at most 10 free elements, so a poll comes at most a few
+ * thousand nodes late.  Taking the GIL per witness made two threads
+ * enumerating n = 25 slower than one.  Every error path and the result are
+ * built with the GIL held.
  *
- * A witness is the walk's own row: a bytes object of length t whose byte
- * d - 1 is the smaller element x of the difference-d pair (x, x + d).
+ * A row is t bytes, byte d - 1 the smaller element x of the difference-d
+ * pair (x, x + d).  Called without a class, run_search flushes each row as
+ * a bytes object.  Called with one, PairSet, it flushes each as an instance
+ * of the class: it allocates one and sets its two slots, n and pairs, the
+ * tuple of the row's pairs (x, x + d) in ascending x, each distinct pair
+ * one tuple shared by every search.  It refuses, with TypeError, a class
+ * whose instances have a __dict__ or a __weakref__, or that lacks either
+ * slot of its own.  skolem.search calls it so, and its wall time takes in
+ * the building.
  *
- * witness_pairs, skolem_pairs and skolem_verdicts read pairs, and read them
- * one way: each element is taken only if it is in range, a byte of a
- * witness or, through read_int, an exact int; pair_up enters each pair in
- * a partner array mate, refusing an element already paired, and marks its
- * smaller element in a lows bitmap; and layout pops the lows bits in
- * ascending order into the canonical tuple of pairs (x, mate[x]), with no
- * set and no sort.  Only exact bytes and tuples, and for skolem_pairs
- * lists, are read, with no Python code run while they are, so nothing can
- * change them; for input read any other way each entry point returns None
- * or raises as its pure counterpart does.
- *
- * witness_pairs turns the walk's witnesses into instances of the class it
- * is given, PairSet: per witness, it allocates one and sets its two slots,
- * n and pairs, the tuple of the witness's pairs (x, x + d) in ascending x,
- * each distinct pair one tuple shared by every batch.  It refuses, with
- * TypeError, a class whose instances have a __dict__ or a __weakref__, or
- * that lacks either slot of its own.  It checks each witness in batch
- * order, and the first one that is not an exact bytes object of length t
- * whose pairs partition 1..n-1 raises ValueError("witness xs does not
- * partition 1..n-1"), as skolem._pysearch.witness_pairs does.  The batch
- * may be any iterable, copied once.  skolem.search calls it with the GIL
- * held, once per part, after the search's wall time is taken.
+ * The flush, skolem_pairs and skolem_verdicts read pairs, and read them one
+ * way: each element is taken only if it is in range, a byte of a row or,
+ * through read_int, an exact int; pair_up enters each pair in a partner
+ * array mate, refusing an element already paired, which the walk's own
+ * rows never repeat (SystemError if one did), and marks its smaller
+ * element in a lows bitmap; and layout pops the lows bits in ascending
+ * order into the canonical tuple of pairs (x, mate[x]), with no set and no
+ * sort.  Only exact tuples, and for skolem_pairs lists, are read from
+ * Python, with no Python code run while they are, so nothing can change
+ * them; for input read any other way each entry point returns None or
+ * raises as its pure counterpart does.
  *
  * One word per mask limits n to 63; skolem.search sends larger orders to
  * the pure-Python kernel.
@@ -116,18 +112,17 @@
  * them.  Each is taken out of the cyclic GC as it is built, which is safe
  * because an immutable tuple of such contents cannot be part of a cycle;
  * the collector would in time untrack it itself, and would scan it, and
- * all it holds, until then.  So is each PairSet that witness_pairs builds,
+ * all it holds, until then.  So is each PairSet that run_search builds,
  * for the same reason: frozen and slotted, it holds only an int and such a
  * tuple for good; the collector would never untrack it, and would rescan
- * every one kept so far.  So the class witness_pairs is given must be
- * frozen, as PairSet is.  The raw witnesses are bytes, which the collector
- * never tracks.  The lists and run_search's result tuple stay tracked.
+ * every one kept so far.  So the class run_search is given must be frozen,
+ * as PairSet is.  Rows are bytes, which the collector never tracks.  The
+ * lists and run_search's result tuple stay tracked.
  * Elements below 2^16 come from one table that lives as long as the
  * module, so every starter shares one int per value: it keeps at most 2^16
  * ints, about 2 MB, and the 512 KB pointer array is resident only where it
- * is touched.  layout takes pairs from two more such tables, for
- * witness_pairs and skolem_pairs alike.  Of
- * the 2t pairs of q's two construction starters, t are (d, 2d), one for
+ * is touched.  layout takes pairs from two more such tables, for the
+ * flush and skolem_pairs alike.  Of the 2t pairs of q's two construction starters, t are (d, 2d), one for
  * each d in 1..t, and these are the same for every q, so each (d, 2d) with
  * d < 2^15 comes from one table, both of whose elements are shared ints:
  * it keeps at most 2^15 pairs, about 1.8 MB, and its 256 KB pointer array
@@ -165,31 +160,13 @@ struct level {
     int d;
 };
 
-/* Append rows[0..count), t bytes each, to list as bytes objects.  Needs
- * the GIL.  Kept out of line, as the walk calls it once per BATCH
- * witnesses: a larger version inlined into the walk more than doubled
- * upper's code and slowed the strong n = 25 count by 2-4% (gcc 12 -O3,
- * AMD EPYC). */
-static __attribute__((noinline)) int
-append_witnesses(PyObject *list, unsigned char (*rows)[MAX_T], int count, int t)
-{
-    for (int r = 0; r < count; r++) {
-        PyObject *w = PyBytes_FromStringAndSize((const char *)rows[r], t);
-        if (w == NULL)
-            return -1;
-        int err = PyList_Append(list, w);
-        Py_DECREF(w);
-        if (err < 0)
-            return -1;
-    }
-    return 0;
-}
-
 /* The number of levels at the bottom of the walk that run as nested loops,
  * one function each; 4 to 7 measured alike. */
 #define TAIL 5
 
-/* What every level of one walk reads and updates. */
+/* What every level of one walk reads and updates, then what only a flush
+ * reads: the class whose instances it builds, if any, and the offsets of
+ * their slots n and pairs. */
 struct walk {
     struct level *lv;
     int n, t, r, batched;
@@ -197,7 +174,11 @@ struct walk {
     PyObject *witnesses;
     PyThreadState *tstate;
     unsigned char batch[BATCH][MAX_T];
+    PyTypeObject *cls;
+    Py_ssize_t n_at, pairs_at;
 };
+
+static int flush(struct walk *w);
 
 /* The last level, at lv, entered with the masks free_ and hsums and the
  * candidates c != 0: each candidate placed is a starter.  Counts it, keeps
@@ -222,7 +203,7 @@ tail1(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums, uint64_t
                     (unsigned char)__builtin_ctzll(w->lv[i].free_ ^ w->lv[i + 1].free_);
             if (++w->batched == BATCH) {
                 PyEval_RestoreThread(w->tstate);
-                if (append_witnesses(w->witnesses, w->batch, BATCH, w->t) < 0)
+                if (flush(w) < 0)
                     return -1;
                 w->batched = 0;
                 w->tstate = PyEval_SaveThread();
@@ -305,48 +286,45 @@ UPPER(upper_bmi2, below_upper_bmi2, __attribute__((target("bmi,bmi2"))))
 static int bmi2;
 #endif
 
-/* The walk from lv[0], with the candidates c != 0, whose F and every
- * level's d the caller set, r the shift between the frames of consecutive
- * levels: the (count, nodes, witnesses) triple, or NULL with an exception.
- * Inlined into each call with strong a constant, so each instance's tail
- * has none of the other's branches. */
+/* The walk w from w->lv[0], with the candidates c != 0, whose F and every
+ * level's d the caller set, as every field of w but witnesses, tstate, the
+ * counters and the batch: the (count, nodes, witnesses) triple, or NULL with
+ * an exception.  Inlined into each call with strong a constant, so each
+ * instance's tail has none of the other's branches. */
 static inline __attribute__((always_inline)) PyObject *
-walk(struct level *lv, int n, int t, int r, uint64_t c, const int strong,
-     long long stop_after, long long collect_limit)
+walk(struct walk *w, uint64_t c, const int strong)
 {
-    struct walk w = {.lv = lv, .n = n, .t = t, .r = r, .next_poll = 1 << 20,
-                     .stop_after = stop_after, .collect_limit = collect_limit,
-                     .witnesses = PyList_New(0)};
-    if (w.witnesses == NULL)
+    struct level *lv = w->lv;
+    if ((w->witnesses = PyList_New(0)) == NULL)
         return NULL;
     int stop;
     /* From here on no Python object is touched without the GIL */
-    w.tstate = PyEval_SaveThread();
-    switch (t) {
-    case 1: stop = tail1(&w, lv, lv->free_, 0, c, strong); break;
-    case 2: stop = tail2(&w, lv, lv->free_, 0, c, strong); break;
-    case 3: stop = tail3(&w, lv, lv->free_, 0, c, strong); break;
-    case 4: stop = tail4(&w, lv, lv->free_, 0, c, strong); break;
-    case 5: stop = tail5(&w, lv, lv->free_, 0, c, strong); break;
+    w->tstate = PyEval_SaveThread();
+    switch (w->t) {
+    case 1: stop = tail1(w, lv, lv->free_, 0, c, strong); break;
+    case 2: stop = tail2(w, lv, lv->free_, 0, c, strong); break;
+    case 3: stop = tail3(w, lv, lv->free_, 0, c, strong); break;
+    case 4: stop = tail4(w, lv, lv->free_, 0, c, strong); break;
+    case 5: stop = tail5(w, lv, lv->free_, 0, c, strong); break;
     default:
 #ifdef BMI2_WALK
         if (bmi2) {
-            stop = upper_bmi2(&w, lv, lv->free_, 0, c, strong);
+            stop = upper_bmi2(w, lv, lv->free_, 0, c, strong);
             break;
         }
 #endif
-        stop = upper(&w, lv, lv->free_, 0, c, strong);
+        stop = upper(w, lv, lv->free_, 0, c, strong);
         break;
     }
     if (stop < 0) /* the GIL is held */
         goto fail;
-    PyEval_RestoreThread(w.tstate);
-    if (append_witnesses(w.witnesses, w.batch, w.batched, t) < 0)
+    PyEval_RestoreThread(w->tstate);
+    if (flush(w) < 0)
         goto fail;
-    return Py_BuildValue("LLN", w.count, w.nodes, w.witnesses);
+    return Py_BuildValue("LLN", w->count, w->nodes, w->witnesses);
 
 fail: /* reached with the GIL held */
-    Py_DECREF(w.witnesses);
+    Py_DECREF(w->witnesses);
     return NULL;
 }
 
@@ -355,8 +333,9 @@ run_search(PyObject *self, PyObject *args)
 {
     int n, strong, descending = 1, fixed_top = 0;
     long long stop_after = 0, collect_limit = 0;
-    if (!PyArg_ParseTuple(args, "ip|LLpi:run_search", &n, &strong, &stop_after,
-                          &collect_limit, &descending, &fixed_top))
+    PyObject *cls = Py_None;
+    if (!PyArg_ParseTuple(args, "ip|LLpiO:run_search", &n, &strong, &stop_after,
+                          &collect_limit, &descending, &fixed_top, &cls))
         return NULL;
     if (n < 3 || n % 2 == 0)
         return PyErr_Format(PyExc_ValueError, "n must be odd and >= 3, got %d", n);
@@ -368,6 +347,31 @@ run_search(PyObject *self, PyObject *args)
     /* lv[t] is entered by no walk: a starter's last placement leaves its F
      * there to decode the witness */
     struct level lv[MAX_T + 1];
+    /* d * 2^-1 mod n steps by -2^-1 = t or by 2^-1 = t + 1 */
+    struct walk w = {.lv = lv, .n = n, .t = t, .r = descending ? t : t + 1,
+                     .next_poll = 1 << 20, .stop_after = stop_after,
+                     .collect_limit = collect_limit, .n_at = -1, .pairs_at = -1};
+    if (cls != Py_None) {
+        if (!PyType_Check(cls))
+            return PyErr_Format(PyExc_TypeError,
+                                "run_search() argument 7 must be type or None, not %.80s",
+                                Py_TYPE(cls)->tp_name);
+        w.cls = (PyTypeObject *)cls;
+        /* an instance must hold its two slots alone to leave the cyclic GC */
+        if (w.cls->tp_dictoffset || w.cls->tp_weaklistoffset)
+            return PyErr_Format(PyExc_TypeError,
+                                "%.80s instances have a __dict__ or a __weakref__",
+                                w.cls->tp_name);
+        for (PyMemberDef *m = w.cls->tp_members; m != NULL && m->name != NULL; m++) {
+            if (m->type == T_OBJECT_EX && strcmp(m->name, "n") == 0)
+                w.n_at = m->offset;
+            else if (m->type == T_OBJECT_EX && strcmp(m->name, "pairs") == 0)
+                w.pairs_at = m->offset;
+        }
+        if (w.n_at < 0 || w.pairs_at < 0)
+            return PyErr_Format(PyExc_TypeError, "%.80s has no slots n and pairs of its own",
+                                w.cls->tp_name);
+    }
     for (int i = 0; i < t; i++)
         lv[i].d = descending ? t - i : i + 1;
     if (fixed_top && !(1 <= fixed_top && fixed_top <= n - 1 - lv[0].d))
@@ -379,10 +383,7 @@ run_search(PyObject *self, PyObject *args)
     uint64_t c = lv[0].free_ & (lv[0].free_ >> lv[0].d);
     if (fixed_top)
         c &= BIT(fixed_top);
-    /* d * 2^-1 mod n steps by -2^-1 = t or by 2^-1 = t + 1 */
-    int r = descending ? t : t + 1;
-    return strong ? walk(lv, n, t, r, c, 1, stop_after, collect_limit)
-                  : walk(lv, n, t, r, c, 0, stop_after, collect_limit);
+    return strong ? walk(&w, c, 1) : walk(&w, c, 0);
 }
 
 #define WORDS(nbits) ((size_t)(nbits) / 64 + 1) /* a bitmap of bits 0..nbits */
@@ -489,72 +490,52 @@ layout(const int32_t *mate, const uint64_t *lows, long n, long t)
     return out;
 }
 
-static PyObject *
-witness_pairs(PyObject *self, PyObject *args)
+/* Append the batch's w->batched rows to w->witnesses: each row as a bytes
+ * object of length t, or, with a class, as an instance whose slot n is n and
+ * whose slot pairs is the row's canonical tuple of pairs, both instance and
+ * tuple untracked.  0, or -1 with an exception.  Needs the GIL.  Kept out
+ * of line, as the walk calls it once per BATCH witnesses: a larger version
+ * inlined into the walk more than doubled upper's code and slowed the
+ * strong n = 25 count by 2-4% (gcc 12 -O3, AMD EPYC). */
+static __attribute__((noinline)) int
+flush(struct walk *w)
 {
-    PyTypeObject *cls;
-    int n;
-    PyObject *arg;
-    if (!PyArg_ParseTuple(args, "O!iO:witness_pairs", &PyType_Type, &cls, &n, &arg))
-        return NULL;
-    if (n < 3 || n % 2 == 0 || n > MAX_N)
-        return PyErr_Format(PyExc_ValueError, "n must be odd and in 3..%d, got %d",
-                            MAX_N, n);
-    /* an instance must hold its two slots alone to leave the cyclic GC */
-    if (cls->tp_dictoffset || cls->tp_weaklistoffset)
-        return PyErr_Format(PyExc_TypeError,
-                            "%.80s instances have a __dict__ or a __weakref__",
-                            cls->tp_name);
-    Py_ssize_t n_at = -1, pairs_at = -1;
-    for (PyMemberDef *m = cls->tp_members; m != NULL && m->name != NULL; m++) {
-        if (m->type == T_OBJECT_EX && strcmp(m->name, "n") == 0)
-            n_at = m->offset;
-        else if (m->type == T_OBJECT_EX && strcmp(m->name, "pairs") == 0)
-            pairs_at = m->offset;
-    }
-    if (n_at < 0 || pairs_at < 0)
-        return PyErr_Format(PyExc_TypeError, "%.80s has no slots n and pairs of its own",
-                            cls->tp_name);
-    PyObject *order = new_int(n);
-    if (order == NULL)
-        return NULL;
-    PyObject *witnesses = PySequence_Tuple(arg);
-    Py_ssize_t count = witnesses == NULL ? 0 : PyTuple_GET_SIZE(witnesses);
-    PyObject *out = witnesses == NULL ? NULL : PyList_New(count);
-    int t = (n - 1) / 2;
-    for (Py_ssize_t k = 0; out != NULL && k < count; k++) {
-        PyObject *xs = PyTuple_GET_ITEM(witnesses, k);
-        /* only n entries are cleared: clearing all MAX_N made the call 20%
-         * slower on the 2656 witnesses of n = 19 */
-        int32_t mate[MAX_N];
-        memset(mate, 0, n * sizeof(int32_t));
-        uint64_t lows = 0;
-        /* t disjoint pairs (x, x + d) within 1..n-1: a partition */
-        int faulty = !PyBytes_CheckExact(xs) || PyBytes_GET_SIZE(xs) != t;
-        const unsigned char *row =
-            faulty ? NULL : (const unsigned char *)PyBytes_AS_STRING(xs);
-        for (int d = 1; d <= t && !faulty; d++) {
-            int x = row[d - 1];
-            faulty = x == 0 || x > n - 1 - d || pair_up(mate, &lows, x, x + d) < 0;
+    PyObject *order = w->cls == NULL ? NULL : new_int(w->n);
+    if (w->cls != NULL && order == NULL)
+        return -1;
+    int err = 0;
+    for (int k = 0; k < w->batched && !err; k++) {
+        const unsigned char *row = w->batch[k];
+        PyObject *item;
+        if (w->cls == NULL) {
+            item = PyBytes_FromStringAndSize((const char *)row, w->t);
+        } else {
+            /* only n entries are cleared: clearing all MAX_N made the
+             * PairSets of the 2656 witnesses of n = 19 20% slower to build */
+            int32_t mate[MAX_N];
+            memset(mate, 0, w->n * sizeof(int32_t));
+            uint64_t lows = 0;
+            int repeats = 0;
+            for (int d = 1; d <= w->t; d++)
+                repeats |= pair_up(mate, &lows, row[d - 1], row[d - 1] + d);
+            if (repeats)
+                PyErr_SetString(PyExc_SystemError, "run_search built a row that repeats an element");
+            PyObject *pairs = repeats ? NULL : layout(mate, &lows, w->n, w->t);
+            item = pairs == NULL ? NULL : w->cls->tp_alloc(w->cls, 0);
+            if (item == NULL) {
+                Py_XDECREF(pairs);
+            } else {
+                *(PyObject **)((char *)item + w->n_at) = Py_NewRef(order);
+                *(PyObject **)((char *)item + w->pairs_at) = pairs;
+                if (PyType_IS_GC(w->cls))
+                    PyObject_GC_UnTrack(item);
+            }
         }
-        if (faulty)
-            PyErr_Format(PyExc_ValueError, "witness %R does not partition 1..%d", xs, n - 1);
-        PyObject *pairs = faulty ? NULL : layout(mate, &lows, n, t);
-        PyObject *ps = pairs == NULL ? NULL : cls->tp_alloc(cls, 0);
-        if (ps == NULL) {
-            Py_XDECREF(pairs);
-            Py_CLEAR(out);
-            break;
-        }
-        *(PyObject **)((char *)ps + n_at) = Py_NewRef(order);
-        *(PyObject **)((char *)ps + pairs_at) = pairs;
-        if (PyType_IS_GC(cls))
-            PyObject_GC_UnTrack(ps);
-        PyList_SET_ITEM(out, k, ps);
+        err = item == NULL || PyList_Append(w->witnesses, item) < 0;
+        Py_XDECREF(item);
     }
-    Py_XDECREF(witnesses);
-    Py_DECREF(order);
-    return out;
+    Py_XDECREF(order);
+    return err ? -1 : 0;
 }
 
 /* The modulus q as a C long, or -1 with TypeError or ValueError set: fold,
@@ -736,20 +717,13 @@ done:
 static PyMethodDef methods[] = {
     {"run_search", run_search, METH_VARARGS,
      "run_search(n, strong, stop_after=0, collect_limit=0, descending=True, "
-     "fixed_top=0, /)\n--\n\n"
+     "fixed_top=0, cls=None, /)\n--\n\n"
      "Count and optionally collect Skolem starters of Z_n, 3 <= n <= 63.\n\n"
      "See skolem._pysearch.run_search for the full parameter contract; both\n"
-     "kernels return identical (count, nodes, witnesses) triples."},
-    {"witness_pairs", witness_pairs, METH_VARARGS,
-     "witness_pairs(cls, n, witnesses)\n--\n\n"
-     "The pair sets of run_search witnesses, 3 <= n <= 63, as untracked\n"
-     "instances of cls, PairSet, whose slots n and pairs are set in C.\n\n"
-     "witnesses is any iterable.  The first witness, in batch order, that\n"
-     "is not an exact bytes object of length t whose pairs partition 1..n-1\n"
-     "raises ValueError.  TypeError for a cls whose instances have a\n"
-     "__dict__ or __weakref__, or that lacks either slot of its own.  See\n"
-     "skolem._pysearch.witness_pairs; both return equal lists and raise\n"
-     "the same ValueError."},
+     "kernels return identical (count, nodes, witnesses) triples.  The\n"
+     "instances of cls, PairSet, are built in C and untracked; TypeError for\n"
+     "a cls whose instances have a __dict__ or __weakref__, or that lacks\n"
+     "either slot n or pairs of its own."},
     {"fold", fold, METH_O,
      "fold(q)\n--\n\n"
      "skolem.construction._fold(q) for any odd q in 3..2**31 - 1: (low, high),\n"

@@ -23,25 +23,21 @@ leaving the level, with nothing to undo.  Here strong is tested at each
 node; the compiled kernel fixes it per compiled instance of its last
 five levels.
 
-witness_pairs turns the walk's witnesses into PairSets, through
-PairSet._from_witnesses, whose pair tuples share one tuple per distinct
-pair, and names the first witness whose pairs do not partition 1..n-1;
-it is the reference for the compiled one, which builds the PairSets in
-C.  The raw witness format, an exact bytes object of length t with
-xs[d - 1] the smaller element of the difference-d pair, is the compiled
-walk's own row; it is decoded here and in _fastsearch, and also by the
-tests and perfbench's kernel_pairs.
+A witness is the walk's row, an exact bytes object of length t with
+xs[d - 1] the smaller element of the difference-d pair, which the tests
+and perfbench's kernel_pairs decode, or, when run_search is given a class,
+PairSet, an instance of it: the tuple of its pairs (x, x + d) in ascending
+x, each pair one tuple per call from a table of every pair the walk can
+place, which cls._from_witnesses wraps.  The compiled kernel builds them
+in C.
 
 skolem.search runs this module when the extension did not build and for
-n > 63, calling run_search once per top-level partition (descending
-order, fixed_top = 1..t, or only 1..ceil(t/2) for a count, which weighs
-the mirrored parts twice) and witness_pairs once per merged part;
-the tests use it as a second implementation of the compiled one, and the
-ascending order as an independent route to the same counts.
+n > 63, calling run_search with PairSet once per top-level partition
+(descending order, fixed_top = 1..t, or only 1..ceil(t/2) for a count,
+which weighs the mirrored parts twice); the tests use it as a second
+implementation of the compiled one, and the ascending order as an
+independent route to the same counts.
 """
-
-from itertools import zip_longest
-from operator import getitem
 
 
 def run_search(
@@ -51,6 +47,7 @@ def run_search(
     collect_limit: int = 0,
     descending: bool = True,
     fixed_top: int = 0,
+    cls=None,
     /,
 ):
     """Walk every Skolem starter of Z_n, counting and optionally collecting.
@@ -70,8 +67,8 @@ def run_search(
 
     Returns (count, nodes, witnesses): nodes is the number of successful
     pair placements, witnesses a list of bytes objects xs with xs[d - 1]
-    the smaller element of the difference-d pair.  No argument has a
-    keyword.
+    the smaller element of the difference-d pair, or, given cls, PairSet,
+    of its instances of the same pairs.  No argument has a keyword.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
@@ -100,9 +97,12 @@ def run_search(
     cand[0] = free & (free >> order[0])
     if fixed_top:
         cand[0] &= 1 << fixed_top
+    # per level, each element bit it can place -> that pair, built at the
+    # first witness kept as a pair set
+    pairs = []
     count = 0
     nodes = 0
-    witnesses: list[bytes] = []
+    witnesses = []
     level = 0
     while True:
         c = cand[level]
@@ -131,41 +131,14 @@ def run_search(
         # A starter.  The next pass pops this level's next candidate.
         count += 1
         if collect_limit < 0 or len(witnesses) < collect_limit:
-            witnesses.append(bytes(xbit[i].bit_length() - 1 for i in by_difference))
+            if cls is None:
+                witnesses.append(bytes(xbit[i].bit_length() - 1 for i in by_difference))
+            else:
+                pairs = pairs or [{1 << x: (x, x + d) for x in range(1, n - d)} for d in order]
+                witnesses.append(tuple(sorted(map(dict.__getitem__, pairs, xbit))))
         if 0 < stop_after <= count:
             break
+    if cls is not None:
+        witnesses = list(cls._from_witnesses(n, witnesses))
     return count, nodes, witnesses
 
-
-def witness_pairs(cls, n: int, witnesses) -> list:
-    """The pair sets of run_search witnesses, for a valid n, as instances
-    of cls, which is PairSet: per witness xs, the set whose pairs are the
-    tuple of its pairs (x, x + d), xs[d - 1] = x, in ascending x, which
-    cls._from_witnesses wraps.  witnesses is any iterable.  The first
-    witness, in batch order, that is not an exact bytes object of length t
-    whose pairs partition 1..n-1 raises ValueError, as in _fastsearch: so
-    does a tuple, a bytearray or a memoryview of the same elements.
-
-    Each difference column is tabled over its in-range values only: x maps
-    to the pair (x, x + d), one tuple shared by every witness, so looking up
-    an element out of range is a KeyError.  The t pairs a witness looks up
-    partition 1..n-1 iff they hold 2t distinct elements; a witness of
-    another type reads as ().
-    """
-    witnesses = tuple(witnesses)  # read twice: into rows, and to name a fault
-    rows = [xs if type(xs) is bytes else () for xs in witnesses]
-    t = (n - 1) // 2
-    pairs = [
-        {x: (x, x + d) for x in {*column}.intersection(range(1, n - d))}
-        for d, column in zip(range(1, t + 1), zip_longest(*rows, fillvalue=0))
-    ]
-    out = []
-    for xs, row in zip(witnesses, rows):
-        try:
-            found = [*map(getitem, pairs, row)] if len(row) == t else ()
-        except KeyError:
-            found = ()
-        if len(set().union(*found)) != 2 * t:
-            raise ValueError(f"witness {xs!r} does not partition 1..{n - 1}")
-        out.append(tuple(sorted(found)))
-    return list(cls._from_witnesses(n, out))

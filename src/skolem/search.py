@@ -8,15 +8,15 @@ word limit and stops at n = 257, where a witness's elements still fit in
 its bytes.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
-difference t), merges the parts in ascending x and, after the walk, has
-the same kernel module turn each merged part's witnesses into PairSets,
-one part at a time, dropping the part's raw witnesses, one bytes object
-each, before the next; the compiled kernel builds them in C, out of the
-cyclic GC.  With workers > 1 the parts of the compiled kernel, which
-walks with the GIL released, run on the caller plus workers - 1 plain
-threads; the pure kernel holds the GIL, so it runs on one worker, which
-also sees Ctrl-C at once.  `import skolem` loads no executor, and
-_pysearch only when a search picks it.
+difference t), with PairSet, so that the kernel hands each kept witness
+over as a PairSet, and merges the parts in ascending x; the compiled
+kernel builds them in C, out of the cyclic GC, each time the walk takes
+the GIL back to flush its buffer of witnesses.  With workers > 1 the
+parts of the compiled kernel, which walks with the GIL released, run on
+the caller plus workers - 1 plain threads; the pure kernel holds the
+GIL, so it runs on one worker, which also sees Ctrl-C at once.
+`import skolem` loads no executor, and _pysearch only when a search
+picks it.
 The reflection x -> n - x - d maps starters to starters and partition x
 to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds each
 mirror pair twice; its node count is still that of the whole tree.
@@ -42,9 +42,9 @@ except ImportError:
 DEFAULT_CEILING = 27
 
 # The pure kernel, the only one past n = 63, hands each witness over as
-# bytes, and a smaller element x <= n - 2 must fit in a byte.  No search
-# near the bound can finish anyway: the pure kernel finds no first strong
-# witness for any n in 89..123 within 20 s.
+# bytes when not given PairSet, and a smaller element x <= n - 2 must fit
+# in a byte.  No search near the bound can finish anyway: the pure kernel
+# finds no first strong witness for any n in 89..123 within 20 s.
 MAX_SEARCH_N = 257
 
 
@@ -150,14 +150,13 @@ class SearchResult:
     placements across the whole walk; for COUNT_ALL that is the whole
     tree, the walked partitions with each mirror pair doubled, which the
     reflection makes exact.  witnesses holds collected starters in
-    deterministic depth-first order: the witness_pairs of the kernel
-    that walked the tree turns them into PairSets one merged part at a
-    time, with n validated once by SearchConfig; the compiled one builds
-    them in C and the GC does not track them.  wall_time times the walk
-    only (kernel calls, worker start-up and merge), not the building of
-    the PairSets.  workers is the number of threads the walk used, the
-    caller plus workers - 1 plain ones: always 1 for FIRST_WITNESS and on
-    the pure kernel.
+    deterministic depth-first order, as PairSets that the kernel that
+    walked the tree builds as it walks, with n validated once by
+    SearchConfig; the compiled one builds them in C and the GC does not
+    track them.  wall_time times the whole search: kernel calls with the
+    building of the PairSets, worker start-up and merge.  workers is the
+    number of threads the walk used, the caller plus workers - 1 plain
+    ones: always 1 for FIRST_WITNESS and on the pure kernel.
     """
 
     n: int
@@ -254,8 +253,8 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     mirrored = config.mode is SearchMode.COUNT_ALL
     tops = range(1, (t + 1) // 2 + 1 if mirrored else t + 1)
     workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(tops))
-    count = nodes = kept = 0
-    merged = []  # each merged part's raw witnesses, in ascending x
+    count = nodes = 0
+    witnesses = []
     walked = [0] * (t + 1)  # the count of each part x once it is walked
 
     def part(x):
@@ -264,7 +263,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         # the counts of those walked by the time it starts: on one worker
         # all of them, on threads those that have finished.
         cap = max(collect - sum(walked[:x]), 0) if collect >= 0 else -1
-        result = mod.run_search(n, strong, stop_after, cap, True, x)
+        result = mod.run_search(n, strong, stop_after, cap, True, x, PairSet)
         walked[x] = result[0]
         return result
 
@@ -285,19 +284,11 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         count += weight * part_count
         nodes += weight * part_nodes
         if collect >= 0:
-            del part_witnesses[collect - kept:]
-        kept += len(part_witnesses)
-        merged.append(part_witnesses)
+            del part_witnesses[collect - len(witnesses):]
+        witnesses += part_witnesses
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started
-    # One part at a time, each part's raw witnesses freed before the next
-    # part's PairSets are built: one batch would keep every raw witness
-    # alive beside every PairSet until it returned.
-    witnesses = []
-    for raw in merged:
-        witnesses += mod.witness_pairs(PairSet, n, raw)
-        raw.clear()
 
     return SearchResult(
         n=n,

@@ -48,10 +48,10 @@ class PairSet:
     __setattr__ and __delattr__ bound to the old one: an instance has no
     __dict__ and takes no weak reference, and holds only n and the tuple of
     pairs.  It pickles and copies as a call to the checking constructor.
-    A compiled search builds its witnesses in C and takes each out of the
-    cyclic GC, as it does their pair tuples: an object that holds only an
-    int and a tuple of int pairs, and that nothing can change, cannot join
-    a cycle.
+    A compiled search builds its witnesses in C as its walk flushes them,
+    and takes each out of the cyclic GC, as it does their pair tuples: an
+    object that holds only an int and a tuple of int pairs, and that
+    nothing can change, cannot join a cycle.
 
     The constructor checks outside input in one pass, pair by pair, and
     raises for the first faulty pair in input order: a pair without
@@ -63,8 +63,8 @@ class PairSet:
     entries, both leaving n to the caller to validate once: _from_pairs
     for one pair set, which checks only that the pairs partition
     {1, ..., n-1} exactly, and _from_witnesses, which wraps pair tuples
-    already canonical and checked, as _from_pairs, the pure kernel's
-    witness_pairs and the compiled skolem_pairs hand them over.
+    already canonical and checked, as _from_pairs, the pure kernel's walk
+    and the compiled skolem_pairs hand them over.
     """
 
     __slots__ = ("n", "pairs")
@@ -120,9 +120,9 @@ class PairSet:
     @classmethod
     def _from_witnesses(cls, n: int, canonical) -> tuple["PairSet", ...]:
         """The PairSets, for a valid n, of canonical pair tuples already
-        checked to partition 1..n-1, as the pure kernel's witness_pairs or
-        the compiled skolem_pairs lays them out.  Each one is wrapped as it
-        is, shared pairs and all.
+        known to partition 1..n-1, as the pure kernel's run_search builds
+        them from its walk or the compiled skolem_pairs lays them out.
+        Each one is wrapped as it is, shared pairs and all.
         """
         new, set_field = object.__new__, object.__setattr__
         out = []

@@ -4,17 +4,14 @@ Each drawn call fixes every run_search argument, including a top-level
 partition and an early stop with a witness cap, and each kernel must
 return the (count, nodes, witnesses) triple of the recursive walk in
 _naive.py, which tests every candidate's sum instead of masking by
-half-sums.  Each drawn batch of witnesses, real ones and corruptions of
-them, each as bytes or as a tuple, bytearray or memoryview of the same
-elements, passed as a list or as a one-shot iterator, must get PairSets
-with the same pair tuples or the same ValueError from both kernels'
-witness_pairs.  Each drawn folding certificate, real or corrupted, must
-get the same pair set, element types included, or the same error from
-the construction's compiled and pure routes.
+half-sums; on half the draws the call passes PairSet too, and each
+witness must be the PairSet of that walk's row.  Each drawn folding
+certificate, real or corrupted, must get the same pair set, element
+types included, or the same error from the construction's compiled and
+pure routes.
 """
 
 import enum
-from functools import cache
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -31,7 +28,7 @@ def _kernel_calls(draw):
     n = draw(st.sampled_from(range(3, 18, 2)))
     descending = draw(st.booleans())
     top_d = (n - 1) // 2 if descending else 1
-    return (
+    args = (
         n,
         draw(st.booleans()),
         draw(st.sampled_from((0, 1, 3))),
@@ -39,55 +36,22 @@ def _kernel_calls(draw):
         descending,
         draw(st.integers(0, n - 1 - top_d)),
     )
+    return args, draw(st.booleans())
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(args=_kernel_calls())
-def test_kernels_agree_on_random_calls(fastsearch, args):
-    # args: (n, strong, stop_after, collect_limit, descending, fixed_top)
-    expected = sum_array_walk(*args)
-    assert fastsearch.run_search(*args) == expected
-    assert _pysearch.run_search(*args) == expected
-
-
-@cache
-def _plain_witnesses(n):
-    return _pysearch.run_search(n, False, 0, -1)[2]
-
-
-@st.composite
-def _witness_batches(draw):
-    n = draw(st.sampled_from(range(3, 18, 2)))
-    t = (n - 1) // 2
-    # near the range, and anywhere in a byte
-    element = st.one_of(st.integers(0, n + 1), st.integers(0, 255))
-    drawn = st.lists(element, min_size=t - 1, max_size=t + 1).map(bytes)
-    found = _plain_witnesses(n)
-    if found:
-        real = st.sampled_from(found)
-        changed = st.tuples(real, st.integers(0, t - 1), element).map(
-            lambda c: c[0][: c[1]] + bytes((c[2],)) + c[0][c[1] + 1 :]
-        )
-        drawn = st.one_of(real, changed, drawn)
-    # mostly bytes, the one type read; the others hold the same elements
-    typed = st.tuples(st.sampled_from((bytes,) * 4 + (tuple, bytearray, memoryview)), drawn)
-    witness = typed.map(lambda c: c[0](c[1]))
-    # passed as a list, or as an iterator that can be read only once
-    return n, draw(st.lists(witness, max_size=4)), draw(st.sampled_from((list, iter)))
-
-
-def _outcome(kernel, n, batch):
-    try:
-        return [ps.pairs for ps in kernel.witness_pairs(PairSet, n, batch)]
-    except ValueError as exc:
-        return str(exc)
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(case=_witness_batches())
-def test_witness_pairs_agree_on_random_batches(fastsearch, case):
-    n, batch, wrap = case
-    assert _outcome(fastsearch, n, wrap(batch)) == _outcome(_pysearch, n, wrap(batch))
+@given(case=_kernel_calls())
+def test_kernels_agree_on_random_calls(fastsearch, case):
+    # args: (n, strong, stop_after, collect_limit, descending, fixed_top),
+    # and with pair_sets the class too
+    args, pair_sets = case
+    count, nodes, witnesses = sum_array_walk(*args)
+    if pair_sets:
+        n = args[0]
+        witnesses = [PairSet(n, [(x, x + d) for d, x in enumerate(xs, 1)]) for xs in witnesses]
+        args += (PairSet,)
+    assert fastsearch.run_search(*args) == (count, nodes, witnesses)
+    assert _pysearch.run_search(*args) == (count, nodes, witnesses)
 
 
 class _Two(enum.IntEnum):

@@ -99,6 +99,10 @@ def test_kernels_agree_at_the_top_of_the_word(fastsearch, n, nodes):
     expected = _pysearch.run_search(n, True, 3, -1, True, 0)
     assert expected[:2] == (3, nodes)
     assert fastsearch.run_search(n, True, 3, -1, True, 0) == expected
+    # and so do their PairSets, whose elements reach n - 1
+    pair_sets = [PairSet(n, zip(xs, _partners(xs))) for xs in expected[2]]
+    for kernel in (fastsearch, _pysearch):
+        assert kernel.run_search(n, True, 3, -1, True, 0, PairSet) == (*expected[:2], pair_sets)
 
 
 def test_pure_kernel_does_not_recurse():
@@ -121,123 +125,50 @@ def test_pure_kernel_does_not_recurse():
     assert result[:2] == NODE_COUNTS[(21, True)]
 
 
-class _Bytes(bytes):
-    pass
-
-
 def _partners(xs):
     """The larger elements x + d of a witness's pairs, xs[d - 1] = x."""
     return [x + d for d, x in enumerate(xs, start=1)]
 
 
-# Both kernel modules turn raw witnesses into PairSets through their own
-# witness_pairs, the compiled one in C and the pure one through
+# Given PairSet, both kernels' run_search hand their witnesses over as
+# PairSets, the compiled one built in C and the pure one through
 # PairSet._from_witnesses; every test below holds the two to the same
 # contract.
 
 
 def test_witness_constructor_matches_pair_set(fastsearch):
-    for kernel in (fastsearch, _pysearch):
-        for n in range(3, 20, 2):
+    # run_search with PairSet gives the count and node count of the call
+    # without it and, per row, the pair set of that row's pairs: for the
+    # whole walk and every top-level partition, each walked whole, to the
+    # first starter and to a cap of 3.  The pure kernel stops at n = 19:
+    # its walks of n = 21 and 23 would take the test from 2 s to 40 s
+    for kernel, n_max in ((fastsearch, 23), (_pysearch, 19)):
+        for n in range(3, n_max + 1, 2):
             for strong in (False, True):
                 for descending in (True, False):
-                    _, _, witnesses = kernel.run_search(n, strong, 0, -1, descending, 0)
-                    batch = kernel.witness_pairs(PairSet, n, witnesses)
-                    assert len(batch) == len(witnesses)
-                    for xs, from_batch in zip(witnesses, batch):
-                        fast = PairSet._from_pairs(n, xs, _partners(xs))
-                        checked = PairSet(n, zip(xs, _partners(xs)))
-                        for built in (fast, from_batch):
-                            assert built.pairs == checked.pairs
-                            assert built == checked
-                            assert hash(built) == hash(checked)
+                    top_d = (n - 1) // 2 if descending else 1
+                    for top in range(n - top_d):
+                        for stop, cap in ((0, -1), (1, 1), (0, 3)):
+                            args = (n, strong, stop, cap, descending, top)
+                            count, nodes, rows = kernel.run_search(*args)
+                            found = kernel.run_search(*args, PairSet)
+                            assert found[:2] == (count, nodes), (kernel, args)
+                            assert len(found[2]) == len(rows), (kernel, args)
+                            for xs, ps in zip(rows, found[2]):
+                                checked = PairSet(n, zip(xs, _partners(xs)))
+                                fast = PairSet._from_pairs(n, xs, _partners(xs))
+                                for built in (ps, fast):
+                                    assert type(built) is PairSet
+                                    assert built.pairs == checked.pairs and built == checked
+                                    assert hash(built) == hash(checked)
 
 
 def test_witness_batch_of_none_is_empty(fastsearch):
+    # no Skolem starter of Z_13 exists; a count collects none
     for kernel in (fastsearch, _pysearch):
-        assert kernel.witness_pairs(PairSet, 11, []) == []
+        assert kernel.run_search(13, False, 0, -1, True, 0, PairSet)[::2] == (0, [])
+        assert kernel.run_search(11, False, 0, 0, True, 0, PairSet)[::2] == (10, [])
     assert PairSet._from_witnesses(11, []) == ()
-
-
-def test_witness_batch_range_checks_each_difference_column(fastsearch):
-    # each difference d takes x in 1..n-1-d: 0 and n - d are refused in
-    # every column, and so are 9 + 64, which would alias 9 under a 64-bit
-    # shift, and 255, the largest byte
-    valid = bytes((9, 2, 5, 3, 1))
-    for d in range(1, 6):
-        for bad in (0, 11 - d, 9 + 64, 255):
-            xs = valid[: d - 1] + bytes((bad,)) + valid[d:]
-            messages = []
-            for kernel in (fastsearch, _pysearch):
-                with pytest.raises(ValueError) as info:
-                    kernel.witness_pairs(PairSet, 11, [valid, xs])
-                messages.append(str(info.value))
-            assert messages[0] == messages[1] == f"witness {xs!r} does not partition 1..10"
-
-
-def test_witness_batch_reaches_the_last_bit_of_the_word(fastsearch):
-    # n = 63, the compiled kernel's limit, puts element 62 on bit 62.  No
-    # Skolem starter of Z_63 exists, so pairs that are in range but cannot
-    # partition 1..62 name the witness, and so does element 63.
-    n, t = 63, 31
-    # (61, 62) for d = 1 and (31, 62) for d = 31 both hold element 62
-    in_range = bytes((61,) + (1,) * (t - 2) + (31,))
-    past_end = in_range[:-1] + bytes((32,))  # (32, 63) for d = 31
-    for xs in (in_range, past_end):
-        messages = []
-        for kernel in (fastsearch, _pysearch):
-            with pytest.raises(ValueError, match=r"^witness b'=\\x01.* does not partition 1\.\.62$") as info:
-                kernel.witness_pairs(PairSet, n, [xs])
-            messages.append(str(info.value))
-        assert messages[0] == messages[1] == f"witness {xs!r} does not partition 1..62"
-    for bad_n in (1, 4, 65):
-        with pytest.raises(ValueError, match=f"got {bad_n}$"):
-            fastsearch.witness_pairs(PairSet, bad_n, [])
-
-
-_VALID_11 = bytes((9, 2, 5, 3, 1))
-_VIEW_11 = memoryview(_VALID_11)  # one object: its repr is its address
-
-
-@pytest.mark.parametrize(
-    "batch, first_fault",
-    [
-        # two pairs holding 2, then the pair (6, 11) past n - 1
-        ([bytes((9, 2, 5, 2, 1)), bytes((9, 2, 5, 3, 6))], bytes((9, 2, 5, 2, 1))),
-        # a valid witness, a short one, then one with element 0
-        ([_VALID_11, bytes((9, 2, 5, 3)), bytes((0, 2, 5, 3, 1))], bytes((9, 2, 5, 3))),
-        # only an exact bytes object is read: a tuple, a bytearray, a
-        # memoryview and a bytes subclass hold the same elements
-        ([_VALID_11, (9, 2, 5, 3, 1)], (9, 2, 5, 3, 1)),
-        ([bytearray(_VALID_11), (9, 2, 5, 3, 1)], bytearray(_VALID_11)),
-        ([_VALID_11, _VIEW_11], _VIEW_11),
-        ([_VALID_11, _Bytes(_VALID_11)], _Bytes(_VALID_11)),
-        ([_VALID_11, "\t\x02\x05\x03\x01"], "\t\x02\x05\x03\x01"),
-    ],
-    # ids by position, as pytest names values that are not str or bytes
-    ids=[f"batch{i}-first_fault{i}" for i in range(7)],
-)
-def test_witness_batch_names_its_first_faulty_witness(fastsearch, batch, first_fault):
-    for kernel in (fastsearch, _pysearch):
-        with pytest.raises(ValueError) as info:
-            kernel.witness_pairs(PairSet, 11, batch)
-        assert str(info.value) == f"witness {first_fault!r} does not partition 1..10"
-
-
-def test_witness_batch_may_be_a_one_shot_iterable(fastsearch):
-    valid = _VALID_11
-    expected = [tuple(sorted(_witness_pairs(valid)))] * 2
-    for kernel in (fastsearch, _pysearch):
-        assert [ps.pairs for ps in kernel.witness_pairs(PairSet, 11, iter([valid, valid]))] == expected
-        assert [
-            ps.pairs for ps in kernel.witness_pairs(PairSet, 11, (xs for xs in [valid, valid]))
-        ] == expected
-        with pytest.raises(ValueError, match=r"^witness b'\\t\\x02\\x05\\x03' "):
-            kernel.witness_pairs(PairSet, 11, (xs for xs in [valid, valid[:-1]]))
-
-
-# a valid witness for each order the corruption cases below use
-_VALID_WITNESS = {3: b"\x01", 11: _VALID_11}
 
 
 @pytest.mark.parametrize(
@@ -259,19 +190,6 @@ _VALID_WITNESS = {3: b"\x01", 11: _VALID_11}
 def test_witness_constructor_rejects_non_partitions(fastsearch, n, xs):
     with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
         PairSet._from_pairs(n, xs, _partners(xs))
-    xs = bytes(xs)  # the kernels' witness format
-    valid = _VALID_WITNESS[n]
-    for batch in ([xs], [valid, xs, valid]):
-        messages = []
-        for kernel in (fastsearch, _pysearch):
-            assert [ps.pairs for ps in kernel.witness_pairs(PairSet, n, [valid])] == [
-                tuple(sorted(_witness_pairs(valid)))
-            ]
-            with pytest.raises(ValueError, match=f"not partition 1..{n - 1}") as info:
-                kernel.witness_pairs(PairSet, n, batch)
-            assert repr(valid) not in str(info.value)  # the fault is not blamed on it
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
 
 
 def test_witnesses_share_their_pair_tuples(fastsearch):
@@ -281,8 +199,8 @@ def test_witnesses_share_their_pair_tuples(fastsearch):
     t = (n - 1) // 2
     distinct_pairs = sum(n - 1 - d for d in range(1, t + 1))
     for kernel in (fastsearch, _pysearch):
-        _, _, witnesses = kernel.run_search(n, False, 0, -1)
-        canonical = [ps.pairs for ps in kernel.witness_pairs(PairSet, n, witnesses)]
+        _, _, witnesses = kernel.run_search(n, False, 0, -1, True, 0, PairSet)
+        canonical = [ps.pairs for ps in witnesses]
         assert len(canonical) == STARTER_COUNTS[(n, False)] > distinct_pairs
         assert len({id(p) for pairs in canonical for p in pairs}) <= distinct_pairs
     for workers in (1, 2):
@@ -307,17 +225,21 @@ def test_pair_tuples_are_shared_across_searches_and_the_construction(fastsearch)
 
 def test_compiled_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
     # tuples of ints, tuples of those, and the frozen slotted PairSets that
-    # hold an int and such a tuple cannot form a cycle, and the raw
-    # witnesses are bytes; the lists and the result triple, which hold
-    # them, stay tracked
+    # hold an int and such a tuple cannot form a cycle, and rows are
+    # bytes; the lists and the result triples, which hold them, stay
+    # tracked
     n = 19
-    result = fastsearch.run_search(n, False, 0, -1)
-    witnesses = result[2]
-    found = fastsearch.witness_pairs(PairSet, n, witnesses)
+    refs = sys.getrefcount(PairSet)
+    rows = fastsearch.run_search(n, False, 0, -1)
+    result = fastsearch.run_search(n, False, 0, -1, True, 0, PairSet)
+    witnesses, found = rows[2], result[2]
+    # each PairSet holds one reference to its class
+    assert sys.getrefcount(PairSet) == refs + len(found)
     assert len(witnesses) == len(found) == STARTER_COUNTS[(n, False)]
-    assert all(map(gc.is_tracked, (result, witnesses, found)))
+    assert all(map(gc.is_tracked, (rows, result, witnesses, found)))
     assert {(type(xs), len(xs)) for xs in witnesses} == {(bytes, (n - 1) // 2)}
     assert not any(map(gc.is_tracked, witnesses))
+    assert {type(ps) for ps in found} == {PairSet}
     assert not any(map(gc.is_tracked, found))
     assert not any(gc.is_tracked(ps.pairs) for ps in found)
     assert not any(gc.is_tracked(p) for ps in found for p in ps.pairs)
@@ -396,33 +318,10 @@ class _WithoutPairs:
     ids=["dict", "weakref", "no-pairs-slot", "no-slots", "not-a-class"],
 )
 def test_compiled_witness_pairs_refuses_a_class_it_cannot_untrack(fastsearch, cls, message):
+    # the compiled run_search builds its witnesses' pair sets only as
+    # instances it can take out of the cyclic GC
     with pytest.raises(TypeError, match=message):
-        fastsearch.witness_pairs(cls, 11, [_VALID_11])
-
-
-def test_a_faulty_witness_mid_batch_raises_alike_and_frees_the_batch(fastsearch, no_collection):
-    n = 19
-    witnesses = _pysearch.run_search(n, False, 0, -1)[2]
-    middle = len(witnesses) // 2
-    # the smaller element of its d = 2 pair for d = 1 too: in range, but
-    # not a partition
-    bad = witnesses[middle][1:2] + witnesses[middle][1:]
-    batch = witnesses[:middle] + [bad] + witnesses[middle + 1:]
-    # every PairSet holds a reference to its class, so each built before
-    # the fault must be freed with the batch
-    refs = sys.getrefcount(PairSet)
-    messages = []
-    for kernel in (fastsearch, _pysearch):
-        with pytest.raises(ValueError) as info:
-            kernel.witness_pairs(PairSet, n, batch)
-        messages.append(str(info.value))
-        del info  # its traceback holds the pure kernel's frame
-        assert sys.getrefcount(PairSet) == refs
-    assert messages[0] == messages[1] == f"witness {bad!r} does not partition 1..{n - 1}"
-    found = fastsearch.witness_pairs(PairSet, n, witnesses)
-    assert sys.getrefcount(PairSet) == refs + len(witnesses)
-    del found
-    assert sys.getrefcount(PairSet) == refs
+        fastsearch.run_search(11, True, 0, -1, True, 0, cls)
 
 
 def test_variable_order_does_not_change_the_count():
@@ -711,9 +610,7 @@ def test_active_backend_loads_no_pure_kernel():
 def _hook_kernel(monkeypatch, fastsearch, run_search):
     """Point the search at the compiled kernel, each run_search call going
     through the given hook instead."""
-    kernel = types.SimpleNamespace(
-        MAX_N=fastsearch.MAX_N, witness_pairs=fastsearch.witness_pairs, run_search=run_search
-    )
+    kernel = types.SimpleNamespace(MAX_N=fastsearch.MAX_N, run_search=run_search)
     monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
 
 
@@ -1028,19 +925,6 @@ def test_non_int_limit_or_workers_is_refused_on_both_kernels(fastsearch, monkeyp
 def test_orders_past_the_machine_word_run_the_pure_kernel(fastsearch):
     assert skolem.search._kernel(63) == (fastsearch, "compiled")
     assert skolem.search._kernel(65) == (_pysearch, "pure")
-
-
-def test_pure_witness_pairs_reads_a_row_near_the_top_of_a_byte():
-    # q = 251, prime and 3 mod 8, is the largest order within the search
-    # bound 257 that the construction covers; its row holds elements up to
-    # 247, far past the compiled word
-    built = build_strong_skolem(251)
-    row = bytearray(125)
-    for x, y in built.pairs:
-        row[y - x - 1] = x
-    assert max(row) > 127
-    (found,) = _pysearch.witness_pairs(PairSet, 251, [bytes(row)])
-    assert found == built and found.pairs == built.pairs
 
 
 def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):
