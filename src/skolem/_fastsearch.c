@@ -77,10 +77,10 @@
  * the building.
  *
  * The flush, skolem_pairs and skolem_verdicts read pairs, and read them one
- * way: each element is taken only if it is in range, a byte of a row or,
- * through read_int, an exact int; pair_up enters each pair in a partner
- * array mate, refusing an element already paired, which the walk's own
- * rows never repeat (SystemError if one did), and marks its smaller
+ * way: each element is a byte of the walk's own row or, through read_int,
+ * an exact int taken only if it is in range; pair_up enters each pair in a
+ * partner array mate, refusing an element already paired, which the walk's
+ * own rows never repeat (SystemError if one did), and marks its smaller
  * element in a lows bitmap; and layout pops the lows bits in ascending
  * order into the canonical tuple of pairs (x, mate[x]), with no set and no
  * sort.  Only exact tuples, and for skolem_pairs lists, are read from
