@@ -1,25 +1,32 @@
 """Count the source size of the package: the lines of each file under
 src/skolem, the lines of the C file that hold code, with its comments
 stripped by the preprocessor, and the Python lines that hold code: no
-blank, comment-only or docstring line.
+blank, comment-only or docstring line.  When the compiled module for
+this interpreter has been built in place under src/skolem, also its
+machine code: the size of its .text section and of the walk's two
+copies, upper and upper_bmi2, as nm -S gives them.
 
     python3 bench/size.py
 
-prints the C count, then each Python file's count and their total.
-bench/record.py writes the same figures, through sizes(), as the source
-block of BENCH_<label>.json.  The C count needs gcc.
+prints the C count, each Python file's count and their total, then the
+machine-code sizes.  bench/record.py writes the same figures, through
+sizes(), as the source block of BENCH_<label>.json.  The C count needs
+gcc, and the machine-code sizes binutils' size and nm.
 """
 
 import ast
 import io
 import subprocess
 import sys
+import sysconfig
 import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PY_FILES = sorted((ROOT / "src" / "skolem").glob("*.py"))
 C_FILE = ROOT / "src" / "skolem" / "_fastsearch.c"
+MODULE = C_FILE.with_name("_fastsearch" + sysconfig.get_config_var("EXT_SUFFIX"))
+SYMBOLS = ("upper", "upper_bmi2")
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -47,8 +54,26 @@ def python_code_lines(path: Path) -> int:
     return len(code - docs)
 
 
+def machine_code(path: Path) -> dict:
+    """The bytes of the module's .text section and of each of SYMBOLS that
+    it defines."""
+    sections = subprocess.run(["size", "-A", str(path)], capture_output=True, text=True,
+                              check=True).stdout
+    text = next(int(line.split()[1]) for line in sections.splitlines()
+                if line.split()[:1] == [".text"])
+    symbols = {}
+    listing = subprocess.run(["nm", "-S", str(path)], capture_output=True, text=True,
+                             check=True).stdout
+    for line in listing.splitlines():
+        fields = line.split()  # address, size, type, name
+        if len(fields) == 4 and fields[3] in SYMBOLS:
+            symbols[fields[3]] = int(fields[1], 16)
+    return {"module": str(path.relative_to(ROOT)), "text_bytes": text, "symbol_bytes": symbols}
+
+
 def sizes() -> dict:
-    """Every figure, by path relative to the checkout's root."""
+    """Every figure, by path relative to the checkout's root; machine_code
+    is None when the module is not built."""
     lines = {str(p.relative_to(ROOT)): p.read_bytes().count(b"\n") for p in PY_FILES + [C_FILE]}
     python = {str(p.relative_to(ROOT)): python_code_lines(p) for p in PY_FILES}
     return {
@@ -57,6 +82,7 @@ def sizes() -> dict:
         "c_code_lines": c_code_lines(C_FILE),
         "python_code_lines": python,
         "python_code_lines_total": sum(python.values()),
+        "machine_code": machine_code(MODULE) if MODULE.exists() else None,
     }
 
 
@@ -66,6 +92,14 @@ def main() -> int:
     for path, count in found["python_code_lines"].items():
         print(f"{count:8} {path}")
     print(f"{found['python_code_lines_total']:8} Python code lines")
+    code = found["machine_code"]
+    if code is None:
+        print(f"machine code: {MODULE.relative_to(ROOT)} is not built")
+    else:
+        print(f"machine code of {code['module']}:")
+        print(f"{code['text_bytes']:8} bytes of .text")
+        for name, size in code["symbol_bytes"].items():
+            print(f"{size:8} bytes of {name}")
     return 0
 
 

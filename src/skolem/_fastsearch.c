@@ -27,21 +27,24 @@
  * child's F to an array of levels, and a witness is read off it: level i
  * placed the pair whose two bits F loses between levels i and i + 1.
  *
- * Most placements happen in the last levels: in the strong n = 25 walk,
- * 78% of them in the last five.  So these run as five nested loops, tail5
- * down to tail1, one always_inline function per level with strong a
- * constant, inlined once with strong = 1 and once with 0, so neither
- * instance tests it per node, and without strong G is never computed.
- * Each level then has its own branch sites, which the processor predicts
- * per level, where one loop for every level shares a few sites among them
- * all; the strong n = 25 count took 7% less time (gcc 12 -O3, AMD EPYC).
- * tail1 is the one path that finds a starter.  The levels above, t - 5 of
- * them, are one out-of-line function, upper, that tests strong per node and
- * calls itself for the next upper level and tail5 for the first tail
- * level.  Its recursion measured no cost against one loop over the upper
- * levels, where recursing through every level but tail1 made the strong
- * and plain n = 25 counts 15-30% slower.  For t <= 5 the whole walk is one
- * tail.
+ * Most placements happen in the last levels: in the strong n = 25 count,
+ * 98% of them (1,403,900 of 1,428,464) in the last seven.  So these run as
+ * seven nested loops, tail7 down to tail1, one always_inline function per
+ * level with strong a constant, inlined once with strong = 1 and once with
+ * 0, so neither instance tests it per node, and without strong G is never
+ * computed.  Each level then has its own branch sites, which the processor
+ * predicts per level, where one loop for every level shares a few sites
+ * among them all; the strong n = 25 count took 7% less time (gcc 12 -O3,
+ * AMD EPYC).  tail1 is the one path that finds a starter.  The levels
+ * above, t - 7 of them, are one out-of-line function, upper, that tests
+ * strong per node and calls itself for the next upper level and tail7 for
+ * the first tail level.  Its recursion measured no cost against one loop
+ * over the upper levels, where recursing through every level but tail1 made
+ * the strong and plain n = 25 counts 15-30% slower.  Seven tail levels, not
+ * five, cut the calls to upper in the strong n = 25 count from 102,906 to
+ * 4,434 and its time by 7-9%, and the plain n = 25 count's by 3% (gcc 12
+ * -O3, Intel Xeon); six kept less of that.  For t <= 7 the whole walk is
+ * one tail.
  *
  * upper, with the tails inlined into it, is compiled twice from one text,
  * UPPER.  Built for baseline x86-64, each shift of a level takes its count
@@ -61,7 +64,7 @@
  * buffer as rows, and the walk takes the GIL back only to flush a full
  * buffer and, in upper alone, to poll for Ctrl-C each time the node count
  * passes a threshold that then moves 2^20 nodes on; a tail subtree between
- * two checks has at most 10 free elements, so a poll comes at most a few
+ * two checks has at most 14 free elements, so a poll comes at most a few
  * thousand nodes late.  Taking the GIL per witness made two threads
  * enumerating n = 25 slower than one.  Every error path and the result are
  * built with the GIL held.
@@ -161,8 +164,12 @@ struct level {
 };
 
 /* The number of levels at the bottom of the walk that run as nested loops,
- * one function each; 4 to 7 measured alike. */
-#define TAIL 5
+ * one function each; five and six made the strong n = 25 count slower (see
+ * the header).  TAIL_OF(TAIL), the first of them, is tail<TAIL>: TAIL is
+ * expanded as TAIL_OF's argument, before PASTE's ## joins it. */
+#define TAIL 7
+#define PASTE(a, b) a##b
+#define TAIL_OF(k) PASTE(tail, k)
 
 /* What every level of one walk reads and updates, then what only a flush
  * reads: the class whose instances it builds, if any, and the offsets of
@@ -245,17 +252,19 @@ TAIL_LEVEL(2, tail1)
 TAIL_LEVEL(3, tail2)
 TAIL_LEVEL(4, tail3)
 TAIL_LEVEL(5, tail4)
+TAIL_LEVEL(6, tail5)
+TAIL_LEVEL(7, tail6)
 
 /* A level above the tail, t > TAIL, as the out-of-line function upper,
- * with attributes attrs, that recurses, at most t - TAIL = 26 frames deep,
- * and tests strong per node; the upper levels hold a fifth of the
- * placements.  Its child, below_upper, at lv, entered as tail1 is, is
- * another upper level, or the first tail level, inlined once with
- * strong = 1 and once with 0.  First, once the node count passes
- * next_poll, it polls for Ctrl-C with the GIL and moves next_poll 2^20
- * nodes on; a tail subtree has at most 10 free elements, so a poll comes
- * at most a few thousand nodes late.  Each UPPER is one copy of the pair,
- * whose below_upper enters its own upper. */
+ * with attributes attrs, that recurses, at most t - TAIL = 24 frames deep,
+ * and tests strong per node; the upper levels hold 2% of the placements of
+ * the strong n = 25 count.  Its child, below_upper, at lv, entered as tail1
+ * is, is another upper level, or the first tail level, TAIL_OF(TAIL),
+ * inlined once with strong = 1 and once with 0.  First, once the node
+ * count passes next_poll, it polls for Ctrl-C with the GIL and moves
+ * next_poll 2^20 nodes on; a tail subtree has at most 14 free elements, so
+ * a poll comes at most a few thousand nodes late.  Each UPPER is one copy
+ * of the pair, whose below_upper enters its own upper. */
 #define UPPER(upper, below_upper, attrs)                                                 \
     static attrs int upper(struct walk *, struct level *, uint64_t, uint64_t, uint64_t,  \
                            const int);                                                   \
@@ -272,7 +281,8 @@ TAIL_LEVEL(5, tail4)
         }                                                                                \
         if (lv < w->lv + w->t - TAIL)                                                    \
             return upper(w, lv, free_, hsums, c, strong);                                \
-        return strong ? tail5(w, lv, free_, hsums, c, 1) : tail5(w, lv, free_, hsums, c, 0); \
+        return strong ? TAIL_OF(TAIL)(w, lv, free_, hsums, c, 1)                         \
+                      : TAIL_OF(TAIL)(w, lv, free_, hsums, c, 0);                        \
     }                                                                                    \
     LEVEL(static attrs int upper, below_upper)
 
@@ -306,6 +316,8 @@ walk(struct walk *w, uint64_t c, const int strong)
     case 3: stop = tail3(w, lv, lv->free_, 0, c, strong); break;
     case 4: stop = tail4(w, lv, lv->free_, 0, c, strong); break;
     case 5: stop = tail5(w, lv, lv->free_, 0, c, strong); break;
+    case 6: stop = tail6(w, lv, lv->free_, 0, c, strong); break;
+    case 7: stop = tail7(w, lv, lv->free_, 0, c, strong); break;
     default:
 #ifdef BMI2_WALK
         if (bmi2) {

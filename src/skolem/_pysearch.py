@@ -21,7 +21,7 @@ computes the next level's masks and candidates from its own and enters
 it only when it has a candidate, so backing up restores the state by
 leaving the level, with nothing to undo.  Here strong is tested at each
 node; the compiled kernel fixes it per compiled instance of its last
-five levels.
+seven levels.
 
 A witness is the walk's row, an exact bytes object of length t with
 xs[d - 1] the smaller element of the difference-d pair, which the tests

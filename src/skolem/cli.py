@@ -179,6 +179,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if holds else EXIT_PROPERTY
 
 
+class _PairLines(dict):
+    """Each pair's "x y" line, made on first use: a search's witnesses share
+    their pair tuples, so a call formats each distinct pair once."""
+
+    def __missing__(self, pair):
+        line = self[pair] = f"{pair[0]} {pair[1]}\n"
+        return line
+
+
 def _cmd_search(args) -> int:
     config = SearchConfig(
         n=args.n,
@@ -214,9 +223,11 @@ def _cmd_search(args) -> int:
             f"# search n={result.n} kind={kind} mode={args.mode.value} "
             f"backend={result.backend} workers={result.workers}"
         )
+        # each witness's block as pair_set_to_text writes it, after a blank
+        # line, in one write
+        head, lines = f"\nn={result.n}\n", _PairLines()
         for ps in result.witnesses:
-            print()
-            sys.stdout.write(pair_set_to_text(ps))
+            sys.stdout.write(head + "".join(map(lines.__getitem__, ps.pairs)))
         print(f"# count={result.count}")
         print(f"# nodes={result.nodes_explored}")
         print(f"# complete={'yes' if result.complete else 'no'}")

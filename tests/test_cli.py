@@ -14,11 +14,15 @@ import skolem.cli
 import skolem.search
 from skolem import (
     PairSet,
+    SearchConfig,
+    SearchMode,
     __version__,
     build_strong_starter,
     full_report,
     iter_pair_sets_text,
     pair_set_from_obj,
+    pair_set_to_text,
+    search_skolem_starters,
 )
 from skolem.cli import main
 
@@ -320,6 +324,28 @@ def test_search_enumerate_text_streams_records(capsys):
     assert {ps.pairs for ps in sets} == {S_TWO[11], S_HALF[11]}
     assert "# count=2" in out
     assert "# complete=yes" in out
+
+
+def test_search_enumerate_text_is_each_witness_in_canonical_text(capsys):
+    # byte for byte but the wall time: each of the 2656 witnesses, in the
+    # search's order, as pair_set_to_text writes it after a blank line
+    code, out, _ = _run(capsys, "search", "19", "--enumerate", "--no-strong")
+    assert code == 0
+    result = search_skolem_starters(
+        SearchConfig(n=19, mode=SearchMode.ENUMERATE_ALL, require_strong=False))
+    assert len(result.witnesses) == STARTER_COUNTS[(19, False)]
+    expected = (
+        f"# search n=19 kind=skolem mode=enumerate backend={result.backend} "
+        f"workers={result.workers}\n"
+        + "".join("\n" + pair_set_to_text(ps) for ps in result.witnesses)
+        + f"# count={result.count}\n# nodes={result.nodes_explored}\n# complete=yes\n"
+    )
+    text, wall_time = out.rsplit("# wall_time=", 1)
+    # pytest's own diff of two 100 KB strings takes a minute: name the first
+    # difference instead
+    same, at = text == expected, len(os.path.commonprefix([text, expected]))
+    assert same, f"at {at}: {text[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}"
+    assert wall_time.endswith("s\n") and "\n" not in wall_time[:-1]
 
 
 def test_search_first_text(capsys):

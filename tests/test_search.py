@@ -80,16 +80,21 @@ def test_kernels_agree_exactly(fastsearch):
                     expected = sum_array_walk(*args)
                     assert _pysearch.run_search(*args) == expected, args
                     assert fastsearch.run_search(*args) == expected, args
-    # The compiled walk runs its last 5 levels as nested loops of their own,
+    # The compiled walk runs its last 7 levels as nested loops of their own,
     # and a recursive function for each level above them hands each subtree
-    # to them.  n = 9 and 11 (t <= 5) are all tail; n = 13 (t = 6) hands
-    # over below its top level; n = 15 to 21 hand over 2 to 5 levels down,
-    # and every stop and every full witness batch falls in the tail.  n = 19
-    # and 21 are checked against the pure kernel alone, descending, as the
-    # package walks.
+    # to them.  n = 9 to 15 (t <= 7) are all tail; n = 17 (t = 8) hands
+    # over below its top level; n = 19, 21 and 23 hand over 2 to 4 levels
+    # down, and every stop and every full witness batch falls in the tail.
+    # n = 19 and 21 are checked against the pure kernel alone, descending,
+    # as the package walks, and so is n = 23 strong, on the whole walk and
+    # every partition only: it has no starter, so each stop and cap would
+    # walk the whole tree again and check nothing new.
     for n, strong in ((19, False), (19, True), (21, True)):
         for args in _agreement_calls(n, strong, True):
             assert fastsearch.run_search(*args) == _pysearch.run_search(*args), args
+    for top in range(12):  # 0, the whole walk, then each x of difference 11
+        args = (23, True, 0, -1, True, top)
+        assert fastsearch.run_search(*args) == _pysearch.run_search(*args), args
 
 
 @pytest.mark.parametrize("n, nodes", [(57, 304_453), (59, 164_183)])
