@@ -7,10 +7,10 @@ Builds the extension twice, each with `setup.py build_ext --force` in a
 temporary directory of its own, the two paths of equal length: once from
 `git archive REV` and once from the working tree's files as they are on
 disk, tracked or not (ignored files left out).  It prints `nm -S` of
-`upper` and `upper_bmi2` in each build, then loads both modules into this
-interpreter and checks, for every top-level partition of each (n, strong)
-in bench/record.py's KERNEL, descending, that they give the same count
-and node count.
+`upper`, `upper_bmi2` and `run_search` in each build, then loads both
+modules into this interpreter and checks, for every top-level partition
+of each (n, strong) in bench/record.py's KERNEL, descending, that they
+give the same count and node count.
 
 Each round then times every KERNEL row on both builds, the rows in a
 shuffled order.  A row's sample is the time of the one-worker strong or
@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 from record import KERNEL, spread
+from size import SYMBOLS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = ["setup.py", "pyproject.toml", "src"]
@@ -75,11 +76,11 @@ def build(checkout: Path) -> Path:
 
 
 def symbol_sizes(path: Path) -> str:
-    """`nm -S` lines of upper and upper_bmi2."""
+    """`nm -S` lines of SYMBOLS."""
     out = subprocess.run(["nm", "-S", str(path)], capture_output=True, text=True,
                          check=True).stdout
-    lines = [line for line in out.splitlines() if line.split()[-1] in ("upper", "upper_bmi2")]
-    return "\n".join(lines) or "(no upper symbol)"
+    lines = [line for line in out.splitlines() if line.split()[-1] in SYMBOLS]
+    return "\n".join(lines) or "(none of " + ", ".join(SYMBOLS) + ")"
 
 
 def load(path: Path, tag: str):

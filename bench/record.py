@@ -37,10 +37,10 @@ two figures of each; the Tier-1 run's wall time, exit code and its
 pytest summary line; and, as source, bench/size.py's figures: the lines
 of each file under src/skolem, the C file's lines that hold code, the
 Python lines that hold code and, from the module the Tier-1 run built in
-place, the bytes of its .text section and of upper and upper_bmi2.  It
-also records the length of the checkout's path, which moves peak_rss_mb,
-so only baselines taken from paths of equal length compare on that
-metric.
+place, the bytes of its .text section and of upper, upper_bmi2 and
+run_search.  It also records the length of the checkout's path, which
+moves peak_rss_mb, so only baselines taken from paths of equal length
+compare on that metric.
 """
 
 import argparse

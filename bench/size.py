@@ -3,8 +3,9 @@ src/skolem, the lines of the C file that hold code, with its comments
 stripped by the preprocessor, and the Python lines that hold code: no
 blank, comment-only or docstring line.  When the compiled module for
 this interpreter has been built in place under src/skolem, also its
-machine code: the size of its .text section and of the walk's two
-copies, upper and upper_bmi2, as nm -S gives them.
+machine code: the size of its .text section, of the walk's two copies,
+upper and upper_bmi2, and of run_search, which enters them, as nm -S
+gives them.
 
     python3 bench/size.py
 
@@ -26,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PY_FILES = sorted((ROOT / "src" / "skolem").glob("*.py"))
 C_FILE = ROOT / "src" / "skolem" / "_fastsearch.c"
 MODULE = C_FILE.with_name("_fastsearch" + sysconfig.get_config_var("EXT_SUFFIX"))
-SYMBOLS = ("upper", "upper_bmi2")
+SYMBOLS = ("upper", "upper_bmi2", "run_search")
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 

@@ -27,24 +27,27 @@
  * child's F to an array of levels, and a witness is read off it: level i
  * placed the pair whose two bits F loses between levels i and i + 1.
  *
- * Most placements happen in the last levels: in the strong n = 25 count,
- * 98% of them (1,403,900 of 1,428,464) in the last seven.  So these run as
- * seven nested loops, tail7 down to tail1, one always_inline function per
- * level with strong a constant, inlined once with strong = 1 and once with
- * 0, so neither instance tests it per node, and without strong G is never
- * computed.  Each level then has its own branch sites, which the processor
- * predicts per level, where one loop for every level shares a few sites
- * among them all; the strong n = 25 count took 7% less time (gcc 12 -O3,
- * AMD EPYC).  tail1 is the one path that finds a starter.  The levels
- * above, t - 7 of them, are one out-of-line function, upper, that tests
- * strong per node and calls itself for the next upper level and tail7 for
- * the first tail level.  Its recursion measured no cost against one loop
- * over the upper levels, where recursing through every level but tail1 made
- * the strong and plain n = 25 counts 15-30% slower.  Seven tail levels, not
- * five, cut the calls to upper in the strong n = 25 count from 102,906 to
- * 4,434 and its time by 7-9%, and the plain n = 25 count's by 3% (gcc 12
- * -O3, Intel Xeon); six kept less of that.  For t <= 7 the whole walk is
- * one tail.
+ * Every walk is entered the same way.  Its levels, from the top, are one
+ * out-of-line function, upper, that tests strong per node and calls
+ * itself for the next level down to the hand-off level, tail_at.  Most
+ * placements happen in the last levels: in the strong n = 25 count, 98% of
+ * them (1,403,900 of 1,428,464) in the last seven.  So for t > 7 these
+ * take over at tail_at = t - 7 as seven nested loops, tail7 down to tail1,
+ * one always_inline function per level with strong a constant, inlined
+ * once with strong = 1 and once with 0, so neither instance tests it per
+ * node, and without strong G is never computed.  Each level then has its
+ * own branch sites, which the processor predicts per level, where one loop
+ * for every level shares a few sites among them all; the strong n = 25
+ * count took 7% less time (gcc 12 -O3, AMD EPYC).  upper's recursion
+ * measured no cost against one loop over the upper levels, where
+ * recursing through every level but tail1 made the strong and plain
+ * n = 25 counts 15-30% slower.  Seven tail levels, not five, cut the
+ * calls to upper in the strong n = 25 count from 102,906 to 4,434 and its
+ * time by 7-9%, and the plain n = 25 count's by 3% (gcc 12 -O3, Intel
+ * Xeon); six kept less of that.  A walk of t <= 7 levels, n <= 15, has no
+ * tail nest: upper recurses down to tail_at = t - 1, the last level,
+ * which runs tail1 as the out-of-line function last, and n = 3 enters last
+ * at once.  tail1 is the one path that finds a starter.
  *
  * upper, with the tails inlined into it, is compiled twice from one text,
  * UPPER.  Built for baseline x86-64, each shift of a level takes its count
@@ -54,10 +57,9 @@
  * the module picks it once at import, on a CPU that has both, and names
  * the copy it runs in WALK, "bmi2" or "baseline".  The strong n = 25 and
  * n = 27 counts took 5-6% less time and the plain n = 25 count 7-8% (gcc
- * 12 -O3, AMD EPYC).  The baseline copy is the one upper that came before
- * it, instruction for instruction, and the only one elsewhere.  No build
- * flag is needed, and none is set: a module built with -mbmi2 dies with
- * SIGILL on a CPU without BMI2.
+ * 12 -O3, AMD EPYC).  Elsewhere the baseline copy is the only one.  No
+ * build flag is needed, and none is set: a module built with -mbmi2 dies
+ * with SIGILL on a CPU without BMI2.
  *
  * The walk runs with the GIL released, so skolem.search can run several
  * top-level partitions at once on threads.  Kept witnesses wait in a C
@@ -171,12 +173,13 @@ struct level {
 #define PASTE(a, b) a##b
 #define TAIL_OF(k) PASTE(tail, k)
 
-/* What every level of one walk reads and updates, then what only a flush
- * reads: the class whose instances it builds, if any, and the offsets of
- * their slots n and pairs. */
+/* What every level of one walk reads and updates, among them tail_at, the
+ * index of the level where upper hands the walk on (see UPPER), then what
+ * only a flush reads: the class whose instances it builds, if any, and the
+ * offsets of their slots n and pairs. */
 struct walk {
     struct level *lv;
-    int n, t, r, batched;
+    int n, t, r, tail_at, batched;
     long long count, nodes, next_poll, stop_after, collect_limit;
     PyObject *witnesses;
     PyThreadState *tstate;
@@ -255,16 +258,28 @@ TAIL_LEVEL(5, tail4)
 TAIL_LEVEL(6, tail5)
 TAIL_LEVEL(7, tail6)
 
-/* A level above the tail, t > TAIL, as the out-of-line function upper,
- * with attributes attrs, that recurses, at most t - TAIL = 24 frames deep,
- * and tests strong per node; the upper levels hold 2% of the placements of
- * the strong n = 25 count.  Its child, below_upper, at lv, entered as tail1
- * is, is another upper level, or the first tail level, TAIL_OF(TAIL),
- * inlined once with strong = 1 and once with 0.  First, once the node
- * count passes next_poll, it polls for Ctrl-C with the GIL and moves
- * next_poll 2^20 nodes on; a tail subtree has at most 14 free elements, so
- * a poll comes at most a few thousand nodes late.  Each UPPER is one copy
- * of the pair, whose below_upper enters its own upper. */
+/* tail1 out of line: the last level of a walk of t <= TAIL levels, which
+ * has no tail nest.  Inlining tail1 into upper instead made the whole
+ * strong n = 19 walk, which never reaches it, 37% slower (gcc 12 -O3,
+ * Intel Xeon). */
+static __attribute__((noinline)) int
+last(struct walk *w, struct level *lv, uint64_t free_, uint64_t hsums, uint64_t c,
+     const int strong)
+{
+    return tail1(w, lv, free_, hsums, c, strong);
+}
+
+/* A level above w->tail_at as the out-of-line function upper, with
+ * attributes attrs, that recurses, at most 24 frames deep, and tests strong
+ * per node; the upper levels hold 2% of the placements of the strong
+ * n = 25 count.  Its child, below_upper, at lv, entered as tail1 is, is
+ * another upper level above w->tail_at, and at it either last, when
+ * t <= TAIL, or else the first tail level, TAIL_OF(TAIL), inlined once
+ * with strong = 1 and once with 0.  First, once the node count passes
+ * next_poll, it polls for Ctrl-C with the GIL and moves next_poll 2^20
+ * nodes on; a tail subtree has at most 14 free elements, so a poll comes
+ * at most a few thousand nodes late.  Each UPPER is one copy of the pair,
+ * whose below_upper enters its own upper. */
 #define UPPER(upper, below_upper, attrs)                                                 \
     static attrs int upper(struct walk *, struct level *, uint64_t, uint64_t, uint64_t,  \
                            const int);                                                   \
@@ -279,8 +294,10 @@ TAIL_LEVEL(7, tail6)
             w->tstate = PyEval_SaveThread();                                             \
             w->next_poll = w->nodes + (1 << 20);                                         \
         }                                                                                \
-        if (lv < w->lv + w->t - TAIL)                                                    \
+        if (lv < w->lv + w->tail_at)                                                     \
             return upper(w, lv, free_, hsums, c, strong);                                \
+        if (__builtin_expect(w->t <= TAIL, 0))                                           \
+            return last(w, lv, free_, hsums, c, strong);                                 \
         return strong ? TAIL_OF(TAIL)(w, lv, free_, hsums, c, 1)                         \
                       : TAIL_OF(TAIL)(w, lv, free_, hsums, c, 0);                        \
     }                                                                                    \
@@ -295,50 +312,6 @@ UPPER(upper, below_upper, )
 UPPER(upper_bmi2, below_upper_bmi2, __attribute__((target("bmi,bmi2"))))
 static int bmi2;
 #endif
-
-/* The walk w from w->lv[0], with the candidates c != 0, whose F and every
- * level's d the caller set, as every field of w but witnesses, tstate, the
- * counters and the batch: the (count, nodes, witnesses) triple, or NULL with
- * an exception.  Inlined into each call with strong a constant, so each
- * instance's tail has none of the other's branches. */
-static inline __attribute__((always_inline)) PyObject *
-walk(struct walk *w, uint64_t c, const int strong)
-{
-    struct level *lv = w->lv;
-    if ((w->witnesses = PyList_New(0)) == NULL)
-        return NULL;
-    int stop;
-    /* From here on no Python object is touched without the GIL */
-    w->tstate = PyEval_SaveThread();
-    switch (w->t) {
-    case 1: stop = tail1(w, lv, lv->free_, 0, c, strong); break;
-    case 2: stop = tail2(w, lv, lv->free_, 0, c, strong); break;
-    case 3: stop = tail3(w, lv, lv->free_, 0, c, strong); break;
-    case 4: stop = tail4(w, lv, lv->free_, 0, c, strong); break;
-    case 5: stop = tail5(w, lv, lv->free_, 0, c, strong); break;
-    case 6: stop = tail6(w, lv, lv->free_, 0, c, strong); break;
-    case 7: stop = tail7(w, lv, lv->free_, 0, c, strong); break;
-    default:
-#ifdef BMI2_WALK
-        if (bmi2) {
-            stop = upper_bmi2(w, lv, lv->free_, 0, c, strong);
-            break;
-        }
-#endif
-        stop = upper(w, lv, lv->free_, 0, c, strong);
-        break;
-    }
-    if (stop < 0) /* the GIL is held */
-        goto fail;
-    PyEval_RestoreThread(w->tstate);
-    if (flush(w) < 0)
-        goto fail;
-    return Py_BuildValue("LLN", w->count, w->nodes, w->witnesses);
-
-fail: /* reached with the GIL held */
-    Py_DECREF(w->witnesses);
-    return NULL;
-}
 
 static PyObject *
 run_search(PyObject *self, PyObject *args)
@@ -361,6 +334,7 @@ run_search(PyObject *self, PyObject *args)
     struct level lv[MAX_T + 1];
     /* d * 2^-1 mod n steps by -2^-1 = t or by 2^-1 = t + 1 */
     struct walk w = {.lv = lv, .n = n, .t = t, .r = descending ? t : t + 1,
+                     .tail_at = t > TAIL ? t - TAIL : t - 1,
                      .next_poll = 1 << 20, .stop_after = stop_after,
                      .collect_limit = collect_limit, .n_at = -1, .pairs_at = -1};
     if (cls != Py_None) {
@@ -395,7 +369,30 @@ run_search(PyObject *self, PyObject *args)
     uint64_t c = lv[0].free_ & (lv[0].free_ >> lv[0].d);
     if (fixed_top)
         c &= BIT(fixed_top);
-    return strong ? walk(&w, c, 1) : walk(&w, c, 0);
+    if ((w.witnesses = PyList_New(0)) == NULL)
+        return NULL;
+    /* From here on no Python object is touched without the GIL */
+    w.tstate = PyEval_SaveThread();
+    /* the walk from lv[0], whose one level, for t = 1, is its last */
+    int stop;
+    if (t == 1)
+        stop = last(&w, lv, lv->free_, 0, c, strong);
+#ifdef BMI2_WALK
+    else if (bmi2)
+        stop = upper_bmi2(&w, lv, lv->free_, 0, c, strong);
+#endif
+    else
+        stop = upper(&w, lv, lv->free_, 0, c, strong);
+    if (stop < 0) /* the GIL is held */
+        goto fail;
+    PyEval_RestoreThread(w.tstate);
+    if (flush(&w) < 0)
+        goto fail;
+    return Py_BuildValue("LLN", w.count, w.nodes, w.witnesses);
+
+fail: /* reached with the GIL held */
+    Py_DECREF(w.witnesses);
+    return NULL;
 }
 
 #define WORDS(nbits) ((size_t)(nbits) / 64 + 1) /* a bitmap of bits 0..nbits */

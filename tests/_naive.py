@@ -7,7 +7,9 @@ re-decides the three starter properties with quadratic scans over plain
 tuples, and element_driven_starters enumerates (strong) Skolem starters
 by always extending the smallest uncovered element, a different strategy
 from the difference-driven package kernels; count_skolem_starters counts
-the plain ones the same way, caching equal states.  generator_starter
+the plain ones the same way, caching equal states, and
+plain_count_by_coefficients counts them with no search, as a coefficient
+of a polynomial.  generator_starter
 builds the construction's starter in the paper's generator form, while the
 package builds it from the set of quadratic residues, and
 cycle_qr_generators lists every generator alpha of the residues by
@@ -15,6 +17,8 @@ walking each residue's cycle of powers, with no order factorisation.
 sum_array_walk walks the package kernels' tree recursively, testing each
 candidate's own sum where the kernels mask candidates by half-sums.
 """
+
+from math import prod
 
 
 def naive_pair_set(n, pairs):
@@ -190,6 +194,40 @@ def count_skolem_starters(n):
         return cache[free, unused]
 
     return count((1 << n) - 2, (1 << t + 1) - 2)
+
+
+def plain_count_by_coefficients(n):
+    """The number of Skolem starters of Z_n, with no search at all.
+
+    A starter's pairs (x, x + d), d = 1..m for m = (n - 1) / 2, partition
+    1..2m.  With element e as z_{e-1}, the count is the coefficient of
+    z_0...z_{2m-1} in the product over k of S_k = sum of z_i z_{i+k} over
+    0 <= i < i + k < 2m.  Averaging (prod_i x_i) prod_k S_k over the signs
+    x in {-1, 1}^2m extracts it, as every other term leaves some x_i at an
+    odd power, which averages 0.  Negating every sign changes no term, so
+    x_0 stays 1; the others run in Gray code order, and flipping x_j moves
+    each S_k by -2 x_j (x_{j-k} + x_{j+k}).  Godfrey's method for Langford
+    pairs, adapted.
+    """
+    m = (n - 1) // 2
+    size = 2 * m
+    # x[size + i] is x_i, 0 <= i < 2m; the zeros either side stand in for
+    # the x_i outside that range
+    x = [0] * size + [1] * size + [0] * size
+    neighbours = [
+        [(size + j - k, size + j + k) for k in range(1, m + 1)] for j in range(size)
+    ]
+    sums = [size - k for k in range(1, m + 1)]
+    sign = 1
+    total = prod(sums)
+    for step in range(1, 1 << (size - 1)):
+        j = (step & -step).bit_length()  # the Gray code flips x_j
+        twice = 2 * x[size + j]
+        sums = [s - twice * (x[a] + x[b]) for s, (a, b) in zip(sums, neighbours[j])]
+        x[size + j] = -x[size + j]
+        sign = -sign
+        total += sign * prod(sums)
+    return total >> (size - 1)
 
 
 def random_pair_partition(n, rng):

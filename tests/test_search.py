@@ -32,7 +32,12 @@ import skolem.search
 from skolem import _pysearch
 
 from _fixtures import FIRST_STRONG_WITNESS, NODE_COUNTS, S_HALF, S_TWO, STARTER_COUNTS
-from _naive import count_skolem_starters, element_driven_starters, sum_array_walk
+from _naive import (
+    count_skolem_starters,
+    element_driven_starters,
+    plain_count_by_coefficients,
+    sum_array_walk,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -73,22 +78,26 @@ def test_kernels_agree_exactly(fastsearch):
     # count, node count and witness stream of each kernel all identical to
     # the recursive walk that tests each candidate's sum, both orders (n =
     # 17 plain has 504 witnesses, so its caps fill the compiled buffer)
-    for n in (9, 11, 13, 15, 17):
+    for n in range(3, 19, 2):
         for strong in (False, True):
             for descending in (True, False):
                 for args in _agreement_calls(n, strong, descending):
                     expected = sum_array_walk(*args)
                     assert _pysearch.run_search(*args) == expected, args
                     assert fastsearch.run_search(*args) == expected, args
-    # The compiled walk runs its last 7 levels as nested loops of their own,
-    # and a recursive function for each level above them hands each subtree
-    # to them.  n = 9 to 15 (t <= 7) are all tail; n = 17 (t = 8) hands
-    # over below its top level; n = 19, 21 and 23 hand over 2 to 4 levels
+    # The compiled walk enters every order the same way: a recursive
+    # function per level hands its subtree down until the hand-off level.
+    # n = 3 (t = 1) is that last level alone; n = 5 to 15 (t <= 7) recurse
+    # down to their last level, which runs out of line.  From n = 17
+    # (t = 8) the last 7 levels run as nested loops of their own: n = 17
+    # hands over below its top level, and n = 19, 21 and 23 2 to 4 levels
     # down, and every stop and every full witness batch falls in the tail.
-    # n = 19 and 21 are checked against the pure kernel alone, descending,
-    # as the package walks, and so is n = 23 strong, on the whole walk and
-    # every partition only: it has no starter, so each stop and cap would
-    # walk the whole tree again and check nothing new.
+    # n = 15 has no starter, so whether t = 7 takes the last level or the
+    # nested loops is not seen here.  n = 19 and 21 are checked against the
+    # pure kernel alone, descending, as the package walks, and so is n = 23
+    # strong, on the whole walk and every partition only: it has no
+    # starter, so each stop and cap would walk the whole tree again and
+    # check nothing new.
     for n, strong in ((19, False), (19, True), (21, True)):
         for args in _agreement_calls(n, strong, True):
             assert fastsearch.run_search(*args) == _pysearch.run_search(*args), args
@@ -378,6 +387,19 @@ def test_plain_counts_match_a_memoised_element_driven_count():
 @pytest.mark.slow
 def test_plain_count_at_27_matches_a_memoised_element_driven_count():
     assert count_skolem_starters(27) == STARTER_COUNTS[(27, False)] == 3_040_560
+
+
+def test_plain_node_count_fixtures_match_a_count_that_walks_no_tree():
+    # every plain count of the fixtures up to n = 19 as a polynomial's
+    # coefficient: no branching, no element or difference order, no walk
+    for (n, strong), (count, _) in NODE_COUNTS.items():
+        if not strong and n <= 19:
+            assert plain_count_by_coefficients(n) == count, n
+
+
+@pytest.mark.slow
+def test_plain_count_at_25_matches_a_count_that_walks_no_tree():
+    assert plain_count_by_coefficients(25) == STARTER_COUNTS[(25, False)] == 455_936
 
 
 def test_kernel_validation():
