@@ -15,17 +15,19 @@ revision cannot be read.
 It then runs, from the package the last benchmark run built from this
 checkout, the search kernel and four commands.  The kernel block is a
 one-worker COUNT_ALL of each (n, strong) in KERNEL in one fresh
-interpreter: one warm-up run, which is dropped, and then as many runs as
-fill KERNEL_SECONDS, and at least KERNEL_RUNS.  A short count keeps
+interpreter, KERNEL_CHILD, which bench/kernel_ab.py runs too: one
+warm-up run, which is dropped, and then as many runs as fill
+KERNEL_SECONDS, and at least KERNEL_RUNS.  A short count keeps
 speeding up over its first runs, so a fixed few runs read it high.  Per
 row: the backend and, for the compiled one, the copy of its walk that
-runs on this CPU (_fastsearch.WALK, bmi2 or baseline), nodes_explored,
-the number of runs kept, the best wall_time and ns per node.  A count
-walks only half of the mirrored tree and reports the whole tree's nodes,
-so ns per node is per node of the whole tree, about half the time each
-walked node takes.  The commands are `skolem tabulate --q-max
-20000 --beta both`, the same table to q = 5000 as JSON, `skolem search 27`
-and `skolem search 25 --enumerate --no-strong`, five runs each.  Last, it
+runs on this CPU (_fastsearch.WALK, bmi2 or baseline), the count,
+nodes_explored, the number of runs kept, the best wall_time and ns per
+node.  A count walks only half of the mirrored tree and reports the
+whole tree's nodes, so ns per node is per node of the whole tree, about
+half the time each walked node takes.  The commands are `skolem
+tabulate --q-max 20000 --beta both`, the same table to q = 5000 as JSON,
+`skolem search 27` and `skolem search 25 --enumerate --no-strong`, five
+runs each.  Last, it
 runs the Tier-1 suite once, `python -m pytest -q` at the checkout's root,
 which builds the compiled module in place under src/.
 
@@ -89,7 +91,8 @@ for n, strong in cases:
     nodes = results[0].nodes_explored
     rows.append({"n": n, "strong": strong, "backend": active_backend(),
                  "walk": _fastsearch.WALK if _fastsearch else None,
-                 "nodes_explored": nodes, "runs": len(results), "wall_time": best,
+                 "count": results[0].count, "nodes_explored": nodes,
+                 "runs": len(results), "wall_time": best,
                  "ns_per_node": best / nodes * 1e9})
 print(json.dumps(rows))
 """
@@ -137,15 +140,27 @@ def summarise(rows, metrics) -> dict:
     }
 
 
+def child(code: str, path, spec):
+    """What code prints, as JSON, run with spec as JSON in argv[1] in a
+    fresh interpreter that imports skolem from path."""
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(spec)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"a child on {path} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def kernel_rows(path, cases=KERNEL, runs=KERNEL_RUNS, seconds=KERNEL_SECONDS) -> list:
+    """KERNEL_CHILD's rows, with skolem imported from path: each case's
+    count on one worker, the best of the runs that follow one warm-up run
+    and fill seconds, at least runs of them."""
+    return child(KERNEL_CHILD, path, [cases, runs, seconds])
+
+
 def time_kernel() -> list:
-    """The kernel rows: KERNEL's counts on one worker, each the best of the
-    runs that follow one warm-up run and fill KERNEL_SECONDS, at least
-    KERNEL_RUNS of them."""
-    env = {**os.environ, "PYTHONPATH": str(BUILD / "lib")}
-    spec = json.dumps([KERNEL, KERNEL_RUNS, KERNEL_SECONDS])
-    proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, spec],
-                          env=env, capture_output=True, text=True, check=True)
-    rows = json.loads(proc.stdout)
+    """The kernel rows of the package the benchmark built."""
+    rows = kernel_rows(BUILD / "lib")
     for row in rows:
         print(f"# kernel n={row['n']} strong={row['strong']}: {row['nodes_explored']} nodes, "
               f"best of {row['runs']}: {row['wall_time'] * 1e3:.4g} ms, "

@@ -57,7 +57,7 @@ def python_code_lines(path: Path) -> int:
 
 def machine_code(path: Path) -> dict:
     """The bytes of the module's .text section and of each of SYMBOLS that
-    it defines."""
+    it defines; bench/kernel_ab.py prints them for its two builds."""
     sections = subprocess.run(["size", "-A", str(path)], capture_output=True, text=True,
                               check=True).stdout
     text = next(int(line.split()[1]) for line in sections.splitlines()
@@ -69,7 +69,7 @@ def machine_code(path: Path) -> dict:
         fields = line.split()  # address, size, type, name
         if len(fields) == 4 and fields[3] in SYMBOLS:
             symbols[fields[3]] = int(fields[1], 16)
-    return {"module": str(path.relative_to(ROOT)), "text_bytes": text, "symbol_bytes": symbols}
+    return {"text_bytes": text, "symbol_bytes": symbols}
 
 
 def sizes() -> dict:
@@ -83,7 +83,8 @@ def sizes() -> dict:
         "c_code_lines": c_code_lines(C_FILE),
         "python_code_lines": python,
         "python_code_lines_total": sum(python.values()),
-        "machine_code": machine_code(MODULE) if MODULE.exists() else None,
+        "machine_code": {"module": str(MODULE.relative_to(ROOT)), **machine_code(MODULE)}
+                        if MODULE.exists() else None,
     }
 
 

@@ -33,7 +33,8 @@ from enum import Enum
 from .residues import _quote, _require_int
 from .starters import PairSet
 
-# the one handle on the compiled module; skolem.construction reads it too
+# the one handle on the compiled module; skolem.construction and
+# skolem.starters.full_report read it too
 try:
     from . import _fastsearch
 except ImportError:
