@@ -1,5 +1,5 @@
 """Record a baseline: the benchmark's end-to-end metrics over several seeds,
-the search kernel's speed, the wall time and peak RSS of four command-line
+the search kernel's speed, the wall time and peak RSS of five command-line
 runs, the wall time of one Tier-1 run and the source size, in one file.
 
     python3 bench/record.py --label NAME
@@ -26,8 +26,9 @@ node.  A count walks only half of the mirrored tree and reports the
 whole tree's nodes, so ns per node is per node of the whole tree, about
 half the time each walked node takes.  The commands are `skolem
 tabulate --q-max 20000 --beta both`, the same table to q = 5000 as JSON,
-`skolem search 27` and `skolem search 25 --enumerate --no-strong`, five
-runs each.  Last, it
+`skolem search 27`, `skolem search 25 --enumerate --no-strong` and
+`skolem search 11`, whose walk of 61 nodes leaves the cold start: the
+interpreter, `import skolem` and the output, five runs each.  Last, it
 runs the Tier-1 suite once, `python -m pytest -q` at the checkout's root,
 which builds the compiled module in place under src/.
 
@@ -66,6 +67,7 @@ COMMANDS = {
         ["tabulate", "--q-max", "5000", "--beta", "both", "--json"],
     "skolem search 27": ["search", "27"],
     "skolem search 25 --enumerate --no-strong": ["search", "25", "--enumerate", "--no-strong"],
+    "skolem search 11": ["search", "11"],
 }
 # the plain walk is compiled apart from the strong one, so it has rows of
 # its own at n = 19 and at n = 25, which has 6.9 times the strong nodes

@@ -184,7 +184,7 @@ def _thread_map(workers: int, fn, items: list) -> list:
     kernel at its next poll), no call not yet begun starts, the calls
     running on the other threads finish, and every thread is joined
     before the exception propagates.  Plain threads spare `import skolem`
-    the import of the standard executors, about a third of its cost.
+    the import of the standard executors.
     """
     results = [None] * len(items)
     errors = {}
