@@ -12,78 +12,21 @@ Skolem adds integer differences exactly {1, ..., (n-1)/2}.  The package
     backtracking search, compiled when possible (skolem.search).
 
 The skolem command-line tool exposes all three as generate, verify,
-search and tabulate.
+search and tabulate.  Each module lists its own public names in its
+__all__, and the package exports __version__ and those lists in turn.
 """
 
 __version__ = "0.1.0"
 
-from .construction import (
-    BetaChoice,
-    ConstructionError,
-    HalfSetCertificate,
-    build_strong_skolem,
-    build_strong_starter,
-    construction_primes,
-    enumerate_strong_skolem,
-    half_set_certificate,
-)
-from .residues import (
-    MAX_MODULUS,
-    QrTable,
-    build_qr_table,
-    is_prime,
-    smallest_qr_generator,
-)
-from .search import (
-    DEFAULT_CEILING,
-    CeilingExceededError,
-    SearchConfig,
-    SearchMode,
-    SearchResult,
-    active_backend,
-    search_skolem_starters,
-)
-from .starters import (
-    PairSet,
-    VerificationReport,
-    full_report,
-    iter_pair_sets_text,
-    pair_set_from_obj,
-    pair_set_to_obj,
-    pair_set_to_text,
-    parse_pair_set_text,
-    skolem_admissible,
-)
+from .residues import *
+from .starters import *
+from .construction import *
+from .search import *
 
 __all__ = [
     "__version__",
-    "MAX_MODULUS",
-    "QrTable",
-    "build_qr_table",
-    "is_prime",
-    "smallest_qr_generator",
-    "PairSet",
-    "VerificationReport",
-    "full_report",
-    "iter_pair_sets_text",
-    "pair_set_from_obj",
-    "pair_set_to_obj",
-    "pair_set_to_text",
-    "parse_pair_set_text",
-    "skolem_admissible",
-    "BetaChoice",
-    "ConstructionError",
-    "HalfSetCertificate",
-    "build_strong_skolem",
-    "build_strong_starter",
-    "construction_primes",
-    "enumerate_strong_skolem",
-    "half_set_certificate",
-    "DEFAULT_CEILING",
-    "CeilingExceededError",
-    "SearchConfig",
-    "SearchMode",
-    "SearchResult",
-    "active_backend",
-    "search_skolem_starters",
+    *residues.__all__,
+    *starters.__all__,
+    *construction.__all__,
+    *search.__all__,
 ]

@@ -2,7 +2,10 @@
 
 Text output is round-trip safe: every informational line starts with '#'
 and the pair blocks parse back with the same reader the verify command
-uses.  --json switches any subcommand to a single JSON envelope on stdout.
+uses.  --json switches any subcommand to a single JSON envelope on stdout,
+which holds each pair set once: generate and verify write theirs as
+results.pair_set, and results.report holds only the verdicts and
+witnesses, as a report does not copy the pair set it describes.
 
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
 precondition, unreadable input, unwritable output or too little memory,
@@ -42,7 +45,7 @@ from .starters import (
     parse_pair_set_text,
 )
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_SELF_CHECK = 1
@@ -166,6 +169,7 @@ def _cmd_verify(args) -> int:
             "verify",
             {"input": args.input, "require": args.require},
             {
+                "pair_set": _pair_set_json(ps),
                 "report": report.to_obj(),
                 "required_holds": holds,
             },

@@ -37,6 +37,17 @@ from . import search
 from .residues import MAX_MODULUS, _check_modulus, _quote, _require_int, is_prime
 from .starters import PairSet
 
+__all__ = [
+    "BetaChoice",
+    "ConstructionError",
+    "HalfSetCertificate",
+    "build_strong_skolem",
+    "build_strong_starter",
+    "construction_primes",
+    "enumerate_strong_skolem",
+    "half_set_certificate",
+]
+
 
 class ConstructionError(ValueError):
     """A parameter violates a precondition of the construction."""

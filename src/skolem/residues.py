@@ -15,6 +15,14 @@ and names a longer int by its size.
 
 from dataclasses import dataclass
 
+__all__ = [
+    "MAX_MODULUS",
+    "QrTable",
+    "build_qr_table",
+    "is_prime",
+    "smallest_qr_generator",
+]
+
 MAX_MODULUS = 2**31 - 1
 
 # Sorted bases making Miller-Rabin deterministic for every n < 2**64; the

@@ -33,6 +33,16 @@ from enum import Enum
 from .residues import _quote, _require_int
 from .starters import PairSet
 
+__all__ = [
+    "DEFAULT_CEILING",
+    "CeilingExceededError",
+    "SearchConfig",
+    "SearchMode",
+    "SearchResult",
+    "active_backend",
+    "search_skolem_starters",
+]
+
 # the one handle on the compiled module; skolem.construction and
 # skolem.starters.full_report read it too
 try:

@@ -23,6 +23,18 @@ from typing import Iterator
 
 from .residues import _check_modulus, _quote
 
+__all__ = [
+    "PairSet",
+    "VerificationReport",
+    "full_report",
+    "iter_pair_sets_text",
+    "pair_set_from_obj",
+    "pair_set_to_obj",
+    "pair_set_to_text",
+    "parse_pair_set_text",
+    "skolem_admissible",
+]
+
 
 def skolem_admissible(n: int) -> bool:
     """Whether Skolem starters for Z_n can exist at all.
@@ -225,6 +237,10 @@ def _strong_witness(ps: PairSet, sums: tuple[int, ...]) -> str | None:
 class VerificationReport:
     """The three property verdicts for one pair set, with their witnesses.
 
+    A report describes the pair set full_report was given and does not
+    copy it: whoever holds the report holds that set too, and writes it
+    once, as the CLI's JSON documents do next to each report.
+
     A witness is None when its property holds and otherwise says why it
     fails; is_starter, is_strong and is_skolem read it, so a verdict cannot
     disagree with its witness.  The strong and Skolem witnesses are "not a
@@ -236,8 +252,6 @@ class VerificationReport:
     sums may still be s and -s.
     """
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
     starter_witness: str | None
     strong_witness: str | None
     skolem_witness: str | None
@@ -273,8 +287,6 @@ class VerificationReport:
 
     def to_obj(self) -> dict:
         return {
-            "n": self.n,
-            "pairs": [list(p) for p in self.pairs],
             "is_starter": self.is_starter,
             "is_strong": self.is_strong,
             "is_skolem": self.is_skolem,
@@ -289,14 +301,15 @@ def full_report(ps: PairSet) -> VerificationReport:
     """Decide all three properties of ps, with a witness for each failure.
 
     This is the one verifier: it never raises, and a non-starter is
-    reported as neither strong nor Skolem.  The compiled module, when it
+    reported as neither strong nor Skolem.  The report holds the verdicts
+    and witnesses only, not a copy of ps.  The compiled module, when it
     built, decides a Skolem strong starter in one pass; the lines below
     decide every other set and name each fault.
     """
     from .search import _fastsearch  # read per call; search imports starters
     fast = None if _fastsearch is None else _fastsearch.skolem_verdicts(ps.n, ps.pairs)
     if fast is not None and fast[:2] == (True, True):  # no witness to name
-        return VerificationReport(ps.n, ps.pairs, None, None, None, fast[2])
+        return VerificationReport(None, None, None, fast[2])
     t = ps.t
     diffs = ps.integer_differences()
     # t distinct integer differences, none above t, are exactly 1..t: one
@@ -312,8 +325,6 @@ def full_report(ps: PairSet) -> VerificationReport:
     else:
         strong = skolem = "not a starter"
     return VerificationReport(
-        n=ps.n,
-        pairs=ps.pairs,
         starter_witness=starter,
         strong_witness=strong,
         skolem_witness=skolem,

@@ -1,6 +1,7 @@
 import dataclasses
 
 import skolem
+from skolem import construction, residues, search, starters
 
 PUBLIC_NAMES = [
     "__version__",
@@ -69,8 +70,6 @@ def test_public_api():
         assert not hasattr(skolem.search, gone), gone
     fields = [f.name for f in dataclasses.fields(skolem.VerificationReport)]
     assert fields == [
-        "n",
-        "pairs",
         "starter_witness",
         "strong_witness",
         "skolem_witness",
@@ -83,3 +82,25 @@ def test_public_api():
     assert not hasattr(skolem.search, "CEILING_ENV")
     assert not hasattr(skolem.PairSet, "to_text")
     assert not hasattr(skolem.PairSet, "to_obj")
+
+
+def test_each_module_lists_its_own_public_names():
+    # the package exports each module's __all__, in order, and nothing else
+    assert skolem.__all__ == [
+        "__version__",
+        *residues.__all__,
+        *starters.__all__,
+        *construction.__all__,
+        *search.__all__,
+    ]
+    # each name is defined in the module that lists it, not imported there:
+    # a class or function by its __module__, the two constants as attributes
+    constants = []
+    for module in (residues, starters, construction, search):
+        for name in module.__all__:
+            value = vars(module)[name]
+            if isinstance(value, int):
+                constants.append(name)
+            else:
+                assert value.__module__ == module.__name__, name
+    assert constants == ["MAX_MODULUS", "DEFAULT_CEILING"]

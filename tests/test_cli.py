@@ -67,11 +67,24 @@ def test_generate_text(capsys):
     assert ps.pairs == S_HALF[11]
 
 
+# The keys of a report's JSON form: its verdicts and witnesses, and no
+# copy of the pair set, which the document holds once as pair_set.
+_REPORT_KEYS = {
+    "is_starter",
+    "is_strong",
+    "is_skolem",
+    "starter_witness",
+    "strong_witness",
+    "skolem_witness",
+    "has_zero_sum",
+}
+
+
 def test_generate_json(capsys):
     code, out, err = _run(capsys, "generate", "19", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["command"] == "generate"
     assert doc["parameters"] == {
         "q": 19,
@@ -79,9 +92,28 @@ def test_generate_json(capsys):
         "beta_choice": "2",
     }
     assert pair_set_from_obj(doc["results"]["pair_set"]).pairs == S_TWO[19]
+    assert out.count('"pairs"') == 1
     report = doc["results"]["report"]
+    assert set(report) == _REPORT_KEYS
     assert report["is_starter"] and report["is_strong"] and report["is_skolem"]
     assert report["has_zero_sum"] is False
+
+
+def test_verify_json_holds_the_canonical_input_once(tmp_path, capsys):
+    # each input is written in reverse order with each pair reversed; the
+    # document holds it once, in canonical form, next to the verdicts
+    path = tmp_path / "input.txt"
+    for pairs, expected in ((S_TWO[19], 0), (NON_STARTER_PARTITION_11, 3)):
+        n = 2 * len(pairs) + 1
+        path.write_text(f"n={n}\n" + "".join(f"{y} {x}\n" for x, y in reversed(pairs)))
+        code, out, _ = _run(capsys, "verify", str(path), "--json")
+        assert code == expected, n
+        assert out.count('"pairs"') == 1
+        results = json.loads(out)["results"]
+        assert results["pair_set"] == {"n": n, "pairs": [list(p) for p in pairs]}
+        assert pair_set_from_obj(results["pair_set"]).pairs == pairs
+        assert set(results["report"]) == _REPORT_KEYS
+        assert results["report"]["is_starter"] is (expected == 0)
 
 
 def test_generate_arbitrary_beta(capsys):
@@ -590,7 +622,7 @@ def test_tabulate_single_choice_json(capsys):
     code, out, _ = _run(capsys, "tabulate", "--q-max", "50", "--beta", "half", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     entries = doc["results"]["entries"]
     assert [e["q"] for e in entries] == [3, 11, 19, 43]
     assert all(e["beta_choice"] == "half" for e in entries)
