@@ -25,8 +25,9 @@ Each fact is checked where it is made: _fold checks that the folding
 partitions 1..(q-1)/2, and _skolem_pairs that the pairs realise each
 difference once and partition 1..q-1.  Both run in the compiled module
 skolem.search loads, read at call time, for any q the package accepts,
-which returns an answer or None; their pure-Python lines are the route
-without it, and the one that raises for a refusal.
+which reads only exact tuples and returns the answer or None; their
+pure-Python lines are the route without it, decide whatever it answers
+None for, and are the one that raises for a refusal.
 """
 
 from dataclasses import dataclass
@@ -125,9 +126,10 @@ def _folded(choice: BetaChoice, low, high):
 def _skolem_pairs(q: int, direct, reflected) -> PairSet:
     """The pairs (d, 2d) for d in direct and (q - 2d, q - d) for d in
     reflected, for a valid q, checked to realise each difference 1..t once
-    and to partition 1..q-1.  Compiled when it can be; the pure route names
-    every fault: a bad entry first, then a failed partition, then a
-    repeated difference."""
+    and to partition 1..q-1.  Compiled when both runs are exact tuples;
+    the pure route reads any other iterable, decides whatever the compiled
+    one answers None for, and names every fault: a bad entry first, then
+    a failed partition, then a repeated difference."""
     fast = search._fastsearch
     pairs = None if fast is None else fast.skolem_pairs(q, direct, reflected)
     if pairs is not None:

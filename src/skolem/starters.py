@@ -10,10 +10,11 @@ PairSet is the shared container: immutable, canonically ordered, restricted
 to well-formed inputs (odd n, elements in 1..n-1, no element reused); its
 docstring names the checked entry for outside input and the two partition
 tests for the package's own pair sets.  full_report is the one verifier:
-a compiled pass decides a full pair set that is Skolem and strong; every
-other set, and every set without the compiled module, goes to the pure
-lines, which decide in bulk, by a few set and size comparisons over whole
-tuples, and walk pair by pair only on a no, to name the first fault in
+a compiled pass answers has_zero_sum for a strong Skolem starter, the one
+report with no fault to name, and None for any other set; that set, and
+every set without the compiled module, goes to the pure lines, which
+decide in bulk, by a few set and size comparisons over whole tuples, and
+walk pair by pair only on a no, to name the first fault in
 canonical order.  Error messages quote outside input through
 residues._quote, cut to its first 80 characters.
 """
@@ -303,13 +304,14 @@ def full_report(ps: PairSet) -> VerificationReport:
     This is the one verifier: it never raises, and a non-starter is
     reported as neither strong nor Skolem.  The report holds the verdicts
     and witnesses only, not a copy of ps.  The compiled module, when it
-    built, decides a Skolem strong starter in one pass; the lines below
-    decide every other set and name each fault.
+    built, answers has_zero_sum for a strong Skolem starter in one pass,
+    which makes the all-yes report, and None for any other set; the lines
+    below decide every set it answers None for and name each fault.
     """
     from .search import _fastsearch  # read per call; search imports starters
-    fast = None if _fastsearch is None else _fastsearch.skolem_verdicts(ps.n, ps.pairs)
-    if fast is not None and fast[:2] == (True, True):  # no witness to name
-        return VerificationReport(None, None, None, fast[2])
+    zero_sum = None if _fastsearch is None else _fastsearch.skolem_verdicts(ps.n, ps.pairs)
+    if zero_sum is not None:  # no witness to name
+        return VerificationReport(None, None, None, zero_sum)
     t = ps.t
     diffs = ps.integer_differences()
     # t distinct integer differences, none above t, are exactly 1..t: one

@@ -487,6 +487,19 @@ def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
             assert compiled == pure and pure[1] == [int] * (q - 1), choice
 
 
+def test_compiled_layout_reads_exact_tuples_only(fastsearch):
+    # a list goes to the pure route like any other iterable, which lays
+    # out the same pairs
+    for q in (3, 11, 1499):
+        runs = fastsearch.fold(q)
+        pairs = fastsearch.skolem_pairs(q, *runs)
+        assert pairs == build_strong_skolem(q).pairs
+        for direct, reflected in ((list(runs[0]), runs[1]), (runs[0], list(runs[1])),
+                                  (list(runs[0]), list(runs[1]))):
+            assert fastsearch.skolem_pairs(q, direct, reflected) is None, q
+            assert HalfSetCertificate(q, 2, direct, reflected).pair_set().pairs == pairs, q
+
+
 def test_compiled_construction_tuples_stay_out_of_the_cyclic_gc(fastsearch, no_collection):
     q = 1499
     runs = fastsearch.fold(q)

@@ -80,8 +80,8 @@ def _foldings(draw):
         drawn = st.lists(entry, max_size=t + 1).map(tuple)
         return st.one_of(st.just(run), st.permutations(run).map(tuple), changed, drawn)
 
-    wrap = draw(st.sampled_from((tuple, list)))
-    return q, wrap(draw(varied(runs[0]))), wrap(draw(varied(runs[1])))
+    # tuples, the one container the compiled route reads
+    return q, draw(varied(runs[0])), draw(varied(runs[1]))
 
 
 def _routes(fastsearch, build):

@@ -360,14 +360,18 @@ def test_compiled_ascending_count_at_25_strong(fastsearch):
     )
 
 
+def _element_driven(n, strong):
+    """The starters of element_driven_starters(n, strong), as a set of
+    frozensets of pairs."""
+    return {frozenset(tuple(sorted(p)) for p in ps) for ps in element_driven_starters(n, strong)}
+
+
 def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
     # Same starter sets from a structurally different enumeration strategy.
-    for n in (9, 11, 17):
+    # n = 19 takes the oracle 0.12 s plain and 0.03 s strong
+    for n in (9, 11, 17, 19):
         for strong in (False, True):
-            oracle = {
-                frozenset(tuple(sorted(p)) for p in ps)
-                for ps in element_driven_starters(n, strong)
-            }
+            oracle = _element_driven(n, strong)
             for kernel in (_pysearch, fastsearch):
                 count, _, witnesses = kernel.run_search(n, strong, 0, -1)
                 found = {_witness_pairs(xs) for xs in witnesses}
@@ -375,9 +379,20 @@ def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
                 assert found == oracle, (kernel, n, strong)
 
 
+@pytest.mark.slow
+def test_compiled_strong_witnesses_at_25_match_element_driven_oracle(fastsearch):
+    # the oracle takes 9 to 11 s here; at strong n = 27 it took 48 to 79 s
+    # and 72 MB, so that order is left to the frozen counts
+    oracle = _element_driven(25, True)
+    count, _, witnesses = fastsearch.run_search(25, True, 0, -1)
+    found = {_witness_pairs(xs) for xs in witnesses}
+    assert count == len(oracle) == len(found) == STARTER_COUNTS[(25, True)]
+    assert found == oracle
+
+
 def test_plain_counts_match_a_memoised_element_driven_count():
-    # the oracle above lists starters only up to n = 17; this count checks
-    # the plain fixtures at n = 19 and 25 too, with no kernel involved.
+    # the oracle above lists starters only up to n = 19; this count checks
+    # the plain fixture at n = 25 too, with no kernel involved.
     # n = 27 takes it 6 to 7 s and 408 MB and is the slow test below
     for (n, strong), count in STARTER_COUNTS.items():
         if not strong and n <= 25:

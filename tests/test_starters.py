@@ -424,6 +424,24 @@ def test_compiled_verdicts_refuse_what_they_do_not_read_exactly(fastsearch, n, p
     assert fastsearch.skolem_verdicts(n, pairs) is None
 
 
+@pytest.mark.parametrize("build, verdicts, answer", [
+    # Skolem, but the sums of (1, 6) and (8, 10) are both 7
+    (lambda: PairSet(11, ((1, 6), (2, 3), (4, 7), (5, 9), (8, 10))), (True, False, True), None),
+    (lambda: build_strong_starter(11, 7), (True, True, False), None),
+    (lambda: build_strong_skolem(3), (True, True, True), True),  # 1 + 2 == 0 mod 3
+    (lambda: build_strong_skolem(11), (True, True, True), False),
+], ids=["skolem-not-strong", "strong-not-skolem", "zero-sum", "no-zero-sum"])
+def test_compiled_verdicts_answer_only_for_a_strong_skolem_starter(fastsearch, build, verdicts, answer):
+    # has_zero_sum, which makes full_report's all-yes report, or None,
+    # which leaves the set to the pure lines
+    ps = build()
+    assert fastsearch.skolem_verdicts(ps.n, ps.pairs) is answer
+    report = full_report(ps)
+    assert report.verdicts == verdicts
+    if answer is not None:
+        assert report.has_zero_sum is answer
+
+
 def test_full_report_lines():
     lines = full_report(PairSet(11, S_HALF[11])).lines()
     assert lines == [
@@ -752,10 +770,9 @@ def _naive_check(n, pairs):
     )
     expected = naive_verdicts(n, pairs)
     assert got == expected, (n, pairs)
-    sums = ps.sums()
-    full = 2 * len(pairs) == n - 1
+    # has_zero_sum for a strong Skolem starter, and None for any other set
     assert skolem.search._fastsearch.skolem_verdicts(n, ps.pairs) == (
-        (got[2], len({*sums}) == len(sums), got[3]) if full else None
+        got[3] if got[1] and got[2] else None
     ), (n, pairs)
     return got
 
