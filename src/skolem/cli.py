@@ -3,9 +3,12 @@
 Text output is round-trip safe: every informational line starts with '#'
 and the pair blocks parse back with the same reader the verify command
 uses.  --json switches any subcommand to a single JSON envelope on stdout,
-which holds each pair set once: generate and verify write theirs as
-results.pair_set, and results.report holds only the verdicts and
-witnesses, as a report does not copy the pair set it describes.
+which holds each pair set once, in pair_set_to_obj's form: generate and
+verify write theirs as results.pair_set, tabulate one per entry and
+search one per witness, and results.report holds only the verdicts and
+witnesses, as a report does not copy the pair set it describes.  A
+search's parameters are those of the SearchConfig it ran, which its
+result does not copy.
 
 Exit codes: 0 success, 1 internal self-check failure, 2 bad usage or
 precondition, unreadable input, unwritable output or too little memory,
@@ -41,6 +44,7 @@ from .starters import (
     PairSet,
     full_report,
     pair_set_from_obj,
+    pair_set_to_obj,
     pair_set_to_text,
     parse_pair_set_text,
 )
@@ -73,12 +77,6 @@ def _envelope(command: str, parameters: dict, results: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _pair_set_json(ps: PairSet) -> dict:
-    """pair_set_to_obj(ps), with the pair tuples themselves in place of
-    list copies: JSON encodes a tuple as it does a list."""
-    return {"n": ps.n, "pairs": ps.pairs}
-
-
 def _error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
@@ -101,7 +99,7 @@ def _cmd_generate(args) -> int:
                 "beta": beta,
                 "beta_choice": choice.value if choice else None,
             },
-            {"pair_set": _pair_set_json(ps), "report": report.to_obj()},
+            {"pair_set": pair_set_to_obj(ps), "report": report.to_obj()},
         )
     else:
         sys.stdout.write(pair_set_to_text(ps))
@@ -169,7 +167,7 @@ def _cmd_verify(args) -> int:
             "verify",
             {"input": args.input, "require": args.require},
             {
-                "pair_set": _pair_set_json(ps),
+                "pair_set": pair_set_to_obj(ps),
                 "report": report.to_obj(),
                 "required_holds": holds,
             },
@@ -206,10 +204,10 @@ def _cmd_search(args) -> int:
         _envelope(
             "search",
             {
-                "n": args.n,
-                "mode": args.mode.value,
-                "require_strong": not args.no_strong,
-                "limit": args.limit,
+                "n": config.n,
+                "mode": config.mode.value,
+                "require_strong": config.require_strong,
+                "limit": config.limit,
                 "workers": result.workers,
             },
             {
@@ -218,18 +216,18 @@ def _cmd_search(args) -> int:
                 "complete": result.complete,
                 "wall_time": result.wall_time,
                 "backend": result.backend,
-                "witnesses": [_pair_set_json(ps) for ps in result.witnesses],
+                "witnesses": [pair_set_to_obj(ps) for ps in result.witnesses],
             },
         )
     else:
-        kind = "strong skolem" if result.require_strong else "skolem"
+        kind = "strong skolem" if config.require_strong else "skolem"
         print(
-            f"# search n={result.n} kind={kind} mode={args.mode.value} "
+            f"# search n={config.n} kind={kind} mode={config.mode.value} "
             f"backend={result.backend} workers={result.workers}"
         )
         # each witness's block as pair_set_to_text writes it, after a blank
         # line, in one write
-        head, lines = f"\nn={result.n}\n", _PairLines()
+        head, lines = f"\nn={config.n}\n", _PairLines()
         for ps in result.witnesses:
             sys.stdout.write(head + "".join(map(lines.__getitem__, ps.pairs)))
         print(f"# count={result.count}")
@@ -259,7 +257,7 @@ def _cmd_tabulate(args) -> int:
             return EXIT_SELF_CHECK
         if args.json:
             entries.append({"q": q, "beta": choice.beta(q), "beta_choice": choice.value,
-                            "pair_set": _pair_set_json(ps)})
+                            "pair_set": pair_set_to_obj(ps)})
             continue
         if header:
             print(header)

@@ -9,7 +9,8 @@ its bytes.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
 difference t), with PairSet, so that the kernel hands each kept witness
-over as a PairSet, and merges the parts in ascending x; the compiled
+over as a PairSet, and merges the parts in the order it queued them,
+which for every mode that keeps witnesses is ascending x; the compiled
 kernel builds them in C, out of the cyclic GC, each time the walk takes
 the GIL back to flush its buffer of witnesses.  With workers > 1 the
 parts of the compiled kernel, which walks with the GIL released, run on
@@ -153,7 +154,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one search.
+    """Outcome of one search, of the SearchConfig it was run with: n, mode
+    and require_strong are the config's, and the result does not copy them.
 
     count is the exact number of starters of the requested kind when
     complete is True; for an aborted FIRST_WITNESS run it is the number
@@ -170,9 +172,6 @@ class SearchResult:
     ones: always 1 for FIRST_WITNESS and on the pure kernel.
     """
 
-    n: int
-    mode: SearchMode
-    require_strong: bool
     count: int
     nodes_explored: int
     witnesses: tuple[PairSet, ...]
@@ -243,9 +242,10 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
 
     Raises CeilingExceededError when config.n exceeds DEFAULT_CEILING and
     force is not set.  The walk is one kernel call per top-level
-    partition x of the first difference t, merged in ascending x: the
-    depth-first order of one whole-tree walk, so the result is the same on
-    any number of workers.  A count stops at x = ceil(t/2), the mirror.
+    partition x of the first difference t.  A count stops at x =
+    ceil(t/2), the mirror, and sums its parts, in any order; every other
+    mode merges them in ascending x, the depth-first order of one
+    whole-tree walk.  So the result is the same on any number of workers.
     """
     if config.n > DEFAULT_CEILING and not config.force:
         raise CeilingExceededError(config.n, DEFAULT_CEILING)
@@ -278,19 +278,18 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         walked[x] = result[0]
         return result
 
+    # The parts merge in the order they are queued: ascending x, except on
+    # a count's threads, whose sums do not depend on the order.  Parts grow
+    # towards the mirror axis x = (t + 1) / 2, so a count's threads take
+    # the parts nearest it first, and the last to start is small.  An
+    # enumeration's threads take them in ascending x, the order its
+    # witnesses merge in, so that more of the parts below each are walked
+    # when it starts; the part sizes are symmetric, so its last part is
+    # small too.
+    queued = sorted(tops, key=lambda x: abs(2 * x - t - 1)) if mirrored and workers > 1 else tops
     started = time.perf_counter()
-    if workers == 1:
-        parts = map(part, tops)
-    else:
-        # Parts grow towards the mirror axis x = (t + 1) / 2, so a count's
-        # threads take the parts nearest it first and the last to start is
-        # small.  An enumeration takes them in ascending x, so that more
-        # of the parts below each are walked when it starts; the part
-        # sizes are symmetric, so its last part is small too.
-        queued = sorted(tops, key=lambda x: abs(2 * x - t - 1)) if mirrored else list(tops)
-        done = dict(zip(queued, _thread_map(workers, part, queued)))
-        parts = map(done.pop, tops)
-    for x, (part_count, part_nodes, part_witnesses) in zip(tops, parts):
+    parts = map(part, queued) if workers == 1 else _thread_map(workers, part, queued)
+    for x, (part_count, part_nodes, part_witnesses) in zip(queued, parts):
         weight = 2 if mirrored and 2 * x != t + 1 else 1
         count += weight * part_count
         nodes += weight * part_nodes
@@ -302,9 +301,6 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
     elapsed = time.perf_counter() - started
 
     return SearchResult(
-        n=n,
-        mode=config.mode,
-        require_strong=strong,
         count=count,
         nodes_explored=nodes,
         witnesses=tuple(witnesses),

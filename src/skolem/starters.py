@@ -395,12 +395,15 @@ def parse_pair_set_text(text: str) -> PairSet:
 
 
 def pair_set_to_obj(ps: PairSet) -> dict:
-    """JSON-ready dict form: {"n": ..., "pairs": [[x, y], ...]}."""
-    return {"n": ps.n, "pairs": [list(p) for p in ps.pairs]}
+    """JSON-ready dict form: {"n": ps.n, "pairs": ps.pairs}, the pair
+    tuples themselves, which JSON encodes as it does lists: [[x, y], ...]."""
+    return {"n": ps.n, "pairs": ps.pairs}
 
 
 def pair_set_from_obj(obj) -> PairSet:
-    """Inverse of pair_set_to_obj, with shape validation."""
+    """Inverse of pair_set_to_obj, with shape validation: "pairs" is a
+    tuple, as pair_set_to_obj gives it, or a list, as JSON decodes it, of
+    two-element lists or tuples of ints."""
     if not isinstance(obj, dict):
         raise ValueError(f"pair set object must be a dict, got {type(obj).__name__}")
     try:
@@ -410,7 +413,7 @@ def pair_set_from_obj(obj) -> PairSet:
         raise ValueError(f"pair set object is missing the {exc.args[0]!r} key") from None
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"'n' must be an int, got {_quote(n)}")
-    if not isinstance(pairs, list):
+    if not isinstance(pairs, (list, tuple)):
         raise ValueError("'pairs' must be a list of two-element lists")
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(

@@ -77,6 +77,17 @@ def test_public_api():
     ]
     fields = [f.name for f in dataclasses.fields(skolem.HalfSetCertificate)]
     assert fields == ["q", "beta", "direct", "reflected"]
+    # a search result answers its SearchConfig and does not copy it
+    fields = [f.name for f in dataclasses.fields(skolem.SearchResult)]
+    assert fields == [
+        "count",
+        "nodes_explored",
+        "witnesses",
+        "complete",
+        "wall_time",
+        "backend",
+        "workers",
+    ]
     assert not hasattr(skolem.residues, "as_modulus")
     assert not hasattr(skolem.QrTable, "class_of")
     assert not hasattr(skolem.search, "CEILING_ENV")

@@ -1,19 +1,20 @@
-"""Differential fuzzing: the compiled and pure kernels on random calls.
+"""Differential checks of the compiled and pure kernels, and of the
+construction's compiled and pure routes.
 
-Each drawn call fixes every run_search argument, including a top-level
-partition and an early stop with a witness cap, and each kernel must
-return the (count, nodes, witnesses) triple of the recursive walk in
-_naive.py, which tests every candidate's sum instead of masking by
-half-sums; on half the draws the call passes PairSet too, and each
-witness must be the PairSet of that walk's row.  Each drawn folding
-certificate, real or corrupted, must get the same pair set, element
-types included, or the same error from the construction's compiled and
-pure routes.
+Every run_search call in a finite grid, each with and without PairSet,
+must give on each kernel the (count, nodes, witnesses) triple of the
+recursive walk in _naive.py, which tests every candidate's sum instead of
+masking by half-sums, and with PairSet each witness must be the PairSet
+of that walk's row.  Each drawn folding certificate, real or corrupted,
+must get the same pair set, element types included, or the same error
+from the construction's compiled and pure routes.
 """
 
 import enum
+from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import skolem.search
@@ -23,35 +24,29 @@ from skolem.construction import _skolem_pairs
 from _naive import sum_array_walk
 
 
-@st.composite
-def _kernel_calls(draw):
-    n = draw(st.sampled_from(range(3, 18, 2)))
-    descending = draw(st.booleans())
-    top_d = (n - 1) // 2 if descending else 1
-    args = (
-        n,
-        draw(st.booleans()),
-        draw(st.sampled_from((0, 1, 3))),
-        draw(st.sampled_from((-1, 0, 2))),
-        descending,
-        draw(st.integers(0, n - 1 - top_d)),
-    )
-    return args, draw(st.booleans())
+def _grid(n):
+    """Every run_search argument tuple of order n in the grid: either kind,
+    each early stop, each witness cap, either order and each top-level
+    partition, 0 being the whole walk; and on the whole walk, caps either
+    side of the 256 witnesses the compiled kernel buffers before it hands
+    them over (n = 17 plain has 504 witnesses, so they fill the buffer)."""
+    for strong, stop, descending in product((False, True), (0, 1, 3), (True, False)):
+        top_d = (n - 1) // 2 if descending else 1
+        for top in range(n - top_d):
+            for cap in (-1, 0, 2, 255, 256, 257) if top == 0 else (-1, 0, 2):
+                yield n, strong, stop, cap, descending, top
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(case=_kernel_calls())
-def test_kernels_agree_on_random_calls(fastsearch, case):
+@pytest.mark.parametrize("n", range(3, 18, 2))
+def test_kernels_agree_on_every_call(fastsearch, n):
     # args: (n, strong, stop_after, collect_limit, descending, fixed_top),
-    # and with pair_sets the class too
-    args, pair_sets = case
-    count, nodes, witnesses = sum_array_walk(*args)
-    if pair_sets:
-        n = args[0]
-        witnesses = [PairSet(n, [(x, x + d) for d, x in enumerate(xs, 1)]) for xs in witnesses]
-        args += (PairSet,)
-    assert fastsearch.run_search(*args) == (count, nodes, witnesses)
-    assert _pysearch.run_search(*args) == (count, nodes, witnesses)
+    # and then with PairSet too
+    for args in _grid(n):
+        count, nodes, witnesses = sum_array_walk(*args)
+        pair_sets = [PairSet(n, [(x, x + d) for d, x in enumerate(xs, 1)]) for xs in witnesses]
+        for kernel in (fastsearch, _pysearch):
+            assert kernel.run_search(*args) == (count, nodes, witnesses), (kernel, args)
+            assert kernel.run_search(*args, PairSet) == (count, nodes, pair_sets), (kernel, args)
 
 
 class _Two(enum.IntEnum):

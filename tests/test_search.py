@@ -62,29 +62,18 @@ def test_compiled_kernel_counts_match_fixtures(fastsearch):
         assert fastsearch.run_search(n, strong) == (count, nodes, []), (n, strong)
 
 
-def _agreement_calls(n, strong, descending):
-    """run_search arguments for the whole walk, every top-level partition,
-    early stops with and without a witness cap, and caps either side of the
-    256 witnesses the compiled kernel buffers before it hands them over."""
-    top_d = (n - 1) // 2 if descending else 1
-    calls = [(0, -1, 0)]
-    calls += [(0, -1, x) for x in range(1, n - top_d)]
+def _agreement_calls(n, strong):
+    """run_search arguments, descending, for the whole walk, every
+    top-level partition, early stops with and without a witness cap, and
+    caps either side of the 256 witnesses the compiled kernel buffers
+    before it hands them over."""
+    calls = [(0, -1, x) for x in range(n - (n - 1) // 2)]
     calls += [(stop, cap, 0) for stop in (1, 3) for cap in (0, 2)]
     calls += [(0, cap, 0) for cap in (255, 256, 257)]
-    return [(n, strong, stop, cap, descending, top) for stop, cap, top in calls]
+    return [(n, strong, stop, cap, True, top) for stop, cap, top in calls]
 
 
 def test_kernels_agree_exactly(fastsearch):
-    # count, node count and witness stream of each kernel all identical to
-    # the recursive walk that tests each candidate's sum, both orders (n =
-    # 17 plain has 504 witnesses, so its caps fill the compiled buffer)
-    for n in range(3, 19, 2):
-        for strong in (False, True):
-            for descending in (True, False):
-                for args in _agreement_calls(n, strong, descending):
-                    expected = sum_array_walk(*args)
-                    assert _pysearch.run_search(*args) == expected, args
-                    assert fastsearch.run_search(*args) == expected, args
     # The compiled walk enters every order the same way: a recursive
     # function per level hands its subtree down until the hand-off level.
     # n = 3 (t = 1) is that last level alone; n = 5 to 15 (t <= 7) recurse
@@ -93,13 +82,15 @@ def test_kernels_agree_exactly(fastsearch):
     # hands over below its top level, and n = 19, 21 and 23 2 to 4 levels
     # down, and every stop and every full witness batch falls in the tail.
     # n = 15 has no starter, so whether t = 7 takes the last level or the
-    # nested loops is not seen here.  n = 19 and 21 are checked against the
+    # nested loops is not seen here.  n <= 17 are checked, both orders,
+    # against the recursive walk that tests each candidate's sum, by
+    # test_kernel_fuzz.py's grid.  n = 19 and 21 are checked against the
     # pure kernel alone, descending, as the package walks, and so is n = 23
     # strong, on the whole walk and every partition only: it has no
     # starter, so each stop and cap would walk the whole tree again and
     # check nothing new.
     for n, strong in ((19, False), (19, True), (21, True)):
-        for args in _agreement_calls(n, strong, True):
+        for args in _agreement_calls(n, strong):
             assert fastsearch.run_search(*args) == _pysearch.run_search(*args), args
     for top in range(12):  # 0, the whole walk, then each x of difference 11
         args = (23, True, 0, -1, True, top)
@@ -487,12 +478,13 @@ def test_search_config_validation():
 
 
 def test_count_mode():
-    result = search_skolem_starters(SearchConfig(n=11))
+    config = SearchConfig(n=11)
+    result = search_skolem_starters(config)
     assert result.count == 2
     assert result.complete
     assert result.witnesses == ()
-    assert result.mode is SearchMode.COUNT_ALL
-    assert result.require_strong
+    assert config.mode is SearchMode.COUNT_ALL
+    assert config.require_strong
     assert result.backend == active_backend()
     assert result.wall_time >= 0
     loose = search_skolem_starters(SearchConfig(n=11, require_strong=False))

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -537,8 +538,13 @@ def test_text_parser_allows_blanks_around_numerals():
 def test_obj_round_trip():
     ps = PairSet(19, S_HALF[19])
     obj = pair_set_to_obj(ps)
-    assert obj == {"n": 19, "pairs": [list(p) for p in S_HALF[19]]}
+    # the pair tuples themselves, which JSON encodes as lists
+    assert obj == {"n": 19, "pairs": S_HALF[19]}
+    assert obj["pairs"] is ps.pairs
     assert pair_set_from_obj(obj) == ps
+    decoded = json.loads(json.dumps(obj))
+    assert decoded == {"n": 19, "pairs": [list(p) for p in S_HALF[19]]}
+    assert pair_set_from_obj(decoded) == ps
 
 
 def test_obj_validation():
