@@ -39,11 +39,11 @@ rows; per command, every run's wall time and peak RSS, with the same
 two figures of each; the Tier-1 run's wall time, exit code and its
 pytest summary line; and, as source, bench/size.py's figures: the lines
 of each file under src/skolem, the C file's lines that hold code, the
-Python lines that hold code and, from the module the Tier-1 run built in
-place, the bytes of its .text section and of upper, upper_bmi2 and
-run_search.  It also records the length of the checkout's path, which
-moves peak_rss_mb, so only baselines taken from paths of equal length
-compare on that metric.
+Python lines that hold code, in src/skolem and in tests/, and, from the
+module the Tier-1 run built in place, the bytes of its .text section and
+of upper, upper_bmi2 and run_search.  It also records the length of the
+checkout's path, which moves peak_rss_mb, so only baselines taken from
+paths of equal length compare on that metric.
 """
 
 import argparse

@@ -1,7 +1,8 @@
 """Count the source size of the package: the lines of each file under
 src/skolem, the lines of the C file that hold code, with its comments
 stripped by the preprocessor, and the Python lines that hold code: no
-blank, comment-only or docstring line.  When the compiled module for
+blank, comment-only or docstring line, in src/skolem and, counted apart,
+in the test suite's tests/*.py.  When the compiled module for
 this interpreter has been built in place under src/skolem, also its
 machine code: the size of its .text section, of the walk's two copies,
 upper and upper_bmi2, and of run_search, which enters them, as nm -S
@@ -9,10 +10,11 @@ gives them.
 
     python3 bench/size.py
 
-prints the C count, each Python file's count and their total, then the
-machine-code sizes.  bench/record.py writes the same figures, through
-sizes(), as the source block of BENCH_<label>.json.  The C count needs
-gcc, and the machine-code sizes binutils' size and nm.
+prints the C count, each Python file's count and their total, the same
+for the test files, then the machine-code sizes.  bench/record.py writes
+the same figures, through sizes(), as the source block of
+BENCH_<label>.json.  The C count needs gcc, and the machine-code sizes
+binutils' size and nm.
 """
 
 import ast
@@ -25,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PY_FILES = sorted((ROOT / "src" / "skolem").glob("*.py"))
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 C_FILE = ROOT / "src" / "skolem" / "_fastsearch.c"
 MODULE = C_FILE.with_name("_fastsearch" + sysconfig.get_config_var("EXT_SUFFIX"))
 SYMBOLS = ("upper", "upper_bmi2", "run_search")
@@ -77,12 +80,15 @@ def sizes() -> dict:
     is None when the module is not built."""
     lines = {str(p.relative_to(ROOT)): p.read_bytes().count(b"\n") for p in PY_FILES + [C_FILE]}
     python = {str(p.relative_to(ROOT)): python_code_lines(p) for p in PY_FILES}
+    tests = {str(p.relative_to(ROOT)): python_code_lines(p) for p in TEST_FILES}
     return {
         "lines": lines,
         "lines_total": sum(lines.values()),
         "c_code_lines": c_code_lines(C_FILE),
         "python_code_lines": python,
         "python_code_lines_total": sum(python.values()),
+        "test_code_lines": tests,
+        "test_code_lines_total": sum(tests.values()),
         "machine_code": {"module": str(MODULE.relative_to(ROOT)), **machine_code(MODULE)}
                         if MODULE.exists() else None,
     }
@@ -94,6 +100,9 @@ def main() -> int:
     for path, count in found["python_code_lines"].items():
         print(f"{count:8} {path}")
     print(f"{found['python_code_lines_total']:8} Python code lines")
+    for path, count in found["test_code_lines"].items():
+        print(f"{count:8} {path}")
+    print(f"{found['test_code_lines_total']:8} Python code lines of the tests")
     code = found["machine_code"]
     if code is None:
         print(f"machine code: {MODULE.relative_to(ROOT)} is not built")

@@ -194,13 +194,12 @@ def _preview(vals, total: int) -> str:
 
 def _first_repeat(pairs, keys):
     """(earlier, pair, key) for the first pair, in order, whose key an
-    earlier pair already has; None when every key is distinct."""
+    earlier pair already has; some key must repeat."""
     seen: dict = {}
     for pair, key in zip(pairs, keys):
         if key in seen:
             return seen[key], pair, key
         seen[key] = pair
-    return None
 
 
 def _starter_witness(ps: PairSet, skolem: bool) -> str | None:

@@ -16,9 +16,49 @@ cycle_qr_generators lists every generator alpha of the residues by
 walking each residue's cycle of powers, with no order factorisation.
 sum_array_walk walks the package kernels' tree recursively, testing each
 candidate's own sum where the kernels mask candidates by half-sums.
+
+The number theory has its own oracles too, sharing no code with
+skolem.residues: primes_in sieves a window for its primes, where the
+package runs trial division and Miller-Rabin, and jacobi computes the
+Jacobi symbol by quadratic reciprocity, where the package squares every
+element or raises to Euler's power.
 """
 
-from math import prod
+from itertools import compress
+from math import isqrt, prod
+
+
+def primes_in(lo, hi):
+    """The set of primes p with 0 <= lo <= p < hi: a segmented sieve of
+    Eratosthenes, which strikes the multiples of each prime up to the
+    square root of hi out of the window, those primes coming from the
+    same sieve run below it."""
+    flags = bytearray([1]) * (hi - lo)
+    for k in range(lo, min(hi, 2)):
+        flags[k - lo] = 0
+    for p in primes_in(0, isqrt(hi - 1) + 1) if hi > 4 else ():
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    return set(compress(range(lo, hi), flags))
+
+
+def jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0, which for a prime n is the
+    Legendre symbol: 1 for a residue, -1 for a non-residue, 0 when n
+    divides a.  Pulls out factors 2 by the supplementary law and swaps a
+    and n by quadratic reciprocity, as Euclid's algorithm does."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 def naive_pair_set(n, pairs):

@@ -5,9 +5,9 @@ Every run_search call in a finite grid, each with and without PairSet,
 must give on each kernel the (count, nodes, witnesses) triple of the
 recursive walk in _naive.py, which tests every candidate's sum instead of
 masking by half-sums, and with PairSet each witness must be the PairSet
-of that walk's row.  Each drawn folding certificate, real or corrupted,
-must get the same pair set, element types included, or the same error
-from the construction's compiled and pure routes.
+of that walk's row.  Each folding certificate of a second finite grid,
+real or corrupted, must get the same pair set, element types included,
+or the same error from the construction's compiled and pure routes.
 """
 
 import enum
@@ -15,7 +15,6 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import skolem.search
 from skolem import HalfSetCertificate, PairSet, _pysearch
@@ -53,30 +52,28 @@ class _Two(enum.IntEnum):
     TWO = 2
 
 
-@st.composite
-def _foldings(draw):
-    # the folding of the squares partitions 1..t for a prime q == 3 (mod 4),
-    # drawn half the time, and otherwise for no odd q
-    q = draw(st.one_of(st.sampled_from((3, 7, 11, 19, 23, 31)), st.sampled_from(range(3, 40, 2))))
-    t = (q - 1) // 2
-    squares = {x * x % q for x in range(1, t + 1)}
-    runs = [tuple(d for d in range(1, t + 1) if d in squares),
-            tuple(d for d in range(1, t + 1) if q - d in squares)]
-    if draw(st.booleans()):
-        runs.reverse()
-    # entries near the range, far past any machine word, and a bool, a
-    # float and an int subclass, which only the pure route reads
-    near = st.integers(-1, t + 2)
-    entry = st.one_of(near, st.integers(-(2**80), 2**80), st.sampled_from((True, 2.0, _Two.TWO)))
-
-    def varied(run):
-        changed = st.tuples(st.integers(0, max(len(run) - 1, 0)), entry).map(
-            lambda c: run[: c[0]] + (c[1],) + run[c[0] + 1 :])
-        drawn = st.lists(entry, max_size=t + 1).map(tuple)
-        return st.one_of(st.just(run), st.permutations(run).map(tuple), changed, drawn)
-
-    # tuples, the one container the compiled route reads
-    return q, draw(varied(runs[0])), draw(varied(runs[1]))
+def _foldings():
+    """Every (q, direct, reflected) of the folding grid: each odd q in
+    3..39, whose folding of the squares partitions 1..t only for a prime
+    q == 3 (mod 4), with its two runs in either order, and one run at a
+    time varied: kept, reversed, rotated by one, emptied, made 1..t+1,
+    given a repeated entry, or with one position set to one of the entries
+    below.  Runs are tuples, the one container the compiled route reads."""
+    for q in range(3, 40, 2):
+        t = (q - 1) // 2
+        squares = {x * x % q for x in range(1, t + 1)}
+        runs = (tuple(d for d in range(1, t + 1) if d in squares),
+                tuple(d for d in range(1, t + 1) if q - d in squares))
+        # entries near the range, far past any machine word, and a bool, a
+        # float and an int subclass, which only the pure route reads
+        entries = (-1, 0, 1, t, t + 1, t + 2, 2**80, -(2**80), True, 2.0, _Two.TWO)
+        for pair in (runs, runs[::-1]):
+            for side, run in enumerate(pair):
+                variants = [run, run[::-1], run[1:] + run[:1], (), tuple(range(1, t + 2)),
+                            run[:1] + run]
+                variants += [run[:i] + (e,) + run[i + 1 :] for i in range(len(run)) for e in entries]
+                for varied in variants:
+                    yield (q, varied, pair[1]) if side == 0 else (q, pair[0], varied)
 
 
 def _routes(fastsearch, build):
@@ -94,12 +91,11 @@ def _routes(fastsearch, build):
     return out
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(case=_foldings())
-def test_construction_routes_agree_on_random_foldings(fastsearch, case):
-    q, direct, reflected = case
-    compiled, pure = _routes(fastsearch, lambda: _skolem_pairs(q, direct, reflected))
-    assert compiled == pure
-    certificate = HalfSetCertificate(q, 2, direct, reflected)
-    compiled, pure = _routes(fastsearch, certificate.pair_set)
-    assert compiled == pure
+def test_construction_routes_agree_on_every_folding(fastsearch):
+    for case in _foldings():
+        q, direct, reflected = case
+        compiled, pure = _routes(fastsearch, lambda: _skolem_pairs(*case))
+        assert compiled == pure, case
+        certificate = HalfSetCertificate(q, 2, direct, reflected)
+        compiled, pure = _routes(fastsearch, certificate.pair_set)
+        assert compiled == pure, case

@@ -1,7 +1,7 @@
 import random
+from math import prod
 
 import pytest
-import sympy
 
 import skolem.construction
 import skolem.residues
@@ -16,17 +16,18 @@ from skolem import (
 )
 
 from _fixtures import NQR_SETS, QR_SETS, SMALLEST_QR_GENERATOR
-from _naive import cycle_qr_generators
+from _naive import cycle_qr_generators, jacobi, primes_in
 
-PRIMES_TO_200 = [p for p in range(3, 200) if sympy.isprime(p)]
+PRIMES_TO_200 = sorted(primes_in(3, 200))
 
 
-def test_is_prime_matches_sympy_exhaustively():
+def test_is_prime_matches_a_sieve_exhaustively():
     # across is_prime's trial-division cutoff 41**2 = 1681, below which no
     # Miller-Rabin round runs, and the composites 37 * 41 = 1517 below it
     # and 41 * 43 = 1763 above it
+    primes = primes_in(0, 5000)
     for n in range(0, 5000):
-        assert is_prime(n) == sympy.isprime(n), n
+        assert is_prime(n) == (n in primes), n
 
 
 def test_is_prime_large_values():
@@ -51,8 +52,9 @@ def test_is_prime_at_the_four_base_bound():
     rng = random.Random(31)
     below_cap = [2**31 - 1 - 2 * rng.randrange(10**6) for _ in range(2000)]
     bound = 3_215_031_751
+    primes = primes_in(2**31 - 2 * 10**6, 2**31) | primes_in(bound - 10**4, bound + 10**4 + 1)
     for n in [*below_cap, *range(bound - 10**4, bound + 10**4 + 1, 2)]:
-        assert is_prime(n) == sympy.isprime(n), n
+        assert is_prime(n) == (n in primes), n
 
 
 @pytest.mark.parametrize(
@@ -100,12 +102,15 @@ def test_modulus_attributes():
     with pytest.raises(ValueError, match="modulus 9 is not prime"):
         build_qr_table(9)
     # 2**31 - 1 is a Mersenne prime, so the cap itself is accepted; its
-    # generator has order exactly h, checked at sympy's factors of h
+    # generator has order exactly h = 2**30 - 1 = 3**2 * 7 * 11 * 31 * 151
+    # * 331, checked at each of those primes
     q = MAX_MODULUS
     h = (q - 1) // 2
+    factors = (3, 7, 11, 31, 151, 331)
+    assert 3 * prod(factors) == h and set(factors) <= primes_in(0, 332)
     g = smallest_qr_generator(q)
     assert pow(g, h, q) == 1
-    assert all(pow(g, h // p, q) != 1 for p in sympy.primefactors(h))
+    assert all(pow(g, h // p, q) != 1 for p in factors)
 
 
 def test_each_call_runs_miller_rabin_once(monkeypatch):
@@ -180,7 +185,7 @@ def test_qr_table_agrees_with_legendre():
         assert len(table.qr_set) == len(table.nqr_set) == (q - 1) // 2
         assert table.qr_set | table.nqr_set == set(range(1, q))
         for x in range(1, q):
-            expected = sympy.legendre_symbol(x, q) == 1
+            expected = jacobi(x, q) == 1
             assert (x in table.qr_set) == expected, (q, x)
 
 

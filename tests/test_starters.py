@@ -4,10 +4,10 @@ import random
 import subprocess
 import sys
 from enum import IntEnum
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from skolem import (
     ConstructionError,
@@ -183,39 +183,44 @@ def _with_fault(kind, n, pair, other):
     }[kind]
 
 
-@st.composite
-def _pair_lists(draw):
-    # a whole or partial partition of 1..n-1 with up to two variants put in
-    n = draw(st.sampled_from(range(3, 42, 2)))
-    elements = draw(st.permutations(range(1, n)))
-    base = [(elements[i], elements[i + 1]) for i in range(0, n - 1, 2)]
-    if draw(st.booleans()):
-        base = base[: draw(st.integers(1, len(base)))]
-    pairs = list(base)
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, len(base) - 1))
-        other = base[(i + 1) % len(base)][0]
-        pairs[i] = _with_fault(draw(st.sampled_from(_FAULTS)), n, base[i], other)
-    return n, pairs
+def _pair_lists():
+    """Every (n, pairs) of the pair-list grid: for n in 3, 5, 11 and 41,
+    the elements 1..n-1 ascending, descending and in one seeded shuffle,
+    paired off in turn; of those pairs all, the first alone or all but the
+    last; and in them no fault, each fault kind at each position, or each
+    ordered pair of kinds at the first and last positions."""
+    for n in (3, 5, 11, 41):
+        elements = list(range(1, n))
+        for order in (elements, elements[::-1], random.Random(n).sample(elements, n - 1)):
+            pairs = [(order[i], order[i + 1]) for i in range(0, n - 1, 2)]
+            for base in (pairs, pairs[:1], pairs[:-1]):
+
+                def fault(kind, i):
+                    return _with_fault(kind, n, base[i], base[(i + 1) % len(base)][0])
+
+                yield n, base
+                for i, kind in product(range(len(base)), _FAULTS):
+                    yield n, [*base[:i], fault(kind, i), *base[i + 1 :]]
+                if len(base) > 1:
+                    for first, last in product(_FAULTS, repeat=2):
+                        yield n, [fault(first, 0), *base[1:-1], fault(last, -1)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(case=_pair_lists())
-def test_pair_set_matches_the_naive_walk(case):
-    n, pairs = case
-    try:
-        expected = naive_pair_set(n, pairs)
-    except (TypeError, ValueError) as exc:
-        with pytest.raises(type(exc)) as info:
-            PairSet(n, pairs)
-        assert type(info.value) is type(exc)
-        assert str(info.value) == str(exc)
-    else:
-        got = PairSet(n, pairs).pairs
-        assert got == expected
-        assert [type(el) for p in got for el in p] == [
-            type(el) for p in expected for el in p
-        ]
+def test_pair_set_matches_the_naive_walk():
+    for n, pairs in _pair_lists():
+        try:
+            expected = naive_pair_set(n, pairs)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                PairSet(n, pairs)
+            assert type(info.value) is type(exc), (n, pairs)
+            assert str(info.value) == str(exc), (n, pairs)
+        else:
+            got = PairSet(n, pairs).pairs
+            assert got == expected, (n, pairs)
+            assert [type(el) for p in got for el in p] == [
+                type(el) for p in expected for el in p
+            ], (n, pairs)
 
 
 @pytest.mark.parametrize(
