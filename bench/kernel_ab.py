@@ -19,14 +19,16 @@ that a round's sample of a row is what a BENCH_*.json kernel row holds:
 the best wall time of a one-worker count through search_skolem_starters.
 Per row it prints each build's median over the N rounds, its
 interquartile range over the median, the working tree's change of the
-median, and in how many of the N rounds the working tree was faster.  It
-needs git and a C compiler, and nothing from the network; REV is anything
-git rev-parse accepts that names a commit.
+median, in how many of the N rounds the working tree was faster, and the
+verdict() on the row: "gain", "loss" or "no clear change".  It needs git
+and a C compiler, and nothing from the network; REV is anything git
+rev-parse accepts that names a commit.
 """
 
 import argparse
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -77,6 +79,21 @@ def build(checkout: Path) -> Path:
     return built
 
 
+def verdict(base: list, tree: list) -> str:
+    """"gain" when, over at least 10 rounds, the tree's times, each against
+    the base's of its round, are lower in at least 9 of 10 rounds, a tie
+    counting for neither side, and their median is lower by more than the
+    base's interquartile range; "loss" in the mirror case; else "no clear
+    change", as always for fewer than 10 rounds."""
+    base_mid, base_iqr = spread(base).values()
+    change = statistics.median(tree) - base_mid
+    # the rounds won by the side whose median is lower
+    wins = sum((w - b) * change > 0 for b, w in zip(base, tree))
+    if len(base) >= 10 and abs(change) > base_iqr * base_mid and 10 * wins >= 9 * len(base):
+        return "gain" if change < 0 else "loss"
+    return "no clear change"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the revision to compare the working tree with")
@@ -119,7 +136,7 @@ def main(argv=None) -> int:
 
     print(f"# {args.rounds} rounds, each build in a fresh interpreter per round;"
           " ms per count, median (IQR/median)")
-    print(f"{'row':>14} {'base':>16} {'tree':>16} {'change':>8}  tree wins")
+    print(f"{'row':>14} {'base':>16} {'tree':>16} {'change':>8}  tree wins  verdict")
     for (n, strong), got in times.items():
         base, base_iqr = spread(got["base"]).values()
         tree, tree_iqr = spread(got["tree"]).values()
@@ -127,7 +144,7 @@ def main(argv=None) -> int:
         label = f"{n} {'strong' if strong else 'plain'}"
         print(f"{label:>14} {base * 1e3:8.3f} ({base_iqr:5.1%})"
               f" {tree * 1e3:8.3f} ({tree_iqr:5.1%}) {tree / base - 1:+8.1%}"
-              f"  {wins} of {args.rounds}")
+              f"  {wins:>2} of {args.rounds:<2}  {verdict(got['base'], got['tree'])}")
     return 0
 
 

@@ -9,18 +9,21 @@ its bytes.  A search runs the compiled kernel when it built and n fits
 its word, else the pure one.  Every search calls the kernel once per
 top-level partition (the position x of the pair with the largest
 difference t), with PairSet, so that the kernel hands each kept witness
-over as a PairSet, and merges the parts in the order it queued them,
-which for every mode that keeps witnesses is ascending x; the compiled
-kernel builds them in C, out of the cyclic GC, each time the walk takes
-the GIL back to flush its buffer of witnesses.  With workers > 1 the
-parts of the compiled kernel, which walks with the GIL released, run on
-the caller plus workers - 1 plain threads; the pure kernel holds the
-GIL, so it runs on one worker, which also sees Ctrl-C at once.
-`import skolem` loads no executor, and _pysearch only when a search
-picks it.
+over as a PairSet; the compiled kernel builds them in C, out of the
+cyclic GC, each time the walk takes the GIL back to flush its buffer of
+witnesses.
 The reflection x -> n - x - d maps starters to starters and partition x
 to t + 1 - x, so a count walks only x = 1..ceil(t/2) and adds each
 mirror pair twice; its node count is still that of the whole tree.
+The mode alone sets the order of the parts, and the parts merge in it:
+a count queues them from the mirror down, x = ceil(t/2)..1, the largest
+first, and every other mode in ascending x.  The worker count sets only
+how many threads take parts from that queue: with workers > 1 the parts
+of the compiled kernel, which walks with the GIL released, run on the
+caller plus workers - 1 plain threads; the pure kernel holds the GIL,
+so it runs on one worker, which also sees Ctrl-C at once.
+`import skolem` loads no executor, and _pysearch only when a search
+picks it.
 
 Search cost grows explosively with n, so search_skolem_starters refuses
 n above DEFAULT_CEILING (27) unless forced.
@@ -103,14 +106,15 @@ class SearchConfig:
     one found, ENUMERATE_ALL tallies everything while collecting witnesses
     (capped at limit when given, which no other mode accepts; the count
     stays exact past the cap).
-    require_strong restricts the walk to strong starters.  COUNT_ALL walks
-    the ceil(t/2) top-level partitions up to the mirror and ENUMERATE_ALL
-    all t of them, spread over the caller plus min(workers, partitions) - 1
-    plain threads when workers > 1 on the compiled kernel; the pure
-    kernel, which holds the GIL, and FIRST_WITNESS run on one worker, the
-    latter walking the partitions in order until one holds a starter, so
-    the witness is the deterministic depth-first one.  force bypasses the
-    ceiling.
+    require_strong restricts the walk to strong starters.  The mode sets
+    which top-level partitions are walked and in what order: COUNT_ALL the
+    ceil(t/2) up to the mirror, from the mirror down, ENUMERATE_ALL all t
+    of them in ascending x, and FIRST_WITNESS the same until one holds a
+    starter, so the witness is the deterministic depth-first one.  workers
+    sets only how many threads take them: the caller plus
+    min(workers, partitions) - 1 plain ones on the compiled kernel; the
+    pure kernel, which holds the GIL, and FIRST_WITNESS run on one worker.
+    force bypasses the ceiling.
     """
 
     n: int
@@ -242,10 +246,12 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
 
     Raises CeilingExceededError when config.n exceeds DEFAULT_CEILING and
     force is not set.  The walk is one kernel call per top-level
-    partition x of the first difference t.  A count stops at x =
-    ceil(t/2), the mirror, and sums its parts, in any order; every other
-    mode merges them in ascending x, the depth-first order of one
-    whole-tree walk.  So the result is the same on any number of workers.
+    partition x of the first difference t, queued in an order that the
+    mode alone sets and merged in it.  A count walks from x = ceil(t/2),
+    the mirror, down to 1 and sums its parts; every other mode walks them
+    in ascending x, the depth-first order of one whole-tree walk.  The
+    worker count sets only how many threads take parts from that queue,
+    so the result is the same on any number of workers.
     """
     if config.n > DEFAULT_CEILING and not config.force:
         raise CeilingExceededError(config.n, DEFAULT_CEILING)
@@ -260,10 +266,17 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         # no cap past the compiled kernel's C long long can bind
         stop_after, collect = 0, (-1 if config.limit is None else min(config.limit, 2**63 - 1))
     # A count walks up to the mirror (see the module docstring) and weighs
-    # every part twice but the middle one of odd t, its own mirror.
+    # every part twice but the middle one of odd t, its own mirror.  Parts
+    # grow towards the mirror axis x = (t + 1) / 2, so a count, whose sums
+    # do not depend on the order, takes them from the axis down, and the
+    # last to start is small.  Every other mode takes them in ascending x,
+    # the order its witnesses merge in, so that more of the parts below
+    # each are walked when it starts; the part sizes are symmetric, so its
+    # last part is small too.  The parts merge in the order queued here,
+    # whatever the number of workers taking them.
     mirrored = config.mode is SearchMode.COUNT_ALL
-    tops = range(1, (t + 1) // 2 + 1 if mirrored else t + 1)
-    workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(tops))
+    queued = range((t + 1) // 2, 0, -1) if mirrored else range(1, t + 1)
+    workers = 1 if stop_after or backend_name == "pure" else min(config.workers, len(queued))
     count = nodes = 0
     witnesses = []
     walked = [0] * (t + 1)  # the count of each part x once it is walked
@@ -278,15 +291,6 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         walked[x] = result[0]
         return result
 
-    # The parts merge in the order they are queued: ascending x, except on
-    # a count's threads, whose sums do not depend on the order.  Parts grow
-    # towards the mirror axis x = (t + 1) / 2, so a count's threads take
-    # the parts nearest it first, and the last to start is small.  An
-    # enumeration's threads take them in ascending x, the order its
-    # witnesses merge in, so that more of the parts below each are walked
-    # when it starts; the part sizes are symmetric, so its last part is
-    # small too.
-    queued = sorted(tops, key=lambda x: abs(2 * x - t - 1)) if mirrored and workers > 1 else tops
     started = time.perf_counter()
     parts = map(part, queued) if workers == 1 else _thread_map(workers, part, queued)
     for x, (part_count, part_nodes, part_witnesses) in zip(queued, parts):

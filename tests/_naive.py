@@ -15,7 +15,8 @@ package builds it from the set of quadratic residues, and
 cycle_qr_generators lists every generator alpha of the residues by
 walking each residue's cycle of powers, with no order factorisation.
 sum_array_walk walks the package kernels' tree recursively, testing each
-candidate's own sum where the kernels mask candidates by half-sums.
+candidate's own sum where the kernels mask candidates by half-sums, and
+row_pairs decodes a row of that walk or of the kernels into its pairs.
 
 The number theory has its own oracles too, sharing no code with
 skolem.residues: primes_in sieves a window for its primes, where the
@@ -356,3 +357,9 @@ def sum_array_walk(
 
     walk(0)
     return count, nodes, witnesses
+
+
+def row_pairs(xs):
+    """The pairs (x, x + d) of a witness row, xs[d - 1] = x, in the order
+    of d: the rows of sum_array_walk and of run_search without PairSet."""
+    return [(x, x + d) for d, x in enumerate(xs, start=1)]

@@ -42,6 +42,28 @@ def fastsearch(request):
 
 
 @pytest.fixture
+def routes(fastsearch, monkeypatch):
+    """routes(build): build() on the compiled and on the pure construction
+    route, in that order, each as the tuples of ints it returns with their
+    element types, or as the exception's type and message."""
+    import skolem.search
+
+    def run(build):
+        out = []
+        for kernel in (fastsearch, None):
+            monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
+            try:
+                pairs = build()
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                out.append((type(exc), str(exc)))
+            else:
+                out.append((pairs, [type(el) for pair in pairs for el in pair]))
+        return out
+
+    return run
+
+
+@pytest.fixture
 def no_collection():
     """The cyclic GC off for the test.  A collection untracks a tuple of
     ints by itself, so a check that a call hands out untracked tuples must

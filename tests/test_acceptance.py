@@ -177,7 +177,9 @@ def test_criterion_7_cross_validation():
                 assert full_report(ps).verdicts == (True, True, True), q
             result = search_skolem_starters(SearchConfig(n=q, mode="enumerate"))
             enumerated = {ps.pairs for ps in result.witnesses}
-            assert all(ps.pairs in enumerated for ps in built), q
+            # Z_11 has no strong Skolem starter but the two constructed ones
+            expected = {ps.pairs for ps in built}
+            assert expected == enumerated if q == 11 else expected < enumerated, q
             assert result.count == STARTER_COUNTS[(q, True)], q
         seq = search_skolem_starters(SearchConfig(n=19, mode="enumerate"))
         par = search_skolem_starters(SearchConfig(n=19, mode="enumerate", workers=2))

@@ -1,5 +1,5 @@
 """The benchmark scripts under bench/: the kernel child that bench/record.py
-and bench/kernel_ab.py both time with."""
+and bench/kernel_ab.py both time with, and kernel_ab.py's verdict on a row."""
 
 import sys
 from pathlib import Path
@@ -23,3 +23,22 @@ def test_the_kernel_child_counts_in_a_fresh_interpreter(fastsearch, monkeypatch)
         # the warm-up run is dropped; a spec of 0 s keeps the one run asked for
         assert row["runs"] == 1
         assert row["wall_time"] > 0
+
+
+def test_the_ab_verdict_needs_nine_wins_in_ten_and_a_gap_past_the_iqr(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from kernel_ab import verdict
+
+    # the base's median is 10.9 and its interquartile range 0.9
+    base = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    faster = [b - 1 for b in base]
+    assert verdict(base, faster) == "gain"
+    assert verdict(faster, base) == "loss"
+    # a tie counts for neither side: 9 wins of 10 are enough, 8 are not
+    assert verdict(base, faster[:9] + base[9:]) == "gain"
+    assert verdict(base, faster[:8] + base[8:]) == "no clear change"
+    # every round won, but the medians closer than the base's IQR
+    assert verdict(base, [b - 0.5 for b in base]) == "no clear change"
+    assert verdict(base, base) == "no clear change"
+    # fewer than 10 rounds show nothing, however far apart
+    assert verdict(base[:9], [b - 5 for b in base[:9]]) == "no clear change"

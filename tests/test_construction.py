@@ -371,13 +371,12 @@ def test_compiled_construction_output_is_a_checked_partition(fastsearch, monkeyp
         ((1, 3, 4, 2**70), (2,)),
     ],
 )
-def test_both_routes_refuse_a_folding_that_is_no_partition(fastsearch, monkeypatch, low, high):
+def test_both_routes_refuse_a_folding_that_is_no_partition(routes, low, high):
     # a prime q never folds so, and _fold refuses any q that does (see
     # test_compiled_and_pure_routes_agree); laid out as either choice
     # would, such runs are refused with the same ValueError on both routes
     for direct, reflected in ((low, high), (high, low)):
-        compiled, pure = _routes(
-            monkeypatch, fastsearch, lambda: skolem.construction._skolem_pairs(11, direct, reflected).pairs)
+        compiled, pure = routes(lambda: skolem.construction._skolem_pairs(11, direct, reflected).pairs)
         assert compiled == pure and pure[0] is ValueError, (direct, reflected)
 
 
@@ -435,28 +434,13 @@ def test_compiled_fold_runs_once_per_call(fastsearch, monkeypatch):
     assert calls == construction_primes(1500)
 
 
-def _routes(monkeypatch, fastsearch, build):
-    """build() on the compiled and on the pure route: the tuples of ints it
-    returns with their element types, or the exception's type and message."""
-    out = []
-    for kernel in (fastsearch, None):
-        monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
-        try:
-            pairs = build()
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            out.append((type(exc), str(exc)))
-        else:
-            out.append((pairs, [type(el) for pair in pairs for el in pair]))
-    return out
-
-
-def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
+def test_compiled_and_pure_routes_agree(routes, monkeypatch):
     construction = skolem.construction
     # the fold of every odd q, composites (whose squares may include 0) too:
     # the same runs, or the same refusal of a folding that is no partition
     refused = []
     for q in range(3, 400, 2):
-        compiled, pure = _routes(monkeypatch, fastsearch, lambda: construction._fold(q))
+        compiled, pure = routes(lambda: construction._fold(q))
         assert compiled == pure, q
         if pure[0] is ArithmeticError:
             assert pure[1] == f"the squares mod {q} do not fold into a partition of 1..{q // 2}"
@@ -469,8 +453,7 @@ def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
     for q in construction_primes(1500):
         for choice in BetaChoice:
             folded = construction._folded(choice, *construction._fold(q))
-            compiled, pure = _routes(
-                monkeypatch, fastsearch, lambda: construction._skolem_pairs(q, *folded).pairs)
+            compiled, pure = routes(lambda: construction._skolem_pairs(q, *folded).pairs)
             assert compiled == pure and pure[1] == [int] * (q - 1), (q, choice)
     # one large q through each builder; the enumeration is cut to it
     q = 100_003
@@ -483,7 +466,7 @@ def test_compiled_and_pure_routes_agree(fastsearch, monkeypatch):
             lambda: half_set_certificate(q, choice).pair_set().pairs,
             lambda: next(ps.pairs for _, c, ps in enumerate_strong_skolem(q) if c is choice),
         ):
-            compiled, pure = _routes(monkeypatch, fastsearch, build)
+            compiled, pure = routes(build)
             assert compiled == pure and pure[1] == [int] * (q - 1), choice
 
 
@@ -568,14 +551,13 @@ def test_doubled_pairs_past_the_table_are_fresh(fastsearch, monkeypatch):
     assert not any(a is b for a, b in zip(one, two))
 
 
-def test_both_routes_agree_past_the_shared_ints(fastsearch, monkeypatch):
+def test_both_routes_agree_past_the_shared_ints(fastsearch, monkeypatch, routes):
     # q = 65539 = 2**16 + 3 is prime and 3 mod 8: its elements 65536..65538
     # are past the compiled module's shared ints
     q = 65539
     assert is_prime(q) and q % 8 == 3
     for choice in BetaChoice:
-        compiled, pure = _routes(
-            monkeypatch, fastsearch, lambda: build_strong_skolem(q, choice).pairs)
+        compiled, pure = routes(lambda: build_strong_skolem(q, choice).pairs)
         assert compiled == pure and pure[1] == [int] * (q - 1), choice
         for kernel in (fastsearch, None):
             monkeypatch.setattr(skolem.search, "_fastsearch", kernel)
@@ -600,9 +582,9 @@ class _Three(enum.IntEnum):
         ((1, _Three.THREE, 4, 5), (2,)),  # an int subclass passes, as before
     ],
 )
-def test_both_routes_refuse_a_certificate_alike(fastsearch, monkeypatch, direct, reflected):
+def test_both_routes_refuse_a_certificate_alike(routes, direct, reflected):
     cert = dataclasses.replace(half_set_certificate(11), direct=direct, reflected=reflected)
-    compiled, pure = _routes(monkeypatch, fastsearch, lambda: cert.pair_set().pairs)
+    compiled, pure = routes(lambda: cert.pair_set().pairs)
     assert compiled == pure
 
 
@@ -610,14 +592,13 @@ def test_both_routes_refuse_a_certificate_alike(fastsearch, monkeypatch, direct,
     (13, (1, 3, 4), (4, 3, 1), 4),
     (5, (1,), (1,), 1),
 ])
-def test_both_routes_refuse_a_certificate_that_repeats_a_difference(
-        fastsearch, monkeypatch, q, direct, reflected, d):
+def test_both_routes_refuse_a_certificate_that_repeats_a_difference(routes, q, direct, reflected, d):
     # the pairs partition 1..q-1, so only the repeated difference, and the
     # one it leaves out, tell that this is no Skolem starter
     cert = HalfSetCertificate(q=q, beta=2, direct=direct, reflected=reflected)
     refusal = (ValueError, f"certificate realises difference {d} more than once")
     for view in (lambda: cert.pair_set().pairs, lambda: tuple(cert.difference_pairs())):
-        assert _routes(monkeypatch, fastsearch, view) == [refusal, refusal]
+        assert routes(view) == [refusal, refusal]
 
 
 @pytest.mark.parametrize("compiled", [True, False])

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from skolem import (
-    BetaChoice,
     CeilingExceededError,
     DEFAULT_CEILING,
     PairSet,
@@ -37,14 +36,11 @@ from _naive import (
     count_skolem_starters,
     element_driven_starters,
     plain_count_by_coefficients,
+    row_pairs,
     sum_array_walk,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def _witness_pairs(xs):
-    return frozenset((x, x + d) for d, x in enumerate(xs, start=1))
 
 
 def test_kernel_counts_match_fixtures():
@@ -106,7 +102,7 @@ def test_kernels_agree_at_the_top_of_the_word(fastsearch, n, nodes):
     assert expected[:2] == (3, nodes)
     assert fastsearch.run_search(n, True, 3, -1, True, 0) == expected
     # and so do their PairSets, whose elements reach n - 1
-    pair_sets = [PairSet(n, zip(xs, _partners(xs))) for xs in expected[2]]
+    pair_sets = [PairSet(n, row_pairs(xs)) for xs in expected[2]]
     for kernel in (fastsearch, _pysearch):
         assert kernel.run_search(n, True, 3, -1, True, 0, PairSet) == (*expected[:2], pair_sets)
 
@@ -129,11 +125,6 @@ def test_pure_kernel_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert result[:2] == NODE_COUNTS[(21, True)]
-
-
-def _partners(xs):
-    """The larger elements x + d of a witness's pairs, xs[d - 1] = x."""
-    return [x + d for d, x in enumerate(xs, start=1)]
 
 
 # Given PairSet, both kernels' run_search hand their witnesses over as
@@ -163,8 +154,8 @@ def test_witness_constructor_matches_pair_set(fastsearch):
                             assert found[:2] == (count, nodes), (kernel, args)
                             assert len(found[2]) == len(rows), (kernel, args)
                             for xs, ps in zip(rows, found[2]):
-                                checked = PairSet(n, zip(xs, _partners(xs)))
-                                fast = PairSet._from_pairs(n, xs, _partners(xs))
+                                checked = PairSet(n, row_pairs(xs))
+                                fast = PairSet._from_pairs(n, xs, [y for _, y in row_pairs(xs)])
                                 for built in (ps, fast):
                                     assert type(built) is PairSet
                                     assert built.pairs == checked.pairs and built == checked
@@ -197,7 +188,7 @@ def test_witness_batch_of_none_is_empty(fastsearch):
 )
 def test_witness_constructor_rejects_non_partitions(fastsearch, n, xs):
     with pytest.raises(ValueError, match=f"does not partition 1..{n - 1}"):
-        PairSet._from_pairs(n, xs, _partners(xs))
+        PairSet._from_pairs(n, xs, [y for _, y in row_pairs(xs)])
 
 
 def test_witnesses_share_their_pair_tuples(fastsearch):
@@ -368,7 +359,7 @@ def test_kernel_witnesses_match_element_driven_oracle(fastsearch):
             oracle = _element_driven(n, strong)
             for kernel in (_pysearch, fastsearch):
                 count, _, witnesses = kernel.run_search(n, strong, 0, -1)
-                found = {_witness_pairs(xs) for xs in witnesses}
+                found = {frozenset(row_pairs(xs)) for xs in witnesses}
                 assert count == len(oracle) == len(found), (kernel, n, strong)
                 assert found == oracle, (kernel, n, strong)
 
@@ -379,7 +370,7 @@ def test_compiled_strong_witnesses_at_25_match_element_driven_oracle(fastsearch)
     # and 72 MB, so that order is left to the frozen counts
     oracle = _element_driven(25, True)
     count, _, witnesses = fastsearch.run_search(25, True, 0, -1)
-    found = {_witness_pairs(xs) for xs in witnesses}
+    found = {frozenset(row_pairs(xs)) for xs in witnesses}
     assert count == len(oracle) == len(found) == STARTER_COUNTS[(25, True)]
     assert found == oracle
 
@@ -544,7 +535,7 @@ def test_first_witness_mode():
         assert result.count == 1
         assert not result.complete
         assert len(result.witnesses) == 1
-        assert result.witnesses[0].pairs == tuple(sorted(_witness_pairs(xs)))
+        assert result.witnesses[0].pairs == tuple(sorted(row_pairs(xs)))
         assert full_report(result.witnesses[0]).verdicts == (True, True, True)
 
 
@@ -567,7 +558,7 @@ def _check_partitioned_search(whole_walk, n_max):
         for strong in (False, True):
             for mode, limit, stop_after, collect in cases:
                 count, nodes, whole = whole_walk(n, strong, stop_after, collect, True, 0)
-                expected = (count, nodes, [tuple(sorted(_witness_pairs(xs))) for xs in whole])
+                expected = (count, nodes, [tuple(sorted(row_pairs(xs))) for xs in whole])
                 for workers in (1, 3):
                     config = SearchConfig(
                         n=n, mode=mode, require_strong=strong, limit=limit, workers=workers
@@ -813,19 +804,41 @@ def test_mirrored_count_at_27_strong(fastsearch):
     assert (result.count, result.nodes_explored) == (47116, 17_855_357)
 
 
-def test_count_walks_half_the_partitions_and_enumeration_all(fastsearch, monkeypatch):
-    tops = []
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_mode_alone_sets_the_part_order(fastsearch, monkeypatch, workers):
+    # A count's parts grow towards the mirror axis x = (t + 1) / 2, so on
+    # any number of workers it walks them from the axis down, the largest
+    # first, and every other mode walks all t in ascending x.  One worker
+    # calls the kernel in that order, and two take the calls from a queue
+    # in that order.  No part finds a starter here, so a first-witness
+    # search walks every part and each asks for one witness, as does each
+    # part of an enumeration capped at 1.
+    calls, queues = [], []
+    thread_map = skolem.search._thread_map
+
+    def record(workers, fn, items):
+        queues.append(list(items))
+        return thread_map(workers, fn, items)
 
     def run_search(*args):
-        tops.append(args[5])
-        return fastsearch.run_search(*args)
+        calls.append(args)
+        return 0, 0, []
 
+    monkeypatch.setattr(skolem.search, "_thread_map", record)
     _hook_kernel(monkeypatch, fastsearch, run_search)
-    for n, half in ((25, 6), (27, 7)):
-        for mode, seen in (("count", half), ("enumerate", (n - 1) // 2)):
-            tops.clear()
-            search_skolem_starters(SearchConfig(n=n, mode=mode, limit=None if mode == "count" else 1))
-            assert tops == list(range(1, seen + 1)), (n, mode)
+    for n, counted in ((25, [6, 5, 4, 3, 2, 1]), (27, [7, 6, 5, 4, 3, 2, 1])):
+        for mode, limit, stop, cap in (("count", None, 0, 0), ("first", None, 1, 1),
+                                       ("enumerate", 1, 0, 1)):
+            calls.clear()
+            queues.clear()
+            config = SearchConfig(n=n, mode=mode, limit=limit, workers=workers)
+            result = search_skolem_starters(config)
+            tops = counted if mode == "count" else list(range(1, config.t + 1))
+            expected = [(n, True, stop, cap, True, x, PairSet) for x in tops]
+            if result.workers == 1:
+                assert (calls, queues) == (expected, []), config
+            else:
+                assert queues == [tops] and sorted(calls) == sorted(expected), config
 
 
 def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, monkeypatch):
@@ -877,21 +890,6 @@ def test_threads_ask_each_partition_for_the_cap_less_the_parts_below(fastsearch,
     assert result.witnesses == one_worker.witnesses
 
 
-def test_threads_queue_a_count_nearest_the_mirror_axis_first(fastsearch, monkeypatch):
-    # a count's parts grow towards the axis x = (t + 1) / 2, so its
-    # threads take the largest parts first and the last to start is small
-    queues = []
-    thread_map = skolem.search._thread_map
-
-    def record(workers, fn, items):
-        queues.append(list(items))
-        return thread_map(workers, fn, items)
-
-    monkeypatch.setattr(skolem.search, "_thread_map", record)
-    result = search_skolem_starters(SearchConfig(n=25, workers=2))
-    assert (result.count, queues) == (STARTER_COUNTS[25, True], [[6, 5, 4, 3, 2, 1]])
-
-
 def test_parallel_zero_count_order():
     seq = search_skolem_starters(SearchConfig(n=15, require_strong=False))
     par = search_skolem_starters(
@@ -904,9 +902,7 @@ def test_parallel_zero_count_order():
 def test_first_witness_ignores_workers():
     result = search_skolem_starters(SearchConfig(n=11, mode="first", workers=4))
     assert result.workers == 1
-    assert result.witnesses[0].pairs == tuple(
-        sorted(_witness_pairs(FIRST_STRONG_WITNESS[11]))
-    )
+    assert result.witnesses[0].pairs == tuple(sorted(row_pairs(FIRST_STRONG_WITNESS[11])))
 
 
 def test_ceiling_enforcement(monkeypatch):
@@ -977,12 +973,3 @@ def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):
         )
     assert runs["pure"] == runs["compiled"]
 
-
-def test_cross_validation():
-    # both constructed starters of Z_11 verify and occur in the enumeration
-    built = [build_strong_skolem(11, choice) for choice in BetaChoice]
-    for ps in built:
-        assert full_report(ps).verdicts == (True, True, True)
-    result = search_skolem_starters(SearchConfig(n=11, mode="enumerate"))
-    assert result.count == STARTER_COUNTS[(11, True)]
-    assert {ps.pairs for ps in result.witnesses} == {ps.pairs for ps in built}
