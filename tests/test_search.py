@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from skolem import (
+    BetaChoice,
     CeilingExceededError,
     DEFAULT_CEILING,
     PairSet,
@@ -973,3 +974,12 @@ def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):
         )
     assert runs["pure"] == runs["compiled"]
 
+
+def test_cross_validation():
+    # both constructed starters of Z_11 verify and occur in the enumeration
+    built = [build_strong_skolem(11, choice) for choice in BetaChoice]
+    for ps in built:
+        assert full_report(ps).verdicts == (True, True, True)
+    result = search_skolem_starters(SearchConfig(n=11, mode="enumerate"))
+    assert result.count == STARTER_COUNTS[(11, True)]
+    assert {ps.pairs for ps in result.witnesses} == {ps.pairs for ps in built}
