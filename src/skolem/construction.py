@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import search
-from .residues import MAX_MODULUS, _check_modulus, _quote, _require_int, is_prime
+from .residues import MAX_MODULUS, _check_modulus, _quote, _require_int, _require_prime, is_prime
 from .starters import PairSet
 
 __all__ = [
@@ -77,11 +77,9 @@ def _as_choice(choice) -> BetaChoice:
 
 def _require_prime_q(q: int) -> None:
     try:
-        _check_modulus(q)
+        _require_prime(q)
     except (TypeError, ValueError) as exc:
         raise ConstructionError(str(exc)) from None
-    if not is_prime(q):
-        raise ConstructionError(f"q = {q} is not prime")
 
 
 def _require_skolem_q(q: int) -> None:
@@ -267,7 +265,7 @@ def enumerate_strong_skolem(
 ) -> Iterator[tuple[int, BetaChoice, PairSet]]:
     """Yield (q, choice, starter) for every q in construction_primes(q_max)
     and every choice in the tuple choices, each '2', 'half' or a BetaChoice."""
-    if isinstance(choices, (str, BetaChoice)):
+    if not isinstance(choices, tuple):
         raise ConstructionError(
             f"choices must be a tuple such as ('2', 'half'), got {_quote(choices)}"
         )

@@ -300,6 +300,7 @@ def search_skolem_starters(config: SearchConfig) -> SearchResult:
         if collect >= 0:
             del part_witnesses[collect - len(witnesses):]
         witnesses += part_witnesses
+        part_witnesses.clear()  # threads keep every part's result till the end
         if 0 < stop_after <= count:
             break
     elapsed = time.perf_counter() - started

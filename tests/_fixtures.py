@@ -118,6 +118,26 @@ FIRST_STRONG_WITNESS = {
     27: (20, 24, 22, 6, 7, 17, 2, 11, 4, 8, 5, 3, 1),
 }
 
+# A first-witness search: (n, require_strong) -> (count, nodes), nodes
+# being the placements the walk makes up to and including its first
+# starter, or the whole walk where there is none (strong n = 9).
+FIRST_WITNESS_NODES = {
+    (3, True): (1, 1),
+    (3, False): (1, 1),
+    (9, True): (0, 20),
+    (9, False): (1, 4),
+    (11, True): (1, 5),
+    (11, False): (1, 7),
+    (17, True): (1, 17),
+    (17, False): (1, 23),
+    (19, True): (1, 218),
+    (19, False): (1, 13),
+    (25, True): (1, 165),
+    (25, False): (1, 12),
+    (27, True): (1, 953),
+    (27, False): (1, 13),
+}
+
 # A starter for Z_11 that is neither strong (two zero sums) nor Skolem
 # (integer differences 1, 3, 5, 7, 9).
 STARTER_NOT_SKOLEM_11 = ((1, 10), (2, 9), (3, 8), (4, 7), (5, 6))

@@ -38,16 +38,45 @@ from _fixtures import (
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _child_env():
+    """os.environ with the package under test first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _python_m_skolem(*argv, **kwargs):
     """Run `python -m skolem` in a child process on the package under test."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "skolem", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         **kwargs,
     )
+
+
+def _start_python(*argv, **kwargs):
+    """Start `python *argv` in a child process on the package under test,
+    its stdout and stderr piped as text."""
+    return subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+        **kwargs,
+    )
+
+
+def _reap(proc, timeout):
+    """proc.communicate(timeout=timeout), killing and reaping proc if it
+    runs past the timeout."""
+    try:
+        return proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
 
 
 def _run(capsys, *argv):
@@ -456,23 +485,10 @@ def test_search_stops_on_ctrl_c(argv):
     # the two-worker walk takes several seconds.  The pure kernel runs on
     # one worker whatever --workers asks, so the main thread sees the
     # signal at once.
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.Popen(
-        [sys.executable, *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        start_new_session=True,
-    )
+    proc = _start_python(*argv, start_new_session=True)
     time.sleep(1)
     proc.send_signal(signal.SIGINT)
-    try:
-        out, err = proc.communicate(timeout=5)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise
+    out, err = _reap(proc, timeout=5)
     assert proc.returncode == 130
     assert "error: search interrupted" in err
     assert "Traceback" not in err
@@ -482,24 +498,10 @@ def test_search_stops_on_ctrl_c(argv):
 def test_verify_stops_on_ctrl_c():
     # verify waits on a stdin its writer holds open; Ctrl-C ends it as it
     # ends a search
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "skolem", "verify", "-"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        start_new_session=True,
-    )
+    proc = _start_python("-m", "skolem", "verify", "-", stdin=subprocess.PIPE, start_new_session=True)
     time.sleep(1)
     proc.send_signal(signal.SIGINT)
-    try:
-        out, err = proc.communicate(timeout=5)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise
+    out, err = _reap(proc, timeout=5)
     assert proc.returncode == 130
     assert "error: verify interrupted" in err
     assert "Traceback" not in err
@@ -553,22 +555,10 @@ def test_unwritable_stdout_is_one_error_line(capsys, monkeypatch, argv):
 def test_closed_stdout_exits_141_without_a_traceback(argv, first):
     # as `skolem ... | head -1`: the reader takes one line and closes the
     # pipe while the command still has far more than a pipe buffer to write
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "skolem", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _start_python("-m", "skolem", *argv)
     line = proc.stdout.readline()
     proc.stdout.close()
-    try:
-        _, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise
+    _, err = _reap(proc, timeout=60)
     assert line.startswith(first)
     assert (proc.returncode, err) == (141, "")
 

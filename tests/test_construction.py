@@ -140,7 +140,7 @@ def test_paper_starters_are_skew_above_q3():
 
 def test_strong_starter_validation():
     for q, beta, message in (
-        (15, 2, "q = 15 is not prime"),
+        (15, 2, "modulus 15 is not prime"),
         (13, 2, "q % 4 == 1: the construction requires q % 4 == 3"),
         (11, 4, "beta = 4 is a quadratic residue mod 11; a non-residue is required"),
         (11, 0, "beta = 0 outside 1..10"),
@@ -200,10 +200,11 @@ def test_enumerate_strong_skolem():
     ]
 
 
-@pytest.mark.parametrize("choices", ["half", "2", BetaChoice.HALF])
+@pytest.mark.parametrize("choices", ["half", "2", BetaChoice.HALF, ["2", "half"], {"2", "half"}])
 def test_enumerate_strong_skolem_refuses_a_bare_choice(choices):
     # a lone str would be iterated character by character, so "2" would
-    # pass as ("2",); the tuple form is the one accepted
+    # pass as ("2",), and a set's order would follow the hash seed; the
+    # tuple form is the one accepted
     expected = r"choices must be a tuple such as \('2', 'half'\), got "
     with pytest.raises(ConstructionError, match=expected):
         list(enumerate_strong_skolem(20, choices))

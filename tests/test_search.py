@@ -32,7 +32,14 @@ from skolem import (
 import skolem.search
 from skolem import _pysearch
 
-from _fixtures import FIRST_STRONG_WITNESS, NODE_COUNTS, S_HALF, S_TWO, STARTER_COUNTS
+from _fixtures import (
+    FIRST_STRONG_WITNESS,
+    FIRST_WITNESS_NODES,
+    NODE_COUNTS,
+    S_HALF,
+    S_TWO,
+    STARTER_COUNTS,
+)
 from _naive import (
     count_skolem_starters,
     element_driven_starters,
@@ -547,6 +554,18 @@ def test_first_witness_exhausts_when_none_exists():
     assert result.witnesses == ()
 
 
+def test_first_witness_node_counts_up_to_the_ceiling(fastsearch):
+    # a first-witness search stops inside the walk, and where it stops is
+    # pinned as a whole walk's node count is; it runs on one worker
+    # whatever the config asks, and the pure kernel stops at the same node
+    for (n, strong), expected in FIRST_WITNESS_NODES.items():
+        for workers in (1, 2):
+            config = SearchConfig(n, mode="first", require_strong=strong, workers=workers)
+            result = search_skolem_starters(config)
+            assert (result.count, result.nodes_explored) == expected, config
+        assert _pysearch.run_search(n, strong, 1, 1)[:2] == expected, (n, strong)
+
+
 def _check_partitioned_search(whole_walk, n_max):
     """search_skolem_starters on one worker or up to three threads returns
     exactly whole_walk's triple: counts, node counts (FIRST_WITNESS walks
@@ -840,6 +859,27 @@ def test_the_mode_alone_sets_the_part_order(fastsearch, monkeypatch, workers):
                 assert (calls, queues) == (expected, []), config
             else:
                 assert queues == [tops] and sorted(calls) == sorted(expected), config
+
+
+def test_the_threaded_merge_keeps_no_part_list(fastsearch, monkeypatch):
+    # the threads hand back every part's result at once, so the merge
+    # empties each part's witness list as it takes it: the search then
+    # holds each witness once, as it does on one worker
+    returned = []
+    thread_map = skolem.search._thread_map
+
+    def record(workers, fn, items):
+        returned.extend(thread_map(workers, fn, items))
+        return returned
+
+    one_worker = search_skolem_starters(SearchConfig(n=19, mode="enumerate", require_strong=False))
+    monkeypatch.setattr(skolem.search, "_thread_map", record)
+    config = SearchConfig(n=19, mode="enumerate", require_strong=False, workers=2)
+    result = search_skolem_starters(config)
+    assert result.workers == 2 and len(returned) == 9
+    assert [witnesses for _, _, witnesses in returned] == [[]] * 9
+    assert len(result.witnesses) == 2656
+    assert result.witnesses == one_worker.witnesses
 
 
 def test_one_worker_asks_each_partition_only_for_missing_witnesses(fastsearch, monkeypatch):
