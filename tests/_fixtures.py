@@ -138,6 +138,14 @@ FIRST_WITNESS_NODES = {
     (27, False): (1, 13),
 }
 
+# A first plain witness past the machine word, where only the pure kernel
+# runs and a search needs force: (n, require_strong) -> (count, nodes) as
+# above.  Kept apart from FIRST_WITNESS_NODES, whose test runs without force.
+FORCED_FIRST_WITNESS_NODES = {
+    (65, False): (1, 40),
+    (67, False): (1, 41),
+}
+
 # A starter for Z_11 that is neither strong (two zero sums) nor Skolem
 # (integer differences 1, 3, 5, 7, 9).
 STARTER_NOT_SKOLEM_11 = ((1, 10), (2, 9), (3, 8), (4, 7), (5, 6))

@@ -8,6 +8,7 @@ compiler output, never a skip.
 """
 
 import gc
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 BUILD_LOG = pytest.StashKey[str]()
+
+
+def child_env():
+    """os.environ with the package under test first on PYTHONPATH, for a
+    test's child processes."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def pytest_configure(config):

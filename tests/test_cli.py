@@ -6,7 +6,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -33,15 +32,7 @@ from _fixtures import (
     STARTER_NOT_SKOLEM_11,
     STARTER_COUNTS,
 )
-
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def _child_env():
-    """os.environ with the package under test first on PYTHONPATH."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path}
+from conftest import child_env
 
 
 def _python_m_skolem(*argv, **kwargs):
@@ -50,7 +41,7 @@ def _python_m_skolem(*argv, **kwargs):
         [sys.executable, "-m", "skolem", *argv],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         **kwargs,
     )
 
@@ -63,7 +54,7 @@ def _start_python(*argv, **kwargs):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         **kwargs,
     )
 

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import gc
 import inspect
-import os
 import pickle
 import platform
 import signal
@@ -35,6 +34,7 @@ from skolem import _pysearch
 from _fixtures import (
     FIRST_STRONG_WITNESS,
     FIRST_WITNESS_NODES,
+    FORCED_FIRST_WITNESS_NODES,
     NODE_COUNTS,
     S_HALF,
     S_TWO,
@@ -47,8 +47,7 @@ from _naive import (
     row_pairs,
     sum_array_walk,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import child_env
 
 
 def test_kernel_counts_match_fixtures():
@@ -384,17 +383,18 @@ def test_compiled_strong_witnesses_at_25_match_element_driven_oracle(fastsearch)
 
 
 def test_plain_counts_match_a_memoised_element_driven_count():
-    # the oracle above lists starters only up to n = 19; this count checks
-    # the plain fixture at n = 25 too, with no kernel involved.
-    # n = 27 takes it 6 to 7 s and 408 MB and is the slow test below
+    # the plain fixtures up to n = 19, with no kernel involved.  n = 25
+    # would take it about 3 s, and the slow test that walks no tree, below,
+    # derives that count; n = 27 takes it 6 to 7 s and 408 MB and is the
+    # slow test next to this one
     for (n, strong), count in STARTER_COUNTS.items():
-        if not strong and n <= 25:
+        if not strong and n <= 19:
             assert count_skolem_starters(n) == count, n
 
 
 @pytest.mark.slow
 def test_plain_count_at_27_matches_a_memoised_element_driven_count():
-    assert count_skolem_starters(27) == STARTER_COUNTS[(27, False)] == 3_040_560
+    assert count_skolem_starters(27) == STARTER_COUNTS[(27, False)]
 
 
 def test_plain_node_count_fixtures_match_a_count_that_walks_no_tree():
@@ -407,7 +407,7 @@ def test_plain_node_count_fixtures_match_a_count_that_walks_no_tree():
 
 @pytest.mark.slow
 def test_plain_count_at_25_matches_a_count_that_walks_no_tree():
-    assert plain_count_by_coefficients(25) == STARTER_COUNTS[(25, False)] == 455_936
+    assert plain_count_by_coefficients(25) == STARTER_COUNTS[(25, False)]
 
 
 def test_kernel_validation():
@@ -624,7 +624,7 @@ def test_compiled_kernel_releases_the_gil(fastsearch):
     walker.join(timeout=60)
     assert not walker.is_alive()
     (count, nodes, _), start, end = span
-    assert (count, nodes) == (9622, 2_856_928)
+    assert (count, nodes) == NODE_COUNTS[(25, True)]
     quarter = (end - start) / 4
     assert any(start + quarter < tick < end - quarter for tick in ticks)
 
@@ -642,7 +642,7 @@ def test_import_loads_no_executor_and_no_pure_kernel(fastsearch):
              f"r = skolem.search_skolem_starters(skolem.SearchConfig(n=15, workers=2)); "
              f"print([m for m in {executors!r} if m in sys.modules], r.backend, r.workers)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+                          env=child_env(), check=True)
     assert proc.stdout.splitlines() == ["[] True", "[] pure 1"]
 
 
@@ -651,7 +651,7 @@ def test_active_backend_loads_no_pure_kernel():
     probe = ("import sys, skolem; skolem.search._fastsearch = None; "
              "print(skolem.active_backend(), 'skolem._pysearch' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+                          env=child_env(), check=True)
     assert proc.stdout.splitlines() == ["pure False"]
 
 
@@ -807,13 +807,14 @@ def test_mirror_partitions_have_equal_counts_and_nodes(fastsearch):
 
 
 def test_mirrored_count_matches_the_whole_walk(fastsearch):
-    for n in (19, 21, 23):
+    # the whole walk's count and node count, which the compiled kernel
+    # gives in test_compiled_kernel_counts_match_fixtures
+    for n in (19, 21, 23, 25):
         for strong in (False, True):
-            expected = fastsearch.run_search(n, strong, 0, 0, True, 0)[:2]
             for workers in (1, 2):
                 config = SearchConfig(n=n, require_strong=strong, workers=workers)
                 result = search_skolem_starters(config)
-                assert (result.count, result.nodes_explored) == expected, config
+                assert (result.count, result.nodes_explored) == NODE_COUNTS[(n, strong)], config
                 assert result.complete
 
 
@@ -821,7 +822,7 @@ def test_mirrored_count_at_27_strong(fastsearch):
     # t = 13 is odd, so the self-mirrored middle partition x = 7 counts once
     result = search_skolem_starters(SearchConfig(n=27))
     assert result.backend == "compiled"
-    assert (result.count, result.nodes_explored) == (47116, 17_855_357)
+    assert (result.count, result.nodes_explored) == NODE_COUNTS[(27, True)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -999,6 +1000,20 @@ def test_non_int_limit_or_workers_is_refused_on_both_kernels(fastsearch, monkeyp
 def test_orders_past_the_machine_word_run_the_pure_kernel(fastsearch):
     assert skolem.search._kernel(63) == (fastsearch, "compiled")
     assert skolem.search._kernel(65) == (_pysearch, "pure")
+
+
+def test_a_forced_first_plain_witness_past_the_machine_word(fastsearch):
+    # the whole search past the ceiling and the word: the pure kernel on
+    # one worker, whatever the config asks, stops at a Skolem starter
+    # within milliseconds (a first strong one at n = 65 takes seconds)
+    for (n, strong), expected in FORCED_FIRST_WITNESS_NODES.items():
+        config = SearchConfig(n, mode="first", require_strong=strong, workers=2, force=True)
+        result = search_skolem_starters(config)
+        assert (result.backend, result.workers) == ("pure", 1), config
+        assert (result.count, result.nodes_explored) == expected, config
+        report = full_report(result.witnesses[0])
+        assert report.is_starter and report.is_skolem, config
+        assert _pysearch.run_search(n, strong, 1, 1)[:2] == expected, (n, strong)
 
 
 def test_backends_agree_through_the_front_door(fastsearch, monkeypatch):

@@ -1,11 +1,9 @@
 import json
-import os
 import random
 import subprocess
 import sys
 from enum import IntEnum
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -46,6 +44,7 @@ from _naive import (
     perturb_partition,
     random_pair_partition,
 )
+from conftest import child_env
 
 
 def test_skolem_admissible_rule():
@@ -388,9 +387,8 @@ def test_a_sparse_set_with_a_huge_n_names_its_uncovered_elements():
         "print(time.perf_counter() - start)\n"
         "print(report.starter_witness)\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=30)
+                          env=child_env(), timeout=30)
     assert proc.returncode == 0, proc.stderr
     elapsed, witness = proc.stdout.splitlines()
     assert witness == (
